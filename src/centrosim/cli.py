@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -264,13 +265,18 @@ def _cmd_verify_corollary(args):
     return (0 if ok and conj_centro else 2), report, summary
 
 
+def _scan_points(start, stop, step):
+    """start + i*step for i = 0, 1, ... up to stop (inclusive, to 1e-9 steps)."""
+    if step <= 0 or not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError("--start and --stop must be finite and --step finite and positive")
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise ValueError("--start to --stop spans too many steps")
+    return (start + i * step for i in range(max(math.floor(steps + 1e-9) + 1, 0)))
+
+
 def _cmd_alpha_scan(args):
-    alphas = []
-    a = args.start
-    while a <= args.stop + 1e-12:
-        alphas.append(a)
-        a += args.step
-    rows = alpha_scan(args.size, alphas, tol=args.tol)
+    rows = alpha_scan(args.size, _scan_points(args.start, args.stop, args.step), tol=args.tol)
     report = {"size": args.size, "count": len(rows),
               "columns": ["alpha", "size", "best_residual_norm",
                           "intertwiner_found", "invertible"],

@@ -4,13 +4,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import DimensionError
 from .matrix import APPROX, EXACT, Matrix
 
 __all__ = ["det", "gauss_facts", "GaussFacts", "inverse", "rank",
            "rank_normal_form", "RankNormalForm", "solve_linear", "char_poly_samples"]
+
+
+def _clear_denominators(rows):
+    """Each Fraction row times the lcm of its denominators: (int rows, row scales)."""
+    int_rows = []
+    scales = []
+    for row in rows:
+        li = lcm(*(v.denominator for v in row))
+        int_rows.append([v.numerator * (li // v.denominator) for v in row])
+        scales.append(li)
+    return int_rows, scales
 
 
 def _bareiss_int(a):
@@ -43,15 +54,8 @@ def _det_exact(M):
     n = M.rows
     if n == 0:
         return Fraction(1)
-    # Clear denominators row by row so Bareiss runs on plain integers.
-    scale = Fraction(1)
-    a = []
-    for i in range(n):
-        row = M.row(i)
-        li = lcm(*(v.denominator for v in row))
-        scale *= li
-        a.append([int(v * li) for v in row])
-    return Fraction(_bareiss_int(a)) / scale
+    a, scales = _clear_denominators(M.row(i) for i in range(n))
+    return Fraction(_bareiss_int(a), prod(scales))
 
 
 def _det_approx(M):
@@ -97,8 +101,61 @@ def _rref(a, n_cols, mode, threshold):
     """Reduced row echelon form in place over the first n_cols columns.
 
     Columns beyond n_cols (an augmented part) ride along with the row
-    operations.  Returns the pivot column list.
+    operations.  Returns the pivot column list.  Exact mode pivots on the
+    first nonzero entry of each column, approximate mode on the largest one
+    above the threshold.
     """
+    if mode == EXACT:
+        return _rref_exact(a, n_cols)
+    return _rref_approx(a, n_cols, threshold)
+
+
+def _rref_exact(a, n_cols):
+    """Fraction-free Gauss-Jordan on the cleared-denominator rows (Bareiss 1968).
+
+    After each pivot step every row is the current pivot value times the same
+    row of Fraction Gauss-Jordan with the same pivots, so all pivots share one
+    value and every entry is a minor of the integer matrix: each floor
+    division below is exact.  Dividing by the last pivot (and, for the rows
+    past the rank, by their own scale) gives the Fraction RREF.
+    """
+    m = len(a)
+    rows, scales = _clear_denominators(a)
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(n_cols):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            scales[r], scales[piv] = scales[piv], scales[r]
+        row_r = rows[r]
+        pk = row_r[c]
+        for i in range(m):
+            if i == r:
+                continue
+            row_i = rows[i]
+            f = row_i[c]
+            if f:
+                rows[i] = [(pk * x - f * y) // prev for x, y in zip(row_i, row_r)]
+            elif pk != prev:
+                rows[i] = [pk * x // prev for x in row_i]
+        prev = pk
+        pivots.append(c)
+        r += 1
+    zero = Fraction(0)
+    for i, row in enumerate(rows):
+        d = prev if i < r else prev * scales[i]
+        a[i] = [Fraction(x, d) if x else zero for x in row]
+    return pivots
+
+
+def _rref_approx(a, n_cols, threshold):
+    """Gauss-Jordan over floats with partial pivoting."""
     m = len(a)
     width = len(a[0]) if m else n_cols
     pivots = []
@@ -106,19 +163,14 @@ def _rref(a, n_cols, mode, threshold):
     for c in range(n_cols):
         if r == m:
             break
-        if mode == EXACT:
-            piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        else:
-            piv = max(range(r, m), key=lambda i: abs(a[i][c]))
-            if abs(a[piv][c]) <= threshold:
-                piv = None
-        if piv is None:
+        piv = max(range(r, m), key=lambda i: abs(a[i][c]))
+        if abs(a[piv][c]) <= threshold:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
         pk = a[r][c]
         if pk != 1:
-            inv = 1 / pk if mode == APPROX else Fraction(1) / pk
+            inv = 1 / pk
             for j in range(width):
                 a[r][j] *= inv
         for i in range(m):

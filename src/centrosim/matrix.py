@@ -9,6 +9,7 @@ one operation; doing so raises :class:`~centrosim.errors.ModeError`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -385,14 +386,42 @@ def matrix_to_json_obj(M):
                      for i in range(M.rows)]}
 
 
+def _entry_from_json(v):
+    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"matrix entry {v!r} has a zero denominator") from None
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"matrix entry of type {type(v).__name__} is neither a string "
+                         "nor a number")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"matrix entry {v!r} is not finite")
+    return v
+
+
 def matrix_from_json_obj(obj, mode=None):
-    """Parse {"rows": [...]}: strings/ints mean exact, floats mean approx."""
+    """Parse {"rows": [...]}: strings/ints mean exact, floats mean approx.
+
+    Anything else raises ValueError: a missing or non-list 'rows', a row that
+    is not a list, an entry that is not a string or a number, an unparsable
+    or zero-denominator string, NaN or infinity, and strings mixed with floats.
+    """
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ValueError("matrix JSON must be an object with a 'rows' field")
     rows = obj["rows"]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError("matrix JSON 'rows' must be a list of lists")
+    kinds = {type(v) for r in rows for v in r}
+    if str in kinds and float in kinds:
+        raise ValueError("matrix JSON mixes string and float entries")
     if mode is None:
-        mode = APPROX if any(isinstance(v, float) for r in rows for v in r) else EXACT
-    return Matrix(rows, mode=mode)
+        mode = APPROX if float in kinds else EXACT
+    values = [[_entry_from_json(v) for v in r] for r in rows]
+    try:
+        return Matrix(values, mode=mode)
+    except OverflowError:
+        raise ValueError("matrix entry too large for approximate mode") from None
 
 
 def load_matrix(path, mode=None):

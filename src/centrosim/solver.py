@@ -91,7 +91,7 @@ def intertwiner_space(A, D, tol=None):
         raise DimensionError("intertwiner space needs square A and D")
     s = A.rows
     m = D.rows
-    K, _ = _sylvester_system(A, D)
+    K = Matrix(_sylvester_rows(A, D), mode=A.mode, cols=m * s)
     facts = gauss_facts(K, tol)
     basis = tuple(_unvec(v, m, s) for v in facts.nullspace)
     # Each basis element is re-verified by an explicit multiplication.
@@ -111,7 +111,7 @@ def _unvec(col, m, s):
                   mode=col.mode, cols=s)
 
 
-def _sylvester_system(A, D):
+def _sylvester_rows(A, D):
     """Coefficient rows of (XA - DX) entry (p, q) over row-major vec(X)."""
     s = A.rows
     m = D.rows
@@ -125,7 +125,7 @@ def _sylvester_system(A, D):
             for i in range(m):
                 row[_vec_index(i, q, s)] -= D[p, i]
             rows.append(row)
-    return Matrix(rows, mode=A.mode, cols=m * s), m * s
+    return rows
 
 
 def _linear_stage(bp, tol):
@@ -137,10 +137,10 @@ def _linear_stage(bp, tol):
     A, D = bp.A, bp.D
     s = A.rows
     m = D.rows
-    K, n_unknowns = _sylvester_system(A, D)
+    n_unknowns = m * s
     zero = Fraction(0) if A.mode == EXACT else 0.0
-    rows = [list(K.row(i)) for i in range(K.rows)]
-    rhs = [zero] * K.rows
+    rows = _sylvester_rows(A, D)
+    rhs = [zero] * len(rows)
     if bp.parity == "odd":
         for p in range(s):
             row = [zero] * n_unknowns
@@ -154,9 +154,9 @@ def _linear_stage(bp, tol):
                 row[_vec_index(i, q, s)] = bp.z[0, i]
             rows.append(row)
             rhs.append(bp.y[0, q])
-    K_full = Matrix(rows, mode=A.mode, cols=n_unknowns)
+    K = Matrix(rows, mode=A.mode, cols=n_unknowns)
     b = Matrix([[v] for v in rhs], mode=A.mode, cols=1)
-    particular, basis = solve_linear(K_full, b, tol)
+    particular, basis = solve_linear(K, b, tol)
     if particular is not None:
         particular = _unvec(particular, m, s)
     return particular, tuple(_unvec(v, m, s) for v in basis)
@@ -272,16 +272,24 @@ def find_intertwiner(M, parity, s, options=None):
     elif d > opts.d_max:
         diagnostic = f"search exhausted: solution space dimension {d} exceeds d_max={opts.d_max}"
     elif d == 1:
-        ts, discriminant, line_diag = _solve_on_line(bp, particular, basis[0], mode, tol)
-        diagnostic = line_diag
-        if discriminant is not None and diagnostic is None:
+        ts, discriminant, diagnostic = _solve_on_line(bp, particular, basis[0], mode, tol)
+        if discriminant is not None:
             diagnostic = "irrational discriminant: no solution over the working field"
         for t in ts:
             if full():
                 break
             consider(particular + t * basis[0])
+        # Every solution lies on the line and is a root of its first nonzero
+        # equation, so an empty result here proves there is none.
+        if not solutions and diagnostic is None:
+            diagnostic = ("no solution on the line: no root of its first nonzero quadratic "
+                          "equation solves the system" if ts else
+                          "no solution on the line: its first nonzero quadratic equation "
+                          "is a nonzero constant")
     else:
         _grid_search(bp, particular, basis, opts, mode, tol, consider, full)
+        if not solutions:
+            diagnostic = f"search exhausted: no grid point solves the system in dimension {d}"
 
     if mode == EXACT:
         best_residual = None

@@ -28,6 +28,34 @@ def cofactor_det(M):
     return total
 
 
+def fraction_rref(a, n_cols):
+    """Reference Gauss-Jordan over Fractions, in place; returns the pivot columns.
+
+    Same pivot rule as centrosim's exact elimination (first nonzero entry of
+    each column), pivot rows scaled to 1, columns past n_cols riding along.
+    """
+    m = len(a)
+    width = len(a[0]) if m else n_cols
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = Fraction(1) / a[r][c]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(m):
+            f = a[i][c]
+            if i != r and f:
+                a[i] = [a[i][j] - f * a[r][j] for j in range(width)]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def kron(A, B):
     """Kronecker product, used for the column-major vectorized Sylvester system."""
     rows = []

@@ -1,8 +1,10 @@
 import csv
 import json
 
+import pytest
+
 from centrosim import Matrix, is_centrosymmetric, matrix_from_json_obj, save_matrix
-from centrosim.cli import main
+from centrosim.cli import _scan_points, main
 
 
 def write(tmp_path, name, rows):
@@ -187,3 +189,39 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     code, _, err = run(["check", str(bad)], capsys)
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"rows": [["1", "1/0"], ["2", "3"]]}',
+    '{"rows": [[NaN, 1.0], [1.0, NaN]]}',
+    '{"rows": [[Infinity, 1.0], [1.0, 2.0]]}',
+    '{"rows": [["1", 1.5], ["2", "3"]]}',
+    '{"rows": "abc"}',
+    '{"rows": [[null, 1], [1, 2]]}',
+])
+def test_malformed_matrix_is_one_line_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(["factor-centro", str(bad)], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_alpha_scan_points_are_not_accumulated():
+    points = list(_scan_points(-4.0, 4.0, 0.1))
+    assert len(points) == 81
+    assert points == [-4.0 + i * 0.1 for i in range(81)]
+    assert list(_scan_points(3.0, 3.0, 1.0)) == [3.0]
+    assert list(_scan_points(2.0, 1.0, 1.0)) == []
+
+
+@pytest.mark.parametrize("bounds", [
+    ("0", "1", "0"), ("0", "1", "-1"), ("0", "1", "nan"), ("0", "1", "inf"),
+    ("-inf", "1", "1"), ("0", "nan", "1"), ("-1e308", "1e308", "1e-300"),
+])
+def test_alpha_scan_rejects_bad_steps(capsys, bounds):
+    start, stop, step = bounds
+    code, out, err = run(["alpha-scan", f"--start={start}", f"--stop={stop}", f"--step={step}"],
+                         capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")

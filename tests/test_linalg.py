@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from centrosim import (APPROX, DimensionError, Matrix, char_poly_samples, det,
+from centrosim import (APPROX, EXACT, DimensionError, Matrix, char_poly_samples, det,
                        gauss_facts, rank, rank_normal_form, solve_linear)
-from oracles import cofactor_det, rand_int_matrix
+from centrosim.linalg import _rref
+from oracles import cofactor_det, fraction_rref, rand_int_matrix
 
 
 def test_det_two_by_two_counterexample():
@@ -134,3 +137,88 @@ def test_char_poly_samples_match_direct_det():
     samples = char_poly_samples(M, [Fraction(0), Fraction(1), Fraction(2)])
     # det(tI - M) = t^2 - 3t - 4
     assert samples == [Fraction(-4), Fraction(-6), Fraction(-6)]
+
+
+RATIONALS = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+@st.composite
+def rational_rows(draw, n_rows, width):
+    """Rows of mixed-denominator rationals; some rows are rational combinations
+    of earlier ones (zero rows included), so rank deficiency is common."""
+    rows = []
+    for _ in range(n_rows):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(st.sampled_from((0, 1, -1, 2, Fraction(-1, 3))),
+                                   min_size=len(rows), max_size=len(rows)))
+            rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                         for j in range(width)])
+        else:
+            rows.append(draw(st.lists(RATIONALS, min_size=width, max_size=width)))
+    return rows
+
+
+def oracle_nullspace(a, pivots, n_cols):
+    basis = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        vec = [Fraction(0)] * n_cols
+        vec[f] = Fraction(1)
+        for k, p in enumerate(pivots):
+            vec[p] = -a[k][f]
+        basis.append(Matrix([[v] for v in vec], cols=1))
+    return tuple(basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 6), st.integers(0, 3), st.data())
+def test_integer_kernel_matches_fraction_oracle_rref(m, n, extra, data):
+    rows = data.draw(rational_rows(m, n + extra))
+    a = [list(r) for r in rows]
+    ref = [list(r) for r in rows]
+    assert _rref(a, n, EXACT, None) == fraction_rref(ref, n)
+    assert a == ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_integer_kernel_matches_oracle_facts_and_solve(m, n, data):
+    rows = data.draw(rational_rows(m, n + 1))
+    K = Matrix([r[:n] for r in rows], cols=n)
+    b = Matrix([r[n:] for r in rows], cols=1)
+
+    facts = gauss_facts(K)
+    ident = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    ref = [list(r[:n]) + (ident[i] if m == n else []) for i, r in enumerate(rows)]
+    pivots = fraction_rref(ref, n)
+    assert facts.rank == len(pivots)
+    assert facts.nullspace == oracle_nullspace(ref, pivots, n)
+    if m == n and len(pivots) == n:
+        assert facts.inverse == Matrix([r[n:] for r in ref], cols=n)
+    else:
+        assert facts.inverse is None
+
+    particular, basis = solve_linear(K, b)
+    ref = [list(r) for r in rows]
+    pivots = fraction_rref(ref, n)
+    assert tuple(basis) == oracle_nullspace(ref, pivots, n)
+    if any(ref[i][n] != 0 for i in range(len(pivots), m)):
+        assert particular is None
+    else:
+        expected = [Fraction(0)] * n
+        for k, p in enumerate(pivots):
+            expected[p] = ref[k][n]
+        assert particular == Matrix([[v] for v in expected], cols=1)
+
+
+def test_integer_kernel_matches_oracle_on_larger_rank_deficient_systems():
+    rng = random.Random(16)
+    for m, n, r in ((12, 15, 9), (16, 16, 13), (20, 12, 12)):
+        left = rand_int_matrix(rng, m, r, -4, 4)
+        right = Matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n + 2)]
+                        for _ in range(r)], cols=n + 2)
+        rows = (left * right).to_lists()
+        a = [list(row) for row in rows]
+        ref = [list(row) for row in rows]
+        assert _rref(a, n, EXACT, None) == fraction_rref(ref, n)
+        assert a == ref

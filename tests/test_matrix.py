@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centrosim import (APPROX, EXACT, DimensionError, Matrix, ModeError,
+from centrosim import (APPROX, EXACT, CentrosimError, DimensionError, Matrix, ModeError,
                        assemble_blocks, block, blocks_centrosymmetric,
                        commutes_with_exchange, exchange_matrix, hstack,
                        is_centrosymmetric, matrix_from_json_obj,
@@ -153,6 +154,64 @@ def test_json_accepts_numbers_as_approx():
 def test_json_rejects_malformed():
     with pytest.raises(ValueError):
         matrix_from_json_obj({"cols": []})
+
+
+@pytest.mark.parametrize("rows", [
+    [["1", "1/0"], ["2", "3"]],
+    [[float("nan"), 1.0], [1.0, 2.0]],
+    [[float("inf"), 1.0], [1.0, 2.0]],
+    [["1", 1.5], ["2", "3"]],
+    "abc",
+    [1, 2],
+    [[True, 1], [1, 2]],
+    [[None, 1], [1, 2]],
+    [["x", "1"], ["1", "1"]],
+    [[1.0, 10 ** 400], [1, 2]],
+])
+def test_json_rejects_malformed_rows_with_value_error(rows):
+    with pytest.raises(ValueError):
+        matrix_from_json_obj({"rows": rows})
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 4, 10 ** 4),
+                         st.floats(), st.text(alphabet="0123456789/-+. x", max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids,
+                                                              max_size=2),
+    max_leaves=10)
+ROW_LISTS = st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.lists(JSON_SCALARS, min_size=k, max_size=k), min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(JSON_VALUES, ROW_LISTS), st.sampled_from([None, EXACT, APPROX]))
+def test_json_reader_returns_clean_matrix_or_raises_value_error(rows, mode):
+    try:
+        M = matrix_from_json_obj({"rows": rows}, mode=mode)
+    except (ValueError, CentrosimError):
+        return
+    entries = [v for r in rows for v in r]
+    assert not any(isinstance(v, (bool, type(None), list, dict)) for v in entries)
+    assert not ({str, float} <= {type(v) for v in entries})
+    for v in (v for r in M.to_lists() for v in r):
+        if M.mode == EXACT:
+            assert isinstance(v, Fraction)
+        else:
+            assert isinstance(v, float) and math.isfinite(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_json_round_trip_property(n_rows, n_cols, data):
+    exact = data.draw(st.booleans())
+    scalars = (st.fractions(max_denominator=50) if exact
+               else st.floats(allow_nan=False, allow_infinity=False))
+    M = Matrix(data.draw(st.lists(st.lists(scalars, min_size=n_cols, max_size=n_cols),
+                                  min_size=n_rows, max_size=n_rows)),
+               mode=EXACT if exact else APPROX, cols=n_cols)
+    text = json.dumps(matrix_to_json_obj(M))
+    assert matrix_from_json_obj(json.loads(text)) == M
 
 
 def test_block_assembly_with_empty_blocks():

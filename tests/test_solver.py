@@ -200,6 +200,32 @@ def test_find_intertwiner_solution_line_diagnostic():
     assert {sol.X[0, 0] for sol in search} >= {-1, 1}
 
 
+def test_find_intertwiner_grid_exhaustion_diagnostic():
+    # Toeplitz n=4 at alpha 0 has a two-dimensional Sylvester space and no
+    # solution on the default grid.
+    search = find_intertwiner(linear_toeplitz(0, 4), "even", 2)
+    assert len(search) == 0 and len(search.basis) == 2
+    assert search.diagnostic == "search exhausted: no grid point solves the system in dimension 2"
+
+
+def test_find_intertwiner_constant_equation_on_line_diagnostic():
+    # A = D, B = 0, C = 3: the quadratic residual is the constant 3 on the line.
+    search = find_intertwiner(Matrix([[5, 0], [3, 5]]), "even", 1)
+    assert len(search) == 0 and len(search.basis) == 1
+    assert search.diagnostic == ("no solution on the line: its first nonzero quadratic "
+                                 "equation is a nonzero constant")
+
+
+def test_find_intertwiner_line_roots_fail_remaining_equations():
+    # X = t E00 is the whole Sylvester space; entry (0, 0) gives t = +-2 but
+    # entry (1, 1) of C = XBX reads 1 = 0 for every t.
+    M = Matrix([[1, 0, 1, 0], [0, 2, 0, 0], [4, 0, 1, 0], [0, 1, 0, 5]])
+    search = find_intertwiner(M, "even", 2)
+    assert len(search) == 0 and len(search.basis) == 1
+    assert search.diagnostic == ("no solution on the line: no root of its first nonzero "
+                                 "quadratic equation solves the system")
+
+
 def test_find_intertwiner_max_solutions_cap():
     M = Matrix([[2, 1], [4, 2]])
     search = find_intertwiner(M, "even", 1, SearchOptions(max_solutions=1))
