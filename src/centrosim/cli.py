@@ -223,21 +223,32 @@ def _cmd_certify_singular(args):
     return 2, report, f"system {args.system} does not hold for this witness"
 
 
+def _rational(text, option):
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option}: not a rational number: {text!r}") from None
+
+
 def _parse_rational_list(text):
-    return tuple(Fraction(part.strip()) for part in text.split(","))
+    if text is None:
+        raise ValueError("--c is required")
+    return tuple(_rational(part, "--c") for part in text.split(","))
 
 
 def _cmd_gen(args):
     if args.family == "toeplitz":
-        M = linear_toeplitz(Fraction(args.alpha), args.size)
-        report = {"family": "toeplitz", "alpha": str(Fraction(args.alpha)),
+        alpha = _rational(args.alpha, "--alpha")
+        M = linear_toeplitz(alpha, args.size)
+        report = {"family": "toeplitz", "alpha": str(alpha),
                   "size": args.size, "matrix": _mat(M)}
         if args.size in (4, 6):
-            xt, delta = toeplitz_scaled_intertwiner(args.size, Fraction(args.alpha))
+            xt, delta = toeplitz_scaled_intertwiner(args.size, alpha)
             report["scaled_intertwiner"] = {"Xtilde": _mat(xt), "delta": _scalar(delta, EXACT)}
     else:
         sign = 1 if args.sign == "+" else -1
-        spec = PalindromicSpec(t=Fraction(args.t), c=_parse_rational_list(args.c), sign=sign)
+        spec = PalindromicSpec(t=_rational(args.t, "--t"), c=_parse_rational_list(args.c),
+                               sign=sign)
         M = periodic_jacobi_pm(spec) if args.family == "jacobi-a" else bordered_jacobi_pm(spec)
         report = {"family": args.family, "t": str(spec.t),
                   "c": [str(v) for v in spec.c], "sign": args.sign, "matrix": _mat(M)}
@@ -272,7 +283,7 @@ def _scan_points(start, stop, step):
     steps = (stop - start) / step
     if not math.isfinite(steps):
         raise ValueError("--start to --stop spans too many steps")
-    return (start + i * step for i in range(max(math.floor(steps + 1e-9) + 1, 0)))
+    return [start + i * step for i in range(max(math.floor(steps + 1e-9) + 1, 0))]
 
 
 def _cmd_alpha_scan(args):

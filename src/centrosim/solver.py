@@ -300,18 +300,27 @@ def find_intertwiner(M, parity, s, options=None):
                              discriminant=discriminant, best_residual=best_residual)
 
 
+def _quadratic_parts(bp, X0, basis):
+    """Row-major entries of R0, Rlin[i], Rquad[i][j]: over X = X0 + sum t_i N_i,
+    C - XBX = R0 - sum t_i Rlin[i] - sum t_i t_j Rquad[i][j]."""
+    XB = X0 * bp.B
+    NB = [N * bp.B for N in basis]
+    return (_entries(bp.C - XB * X0), [_entries(P * X0 + XB * N) for P, N in zip(NB, basis)],
+            [[_entries(P * N) for N in basis] for P in NB])
+
+
+def _entries(R):
+    return [v for row in R.to_lists() for v in row]
+
+
 def _solve_on_line(bp, X0, N, mode, tol):
     """Exact parameters t with C = (X0 + tN) B (X0 + tN) on the affine line."""
-    R0 = bp.C - X0 * bp.B * X0
-    R1 = N * bp.B * X0 + X0 * bp.B * N
-    R2 = N * bp.B * N
-    for p in range(R0.rows):
-        for q in range(R0.cols):
-            a, b, c = R2[p, q], R1[p, q], -R0[p, q]
-            if not (scalar_is_zero(a, mode, tol) and scalar_is_zero(b, mode, tol)
-                    and scalar_is_zero(c, mode, tol)):
-                roots, disc = _quadratic_roots(a, b, c, mode, tol)
-                return roots, disc, None
+    r0, (r1,), ((r2,),) = _quadratic_parts(bp, X0, (N,))
+    for a, b, c in zip(r2, r1, [-v for v in r0]):
+        if not (scalar_is_zero(a, mode, tol) and scalar_is_zero(b, mode, tol)
+                and scalar_is_zero(c, mode, tol)):
+            roots, disc = _quadratic_roots(a, b, c, mode, tol)
+            return roots, disc, None
     # The quadratic constraint holds identically along the line.
     one = Fraction(1) if mode == EXACT else 1.0
     zero = Fraction(0) if mode == EXACT else 0.0
@@ -319,37 +328,39 @@ def _solve_on_line(bp, X0, N, mode, tol):
 
 
 def _grid_search(bp, X0, basis, opts, mode, tol, consider, full):
-    d = len(basis)
+    """Pass the grid points solving C = XBX to consider, in product(values, repeat=d) order.
+
+    Only the first d-1 coordinates u are walked: entry e of C - XBX is c - b*t - a*t^2 in
+    the last one, t.  Exact mode keeps the grid roots of the first entry not identically
+    zero, approximate mode the values within the threshold; each later entry filters them.
+    """
+    k = len(basis) - 1
     values = opts.grid(mode)
-    R0 = bp.C - X0 * bp.B * X0
-    Rlin = [N * bp.B * X0 + X0 * bp.B * N for N in basis]
-    Rquad = [[Ni * bp.B * Nj for Nj in basis] for Ni in basis]
-    rows_, cols_ = R0.rows, R0.cols
-    thresh = None
+    r0, lin, quad = _quadratic_parts(bp, X0, basis)
     if mode == APPROX:
-        t = 1e-9 if tol is None else tol
-        thresh = t * max(1.0, float(bp.C.max_abs()), float(bp.B.max_abs()) ** 2)
-    for tvec in product(values, repeat=d):
-        if full():
-            return
-        hit = True
-        for p in range(rows_):
-            for q in range(cols_):
-                v = R0[p, q]
-                for i in range(d):
-                    v -= tvec[i] * Rlin[i][p, q]
-                    for j in range(d):
-                        v -= tvec[i] * tvec[j] * Rquad[i][j][p, q]
-                if (v != 0) if mode == EXACT else (abs(v) > thresh):
-                    hit = False
-                    break
-            if not hit:
+        thresh = ((1e-9 if tol is None else tol)
+                  * max(1.0, float(bp.C.max_abs()), float(bp.B.max_abs()) ** 2))
+    for u in product(values, repeat=k):
+        # None (exact mode): every entry so far vanishes identically in t.
+        survivors = None if mode == EXACT else values
+        for e, a in enumerate(quad[k][k]):
+            c = r0[e] - sum(u[i] * (lin[i][e] + sum(u[j] * quad[i][j][e] for j in range(k)))
+                            for i in range(k))
+            b = lin[k][e] + sum(u[i] * (quad[i][k][e] + quad[k][i][e]) for i in range(k))
+            if survivors is None:
+                if a != 0 or b != 0 or c != 0:
+                    roots = _quadratic_roots(a, b, -c, mode, tol)[0]
+                    survivors = [t for t in values if t in roots]
+            elif mode == EXACT:
+                survivors = [t for t in survivors if c - b * t - t * t * a == 0]
+            else:
+                survivors = [t for t in survivors if abs(c - b * t - t * t * a) <= thresh]
+            if survivors == []:
                 break
-        if hit:
-            X = X0
-            for i in range(d):
-                X = X + tvec[i] * basis[i]
-            consider(X)
+        for t in values if survivors is None else survivors:
+            if full():
+                return
+            consider(sum((ti * N for ti, N in zip(u + (t,), basis)), X0))
 
 
 @dataclass(frozen=True)

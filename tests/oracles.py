@@ -6,6 +6,7 @@ elimination-based implementation under test.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from centrosim import Matrix, block, exchange_matrix, gauss_facts
 
@@ -54,6 +55,45 @@ def fraction_rref(a, n_cols):
         pivots.append(c)
         r += 1
     return pivots
+
+
+def exhaustive_grid_hits(bp, X0, basis, opts, mode, tol, consider, full):
+    """Reference grid search: every point of product(values, repeat=d), in order.
+
+    A drop-in for centrosim's ``solver._grid_search``: each point whose
+    residual C - XBX vanishes (exactly, or within the approximate threshold)
+    is passed to ``consider`` as X = X0 + sum t_i N_i.
+    """
+    d = len(basis)
+    values = opts.grid(mode)
+    R0 = bp.C - X0 * bp.B * X0
+    Rlin = [N * bp.B * X0 + X0 * bp.B * N for N in basis]
+    Rquad = [[Ni * bp.B * Nj for Nj in basis] for Ni in basis]
+    thresh = None
+    if mode == "approx":
+        t = 1e-9 if tol is None else tol
+        thresh = t * max(1.0, float(bp.C.max_abs()), float(bp.B.max_abs()) ** 2)
+    for tvec in product(values, repeat=d):
+        if full():
+            return
+        hit = True
+        for p in range(R0.rows):
+            for q in range(R0.cols):
+                v = R0[p, q]
+                for i in range(d):
+                    v -= tvec[i] * Rlin[i][p, q]
+                    for j in range(d):
+                        v -= tvec[i] * tvec[j] * Rquad[i][j][p, q]
+                if (v != 0) if mode == "exact" else (abs(v) > thresh):
+                    hit = False
+                    break
+            if not hit:
+                break
+        if hit:
+            X = X0
+            for i in range(d):
+                X = X + tvec[i] * basis[i]
+            consider(X)
 
 
 def kron(A, B):

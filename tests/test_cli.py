@@ -1,7 +1,10 @@
 import csv
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from centrosim import Matrix, is_centrosymmetric, matrix_from_json_obj, save_matrix
 from centrosim.cli import _scan_points, main
@@ -21,6 +24,11 @@ def run(args, capsys):
 
 def load_report(out):
     return json.loads(out)
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_check_centrosymmetric(tmp_path, capsys):
@@ -202,17 +210,15 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
 def test_malformed_matrix_is_one_line_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    code, out, err = run(["factor-centro", str(bad)], capsys)
-    assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert_one_line_error(*run(["factor-centro", str(bad)], capsys))
 
 
 def test_alpha_scan_points_are_not_accumulated():
-    points = list(_scan_points(-4.0, 4.0, 0.1))
-    assert len(points) == 81
+    # A list, not a generator: callers of alpha_scan may take len() of the points.
+    points = _scan_points(-4.0, 4.0, 0.1)
     assert points == [-4.0 + i * 0.1 for i in range(81)]
-    assert list(_scan_points(3.0, 3.0, 1.0)) == [3.0]
-    assert list(_scan_points(2.0, 1.0, 1.0)) == []
+    assert _scan_points(3.0, 3.0, 1.0) == [3.0]
+    assert _scan_points(2.0, 1.0, 1.0) == []
 
 
 @pytest.mark.parametrize("bounds", [
@@ -221,7 +227,65 @@ def test_alpha_scan_points_are_not_accumulated():
 ])
 def test_alpha_scan_rejects_bad_steps(capsys, bounds):
     start, stop, step = bounds
-    code, out, err = run(["alpha-scan", f"--start={start}", f"--stop={stop}", f"--step={step}"],
-                         capsys)
-    assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert_one_line_error(*run(["alpha-scan", f"--start={start}", f"--stop={stop}",
+                                f"--step={step}"], capsys))
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "toeplitz", "--alpha", "1/0"],
+    ["verify-corollary", "--family", "a", "--c", "1,1/0"],
+    ["gen", "jacobi-a"],
+])
+def test_bad_rational_argument_is_one_line_error(capsys, args):
+    assert_one_line_error(*run(args, capsys))
+
+
+def _is_rational(text):
+    try:
+        Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+NOT_RATIONAL = st.one_of(
+    st.text(st.characters(blacklist_characters=","), max_size=8)
+    .filter(lambda t: not _is_rational(t)),
+    st.integers(-99, 99).map(lambda p: f"{p}/0"),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(NOT_RATIONAL, st.sampled_from(["toeplitz-alpha", "jacobi-t", "jacobi-c", "corollary-c"]))
+def test_malformed_rational_arguments_exit_one(capsys, text, where):
+    args = {
+        "toeplitz-alpha": ["gen", "toeplitz", f"--alpha={text}"],
+        "jacobi-t": ["gen", "jacobi-a", f"--t={text}", "--c=1,2,1"],
+        "jacobi-c": ["gen", "jacobi-b", f"--c=1,{text},1"],
+        "corollary-c": ["verify-corollary", "--family=b", f"--c=1,{text},1"],
+    }[where]
+    assert_one_line_error(*run(args, capsys))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 5), st.sampled_from([1, 3]), st.booleans(), st.data())
+def test_exit_code_contract_on_random_matrices(tmp_path, capsys, n, bound, mirror, data):
+    rows = data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    if mirror:
+        rows = [[rows[i][j] if (i, j) <= (n - 1 - i, n - 1 - j) else rows[n - 1 - i][n - 1 - j]
+                 for j in range(n)] for i in range(n)]
+    path = write(tmp_path, "m.json", rows)
+    commands = [["check", path], ["solve", path], ["factor-centro", path]]
+    if n % 2:
+        commands.append(["solve", path, "--odd"])
+    for args in commands:
+        code, out, err = run(args, capsys)
+        if args[0] == "factor-centro" and not is_centrosymmetric(Matrix(rows)):
+            # A precondition of the command, so a data error.
+            assert_one_line_error(code, out, err)
+            continue
+        assert code in (0, 2)
+        assert load_report(out)["exit_code"] == code

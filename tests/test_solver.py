@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from centrosim import (Matrix, PreconditionError, SearchOptions, block,
-                       exchange_matrix, find_intertwiner, gauss_facts,
-                       intertwiner_space, linear_toeplitz, riccati_residual,
-                       singular_certificate, solve_linear)
-from oracles import kron, rand_centrosymmetric, rand_int_matrix
+from centrosim import (APPROX, EXACT, Matrix, PreconditionError, SearchOptions, block,
+                       default_grid_values, exchange_matrix, find_intertwiner,
+                       gauss_facts, intertwiner_space, linear_toeplitz,
+                       riccati_residual, singular_certificate, solve_linear, solver,
+                       split_blocks)
+from oracles import exhaustive_grid_hits, kron, rand_centrosymmetric, rand_int_matrix
 
 SMALL_GRID = tuple(Fraction(v) for v in
                    ("-2", "-1", "-1/2", "0", "1/2", "1", "2"))
@@ -279,3 +283,79 @@ def test_singular_certificate_false_on_identity():
 def test_singular_certificate_rejects_zero_witness():
     with pytest.raises(PreconditionError):
         singular_certificate(Matrix.identity(2), 1, Matrix.zeros(1, 1), 1)
+
+
+def _search_with(grid_search, M, s, opts):
+    with patch.object(solver, "_grid_search", grid_search):
+        return find_intertwiner(M, "even", s, opts)
+
+
+def _grid_hits(grid_search, M, s, opts, cap=None):
+    """Every X the grid search passes to consider, stopping after cap of them."""
+    bp = split_blocks(M, "even", s)
+    particular, basis = solver._linear_stage(bp, opts.tol)
+    hits = []
+    grid_search(bp, particular, basis, opts, M.mode, opts.tol, hits.append,
+                lambda: cap is not None and len(hits) >= cap)
+    return hits
+
+
+def _diag(v):
+    return Matrix([[v[i] if i == j else 0 for j in range(len(v))] for i in range(len(v))],
+                  cols=len(v))
+
+
+GRID_POOL = tuple(Fraction(v) for v in ("-3", "-2", "-1", "-1/2", "0", "1/3", "1/2", "1", "2", "3"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([EXACT, APPROX]),
+       st.sampled_from([None, 1]), st.booleans(), st.data())
+def test_grid_search_matches_exhaustive_oracle(d, mode, max_solutions, default_grid, data):
+    # A and D share d distinct eigenvalues, so the Sylvester space has
+    # dimension d; C = X* B X* plants X* = P diag(x) S^-1 on or off the grid.
+    eig = data.draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d, unique=True))
+    perm = data.draw(st.permutations(range(d)))
+    x = data.draw(st.lists(st.sampled_from(GRID_POOL + (Fraction(5, 7),)), min_size=d,
+                           max_size=d))
+    B = Matrix(data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                                  min_size=d, max_size=d)), cols=d)
+    S = Matrix.identity(d)
+    if data.draw(st.booleans()):
+        S = Matrix([[1 if i == j else (data.draw(st.integers(-1, 1)) if j > i else 0)
+                     for j in range(d)] for i in range(d)], cols=d)
+    S_inv = gauss_facts(S).inverse
+    P = Matrix([[1 if perm[i] == j else 0 for j in range(d)] for i in range(d)], cols=d)
+    A = S * _diag(eig) * S_inv
+    D = P * _diag(eig) * P.transpose()
+    X = P * _diag(x) * S_inv
+    M = block([[A, B], [X * B * X, D]])
+    if mode == APPROX:
+        M = Matrix([[float(v) for v in r] for r in M.to_lists()], mode=APPROX)
+    grid = None
+    if not (default_grid and d == 2):
+        grid = tuple(data.draw(st.lists(st.sampled_from(GRID_POOL), min_size=1, max_size=7,
+                                        unique=True)))
+    opts = SearchOptions(grid_values=grid, max_solutions=max_solutions)
+    assert len(intertwiner_space(A, D)) == d
+    expected = _search_with(exhaustive_grid_hits, M, d, opts)
+    assert find_intertwiner(M, "even", d, opts) == expected
+    cap = data.draw(st.sampled_from([None, 1, 2]))
+    assert (_grid_hits(solver._grid_search, M, d, opts, cap)
+            == _grid_hits(exhaustive_grid_hits, M, d, opts, cap))
+
+
+@pytest.mark.parametrize("b, c, grid_hits", [
+    # Entry (1, 1) reads 9 - t1^2 once t0 = +-2 clears entry (0, 0): both roots count.
+    ((1, 1), (4, 9), [(-2, -3), (-2, 3), (2, -3), (2, 3)]),
+    # With B = E00 no entry involves t1: every grid value survives t0 = +-2.
+    ((1, 0), (4, 0), [(t0, t1) for t0 in (-2, 2) for t1 in default_grid_values()]),
+])
+def test_grid_search_last_coordinate_roots(b, c, grid_hits):
+    # X = diag(t0, t1) spans the Sylvester space of A = D = diag(1, 2).
+    M = block([[_diag((1, 2)), _diag(b)], [_diag(c), _diag((1, 2))]])
+    opts = SearchOptions()
+    hits = _grid_hits(solver._grid_search, M, 2, opts)
+    assert [(X[0, 0], X[1, 1]) for X in hits] == grid_hits
+    assert hits == _grid_hits(exhaustive_grid_hits, M, 2, opts)
+    assert find_intertwiner(M, "even", 2, opts) == _search_with(exhaustive_grid_hits, M, 2, opts)
