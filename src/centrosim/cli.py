@@ -22,7 +22,7 @@ from .generators import (PalindromicSpec, alpha_scan, bordered_jacobi_pm,
                          periodic_jacobi_pm, toeplitz_scaled_intertwiner,
                          verify_palindromic_factorization, write_alpha_scan_csv)
 from .linalg import det
-from .matrix import (APPROX, EXACT, blocks_centrosymmetric,
+from .matrix import (APPROX, EXACT, _field, blocks_centrosymmetric,
                      commutes_with_exchange, is_centrosymmetric, load_matrix,
                      matrix_to_json_obj, save_matrix, split_blocks)
 from .solver import (SearchOptions, find_intertwiner, riccati_residual,
@@ -34,12 +34,6 @@ SCHEMA = "centrosim/1"
 
 def _mat(M):
     return matrix_to_json_obj(M)
-
-
-def _scalar(v, mode):
-    if mode == EXACT:
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return v
 
 
 def _solution_obj(sol):
@@ -69,19 +63,12 @@ def _parity_split(args, n):
     return "even", s
 
 
+_SEARCH_ARGS = ("d_max", "grid_numer_max", "grid_denom_max", "max_solutions")
+
+
 def _search_options(args):
-    kwargs = {}
-    if getattr(args, "d_max", None) is not None:
-        kwargs["d_max"] = args.d_max
-    if getattr(args, "grid_numer_max", None) is not None:
-        kwargs["grid_numer_max"] = args.grid_numer_max
-    if getattr(args, "grid_denom_max", None) is not None:
-        kwargs["grid_denom_max"] = args.grid_denom_max
-    if getattr(args, "max_solutions", None) is not None:
-        kwargs["max_solutions"] = args.max_solutions
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    return SearchOptions(**kwargs)
+    return SearchOptions(**{k: getattr(args, k) for k in _SEARCH_ARGS + ("tol",)
+                            if getattr(args, k) is not None})
 
 
 def _cmd_check(args):
@@ -121,8 +108,7 @@ def _cmd_solve(args):
         "diagnostic": search.diagnostic,
     }
     if search.discriminant is not None:
-        report["discriminant"] = _scalar(Fraction(search.discriminant), EXACT) \
-            if M.mode == EXACT else search.discriminant
+        report["discriminant"] = _field(M.mode).to_json(search.discriminant)
     if search.best_residual is not None:
         report["best_residual_norm"] = search.best_residual
     ok = any(sol.invertible for sol in search.solutions)
@@ -174,20 +160,26 @@ def _cmd_dilate(args):
 
 
 def _factor_obj(rep, mode):
+    to_json = _field(mode).to_json
     return {
         "factors": [_mat(f) for f in rep.factors],
-        "factor_dets": [_scalar(d, mode) for d in rep.factor_dets],
-        "product": _scalar(rep.product, mode),
-        "direct_det": _scalar(rep.direct_det, mode),
+        "factor_dets": [to_json(d) for d in rep.factor_dets],
+        "product": to_json(rep.product),
+        "direct_det": to_json(rep.direct_det),
         "match": rep.match,
     }
 
 
 def _cmd_factor_centro(args):
     M = load_matrix(args.matrix, mode=args.mode)
+    report = {"mode": M.mode, "matrix": _mat(M)}
+    if not is_centrosymmetric(M, args.tol):
+        report["centrosymmetric"] = False
+        return 2, report, "not centrosymmetric; factorization not applicable"
     rep = centro_det_factors(M, args.tol)
-    report = {"mode": M.mode, "matrix": _mat(M), "factorization": _factor_obj(rep, M.mode)}
-    summary = f"det = {_scalar(rep.direct_det, M.mode)} = product of factors, match: {rep.match}"
+    report["factorization"] = _factor_obj(rep, M.mode)
+    summary = (f"det = {report['factorization']['direct_det']} = product of factors, "
+               f"match: {rep.match}")
     return (0 if rep.match else 2), report, summary
 
 
@@ -205,7 +197,7 @@ def _cmd_factor_riccati(args):
     report["triangularized"] = _mat(tri)
     report["factorization"] = _factor_obj(rep, M.mode)
     return (0 if rep.match else 2), report, \
-        f"det = {_scalar(rep.direct_det, M.mode)}, factors match: {rep.match}"
+        f"det = {report['factorization']['direct_det']}, factors match: {rep.match}"
 
 
 def _cmd_certify_singular(args):
@@ -216,10 +208,8 @@ def _cmd_certify_singular(args):
     report = {"mode": M.mode, "matrix": _mat(M), "split": s, "system": args.system, "W": _mat(W),
               "certificate_holds": holds}
     if holds:
-        d = det(M)
-        report["det"] = _scalar(d, M.mode)
-        summary = f"system {args.system} holds; det(M) = {_scalar(d, M.mode)}"
-        return 0, report, summary
+        report["det"] = _field(M.mode).to_json(det(M))
+        return 0, report, f"system {args.system} holds; det(M) = {report['det']}"
     return 2, report, f"system {args.system} does not hold for this witness"
 
 
@@ -244,7 +234,8 @@ def _cmd_gen(args):
                   "size": args.size, "matrix": _mat(M)}
         if args.size in (4, 6):
             xt, delta = toeplitz_scaled_intertwiner(args.size, alpha)
-            report["scaled_intertwiner"] = {"Xtilde": _mat(xt), "delta": _scalar(delta, EXACT)}
+            report["scaled_intertwiner"] = {"Xtilde": _mat(xt),
+                                            "delta": _field(EXACT).to_json(delta)}
     else:
         sign = 1 if args.sign == "+" else -1
         spec = PalindromicSpec(t=_rational(args.t, "--t"), c=_parse_rational_list(args.c),
@@ -300,6 +291,11 @@ def _cmd_alpha_scan(args):
     return 0, report, summary
 
 
+def _add_search_args(p):
+    for name in _SEARCH_ARGS:
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=None)
+
+
 def _add_common(p, split=True):
     p.add_argument("--mode", choices=[EXACT, APPROX], default=None,
                    help="force scalar mode (default: inferred from the JSON)")
@@ -315,6 +311,9 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="centrosim",
         description="Decide, construct and verify similarity to centrosymmetric matrices.")
+    # gen and alpha-scan write their own --output (a matrix, a CSV); the
+    # other commands write the report there.
+    parser.set_defaults(writes_output=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="centrosymmetry predicates for one matrix")
@@ -326,10 +325,7 @@ def build_parser():
     p.add_argument("matrix")
     _add_common(p)
     p.add_argument("--odd", action="store_true", help="use the odd (center row/column) split")
-    p.add_argument("--d-max", type=int, default=None)
-    p.add_argument("--grid-numer-max", type=int, default=None)
-    p.add_argument("--grid-denom-max", type=int, default=None)
-    p.add_argument("--max-solutions", type=int, default=None)
+    _add_search_args(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("transform", help="conjugate to a centrosymmetric matrix")
@@ -337,10 +333,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--odd", action="store_true")
     p.add_argument("--x", default=None, help="JSON file with the intertwiner X")
-    p.add_argument("--d-max", type=int, default=None)
-    p.add_argument("--grid-numer-max", type=int, default=None)
-    p.add_argument("--grid-denom-max", type=int, default=None)
-    p.add_argument("--max-solutions", type=int, default=None)
+    _add_search_args(p)
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("embed", help="embed a centrosymmetric principal block (rank-deficient X)")
@@ -382,7 +375,7 @@ def build_parser():
     p.add_argument("--c", default=None, help="jacobi: comma-separated couplings c0,...,cn")
     p.add_argument("--sign", choices=["+", "-"], default="+")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_gen, mode=None, tol=None)
+    p.set_defaults(func=_cmd_gen, mode=None, tol=None, writes_output=True)
 
     p = sub.add_parser("verify-corollary", help="certify a palindromic determinant identity")
     p.add_argument("--family", choices=["a", "b", "A", "B"], required=True)
@@ -399,7 +392,7 @@ def build_parser():
     p.add_argument("--step", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_alpha_scan, mode=APPROX)
+    p.set_defaults(func=_cmd_alpha_scan, mode=APPROX, writes_output=True)
 
     return parser
 
@@ -412,16 +405,14 @@ def main(argv=None):
     except (CentrosimError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = {"schema": SCHEMA, "command": args.command,
-              "mode": getattr(args, "mode", None) or "exact",
+    report = {"schema": SCHEMA, "command": args.command, "mode": args.mode or EXACT,
               "exit_code": code}
     report.update(payload)
     text = json.dumps(report, indent=1, default=str)
-    if getattr(args, "output", None) and args.command not in ("gen", "alpha-scan"):
+    if args.output and not args.writes_output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        print(summary)
-    elif args.command in ("gen", "alpha-scan") and getattr(args, "output", None):
+    if args.output:
         print(summary)
     else:
         print(summary, file=sys.stderr)

@@ -11,8 +11,7 @@ from functools import reduce
 
 from .errors import CentrosimError, PreconditionError
 from .linalg import det
-from .matrix import (Matrix, _exchange, block, is_centrosymmetric, scalars_eq,
-                     split_blocks)
+from .matrix import Matrix, _exchange, _field, block, is_centrosymmetric, split_blocks
 from .solver import riccati_residual
 
 
@@ -31,7 +30,7 @@ def _report(factors, M, tol):
     direct = det(M)
     return FactorizationReport(factors=tuple(factors), factor_dets=dets,
                                product=product, direct_det=direct,
-                               match=scalars_eq(product, direct, M.mode, tol))
+                               match=_field(M.mode).eq(product, direct, tol))
 
 
 def centro_det_factors(M, tol=None):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import DimensionError, InsufficientSamplesError, PreconditionError
 from .linalg import det, gauss_facts
-from .matrix import APPROX, EXACT, Matrix, split_blocks
+from .matrix import APPROX, EXACT, Matrix, _field, split_blocks
 from .solver import SearchOptions, find_intertwiner, system_residuals
 
 
@@ -25,13 +25,8 @@ def linear_toeplitz(alpha, m, mode=EXACT):
     """m x m Toeplitz matrix with entry (i, j) = alpha + (i - j)."""
     if m < 1:
         raise DimensionError("Toeplitz size must be >= 1")
-    if mode == EXACT:
-        alpha = Fraction(alpha)
-        return Matrix([[alpha + (i - j) for j in range(m)] for i in range(m)],
-                      mode=EXACT, cols=m)
-    a = float(alpha)
-    return Matrix([[a + (i - j) for j in range(m)] for i in range(m)],
-                  mode=APPROX, cols=m)
+    alpha = _field(mode).coerce(alpha)
+    return Matrix([[alpha + (i - j) for j in range(m)] for i in range(m)], mode=mode, cols=m)
 
 
 def toeplitz_scaled_intertwiner(m, alpha, alternate_at_singular=True):
@@ -116,18 +111,9 @@ def periodic_jacobi_pm(spec):
 
 def bordered_jacobi_pm(spec):
     """Tridiagonal matrix with couplings c1..cn and both corner diagonals t +- c0."""
-    n1 = spec.size
     t, c, sign = spec.t, spec.c, spec.sign
-    zero = Fraction(0)
-    rows = [[zero] * n1 for _ in range(n1)]
-    for i in range(n1):
-        rows[i][i] = t
-    rows[0][0] = t + sign * c[0]
-    rows[n1 - 1][n1 - 1] = t + sign * c[0]
-    for i in range(n1 - 1):
-        rows[i][i + 1] = c[i + 1]
-        rows[i + 1][i] = c[i + 1]
-    return Matrix(rows, mode=EXACT, cols=n1)
+    corner = t + sign * c[0]
+    return _tridiagonal([corner] + [t] * (spec.size - 2) + [corner], c[1:], c[1:])
 
 
 def cyclic_conjugator(n1, sign):
@@ -166,40 +152,23 @@ def palindromic_factors(family, spec):
     Factors are ordered with the bordered/plus-side factor first, matching the
     centrosymmetric split convention.
     """
+    if family not in ("A", "B"):
+        raise DimensionError(f"family must be 'A' or 'B', got {family!r}")
     n1 = spec.size
     t, c, sign = spec.t, spec.c, spec.sign
-    if family == "A":
-        if n1 % 2 == 1:
-            s = (n1 - 1) // 2
-            diag1 = [t + sign * c[0]] + [t] * s
-            sup1 = [c[i + 1] for i in range(s)]
-            sub1 = [c[i + 1] for i in range(s - 1)] + [2 * c[s]]
-            f1 = _tridiagonal(diag1, sup1, sub1)
-            diag2 = [t - sign * c[0]] + [t] * (s - 1)
-            off2 = [c[i + 1] for i in range(s - 1)]
-            f2 = _tridiagonal(diag2, off2, off2)
-            return f1, f2
-        s = n1 // 2
-        diag1 = [t + sign * c[0]] + [t] * (s - 2) + [t + c[s]]
-        diag2 = [t - sign * c[0]] + [t] * (s - 2) + [t - c[s]]
-        off = [c[i + 1] for i in range(s - 1)]
-        return _tridiagonal(diag1, off, off), _tridiagonal(diag2, off, off)
-    if family == "B":
-        if n1 % 2 == 1:
-            s = (n1 - 1) // 2
-            diag1 = [t + sign * c[0]] + [t] * s
-            sup1 = [c[i + 1] for i in range(s)]
-            sub1 = [c[i + 1] for i in range(s - 1)] + [2 * c[s]]
-            f1 = _tridiagonal(diag1, sup1, sub1)
-            diag2 = [t + sign * c[0]] + [t] * (s - 1)
-            off2 = [c[i + 1] for i in range(s - 1)]
-            return f1, _tridiagonal(diag2, off2, off2)
-        s = n1 // 2
-        diag1 = [t + sign * c[0]] + [t] * (s - 2) + [t + c[s]]
-        diag2 = [t + sign * c[0]] + [t] * (s - 2) + [t - c[s]]
-        off = [c[i + 1] for i in range(s - 1)]
-        return _tridiagonal(diag1, off, off), _tridiagonal(diag2, off, off)
-    raise DimensionError(f"family must be 'A' or 'B', got {family!r}")
+    # The families differ only in the sign of c0 in the second factor.
+    sign2 = -sign if family == "A" else sign
+    if n1 % 2 == 1:
+        s = (n1 - 1) // 2
+        sup1 = [c[i + 1] for i in range(s)]
+        sub1 = sup1[:-1] + [2 * c[s]]
+        off2 = sup1[:-1]
+        return (_tridiagonal([t + sign * c[0]] + [t] * s, sup1, sub1),
+                _tridiagonal([t + sign2 * c[0]] + [t] * (s - 1), off2, off2))
+    s = n1 // 2
+    off = [c[i + 1] for i in range(s - 1)]
+    return (_tridiagonal([t + sign * c[0]] + [t] * (s - 2) + [t + c[s]], off, off),
+            _tridiagonal([t + sign2 * c[0]] + [t] * (s - 2) + [t - c[s]], off, off))
 
 
 def verify_palindromic_factorization(family, c, sign, samples=None, points=None):
@@ -238,14 +207,15 @@ def alpha_scan(size, alphas, tol=None, options=None):
     """
     if size % 2 != 0:
         raise DimensionError("alpha scan uses the even center split")
-    eff_tol = 1e-9 if tol is None else tol
+    F = _field(APPROX)
+    eff_tol = F.tol(tol)
     opts = options or SearchOptions(tol=eff_tol)
     rows = []
     for alpha in alphas:
         alpha = float(alpha)
         M = linear_toeplitz(alpha, size, mode=APPROX)
         bp = split_blocks(M, "even", size // 2)
-        scale = max(1.0, float(M.max_abs()))
+        thresh = F.threshold(eff_tol, M)
         candidates = []
         if size in (4, 6):
             candidates.extend(_scaled_candidates(size, alpha))
@@ -257,7 +227,7 @@ def alpha_scan(size, alphas, tol=None, options=None):
             resid = max([float(r.max_abs()) for r in (syl, quad) + extras if r.rows and r.cols],
                         default=0.0)
             best = min(best, resid)
-            if resid <= eff_tol * scale:
+            if resid <= thresh:
                 found = 1
                 if gauss_facts(X, eff_tol).rank == X.rows:
                     invertible = 1

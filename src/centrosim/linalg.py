@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .errors import DimensionError
-from .matrix import APPROX, EXACT, Matrix
+from .matrix import EXACT, Matrix, _field
 
 __all__ = ["det", "gauss_facts", "GaussFacts", "inverse", "rank",
            "rank_normal_form", "RankNormalForm", "solve_linear", "char_poly_samples"]
@@ -88,13 +88,6 @@ def det(M):
     if not M.is_square:
         raise DimensionError("determinant requires a square matrix")
     return _det_exact(M) if M.mode == EXACT else _det_approx(M)
-
-
-def _pivot_threshold(M, tol):
-    if M.mode == EXACT:
-        return None
-    t = 1e-9 if tol is None else tol
-    return t * max(1.0, float(M.max_abs()))
 
 
 def _rref(a, n_cols, mode, threshold):
@@ -187,12 +180,11 @@ def _rref_approx(a, n_cols, threshold):
 
 def _nullspace_from_rref(a, pivots, n_cols, mode):
     free = [c for c in range(n_cols) if c not in pivots]
-    zero = Fraction(0) if mode == EXACT else 0.0
-    one = Fraction(1) if mode == EXACT else 1.0
+    F = _field(mode)
     basis = []
     for f in free:
-        vec = [zero] * n_cols
-        vec[f] = one
+        vec = [F.zero] * n_cols
+        vec[f] = F.one
         for k, p in enumerate(pivots):
             vec[p] = -a[k][f]
         basis.append(Matrix([[v] for v in vec], mode=mode, cols=1))
@@ -208,7 +200,7 @@ class GaussFacts:
 
 def gauss_facts(M, tol=None):
     """Rank, right-nullspace basis (free columns ascending) and inverse if any."""
-    threshold = _pivot_threshold(M, tol)
+    threshold = _field(M.mode).threshold(tol, M)
     n, c = M.rows, M.cols
     if n == 0:
         basis = _nullspace_from_rref([], [], c, M.mode)
@@ -239,20 +231,17 @@ def solve_linear(K, b, tol=None):
     """Solve K v = b: (particular solution or None, homogeneous basis)."""
     if K.rows != b.rows or b.cols != 1:
         raise DimensionError("right-hand side must be a column matching K's rows")
-    threshold = _pivot_threshold(K, tol)
+    F = _field(K.mode)
+    threshold = F.threshold(tol, K)
     m, n = K.rows, K.cols
     a = [list(K.row(i)) + [b[i, 0]] for i in range(m)]
     pivots = _rref(a, n, K.mode, threshold)
     basis = _nullspace_from_rref(a, pivots, n, K.mode)
-    if K.mode == EXACT:
-        rhs_tol = 0
-    else:
-        rhs_tol = max(threshold, (1e-9 if tol is None else tol) * max(1.0, float(b.max_abs())))
+    rhs_tol = max(threshold, F.threshold(tol, b))
     for i in range(len(pivots), m):
         if abs(a[i][n]) > rhs_tol:
             return None, basis
-    zero = Fraction(0) if K.mode == EXACT else 0.0
-    vec = [zero] * n
+    vec = [F.zero] * n
     for k, p in enumerate(pivots):
         vec[p] = a[k][n]
     return Matrix([[v] for v in vec], mode=K.mode, cols=1), basis
@@ -273,7 +262,7 @@ def rank_normal_form(X, tol=None):
     """
     m, n = X.rows, X.cols
     mode = X.mode
-    threshold = _pivot_threshold(X, tol)
+    threshold = _field(mode).threshold(tol, X)
     a = [list(X.row(i)) for i in range(m)]
     t = [list(r_) for r_ in Matrix.identity(m, mode).to_lists()]
     s = [list(r_) for r_ in Matrix.identity(n, mode).to_lists()]
@@ -307,7 +296,7 @@ def rank_normal_form(X, tol=None):
                 row[k], row[pj] = row[pj], row[k]
         pk = a[k][k]
         if pk != 1:
-            inv = 1 / pk if mode == APPROX else Fraction(1) / pk
+            inv = 1 / pk
             for j in range(n):
                 a[k][j] *= inv
             for j in range(m):

@@ -4,6 +4,11 @@ Exact mode stores every entry as a ``fractions.Fraction`` (always in lowest
 terms with positive denominator).  Approximate mode stores binary64 floats and
 compares entries with a relative tolerance.  The two modes never mix inside
 one operation; doing so raises :class:`~centrosim.errors.ModeError`.
+
+Everything a mode decides about its scalars (zero and one, coercion, equality
+and zero tests, the tolerance, thresholds, JSON form, square roots) lives in
+one field object per mode, ``_field(mode)``; the other modules ask it rather
+than test the mode.
 """
 
 from __future__ import annotations
@@ -22,24 +27,107 @@ APPROX = "approx"
 DEFAULT_TOL = 1e-9
 
 
-def _coerce(value, mode):
-    if mode == EXACT:
+class _ExactField:
+    """Fractions compared exactly: a tolerance is accepted and ignored, every
+    threshold is 0."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def coerce(self, value):
         if isinstance(value, bool):
             raise ModeError("boolean is not a valid exact scalar")
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        if isinstance(value, str):
+        if isinstance(value, (int, Fraction, str)):
             return Fraction(value)
         if isinstance(value, float):
             raise ModeError("float entry in exact mode; use approx mode or a 'p/q' string")
         raise ModeError(f"cannot use {type(value).__name__} as an exact scalar")
-    if mode == APPROX:
+
+    def eq(self, a, b, tol=None):
+        return a == b
+
+    def rows_eq(self, rows1, rows2, tol=None):
+        """Entrywise equality of two tuples of equal-length row tuples."""
+        return rows1 == rows2
+
+    def all_zero(self, values, tol=None):
+        return not any(values)
+
+    def threshold(self, tol, *scales):
+        return 0
+
+    def to_json(self, v):
+        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+    def sqrt(self, x):
+        """The rational square root of x, or None when it has none."""
+        if x < 0:
+            return None
+        pn = math.isqrt(x.numerator)
+        pd = math.isqrt(x.denominator)
+        if pn * pn == x.numerator and pd * pd == x.denominator:
+            return Fraction(pn, pd)
+        return None
+
+
+def _close(a, b, t):
+    return abs(a - b) <= t * max(1.0, abs(a), abs(b))
+
+
+class _ApproxField:
+    """Binary64 floats compared with a relative tolerance (DEFAULT_TOL if None)."""
+
+    zero = 0.0
+    one = 1.0
+
+    def coerce(self, value):
         if isinstance(value, str):
             return float(Fraction(value))
         if isinstance(value, (int, float, Fraction)):
             return float(value)
         raise ModeError(f"cannot use {type(value).__name__} as an approximate scalar")
-    raise ModeError(f"unknown scalar mode {mode!r}")
+
+    def tol(self, tol=None):
+        """The tolerance in force: DEFAULT_TOL for None; NaN, infinite or negative raise."""
+        if tol is None:
+            return DEFAULT_TOL
+        if not 0 <= tol < math.inf:
+            raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+        return tol
+
+    def eq(self, a, b, tol=None):
+        return _close(a, b, self.tol(tol))
+
+    def rows_eq(self, rows1, rows2, tol=None):
+        t = self.tol(tol)
+        return all(_close(a, b, t) for r1, r2 in zip(rows1, rows2) for a, b in zip(r1, r2))
+
+    def all_zero(self, values, tol=None):
+        t = self.tol(tol)
+        return all(_close(v, 0.0, t) for v in values)
+
+    def threshold(self, tol, *scales):
+        """tol times the largest of 1 and the scales' magnitudes; a matrix scale
+        stands for its largest entry magnitude."""
+        return self.tol(tol) * max([1.0] + [float(s.max_abs()) if isinstance(s, Matrix)
+                                            else abs(s) for s in scales])
+
+    def to_json(self, v):
+        return v
+
+    def sqrt(self, x):
+        return math.sqrt(x) if x >= 0 else None
+
+
+_FIELDS = {EXACT: _ExactField(), APPROX: _ApproxField()}
+
+
+def _field(mode):
+    """The scalar field of a mode."""
+    try:
+        return _FIELDS[mode]
+    except KeyError:
+        raise ModeError(f"unknown scalar mode {mode!r}") from None
 
 
 def _infer_mode(rows):
@@ -48,21 +136,6 @@ def _infer_mode(rows):
             if isinstance(value, float):
                 return APPROX
     return EXACT
-
-
-def scalars_eq(a, b, mode, tol=None):
-    """Equality of two same-mode scalars; relative tolerance in approx mode."""
-    if mode == EXACT:
-        return a == b
-    if tol is None:
-        tol = DEFAULT_TOL
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-def scalar_is_zero(a, mode, tol=None):
-    if mode == EXACT:
-        return a == 0
-    return scalars_eq(a, 0.0, mode, tol)
 
 
 class Matrix:
@@ -83,8 +156,8 @@ class Matrix:
                 raise DimensionError("explicit column count disagrees with row data")
             if any(len(r) != n_cols for r in rows):
                 raise DimensionError("rows have unequal lengths")
-        object.__setattr__(self, "_data",
-                           tuple(tuple(_coerce(v, mode) for v in r) for r in rows))
+        coerce = _field(mode).coerce
+        object.__setattr__(self, "_data", tuple(tuple(coerce(v) for v in r) for r in rows))
         object.__setattr__(self, "_rows", n_rows)
         object.__setattr__(self, "_cols", n_cols)
         object.__setattr__(self, "mode", mode)
@@ -94,14 +167,13 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols, mode=EXACT):
-        zero = Fraction(0) if mode == EXACT else 0.0
+        zero = _field(mode).zero
         return cls([[zero] * cols for _ in range(rows)], mode=mode, cols=cols)
 
     @classmethod
     def identity(cls, n, mode=EXACT):
-        one = Fraction(1) if mode == EXACT else 1.0
-        zero = Fraction(0) if mode == EXACT else 0.0
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)],
+        F = _field(mode)
+        return cls([[F.one if i == j else F.zero for j in range(n)] for i in range(n)],
                    mode=mode, cols=n)
 
     @property
@@ -185,18 +257,18 @@ class Matrix:
             for r in self._data:
                 out_row = []
                 for j in range(other._cols):
-                    acc = r[0] * ot[0][j] if self._cols else _coerce(0, self.mode)
+                    acc = r[0] * ot[0][j] if self._cols else _field(self.mode).zero
                     for k in range(1, self._cols):
                         acc += r[k] * ot[k][j]
                     out_row.append(acc)
                 out.append(out_row)
             return Matrix(out, mode=self.mode, cols=other._cols)
-        scalar = _coerce(other, self.mode)
+        scalar = _field(self.mode).coerce(other)
         return Matrix([[scalar * v for v in r] for r in self._data],
                       mode=self.mode, cols=self._cols)
 
     def __rmul__(self, other):
-        scalar = _coerce(other, self.mode)
+        scalar = _field(self.mode).coerce(other)
         return Matrix([[scalar * v for v in r] for r in self._data],
                       mode=self.mode, cols=self._cols)
 
@@ -207,8 +279,7 @@ class Matrix:
     def trace(self):
         if not self.is_square:
             raise DimensionError("trace requires a square matrix")
-        return sum((self._data[i][i] for i in range(self._rows)),
-                   _coerce(0, self.mode))
+        return sum((self._data[i][i] for i in range(self._rows)), _field(self.mode).zero)
 
     def submatrix(self, r0, r1, c0, c1):
         """Rows r0..r1-1 and columns c0..c1-1 as a new matrix."""
@@ -216,19 +287,17 @@ class Matrix:
                       mode=self.mode, cols=c1 - c0)
 
     def is_zero(self, tol=None):
-        return all(scalar_is_zero(v, self.mode, tol) for r in self._data for v in r)
+        return _field(self.mode).all_zero((v for r in self._data for v in r), tol)
 
     def eq(self, other, tol=None):
         """Mode-aware equality: exact comparison or relative tolerance."""
         self._check_mode(other)
         if self.shape != other.shape:
             return False
-        return all(scalars_eq(a, b, self.mode, tol)
-                   for r1, r2 in zip(self._data, other._data)
-                   for a, b in zip(r1, r2))
+        return _field(self.mode).rows_eq(self._data, other._data, tol)
 
     def max_abs(self):
-        return max((abs(v) for r in self._data for v in r), default=_coerce(0, self.mode))
+        return max((abs(v) for r in self._data for v in r), default=_field(self.mode).zero)
 
 
 def hstack(*mats):
@@ -276,9 +345,8 @@ def exchange_matrix(n, mode=EXACT):
 
 
 def _exchange(n, mode=EXACT):
-    one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
-    return Matrix([[one if i + j == n - 1 else zero for j in range(n)]
+    F = _field(mode)
+    return Matrix([[F.one if i + j == n - 1 else F.zero for j in range(n)]
                    for i in range(n)], mode=mode, cols=n)
 
 
@@ -286,12 +354,8 @@ def is_centrosymmetric(M, tol=None):
     """Entrywise test m[i,j] == m[n-1-i, n-1-j]."""
     if not M.is_square:
         raise DimensionError("centrosymmetry is defined for square matrices")
-    n = M.rows
-    for i in range(n):
-        for j in range(n):
-            if not scalars_eq(M[i, j], M[n - 1 - i, n - 1 - j], M.mode, tol):
-                return False
-    return True
+    rows = M._data
+    return _field(M.mode).rows_eq(rows, tuple(r[::-1] for r in reversed(rows)), tol)
 
 
 def commutes_with_exchange(M, tol=None):
@@ -375,15 +439,9 @@ def blocks_centrosymmetric(bp, tol=None):
     return True
 
 
-def _scalar_to_json(v, mode):
-    if mode == EXACT:
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return v
-
-
 def matrix_to_json_obj(M):
-    return {"rows": [[_scalar_to_json(v, M.mode) for v in M.row(i)]
-                     for i in range(M.rows)]}
+    to_json = _field(M.mode).to_json
+    return {"rows": [[to_json(v) for v in r] for r in M._data]}
 
 
 def _entry_from_json(v):

@@ -18,7 +18,7 @@ from itertools import product
 
 from .errors import DimensionError, PreconditionError
 from .linalg import gauss_facts, solve_linear
-from .matrix import APPROX, EXACT, Matrix, _exchange, scalar_is_zero, split_blocks
+from .matrix import APPROX, EXACT, Matrix, _exchange, _field, split_blocks
 
 
 def default_grid_values(numer_max=5, denom_max=3):
@@ -45,10 +45,8 @@ class SearchOptions:
         if vals is None:
             vals = default_grid_values(self.grid_numer_max, self.grid_denom_max)
         else:
-            vals = tuple(sorted(Fraction(v) for v in vals))
-        if mode == APPROX:
-            return tuple(float(v) for v in vals)
-        return vals
+            vals = sorted(Fraction(v) for v in vals)
+        return tuple(map(_field(mode).coerce, vals))
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ def _sylvester_rows(A, D):
     """Coefficient rows of (XA - DX) entry (p, q) over row-major vec(X)."""
     s = A.rows
     m = D.rows
-    zero = Fraction(0) if A.mode == EXACT else 0.0
+    zero = _field(A.mode).zero
     rows = []
     for p in range(m):
         for q in range(s):
@@ -138,7 +136,7 @@ def _linear_stage(bp, tol):
     s = A.rows
     m = D.rows
     n_unknowns = m * s
-    zero = Fraction(0) if A.mode == EXACT else 0.0
+    zero = _field(A.mode).zero
     rows = _sylvester_rows(A, D)
     rhs = [zero] * len(rows)
     if bp.parity == "odd":
@@ -188,39 +186,18 @@ def _residual_norm(mats):
     return out
 
 
-def _rational_sqrt(x):
-    """Exact square root of a nonnegative Fraction, or None."""
-    if x < 0:
-        return None
-    pn = math.isqrt(x.numerator)
-    pd = math.isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
-def _quadratic_roots(a, b, c, mode, tol):
-    """Roots of a t^2 + b t + c = 0 in the working field; None marks irrational."""
-    if mode == EXACT:
-        if a == 0:
-            if b == 0:
-                return [], None
-            return [Fraction(-c, b)], None
-        disc = b * b - 4 * a * c
-        root = _rational_sqrt(disc)
-        if root is None:
-            return [], disc
-        return sorted({(-b - root) / (2 * a), (-b + root) / (2 * a)}), None
-    t = 1e-9 if tol is None else tol
-    thresh = t * max(1.0, abs(a), abs(b), abs(c))
+def _quadratic_roots(a, b, c, F, tol):
+    """Roots of a t^2 + b t + c = 0 in the field F, and the discriminant when
+    it has no square root there (else None)."""
+    thresh = F.threshold(tol, a, b, c)
     if abs(a) <= thresh:
         if abs(b) <= thresh:
             return [], None
         return [-c / b], None
     disc = b * b - 4 * a * c
-    if disc < 0:
+    root = F.sqrt(disc)
+    if root is None:
         return [], disc
-    root = math.sqrt(disc)
     return sorted({(-b - root) / (2 * a), (-b + root) / (2 * a)}), None
 
 
@@ -230,6 +207,7 @@ def find_intertwiner(M, parity, s, options=None):
     tol = opts.tol
     bp = split_blocks(M, parity, s)
     mode = M.mode
+    F = _field(mode)
     m = bp.D.rows
 
     solutions = []
@@ -237,10 +215,8 @@ def find_intertwiner(M, parity, s, options=None):
     best = [math.inf]
 
     def consider(X):
-        for prev in seen:
-            same = X.eq(prev, tol) if mode == APPROX else X == prev
-            if same:
-                return
+        if any(X.eq(prev, tol) for prev in seen):
+            return
         syl, quad, extras, ok = system_residuals(bp, X, tol)
         if mode == APPROX:
             best[0] = min(best[0], _residual_norm((syl, quad) + extras))
@@ -253,7 +229,7 @@ def find_intertwiner(M, parity, s, options=None):
 
     # Special candidates come first, in a fixed order.
     if m == bp.A.rows:
-        J = _exchange(m, mode) if m else Matrix.zeros(0, 0, mode)
+        J = _exchange(m, mode)
         for cand in (J, Matrix.identity(m, mode), -J):
             consider(cand)
 
@@ -272,7 +248,7 @@ def find_intertwiner(M, parity, s, options=None):
     elif d > opts.d_max:
         diagnostic = f"search exhausted: solution space dimension {d} exceeds d_max={opts.d_max}"
     elif d == 1:
-        ts, discriminant, diagnostic = _solve_on_line(bp, particular, basis[0], mode, tol)
+        ts, discriminant, diagnostic = _solve_on_line(bp, particular, basis[0], F, tol)
         if discriminant is not None:
             diagnostic = "irrational discriminant: no solution over the working field"
         for t in ts:
@@ -291,10 +267,7 @@ def find_intertwiner(M, parity, s, options=None):
         if not solutions:
             diagnostic = f"search exhausted: no grid point solves the system in dimension {d}"
 
-    if mode == EXACT:
-        best_residual = None
-    else:
-        best_residual = None if best[0] is math.inf else best[0]
+    best_residual = None if best[0] is math.inf else best[0]
     return IntertwinerSearch(solutions=tuple(solutions), basis=basis,
                              particular=particular, diagnostic=diagnostic,
                              discriminant=discriminant, best_residual=best_residual)
@@ -313,18 +286,15 @@ def _entries(R):
     return [v for row in R.to_lists() for v in row]
 
 
-def _solve_on_line(bp, X0, N, mode, tol):
-    """Exact parameters t with C = (X0 + tN) B (X0 + tN) on the affine line."""
+def _solve_on_line(bp, X0, N, F, tol):
+    """Parameters t in the field F with C = (X0 + tN) B (X0 + tN) on the affine line."""
     r0, (r1,), ((r2,),) = _quadratic_parts(bp, X0, (N,))
     for a, b, c in zip(r2, r1, [-v for v in r0]):
-        if not (scalar_is_zero(a, mode, tol) and scalar_is_zero(b, mode, tol)
-                and scalar_is_zero(c, mode, tol)):
-            roots, disc = _quadratic_roots(a, b, c, mode, tol)
+        if not F.all_zero((a, b, c), tol):
+            roots, disc = _quadratic_roots(a, b, c, F, tol)
             return roots, disc, None
     # The quadratic constraint holds identically along the line.
-    one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
-    return [-one, zero, one], None, "one-parameter solution line; returning representatives"
+    return [-F.one, F.zero, F.one], None, "one-parameter solution line; returning representatives"
 
 
 def _grid_search(bp, X0, basis, opts, mode, tol, consider, full):
@@ -335,24 +305,22 @@ def _grid_search(bp, X0, basis, opts, mode, tol, consider, full):
     zero, approximate mode the values within the threshold; each later entry filters them.
     """
     k = len(basis) - 1
+    F = _field(mode)
     values = opts.grid(mode)
     r0, lin, quad = _quadratic_parts(bp, X0, basis)
-    if mode == APPROX:
-        thresh = ((1e-9 if tol is None else tol)
-                  * max(1.0, float(bp.C.max_abs()), float(bp.B.max_abs()) ** 2))
+    root_seed = mode == EXACT
+    thresh = F.threshold(tol, bp.C, bp.B.max_abs() ** 2)
     for u in product(values, repeat=k):
-        # None (exact mode): every entry so far vanishes identically in t.
-        survivors = None if mode == EXACT else values
+        # None (root seed): every entry so far vanishes identically in t.
+        survivors = None if root_seed else values
         for e, a in enumerate(quad[k][k]):
             c = r0[e] - sum(u[i] * (lin[i][e] + sum(u[j] * quad[i][j][e] for j in range(k)))
                             for i in range(k))
             b = lin[k][e] + sum(u[i] * (quad[i][k][e] + quad[k][i][e]) for i in range(k))
             if survivors is None:
                 if a != 0 or b != 0 or c != 0:
-                    roots = _quadratic_roots(a, b, -c, mode, tol)[0]
+                    roots = _quadratic_roots(a, b, -c, F, tol)[0]
                     survivors = [t for t in values if t in roots]
-            elif mode == EXACT:
-                survivors = [t for t in survivors if c - b * t - t * t * a == 0]
             else:
                 survivors = [t for t in survivors if abs(c - b * t - t * t * a) <= thresh]
             if survivors == []:

@@ -1,10 +1,11 @@
 """Explicit similarity transforms: full conjugation, principal-block embedding,
 and dilation to a matrix that is similar to a centrosymmetric one.
 
-Every report is self-verifying: the conjugation is recomputed by independent
-multiplication, determinant and trace preservation are checked, and the
-structural claim of the certification label is tested with the centrosymmetry
-predicate rather than assumed from the construction.
+Every report is self-verifying: Q Q^-1 = I and M Q = Q result are checked by
+multiplications other than the one that built the result, determinant and
+trace preservation are checked, and the structural claim of the certification
+label is tested with the centrosymmetry predicate rather than assumed from the
+construction.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass, replace
 
 from .errors import CentrosimError, DimensionError, PreconditionError, RankError
 from .linalg import det, gauss_facts, inverse, rank_normal_form
-from .matrix import (APPROX, EXACT, Matrix, _exchange, block, hstack,
-                     is_centrosymmetric, scalars_eq, split_blocks, vstack)
+from .matrix import (EXACT, Matrix, _exchange, _field, block, hstack,
+                     is_centrosymmetric, split_blocks, vstack)
 from .solver import system_residuals
 
 
@@ -28,14 +29,16 @@ class TransformReport:
 
 
 def _check_conjugation(M, Q, Q_inv, result, tol):
+    """Check result = Q_inv M Q without recomputing that product."""
     n = Q.rows
+    F = _field(M.mode)
     if not (Q * Q_inv).eq(Matrix.identity(n, Q.mode), tol):
         raise CentrosimError("internal: Q * Q_inv is not the identity")
-    if not (Q_inv * M * Q).eq(result, tol):
+    if not (M * Q).eq(Q * result, tol):
         raise CentrosimError("internal: conjugation result mismatch")
-    if not scalars_eq(det(result), det(M), M.mode, tol):
+    if not F.eq(det(result), det(M), tol):
         raise CentrosimError("internal: determinant not preserved")
-    if not scalars_eq(result.trace(), M.trace(), M.mode, tol):
+    if not F.eq(result.trace(), M.trace(), tol):
         raise CentrosimError("internal: trace not preserved")
 
 
@@ -79,10 +82,6 @@ def build_centro_transform(M, parity, s, X, tol=None):
         raise CentrosimError("internal: transform result is not centrosymmetric")
     return TransformReport(Q=Q, Q_inv=Q_inv, result=result,
                            certification="fully_centrosymmetric")
-
-
-def _exchange_or_empty(k, mode):
-    return _exchange(k, mode) if k else Matrix.zeros(0, 0, mode)
 
 
 def embed_centro_principal(M, s, X, tol=None):
@@ -130,8 +129,8 @@ def embed_centro_principal(M, s, X, tol=None):
         raise CentrosimError("internal: C'11 != B'11 after rank normalization")
 
     a, b = s - r, n - s - r
-    Jr = _exchange_or_empty(r, mode)
-    Ja = _exchange_or_empty(a, mode)
+    Jr = _exchange(r, mode)
+    Ja = _exchange(a, mode)
     Ir = Matrix.identity(r, mode)
     Ib = Matrix.identity(b, mode)
     # Row partition (r, r, a, b) against column partition (r, a, r, b).
@@ -158,8 +157,11 @@ def embed_centro_principal(M, s, X, tol=None):
                            certification=f"principal_block({2 * r})")
 
 
-def _complete_rows_exact(X):
-    """Append standard basis rows (lowest index first) until X's rows span."""
+def _complete_rows(X, tol):
+    """Rows Y that make vstack(X, Y) square and invertible: standard basis rows,
+    lowest index first (exact mode), or a Gram-Schmidt completion (approximate mode)."""
+    if X.mode != EXACT:
+        return _complete_rows_orthonormal(X, tol)
     s = X.cols
     added = []
     current = X
@@ -181,7 +183,7 @@ def _complete_rows_exact(X):
 def _complete_rows_orthonormal(X, tol):
     """Gram-Schmidt row completion; keeps X verbatim as the top rows."""
     s = X.cols
-    thresh = math.sqrt(1e-9 if tol is None else tol)
+    thresh = math.sqrt(_field(X.mode).tol(tol))
     ortho = []
 
     def project_out(v):
@@ -207,7 +209,7 @@ def _complete_rows_orthonormal(X, tol):
             added.append(v)
     if X.rows + len(added) != s:
         raise RankError("orthonormal completion failed; X is rank deficient")
-    return Matrix(added, mode=APPROX, cols=s) if added else Matrix.zeros(0, s, APPROX)
+    return Matrix(added, mode=X.mode, cols=s) if added else Matrix.zeros(0, s, X.mode)
 
 
 def dilate_to_centrosimilar(M, s, X, tol=None):
@@ -243,10 +245,7 @@ def dilate_to_centrosimilar(M, s, X, tol=None):
     if s > n - s:
         k = s
         e = 2 * s - n
-        if mode == EXACT:
-            Y = _complete_rows_exact(X)
-        else:
-            Y = _complete_rows_orthonormal(X, tol)
+        Y = _complete_rows(X, tol)
         Xhat = vstack(X, Y)
         Xhat_inv = gauss_facts(Xhat, tol).inverse
         if Xhat_inv is None:
@@ -274,10 +273,7 @@ def dilate_to_centrosimilar(M, s, X, tol=None):
     # s < n - s: complete by columns on the left, then swap M into the lead.
     k = n - s
     e = n - 2 * s
-    if mode == EXACT:
-        Y = _complete_rows_exact(X.transpose()).transpose()
-    else:
-        Y = _complete_rows_orthonormal(X.transpose(), tol).transpose()
+    Y = _complete_rows(X.transpose(), tol).transpose()
     Xhat = hstack(Y, X)
     Xhat_inv = gauss_facts(Xhat, tol).inverse
     if Xhat_inv is None:

@@ -112,6 +112,15 @@ def test_factor_centro_command(tmp_path, capsys):
     assert report["factorization"]["direct_det"] == "13"
 
 
+def test_factor_centro_on_non_centrosymmetric_matrix_is_a_negative_verdict(tmp_path, capsys):
+    path = write(tmp_path, "m.json", [[0, 0], [0, 1]])
+    code, out, _ = run(["factor-centro", path], capsys)
+    assert code == 2
+    report = load_report(out)
+    assert report["exit_code"] == 2 and report["centrosymmetric"] is False
+    assert "factorization" not in report
+
+
 def test_factor_riccati_command(tmp_path, capsys):
     m = write(tmp_path, "m.json", [[1, -1], [1, -1]])
     w = write(tmp_path, "w.json", [[1]])
@@ -177,6 +186,16 @@ def test_alpha_scan_command(tmp_path, capsys):
     assert len(rows) == 4
     found = {float(r[0]): int(r[3]) for r in rows[1:]}
     assert found[3.0] == 1 and found[4.0] == 1 and found[2.0] == 0
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1"])
+@pytest.mark.parametrize("command", ["check", "solve", "alpha-scan"])
+def test_non_finite_or_negative_tolerance_exits_one(tmp_path, capsys, command, tol):
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": [[1.0, 2.0], [3.0, 4.0]]}')
+    args = {"check": ["check", str(path)], "solve": ["solve", str(path)],
+            "alpha-scan": ["alpha-scan", "--size", "4", "--start", "3", "--stop", "3"]}[command]
+    assert_one_line_error(*run(args + [f"--tol={tol}"], capsys))
 
 
 def test_solve_and_transform_with_odd_split(tmp_path, capsys):
@@ -283,9 +302,9 @@ def test_exit_code_contract_on_random_matrices(tmp_path, capsys, n, bound, mirro
         commands.append(["solve", path, "--odd"])
     for args in commands:
         code, out, err = run(args, capsys)
-        if args[0] == "factor-centro" and not is_centrosymmetric(Matrix(rows)):
-            # A precondition of the command, so a data error.
-            assert_one_line_error(code, out, err)
-            continue
         assert code in (0, 2)
-        assert load_report(out)["exit_code"] == code
+        report = load_report(out)
+        assert report["exit_code"] == code
+        if args[0] == "factor-centro" and not is_centrosymmetric(Matrix(rows)):
+            assert code == 2
+            assert report["centrosymmetric"] is False and "factorization" not in report

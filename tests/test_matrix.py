@@ -137,6 +137,21 @@ def test_approx_equality_uses_relative_tolerance():
     assert not a.eq(c)
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -1.0, -1e-300])
+def test_approx_comparisons_reject_non_finite_or_negative_tolerance(tol):
+    a = Matrix([[1.0, 2.0], [3.0, 4.0]])
+    for compare in (lambda: a.eq(a, tol), lambda: a.is_zero(tol),
+                    lambda: is_centrosymmetric(a, tol)):
+        with pytest.raises(ValueError):
+            compare()
+
+
+def test_approx_zero_tolerance_is_exact_comparison():
+    a = Matrix([[1.0, 2.0]])
+    assert a.eq(a, 0) and a.eq(a, 0.0)
+    assert not a.eq(Matrix([[1.0, 2.0 + 2 ** -51]]), 0.0)
+
+
 def test_json_round_trip_exact_lowest_terms():
     M = Matrix([[Fraction(2, 4), Fraction(-6, 3)], [Fraction(5), Fraction(0)]])
     obj = matrix_to_json_obj(M)

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from centrosim import (APPROX, Matrix, PreconditionError, RankError,
+from centrosim import (APPROX, CentrosimError, Matrix, PreconditionError, RankError,
                        block, build_centro_transform, char_poly_samples, det,
                        dilate_to_centrosimilar, embed_centro_principal,
                        exchange_matrix, inverse,
                        is_centrosymmetric, linear_toeplitz, rank)
+from centrosim.transforms import _check_conjugation
 from oracles import (embedding_instance, rand_centrosymmetric,
                      rand_int_matrix, rand_invertible, tall_instance,
                      wide_instance)
@@ -44,6 +45,19 @@ def test_build_toeplitz_alpha_three():
     assert is_centrosymmetric(report.result)
     assert report.certification == "fully_centrosymmetric"
     assert_report_verifies(M, report)
+
+
+@pytest.mark.parametrize("approx", [False, True])
+def test_conjugation_check_rejects_a_perturbed_result(approx):
+    M = linear_toeplitz(3, 4)
+    X = Matrix([[1, 1], [2, 1]])
+    if approx:
+        M, X = (Matrix([[float(v) for v in r] for r in A.to_lists()]) for A in (M, X))
+    report = build_centro_transform(M, "even", 2, X)
+    rows = report.result.to_lists()
+    rows[1][2] += 1
+    with pytest.raises(CentrosimError, match="conjugation"):
+        _check_conjugation(M, report.Q, report.Q_inv, Matrix(rows), None)
 
 
 def test_build_rejects_singular_x():
