@@ -46,6 +46,9 @@ class _ExactField:
     def eq(self, a, b, tol=None):
         return a == b
 
+    def is_zero(self, a, tol=None, *scales):
+        return not a
+
     def rows_eq(self, rows1, rows2, tol=None):
         """Entrywise equality of two tuples of equal-length row tuples."""
         return rows1 == rows2
@@ -97,6 +100,10 @@ class _ApproxField:
 
     def eq(self, a, b, tol=None):
         return _close(a, b, self.tol(tol))
+
+    def is_zero(self, a, tol=None, *scales):
+        """|a| <= tol * max(1, |a|, |scale|...): zero relative to the scales."""
+        return abs(a) <= self.tol(tol) * max(1.0, abs(a), *map(abs, scales))
 
     def rows_eq(self, rows1, rows2, tol=None):
         t = self.tol(tol)

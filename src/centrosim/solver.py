@@ -189,9 +189,8 @@ def _residual_norm(mats):
 def _quadratic_roots(a, b, c, F, tol):
     """Roots of a t^2 + b t + c = 0 in the field F, and the discriminant when
     it has no square root there (else None)."""
-    thresh = F.threshold(tol, a, b, c)
-    if abs(a) <= thresh:
-        if abs(b) <= thresh:
+    if F.is_zero(a, tol, b, c):
+        if F.is_zero(b, tol, a, c):
             return [], None
         return [-c / b], None
     disc = b * b - 4 * a * c
@@ -321,6 +320,8 @@ def _grid_search(bp, X0, basis, opts, mode, tol, consider, full):
                 if a != 0 or b != 0 or c != 0:
                     roots = _quadratic_roots(a, b, -c, F, tol)[0]
                     survivors = [t for t in values if t in roots]
+            elif root_seed:
+                survivors = [t for t in survivors if c - b * t - t * t * a == 0]
             else:
                 survivors = [t for t in survivors if abs(c - b * t - t * t * a) <= thresh]
             if survivors == []:
