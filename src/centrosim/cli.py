@@ -10,6 +10,7 @@ rerunning.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -267,14 +268,18 @@ def _cmd_verify_corollary(args):
     return (0 if ok and conj_centro else 2), report, summary
 
 
+_MAX_SCAN_POINTS = 1_000_000
+
+
 def _scan_points(start, stop, step):
     """start + i*step for i = 0, 1, ... up to stop (inclusive, to 1e-9 steps)."""
     if step <= 0 or not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError("--start and --stop must be finite and --step finite and positive")
     steps = (stop - start) / step
-    if not math.isfinite(steps):
-        raise ValueError("--start to --stop spans too many steps")
-    return [start + i * step for i in range(max(math.floor(steps + 1e-9) + 1, 0))]
+    count = max(math.floor(steps + 1e-9) + 1, 0) if math.isfinite(steps) else math.inf
+    if count > _MAX_SCAN_POINTS:
+        raise ValueError(f"--start to --stop spans more than {_MAX_SCAN_POINTS} points")
+    return [start + i * step for i in range(count)]
 
 
 def _cmd_alpha_scan(args):
@@ -397,9 +402,12 @@ def build_parser():
     return parser
 
 
+# One parser per process, built on the first call of main rather than at import.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         code, payload, summary = args.func(args)
     except (CentrosimError, ValueError, OSError, json.JSONDecodeError) as exc:

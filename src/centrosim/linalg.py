@@ -4,24 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .errors import DimensionError
-from .matrix import EXACT, Matrix, _field
+from .matrix import EXACT, Matrix, _clear_denominators, _field
 
 __all__ = ["det", "gauss_facts", "GaussFacts", "inverse", "rank",
            "rank_normal_form", "RankNormalForm", "solve_linear", "char_poly_samples"]
-
-
-def _clear_denominators(rows):
-    """Each Fraction row times the lcm of its denominators: (int rows, row scales)."""
-    int_rows = []
-    scales = []
-    for row in rows:
-        li = lcm(*(v.denominator for v in row))
-        int_rows.append([v.numerator * (li // v.denominator) for v in row])
-        scales.append(li)
-    return int_rows, scales
 
 
 def _bareiss_int(a):
@@ -187,7 +176,7 @@ def _nullspace_from_rref(a, pivots, n_cols, mode):
         vec[f] = F.one
         for k, p in enumerate(pivots):
             vec[p] = -a[k][f]
-        basis.append(Matrix([[v] for v in vec], mode=mode, cols=1))
+        basis.append(Matrix._trusted([(v,) for v in vec], mode, 1))
     return basis
 
 
@@ -215,7 +204,7 @@ def gauss_facts(M, tol=None):
     rank_ = len(pivots)
     inv = None
     if M.is_square and rank_ == n:
-        inv = Matrix([row[n:] for row in a], mode=M.mode, cols=n)
+        inv = Matrix._trusted([row[n:] for row in a], M.mode, n)
     return GaussFacts(rank_, tuple(_nullspace_from_rref(a, pivots, c, M.mode)), inv)
 
 
@@ -244,7 +233,7 @@ def solve_linear(K, b, tol=None):
     vec = [F.zero] * n
     for k, p in enumerate(pivots):
         vec[p] = a[k][n]
-    return Matrix([[v] for v in vec], mode=K.mode, cols=1), basis
+    return Matrix._trusted([(v,) for v in vec], K.mode, 1), basis
 
 
 @dataclass(frozen=True)
@@ -264,8 +253,8 @@ def rank_normal_form(X, tol=None):
     mode = X.mode
     threshold = _field(mode).threshold(tol, X)
     a = [list(X.row(i)) for i in range(m)]
-    t = [list(r_) for r_ in Matrix.identity(m, mode).to_lists()]
-    s = [list(r_) for r_ in Matrix.identity(n, mode).to_lists()]
+    t = Matrix.identity(m, mode).to_lists()
+    s = Matrix.identity(n, mode).to_lists()
     k = 0
     while k < m and k < n:
         pi = pj = None
@@ -318,7 +307,7 @@ def rank_normal_form(X, tol=None):
                 for i in range(n):
                     s[i][j] -= f * s[i][k]
         k += 1
-    return RankNormalForm(Matrix(t, mode=mode, cols=m), Matrix(s, mode=mode, cols=n), k)
+    return RankNormalForm(Matrix._trusted(t, mode, m), Matrix._trusted(s, mode, n), k)
 
 
 def char_poly_samples(M, points):

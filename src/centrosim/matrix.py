@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionError, ModeError
 
@@ -25,6 +26,17 @@ APPROX = "approx"
 
 # Relative tolerance used by approximate-mode comparisons when none is given.
 DEFAULT_TOL = 1e-9
+
+
+def _clear_denominators(rows):
+    """Each Fraction row times the lcm of its denominators: (int rows, row scales)."""
+    int_rows = []
+    scales = []
+    for row in rows:
+        li = math.lcm(*(v.denominator for v in row))
+        int_rows.append([v.numerator * (li // v.denominator) for v in row])
+        scales.append(li)
+    return int_rows, scales
 
 
 class _ExactField:
@@ -61,6 +73,17 @@ class _ExactField:
 
     def to_json(self, v):
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+    def matmul(self, a, b, p):
+        """Rows of the product of row tuples a and b (b has p columns).
+
+        Each row of a and each column of b is scaled by the lcm of its
+        denominators, so an entry is one integer dot product over one Fraction.
+        """
+        rows, row_scales = _clear_denominators(a)
+        cols, col_scales = _clear_denominators(zip(*b) if b else [()] * p)
+        return [[Fraction(sum(map(mul, r, c)), lr * lc) for c, lc in zip(cols, col_scales)]
+                for r, lr in zip(rows, row_scales)]
 
     def sqrt(self, x):
         """The rational square root of x, or None when it has none."""
@@ -122,6 +145,22 @@ class _ApproxField:
     def to_json(self, v):
         return v
 
+    def matmul(self, a, b, p):
+        """Rows of the product, each entry summed left to right (math.fsum or a
+        compensated sum() would change the low-order bits of reports)."""
+        cols = list(zip(*b)) if b else [()] * p
+        out = []
+        for r in a:
+            out_row = []
+            for c in cols:
+                terms = map(mul, r, c)
+                acc = next(terms, 0.0)
+                for t in terms:
+                    acc += t
+                out_row.append(acc)
+            out.append(out_row)
+        return out
+
     def sqrt(self, x):
         return math.sqrt(x) if x >= 0 else None
 
@@ -169,19 +208,31 @@ class Matrix:
         object.__setattr__(self, "_cols", n_cols)
         object.__setattr__(self, "mode", mode)
 
+    @classmethod
+    def _trusted(cls, rows, mode, cols):
+        """A matrix on rows whose entries are already elements of mode's field,
+        all of length cols: no coercion and no checks."""
+        self = object.__new__(cls)
+        data = tuple(map(tuple, rows))
+        object.__setattr__(self, "_data", data)
+        object.__setattr__(self, "_rows", len(data))
+        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "mode", mode)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def zeros(cls, rows, cols, mode=EXACT):
         zero = _field(mode).zero
-        return cls([[zero] * cols for _ in range(rows)], mode=mode, cols=cols)
+        return cls._trusted([(zero,) * cols] * rows, mode, cols)
 
     @classmethod
     def identity(cls, n, mode=EXACT):
         F = _field(mode)
-        return cls([[F.one if i == j else F.zero for j in range(n)] for i in range(n)],
-                   mode=mode, cols=n)
+        return cls._trusted([[F.one if i == j else F.zero for j in range(n)] for i in range(n)],
+                            mode, n)
 
     @property
     def rows(self):
@@ -237,9 +288,9 @@ class Matrix:
         self._check_mode(other)
         if self.shape != other.shape:
             raise DimensionError(f"cannot add {self.shape} and {other.shape}")
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self._data, other._data)],
-                      mode=self.mode, cols=self._cols)
+        return Matrix._trusted([[a + b for a, b in zip(r1, r2)]
+                                for r1, r2 in zip(self._data, other._data)],
+                               self.mode, self._cols)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -247,41 +298,29 @@ class Matrix:
         self._check_mode(other)
         if self.shape != other.shape:
             raise DimensionError(f"cannot subtract {other.shape} from {self.shape}")
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self._data, other._data)],
-                      mode=self.mode, cols=self._cols)
+        return Matrix._trusted([[a - b for a, b in zip(r1, r2)]
+                                for r1, r2 in zip(self._data, other._data)],
+                               self.mode, self._cols)
 
     def __neg__(self):
-        return Matrix([[-v for v in r] for r in self._data], mode=self.mode, cols=self._cols)
+        return Matrix._trusted([[-v for v in r] for r in self._data], self.mode, self._cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check_mode(other)
             if self._cols != other._rows:
                 raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-            ot = other._data
-            out = []
-            for r in self._data:
-                out_row = []
-                for j in range(other._cols):
-                    acc = r[0] * ot[0][j] if self._cols else _field(self.mode).zero
-                    for k in range(1, self._cols):
-                        acc += r[k] * ot[k][j]
-                    out_row.append(acc)
-                out.append(out_row)
-            return Matrix(out, mode=self.mode, cols=other._cols)
+            rows = _field(self.mode).matmul(self._data, other._data, other._cols)
+            return Matrix._trusted(rows, self.mode, other._cols)
         scalar = _field(self.mode).coerce(other)
-        return Matrix([[scalar * v for v in r] for r in self._data],
-                      mode=self.mode, cols=self._cols)
+        return Matrix._trusted([[scalar * v for v in r] for r in self._data],
+                               self.mode, self._cols)
 
-    def __rmul__(self, other):
-        scalar = _field(self.mode).coerce(other)
-        return Matrix([[scalar * v for v in r] for r in self._data],
-                      mode=self.mode, cols=self._cols)
+    __rmul__ = __mul__
 
     def transpose(self):
-        return Matrix([[self._data[i][j] for i in range(self._rows)]
-                       for j in range(self._cols)], mode=self.mode, cols=self._rows)
+        cols = zip(*self._data) if self._data else [()] * self._cols
+        return Matrix._trusted(cols, self.mode, self._rows)
 
     def trace(self):
         if not self.is_square:
@@ -290,8 +329,7 @@ class Matrix:
 
     def submatrix(self, r0, r1, c0, c1):
         """Rows r0..r1-1 and columns c0..c1-1 as a new matrix."""
-        return Matrix([r[c0:c1] for r in self._data[r0:r1]],
-                      mode=self.mode, cols=c1 - c0)
+        return Matrix._trusted([r[c0:c1] for r in self._data[r0:r1]], self.mode, c1 - c0)
 
     def is_zero(self, tol=None):
         return _field(self.mode).all_zero((v for r in self._data for v in r), tol)
@@ -318,8 +356,8 @@ def hstack(*mats):
             raise DimensionError("hstack requires equal row counts")
         if m.mode != mode:
             raise ModeError("hstack requires a single mode")
-    return Matrix([sum((list(m.row(i)) for m in mats), []) for i in range(n)],
-                  mode=mode, cols=sum(m.cols for m in mats))
+    return Matrix._trusted([sum((m.row(i) for m in mats), ()) for i in range(n)],
+                           mode, sum(m.cols for m in mats))
 
 
 def vstack(*mats):
@@ -333,10 +371,7 @@ def vstack(*mats):
             raise DimensionError("vstack requires equal column counts")
         if m.mode != mode:
             raise ModeError("vstack requires a single mode")
-    rows = []
-    for m in mats:
-        rows.extend(list(r) for r in (m.row(i) for i in range(m.rows)))
-    return Matrix(rows, mode=mode, cols=c)
+    return Matrix._trusted([r for m in mats for r in m._data], mode, c)
 
 
 def block(rows_of_blocks):
@@ -353,8 +388,8 @@ def exchange_matrix(n, mode=EXACT):
 
 def _exchange(n, mode=EXACT):
     F = _field(mode)
-    return Matrix([[F.one if i + j == n - 1 else F.zero for j in range(n)]
-                   for i in range(n)], mode=mode, cols=n)
+    return Matrix._trusted([[F.one if i + j == n - 1 else F.zero for j in range(n)]
+                            for i in range(n)], mode, n)
 
 
 def is_centrosymmetric(M, tol=None):

@@ -40,6 +40,13 @@ class SearchOptions:
     max_solutions: int | None = None
     tol: float | None = None
 
+    def __post_init__(self):
+        for name, least in (("d_max", 0), ("grid_numer_max", 0), ("grid_denom_max", 1),
+                            ("max_solutions", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+
     def grid(self, mode):
         vals = self.grid_values
         if vals is None:
@@ -89,7 +96,7 @@ def intertwiner_space(A, D, tol=None):
         raise DimensionError("intertwiner space needs square A and D")
     s = A.rows
     m = D.rows
-    K = Matrix(_sylvester_rows(A, D), mode=A.mode, cols=m * s)
+    K = Matrix._trusted(_sylvester_rows(A, D), A.mode, m * s)
     facts = gauss_facts(K, tol)
     basis = tuple(_unvec(v, m, s) for v in facts.nullspace)
     # Each basis element is re-verified by an explicit multiplication.
@@ -105,8 +112,8 @@ def _vec_index(i, j, s):
 
 
 def _unvec(col, m, s):
-    return Matrix([[col[_vec_index(i, j, s), 0] for j in range(s)] for i in range(m)],
-                  mode=col.mode, cols=s)
+    v = col.col(0)
+    return Matrix._trusted([v[i * s:(i + 1) * s] for i in range(m)], col.mode, s)
 
 
 def _sylvester_rows(A, D):
@@ -152,8 +159,8 @@ def _linear_stage(bp, tol):
                 row[_vec_index(i, q, s)] = bp.z[0, i]
             rows.append(row)
             rhs.append(bp.y[0, q])
-    K = Matrix(rows, mode=A.mode, cols=n_unknowns)
-    b = Matrix([[v] for v in rhs], mode=A.mode, cols=1)
+    K = Matrix._trusted(rows, A.mode, n_unknowns)
+    b = Matrix._trusted([(v,) for v in rhs], A.mode, 1)
     particular, basis = solve_linear(K, b, tol)
     if particular is not None:
         particular = _unvec(particular, m, s)
@@ -230,7 +237,8 @@ def find_intertwiner(M, parity, s, options=None):
     if m == bp.A.rows:
         J = _exchange(m, mode)
         for cand in (J, Matrix.identity(m, mode), -J):
-            consider(cand)
+            if not full():
+                consider(cand)
 
     particular, basis = _linear_stage(bp, tol)
     d = len(basis)

@@ -29,6 +29,20 @@ def cofactor_det(M):
     return total
 
 
+def fraction_matmul(A, B):
+    """Reference product: one Fraction multiply-add per term, left to right."""
+    out = []
+    for i in range(A.rows):
+        out_row = []
+        for j in range(B.cols):
+            acc = A[i, 0] * B[0, j] if A.cols else Fraction(0)
+            for k in range(1, A.cols):
+                acc += A[i, k] * B[k, j]
+            out_row.append(acc)
+        out.append(out_row)
+    return Matrix(out, mode=A.mode, cols=B.cols)
+
+
 def fraction_rref(a, n_cols):
     """Reference Gauss-Jordan over Fractions, in place; returns the pivot columns.
 

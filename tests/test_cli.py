@@ -1,13 +1,19 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import centrosim
 from centrosim import Matrix, is_centrosymmetric, matrix_from_json_obj, save_matrix
-from centrosim.cli import _scan_points, main
+from centrosim.cli import _scan_points, build_parser, main
 
 
 def write(tmp_path, name, rows):
@@ -308,3 +314,75 @@ def test_exit_code_contract_on_random_matrices(tmp_path, capsys, n, bound, mirro
         if args[0] == "factor-centro" and not is_centrosymmetric(Matrix(rows)):
             assert code == 2
             assert report["centrosymmetric"] is False and "factorization" not in report
+
+
+def test_max_solutions_one_reports_one_solution(tmp_path, capsys):
+    path = write(tmp_path, "m.json", [["1", "2"], ["2", "1"]])
+    code, out, _ = run(["solve", path, "--max-solutions", "1"], capsys)
+    assert code == 0 and len(load_report(out)["solutions"]) == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-solutions", "0"), ("--d-max", "-1"), ("--grid-numer-max", "-1"),
+    ("--grid-denom-max", "0"),
+])
+@pytest.mark.parametrize("command", ["solve", "transform"])
+def test_nonsense_search_options_exit_one(tmp_path, capsys, command, flag, value):
+    path = write(tmp_path, "m.json", [["1", "2"], ["2", "1"]])
+    assert_one_line_error(*run([command, path, flag, value], capsys))
+
+
+def test_alpha_scan_point_limit_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1000000"):
+            _scan_points(0.0, 1e12, 1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert len(_scan_points(0.0, 999_999.0, 1.0)) == 1_000_000
+    with pytest.raises(ValueError):
+        _scan_points(0.0, 1_000_000.0, 1.0)
+
+
+def test_build_parser_returns_a_fresh_parser():
+    first, second = build_parser(), build_parser()
+    assert first is not second
+    assert vars(first.parse_args(["check", "m.json"])) == vars(
+        second.parse_args(["check", "m.json"]))
+
+
+def _fresh_main(argv):
+    """Exit code, stdout and stderr of `python -m centrosim.cli argv` in a new process."""
+    env = dict(os.environ)
+    src = str(Path(centrosim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "centrosim.cli", *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    odd = write(tmp_path, "odd.json", [[2, 1, 1], [1, 5, 1], [1, 1, 2]])
+    report = str(tmp_path / "report.json")
+    first = ["solve", odd, "--mode", "approx", "--odd", "--tol", "1e-6", "-o", report]
+    code, out, _ = run(first, capsys)
+    assert code == 0 and out.startswith("1 exact solution")
+    assert load_report(open(report).read())["parity"] == "odd"
+    generated = str(tmp_path / "gen.json")
+    scan = str(tmp_path / "scan.csv")
+    later = [
+        ["solve", odd],
+        ["check", odd],
+        ["transform", odd, "--split", "1"],
+        ["gen", "toeplitz", "--alpha", "3", "--size", "4", "-o", generated],
+        ["alpha-scan", "--size", "4", "--start", "3", "--stop", "4", "-o", scan],
+        ["alpha-scan", "--size", "4", "--start", "3", "--stop", "3"],
+        ["solve", odd, "--max-solutions", "0"],
+    ]
+    for argv in later:
+        assert run(argv, capsys) == _fresh_main(argv), argv
+    # gen and alpha-scan still write their own output: a matrix and a CSV.
+    assert set(json.loads(open(generated).read())) == {"rows"}
+    assert open(scan).readline().startswith("alpha,")

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from centrosim import (APPROX, EXACT, CentrosimError, DimensionError, Matrix, ModeError,
                        assemble_blocks, block, blocks_centrosymmetric,
-                       commutes_with_exchange, exchange_matrix, hstack,
+                       commutes_with_exchange, exchange_matrix, gauss_facts, hstack,
                        is_centrosymmetric, matrix_from_json_obj,
-                       matrix_to_json_obj, split_blocks, vstack)
-from oracles import rand_centrosymmetric, rand_int_matrix
+                       matrix_to_json_obj, rank_normal_form, solve_linear, split_blocks,
+                       vstack)
+from oracles import fraction_matmul, rand_centrosymmetric, rand_int_matrix
 
 
 def test_exchange_matrix_size_one():
@@ -248,3 +249,41 @@ def test_matrix_arithmetic_basics():
     assert A.trace() == 5
     with pytest.raises(DimensionError):
         A * Matrix([[1, 2, 3]])
+
+
+# Entries with negative values, mixed denominators and numerators far past 64 bits.
+FRACTIONS = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_exact_product_matches_fraction_oracle(m, k, p, data):
+    def draw(rows, cols):
+        return Matrix(data.draw(st.lists(st.lists(FRACTIONS, min_size=cols, max_size=cols),
+                                         min_size=rows, max_size=rows)), mode=EXACT, cols=cols)
+
+    A, B = draw(m, k), draw(k, p)
+    product = A * B
+    assert product.shape == (m, p)
+    assert product == fraction_matmul(A, B)
+
+
+def _entries(*mats):
+    return [v for M in mats for r in M.to_lists() for v in r]
+
+
+@pytest.mark.parametrize("mode, kind", [(EXACT, Fraction), (APPROX, float)])
+def test_internal_results_hold_only_field_elements(mode, kind):
+    A = Matrix([[2, -1, 0], [1, 3, 5], [4, 0, -2]], mode=mode)
+    S = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]], mode=mode)
+    b = Matrix([[1], [2], [3]], mode=mode)
+    facts = gauss_facts(A)
+    singular = gauss_facts(S)
+    particular, basis = solve_linear(S, Matrix([[1], [2], [1]], mode=mode))
+    nf = rank_normal_form(S)
+    mats = [A + S, A - S, -A, A * S, A * b, 3 * A, A * 3, A.transpose(), b.transpose(),
+            A.submatrix(0, 2, 1, 3), Matrix.identity(3, mode), Matrix.zeros(2, 3, mode),
+            exchange_matrix(3, mode), facts.inverse, *singular.nullspace, particular,
+            *basis, nf.T, nf.S, solve_linear(A, b)[0]]
+    assert singular.nullspace and basis
+    assert {type(v) for v in _entries(*mats)} == {kind}

@@ -236,6 +236,23 @@ def test_find_intertwiner_max_solutions_cap():
     assert len(search) == 1
 
 
+def test_max_solutions_caps_the_special_candidates():
+    # J and I both solve the split of a centrosymmetric 2x2 matrix.
+    M = Matrix([[1, 2], [2, 1]])
+    assert len(find_intertwiner(M, "even", 1)) == 2
+    search = find_intertwiner(M, "even", 1, SearchOptions(max_solutions=1))
+    assert [sol.X for sol in search] == [exchange_matrix(1)]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_solutions", 0), ("max_solutions", -1), ("d_max", -1),
+    ("grid_numer_max", -1), ("grid_denom_max", 0),
+])
+def test_search_options_reject_nonsense_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SearchOptions(**{field: value})
+
+
 def test_riccati_residual_lower_counterexample():
     w = riccati_residual(Matrix([[1, -1], [1, -1]]), 1, Matrix([[1]]), "lower")
     assert w.residual == Matrix([[0]])
