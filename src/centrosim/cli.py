@@ -402,7 +402,8 @@ def build_parser():
     return parser
 
 
-# One parser per process, built on the first call of main rather than at import.
+# One parser per process, built on the first call of main rather than at import;
+# parse_args leaves it unchanged and returns a new namespace on every call.
 _shared_parser = functools.cache(build_parser)
 
 
