@@ -3,7 +3,7 @@
 from .errors import (CentrosimError, DimensionError, InsufficientSamplesError,
                      ModeError, PreconditionError, RankError)
 from .matrix import (APPROX, DEFAULT_TOL, EXACT, BlockPartition, Matrix,
-                     assemble_blocks, block, blocks_centrosymmetric,
+                     assemble_blocks, block, block_diag, blocks_centrosymmetric,
                      commutes_with_exchange, exchange_matrix, hstack,
                      is_centrosymmetric, load_matrix, matrix_from_json_obj,
                      matrix_to_json_obj, save_matrix, split_blocks, vstack)

@@ -16,8 +16,8 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import CentrosimError
-from .factorization import centro_det_factors, riccati_block_triangularize, riccati_det_factor
+from .errors import CentrosimError, PreconditionError
+from .factorization import _triangularize_and_factor, centro_det_factors
 from .generators import (PalindromicSpec, alpha_scan, bordered_jacobi_pm,
                          conjugated_periodic_jacobi, linear_toeplitz,
                          periodic_jacobi_pm, toeplitz_scaled_intertwiner,
@@ -57,7 +57,7 @@ def _transform_obj(report):
 
 
 def _parity_split(args, n):
-    if args.odd:
+    if getattr(args, "odd", False):
         s = (n - 1) // 2 if args.split is None else args.split
         return "odd", s
     s = n // 2 if args.split is None else args.split
@@ -72,42 +72,41 @@ def _search_options(args):
                             if getattr(args, k) is not None})
 
 
-def _cmd_check(args):
-    M = load_matrix(args.matrix, mode=args.mode)
+def _on_matrix(cmd):
+    """Run cmd(args, M, report) on the loaded matrix M, with args.parity and
+    args.split resolved (the center split by default) for commands that take
+    --split, and the report started with M's mode and rows."""
+    @functools.wraps(cmd)
+    def run(args):
+        M = load_matrix(args.matrix, mode=args.mode)
+        if "split" in vars(args):
+            args.parity, args.split = _parity_split(args, M.rows)
+        return cmd(args, M, {"mode": M.mode, "matrix": _mat(M)})
+    return run
+
+
+@_on_matrix
+def _cmd_check(args, M, report):
     tol = args.tol
     entrywise = is_centrosymmetric(M, tol)
-    commutes = commutes_with_exchange(M, tol)
-    blocks = None
     n = M.rows
+    blocks = None
     if n >= 2:
-        if n % 2 == 0:
-            blocks = blocks_centrosymmetric(split_blocks(M, "even", n // 2), tol)
-        else:
-            blocks = blocks_centrosymmetric(split_blocks(M, "odd", (n - 1) // 2), tol)
-    report = {
-        "mode": M.mode,
-        "matrix": _mat(M),
-        "centrosymmetric": entrywise,
-        "commutes_with_exchange": commutes,
-        "blocks_centrosymmetric": blocks,
-    }
-    summary = f"centrosymmetric: {entrywise}"
-    return (0 if entrywise else 2), report, summary
+        blocks = blocks_centrosymmetric(split_blocks(M, "odd" if n % 2 else "even", n // 2),
+                                        tol)
+    report.update(centrosymmetric=entrywise,
+                  commutes_with_exchange=commutes_with_exchange(M, tol),
+                  blocks_centrosymmetric=blocks)
+    return (0 if entrywise else 2), report, f"centrosymmetric: {entrywise}"
 
 
-def _cmd_solve(args):
-    M = load_matrix(args.matrix, mode=args.mode)
-    parity, s = _parity_split(args, M.rows)
-    search = find_intertwiner(M, parity, s, _search_options(args))
-    report = {
-        "mode": M.mode,
-        "matrix": _mat(M),
-        "parity": parity,
-        "split": s,
-        "solutions": [_solution_obj(sol) for sol in search.solutions],
-        "sylvester_basis": [_mat(N) for N in search.basis],
-        "diagnostic": search.diagnostic,
-    }
+@_on_matrix
+def _cmd_solve(args, M, report):
+    search = find_intertwiner(M, args.parity, args.split, _search_options(args))
+    report.update(parity=args.parity, split=args.split,
+                  solutions=[_solution_obj(sol) for sol in search.solutions],
+                  sylvester_basis=[_mat(N) for N in search.basis],
+                  diagnostic=search.diagnostic)
     if search.discriminant is not None:
         report["discriminant"] = _field(M.mode).to_json(search.discriminant)
     if search.best_residual is not None:
@@ -119,10 +118,10 @@ def _cmd_solve(args):
     return (0 if ok else 2), report, summary
 
 
-def _cmd_transform(args):
-    M = load_matrix(args.matrix, mode=args.mode)
-    parity, s = _parity_split(args, M.rows)
-    report = {"mode": M.mode, "matrix": _mat(M), "parity": parity, "split": s}
+@_on_matrix
+def _cmd_transform(args, M, report):
+    parity, s = args.parity, args.split
+    report.update(parity=parity, split=s)
     if args.x:
         X = load_matrix(args.x, mode=args.mode)
     else:
@@ -139,24 +138,20 @@ def _cmd_transform(args):
     return 0, report, f"certified: {tr.certification}"
 
 
-def _cmd_embed(args):
-    M = load_matrix(args.matrix, mode=args.mode)
+@_on_matrix
+def _cmd_embed(args, M, report):
     X = load_matrix(args.x, mode=args.mode)
-    s = M.rows // 2 if args.split is None else args.split
-    tr = embed_centro_principal(M, s, X, args.tol)
-    report = {"mode": M.mode, "matrix": _mat(M), "split": s, "X": _mat(X),
-              "transform": _transform_obj(tr)}
+    tr = embed_centro_principal(M, args.split, X, args.tol)
+    report.update(split=args.split, X=_mat(X), transform=_transform_obj(tr))
     return 0, report, f"certified: {tr.certification}"
 
 
-def _cmd_dilate(args):
-    M = load_matrix(args.matrix, mode=args.mode)
+@_on_matrix
+def _cmd_dilate(args, M, report):
     X = load_matrix(args.x, mode=args.mode)
-    s = M.rows // 2 if args.split is None else args.split
-    Mhat, Xhat, tr = dilate_to_centrosimilar(M, s, X, args.tol)
-    report = {"mode": M.mode, "matrix": _mat(M), "split": s, "X": _mat(X),
-              "Mhat": _mat(Mhat), "Xhat": _mat(Xhat),
-              "transform": _transform_obj(tr)}
+    Mhat, Xhat, tr = dilate_to_centrosimilar(M, args.split, X, args.tol)
+    report.update(split=args.split, X=_mat(X), Mhat=_mat(Mhat), Xhat=_mat(Xhat),
+                  transform=_transform_obj(tr))
     return 0, report, f"certified: {tr.certification} (dilated size {Mhat.rows})"
 
 
@@ -171,43 +166,39 @@ def _factor_obj(rep, mode):
     }
 
 
-def _cmd_factor_centro(args):
-    M = load_matrix(args.matrix, mode=args.mode)
-    report = {"mode": M.mode, "matrix": _mat(M)}
-    if not is_centrosymmetric(M, args.tol):
+@_on_matrix
+def _cmd_factor_centro(args, M, report):
+    try:
+        rep = centro_det_factors(M, args.tol)
+    except PreconditionError:
         report["centrosymmetric"] = False
         return 2, report, "not centrosymmetric; factorization not applicable"
-    rep = centro_det_factors(M, args.tol)
     report["factorization"] = _factor_obj(rep, M.mode)
     summary = (f"det = {report['factorization']['direct_det']} = product of factors, "
                f"match: {rep.match}")
     return (0 if rep.match else 2), report, summary
 
 
-def _cmd_factor_riccati(args):
-    M = load_matrix(args.matrix, mode=args.mode)
+@_on_matrix
+def _cmd_factor_riccati(args, M, report):
     W = load_matrix(args.w, mode=args.mode)
-    s = M.rows // 2 if args.split is None else args.split
-    witness = riccati_residual(M, s, W, args.orientation, args.tol)
-    report = {"mode": M.mode, "matrix": _mat(M), "split": s, "orientation": args.orientation,
-              "W": _mat(W), "residual": _mat(witness.residual)}
+    witness = riccati_residual(M, args.split, W, args.orientation, args.tol)
+    report.update(split=args.split, orientation=args.orientation, W=_mat(W),
+                  residual=_mat(witness.residual))
     if not witness.is_exact(args.tol):
         return 2, report, "nonzero Riccati residual; factorization not applicable"
-    tri = riccati_block_triangularize(M, s, W, args.orientation, args.tol)
-    rep = riccati_det_factor(M, s, W, args.orientation, args.tol)
+    tri, rep = _triangularize_and_factor(M, witness, args.tol)
     report["triangularized"] = _mat(tri)
     report["factorization"] = _factor_obj(rep, M.mode)
     return (0 if rep.match else 2), report, \
         f"det = {report['factorization']['direct_det']}, factors match: {rep.match}"
 
 
-def _cmd_certify_singular(args):
-    M = load_matrix(args.matrix, mode=args.mode)
+@_on_matrix
+def _cmd_certify_singular(args, M, report):
     W = load_matrix(args.w, mode=args.mode)
-    s = M.rows // 2 if args.split is None else args.split
-    holds = singular_certificate(M, s, W, args.system, args.tol)
-    report = {"mode": M.mode, "matrix": _mat(M), "split": s, "system": args.system, "W": _mat(W),
-              "certificate_holds": holds}
+    holds = singular_certificate(M, args.split, W, args.system, args.tol)
+    report.update(split=args.split, system=args.system, W=_mat(W), certificate_holds=holds)
     if holds:
         report["det"] = _field(M.mode).to_json(det(M))
         return 0, report, f"system {args.system} holds; det(M) = {report['det']}"

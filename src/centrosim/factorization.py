@@ -11,7 +11,7 @@ from functools import reduce
 
 from .errors import CentrosimError, PreconditionError
 from .linalg import det
-from .matrix import Matrix, _exchange, _field, block, is_centrosymmetric, split_blocks
+from .matrix import Matrix, _field, block, is_centrosymmetric, split_blocks
 from .solver import riccati_residual
 
 
@@ -24,13 +24,17 @@ class FactorizationReport:
     match: bool
 
 
-def _report(factors, M, tol):
+def _report(factors, M, tol, what):
+    """The determinant report of factors; CentrosimError names what when the
+    product of their determinants does not match det(M)."""
     dets = tuple(det(f) for f in factors)
     product = reduce(lambda x, y: x * y, dets)
     direct = det(M)
+    match = _field(M.mode).eq(product, direct, tol)
+    if not match:
+        raise CentrosimError(f"internal: {what} failed to match")
     return FactorizationReport(factors=tuple(factors), factor_dets=dets,
-                               product=product, direct_det=direct,
-                               match=_field(M.mode).eq(product, direct, tol))
+                               product=product, direct_det=direct, match=match)
 
 
 def centro_det_factors(M, tol=None):
@@ -39,39 +43,56 @@ def centro_det_factors(M, tol=None):
         raise PreconditionError("input matrix is not centrosymmetric")
     n = M.rows
     if n == 1:
-        report = _report([M, Matrix.identity(0, M.mode)], M, tol)
-    elif n % 2 == 0:
-        bp = split_blocks(M, "even", n // 2)
-        J = _exchange(n // 2, M.mode)
-        report = _report([bp.A + bp.B * J, bp.A - bp.B * J], M, tol)
+        factors = [M, Matrix.identity(0, M.mode)]
     else:
-        s = (n - 1) // 2
-        bp = split_blocks(M, "odd", s)
-        J = _exchange(s, M.mode)
-        mu = Matrix([[bp.mu]], mode=M.mode)
-        bordered = block([[bp.A + bp.B * J, bp.x], [2 * bp.y, mu]])
-        report = _report([bordered, bp.A - bp.B * J], M, tol)
-    if not report.match:
-        raise CentrosimError("internal: centrosymmetric determinant split failed to match")
-    return report
+        s = n // 2
+        bp = split_blocks(M, "odd" if n % 2 else "even", s)
+        every = range(s)
+        BJ = bp.B.take(every, every[::-1])
+        first = bp.A + BJ
+        if n % 2:
+            first = block([[first, bp.x], [2 * bp.y, Matrix([[bp.mu]], mode=M.mode)]])
+        factors = [first, bp.A - BJ]
+    return _report(factors, M, tol, "centrosymmetric determinant split")
 
 
-def _triangularizer(M, s, W, orientation, tol):
-    n = M.rows
+def _exact_witness(M, s, W, orientation, tol):
+    """The Riccati witness of W; PreconditionError unless its residual is zero."""
     witness = riccati_residual(M, s, W, orientation, tol)
     if not witness.is_exact(tol):
         raise PreconditionError(f"nonzero {orientation} Riccati residual",
                                 payload=witness.residual)
+    return witness
+
+
+def _riccati_factors(witness):
+    """(A+BX, D-XB) for a lower witness X, (A-YC, D+CY) for an upper witness Y."""
+    bp, W = witness.blocks, witness.W
+    if witness.orientation == "lower":
+        return [bp.A + bp.B * W, bp.D - W * bp.B]
+    return [bp.A - W * bp.C, bp.D + bp.C * W]
+
+
+def _triangularize(M, witness, tol):
+    """E M E^-1 for a zero-residual witness and its two diagonal blocks, checked
+    to be block triangular with the witness's Riccati factors on the diagonal."""
+    n, s, W = M.rows, witness.blocks.s, witness.W
     mode = M.mode
     ident_s = Matrix.identity(s, mode)
     ident_m = Matrix.identity(n - s, mode)
-    if orientation == "lower":
-        E = block([[ident_s, Matrix.zeros(s, n - s, mode)], [-W, ident_m]])
-        E_inv = block([[ident_s, Matrix.zeros(s, n - s, mode)], [W, ident_m]])
+    if witness.orientation == "lower":
+        zero, off = Matrix.zeros(s, n - s, mode), (s, n, 0, s)
+        E, E_inv = (block([[ident_s, zero], [V, ident_m]]) for V in (-W, W))
     else:
-        E = block([[ident_s, -W], [Matrix.zeros(n - s, s, mode), ident_m]])
-        E_inv = block([[ident_s, W], [Matrix.zeros(n - s, s, mode), ident_m]])
-    return E * M * E_inv
+        zero, off = Matrix.zeros(n - s, s, mode), (0, s, s, n)
+        E, E_inv = (block([[ident_s, V], [zero, ident_m]]) for V in (-W, W))
+    result = E * M * E_inv
+    factors = _riccati_factors(witness)
+    if not (result.submatrix(*off).is_zero(tol)
+            and result.submatrix(0, s, 0, s).eq(factors[0], tol)
+            and result.submatrix(s, n, s, n).eq(factors[1], tol)):
+        raise CentrosimError("internal: triangularization block structure check failed")
+    return result, factors
 
 
 def riccati_block_triangularize(M, s, W, orientation, tol=None):
@@ -79,34 +100,17 @@ def riccati_block_triangularize(M, s, W, orientation, tol=None):
 
     lower: [[A+BX, B], [0, D-XB]]; upper: [[A-YC, 0], [C, D+CY]].
     """
-    result = _triangularizer(M, s, W, orientation, tol)
-    n = M.rows
-    bp = split_blocks(M, "even", s)
-    if orientation == "lower":
-        off = result.submatrix(s, n, 0, s)
-        diag_ok = (result.submatrix(0, s, 0, s).eq(bp.A + bp.B * W, tol)
-                   and result.submatrix(s, n, s, n).eq(bp.D - W * bp.B, tol))
-    else:
-        off = result.submatrix(0, s, s, n)
-        diag_ok = (result.submatrix(0, s, 0, s).eq(bp.A - W * bp.C, tol)
-                   and result.submatrix(s, n, s, n).eq(bp.D + bp.C * W, tol))
-    if not off.is_zero(tol) or not diag_ok:
-        raise CentrosimError("internal: triangularization block structure check failed")
-    return result
+    return _triangularize(M, _exact_witness(M, s, W, orientation, tol), tol)[0]
 
 
 def riccati_det_factor(M, s, W, orientation, tol=None):
     """det(M) = det(A+BX) det(D-XB) (lower) or det(A-YC) det(D+CY) (upper)."""
-    witness = riccati_residual(M, s, W, orientation, tol)
-    if not witness.is_exact(tol):
-        raise PreconditionError(f"nonzero {orientation} Riccati residual",
-                                payload=witness.residual)
-    bp = split_blocks(M, "even", s)
-    if orientation == "lower":
-        factors = [bp.A + bp.B * W, bp.D - W * bp.B]
-    else:
-        factors = [bp.A - W * bp.C, bp.D + bp.C * W]
-    report = _report(factors, M, tol)
-    if not report.match:
-        raise CentrosimError("internal: Riccati determinant factorization failed to match")
-    return report
+    factors = _riccati_factors(_exact_witness(M, s, W, orientation, tol))
+    return _report(factors, M, tol, "Riccati determinant factorization")
+
+
+def _triangularize_and_factor(M, witness, tol):
+    """The block triangular form and the determinant report for a witness
+    already checked to have a zero residual, its diagonal blocks computed once."""
+    result, factors = _triangularize(M, witness, tol)
+    return result, _report(factors, M, tol, "Riccati determinant factorization")

@@ -331,6 +331,16 @@ class Matrix:
         """Rows r0..r1-1 and columns c0..c1-1 as a new matrix."""
         return Matrix._trusted([r[c0:c1] for r in self._data[r0:r1]], self.mode, c1 - c0)
 
+    def take(self, rows, cols):
+        """The matrix with entry (i, j) = self[rows[i], cols[j]].
+
+        With index permutations p and q this is P M Q^T for the permutation
+        matrices with P[i, p[i]] = Q[j, q[j]] = 1, so a product by J or any
+        permutation is an index map; ``range(n)[::-1]`` is J's.
+        """
+        data = self._data
+        return Matrix._trusted([[data[i][j] for j in cols] for i in rows], self.mode, len(cols))
+
     def is_zero(self, tol=None):
         return _field(self.mode).all_zero((v for r in self._data for v in r), tol)
 
@@ -379,6 +389,12 @@ def block(rows_of_blocks):
     return vstack(*(hstack(*row) for row in rows_of_blocks))
 
 
+def block_diag(*mats):
+    """The blocks along the diagonal, zeros elsewhere; zero-sized blocks are allowed."""
+    return block([[a if i == j else Matrix.zeros(a.rows, b.cols, a.mode)
+                   for j, b in enumerate(mats)] for i, a in enumerate(mats)])
+
+
 def exchange_matrix(n, mode=EXACT):
     """The n-by-n anti-diagonal permutation matrix J."""
     if n < 1:
@@ -401,11 +417,12 @@ def is_centrosymmetric(M, tol=None):
 
 
 def commutes_with_exchange(M, tol=None):
-    """Equivalent characterization: M J == J M."""
+    """Equivalent characterization: M J == J M, M with its columns reversed
+    against M with its rows reversed."""
     if not M.is_square:
         raise DimensionError("centrosymmetry is defined for square matrices")
-    J = _exchange(M.rows, M.mode)
-    return (M * J).eq(J * M, tol)
+    every = range(M.rows)
+    return M.take(every, every[::-1]).eq(M.take(every[::-1], every), tol)
 
 
 @dataclass(frozen=True)
@@ -464,19 +481,20 @@ def assemble_blocks(bp):
 
 
 def blocks_centrosymmetric(bp, tol=None):
-    """Block-level centrosymmetry conditions: JA = DJ, C = JBJ (+ center ones)."""
+    """Block-level centrosymmetry conditions: JA = DJ, C = JBJ (+ Jx = w, zJ = y
+    in odd parity), each product by J taken as a reversal of rows or columns."""
     if bp.A.rows != bp.A.cols or bp.A.shape != bp.D.shape:
         return False
-    s = bp.A.rows
-    J = _exchange(s, bp.A.mode)
-    if not (J * bp.A).eq(bp.D * J, tol):
+    every = range(bp.A.rows)
+    rev = every[::-1]
+    if not bp.A.take(rev, every).eq(bp.D.take(every, rev), tol):
         return False
-    if not bp.C.eq(J * bp.B * J, tol):
+    if not bp.C.eq(bp.B.take(rev, rev), tol):
         return False
     if bp.parity == "odd":
-        if not bp.w.eq(J * bp.x, tol):
+        if not bp.w.eq(bp.x.take(rev, range(1)), tol):
             return False
-        if not bp.y.eq(bp.z * J, tol):
+        if not bp.y.eq(bp.z.take(range(1), rev), tol):
             return False
     return True
 
@@ -526,7 +544,11 @@ def matrix_from_json_obj(obj, mode=None):
 
 def load_matrix(path, mode=None):
     with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json_obj(json.load(fh), mode=mode)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("matrix JSON is nested too deeply") from None
+    return matrix_from_json_obj(obj, mode=mode)
 
 
 def save_matrix(M, path):

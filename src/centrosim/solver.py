@@ -18,7 +18,7 @@ from itertools import product
 
 from .errors import DimensionError, PreconditionError
 from .linalg import gauss_facts, solve_linear
-from .matrix import APPROX, EXACT, Matrix, _exchange, _field, split_blocks
+from .matrix import APPROX, EXACT, BlockPartition, Matrix, _exchange, _field, split_blocks
 
 
 def default_grid_values(numer_max=5, denom_max=3):
@@ -345,6 +345,7 @@ class RiccatiWitness:
     orientation: str
     W: Matrix
     residual: Matrix
+    blocks: BlockPartition
 
     def is_exact(self, tol=None):
         return self.residual.is_zero(tol)
@@ -364,7 +365,7 @@ def riccati_residual(M, s, W, orientation, tol=None):
         residual = bp.B - W * bp.D + bp.A * W - W * bp.C * W
     else:
         raise DimensionError(f"orientation must be 'lower' or 'upper', got {orientation!r}")
-    return RiccatiWitness(orientation=orientation, W=W, residual=residual)
+    return RiccatiWitness(orientation=orientation, W=W, residual=residual, blocks=bp)
 
 
 def singular_certificate(M, s, W, system, tol=None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from .errors import CentrosimError, DimensionError, PreconditionError, RankError
 from .linalg import det, gauss_facts, inverse, rank_normal_form
-from .matrix import (EXACT, Matrix, _exchange, _field, block, hstack,
+from .matrix import (EXACT, Matrix, _field, block, block_diag, hstack,
                      is_centrosymmetric, split_blocks, vstack)
 from .solver import system_residuals
 
@@ -46,7 +46,8 @@ def build_centro_transform(M, parity, s, X, tol=None):
     """Conjugate M by Q = diag(I, XJ) (even) or diag(I, 1, XJ) (odd).
 
     X must be invertible and solve the full equation system of the split;
-    the result is verified to be centrosymmetric.
+    the result is verified to be centrosymmetric.  XJ is X with its columns
+    reversed and (XJ)^-1 = J X^-1 is X^-1 with its rows reversed.
     """
     n = M.rows
     if parity == "even" and n != 2 * s:
@@ -63,19 +64,11 @@ def build_centro_transform(M, parity, s, X, tol=None):
     if X_inv is None:
         raise RankError("X is singular; use embed_centro_principal for rank-deficient X "
                         "or dilate_to_centrosimilar for full-rank rectangular X")
-    J = _exchange(s, M.mode)
-    zero_tall = Matrix.zeros(s, s, M.mode)
-    if parity == "even":
-        ident = Matrix.identity(s, M.mode)
-        Q = block([[ident, zero_tall], [zero_tall, X * J]])
-        Q_inv = block([[ident, zero_tall], [zero_tall, J * X_inv]])
-    else:
-        ident = Matrix.identity(s, M.mode)
-        one = Matrix.identity(1, M.mode)
-        zc = Matrix.zeros(s, 1, M.mode)
-        zr = Matrix.zeros(1, s, M.mode)
-        Q = block([[ident, zc, zero_tall], [zr, one, zr], [zero_tall, zc, X * J]])
-        Q_inv = block([[ident, zc, zero_tall], [zr, one, zr], [zero_tall, zc, J * X_inv]])
+    # The leading identity has size s, or s + 1 for the odd center.
+    ident = Matrix.identity(n - s, M.mode)
+    every = range(s)
+    Q = block_diag(ident, X.take(every, every[::-1]))
+    Q_inv = block_diag(ident, X_inv.take(every[::-1], every))
     result = Q_inv * M * Q
     _check_conjugation(M, Q, Q_inv, result, tol)
     if not is_centrosymmetric(result, tol):
@@ -110,13 +103,8 @@ def embed_centro_principal(M, s, X, tol=None):
     T, S = nf.T, nf.S
     T_inv = inverse(T, tol)
     S_inv = inverse(S, tol)
-    mode = M.mode
-
-    def zs(a_, b_):
-        return Matrix.zeros(a_, b_, mode)
-
-    Q1 = block([[S, zs(s, n - s)], [zs(n - s, s), T_inv]])
-    Q1_inv = block([[S_inv, zs(s, n - s)], [zs(n - s, s), T]])
+    Q1 = block_diag(S, T_inv)
+    Q1_inv = block_diag(S_inv, T)
     Mp = Q1_inv * M * Q1
 
     Ap = Mp.submatrix(0, s, 0, s)
@@ -128,27 +116,13 @@ def embed_centro_principal(M, s, X, tol=None):
     if not Cp.submatrix(0, r, 0, r).eq(Bp.submatrix(0, r, 0, r), tol):
         raise CentrosimError("internal: C'11 != B'11 after rank normalization")
 
-    a, b = s - r, n - s - r
-    Jr = _exchange(r, mode)
-    Ja = _exchange(a, mode)
-    Ir = Matrix.identity(r, mode)
-    Ib = Matrix.identity(b, mode)
-    # Row partition (r, r, a, b) against column partition (r, a, r, b).
-    L = block([
-        [Ir, zs(r, a), zs(r, r), zs(r, b)],
-        [zs(r, r), zs(r, a), Jr, zs(r, b)],
-        [zs(a, r), Ja, zs(a, r), zs(a, b)],
-        [zs(b, r), zs(b, a), zs(b, r), Ib],
-    ])
-    L_inv = block([
-        [Ir, zs(r, r), zs(r, a), zs(r, b)],
-        [zs(a, r), zs(a, r), Ja, zs(a, b)],
-        [zs(r, r), Jr, zs(r, a), zs(r, b)],
-        [zs(b, r), zs(b, r), zs(b, a), Ib],
-    ])
-    result = L * Mp * L_inv
-    Q = Q1 * L_inv
-    Q_inv = L * Q1_inv
+    # The interleaving permutation keeps indices 0..r-1, then takes s..s+r-1 and
+    # r..s-1 each reversed, then keeps s+r..n-1; its matrix L has L^-1 = L^T.
+    p = [*range(r), *range(s + r - 1, s - 1, -1), *range(s - 1, r - 1, -1), *range(s + r, n)]
+    every = range(n)
+    result = Mp.take(p, p)
+    Q = Q1.take(every, p)
+    Q_inv = Q1_inv.take(p, every)
     _check_conjugation(M, Q, Q_inv, result, tol)
     leading = result.submatrix(0, 2 * r, 0, 2 * r)
     if not is_centrosymmetric(leading, tol):
@@ -293,13 +267,12 @@ def dilate_to_centrosimilar(M, s, X, tol=None):
     if not (Xhat * Ahat).eq(D * Xhat, tol) or not Chat.eq(Xhat * Bhat * Xhat, tol):
         raise CentrosimError("internal: dilated equation system check failed")
     raw_report = build_centro_transform(Mraw, "even", k, Xhat, tol)
-    ident_n = Matrix.identity(n, mode)
-    ident_e = Matrix.identity(e, mode)
-    P = block([[zs(n, e), ident_n], [ident_e, zs(e, n)]])
-    P_inv = block([[zs(e, n), ident_e], [ident_n, zs(n, e)]])
-    Mhat = P * Mraw * P_inv
-    Q = P * raw_report.Q
-    Q_inv = raw_report.Q_inv * P_inv
+    # Move the first e indices of Mraw to the end, so that M leads.
+    p = [*range(e, e + n), *range(e)]
+    every = range(2 * k)
+    Mhat = Mraw.take(p, p)
+    Q = raw_report.Q.take(p, every)
+    Q_inv = raw_report.Q_inv.take(every, p)
     _check_conjugation(Mhat, Q, Q_inv, raw_report.result, tol)
     if not Mhat.submatrix(0, n, 0, n).eq(M, tol):
         raise CentrosimError("internal: dilation does not embed M as leading block")

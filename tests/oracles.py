@@ -8,7 +8,9 @@ elimination-based implementation under test.
 from fractions import Fraction
 from itertools import product
 
-from centrosim import Matrix, block, exchange_matrix, gauss_facts
+from centrosim import (Matrix, block, exchange_matrix, gauss_facts, hstack, inverse,
+                       rank_normal_form, vstack)
+from centrosim.transforms import _complete_rows
 
 
 def cofactor_det(M):
@@ -219,3 +221,102 @@ def tall_instance(rng, n, s):
     B = rand_int_matrix(rng, s, m, -3, 3)
     C = X * B * X
     return block([[A, B], [C, D]]), X
+
+
+def dense_exchange(n, mode="exact"):
+    """J as a dense 0/1 matrix; n = 0 gives the empty matrix."""
+    return Matrix([[1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)],
+                  mode=mode, cols=n)
+
+
+def permutation_matrix(p, mode="exact"):
+    """The dense matrix P with P[i, p[i]] = 1, so that P M lists M's rows in order p."""
+    n = len(p)
+    return Matrix([[1 if j == p[i] else 0 for j in range(n)] for i in range(n)],
+                  mode=mode, cols=n)
+
+
+def dense_centro_transform(M, parity, s, X):
+    """Reference (Q, Q_inv, result): products by the dense Q = diag(I, XJ) (even) or
+    diag(I, 1, XJ) (odd) and Q_inv = diag(I, J X^-1) or diag(I, 1, J X^-1)."""
+    mode = M.mode
+    J = dense_exchange(s, mode)
+    X_inv = gauss_facts(X).inverse
+    ident = Matrix.identity(s, mode)
+    zero = Matrix.zeros(s, s, mode)
+    if parity == "even":
+        Q = block([[ident, zero], [zero, X * J]])
+        Q_inv = block([[ident, zero], [zero, J * X_inv]])
+    else:
+        one = Matrix.identity(1, mode)
+        zc, zr = Matrix.zeros(s, 1, mode), Matrix.zeros(1, s, mode)
+        Q = block([[ident, zc, zero], [zr, one, zr], [zero, zc, X * J]])
+        Q_inv = block([[ident, zc, zero], [zr, one, zr], [zero, zc, J * X_inv]])
+    return Q, Q_inv, Q_inv * M * Q
+
+
+def dense_embed(M, s, X):
+    """Reference (Q, Q_inv, result) of the principal-block embedding for rank X < s
+    or < n - s: Q1 = diag(S, T^-1) from the rank normal form, then the dense
+    interleaving L with row partition (r, r, a, b) against columns (r, a, r, b)."""
+    n = M.rows
+    mode = M.mode
+    nf = rank_normal_form(X)
+    r, T, S = nf.r, nf.T, nf.S
+
+    def zs(a_, b_):
+        return Matrix.zeros(a_, b_, mode)
+
+    Q1 = block([[S, zs(s, n - s)], [zs(n - s, s), inverse(T)]])
+    Q1_inv = block([[inverse(S), zs(s, n - s)], [zs(n - s, s), T]])
+    Mp = Q1_inv * M * Q1
+    a, b = s - r, n - s - r
+    Jr, Ja = dense_exchange(r, mode), dense_exchange(a, mode)
+    Ir, Ib = Matrix.identity(r, mode), Matrix.identity(b, mode)
+    L = block([
+        [Ir, zs(r, a), zs(r, r), zs(r, b)],
+        [zs(r, r), zs(r, a), Jr, zs(r, b)],
+        [zs(a, r), Ja, zs(a, r), zs(a, b)],
+        [zs(b, r), zs(b, a), zs(b, r), Ib],
+    ])
+    L_inv = block([
+        [Ir, zs(r, r), zs(r, a), zs(r, b)],
+        [zs(a, r), zs(a, r), Ja, zs(a, b)],
+        [zs(r, r), Jr, zs(r, a), zs(r, b)],
+        [zs(b, r), zs(b, r), zs(b, a), Ib],
+    ])
+    return Q1 * L_inv, L * Q1_inv, L * Mp * L_inv
+
+
+def dense_dilate_tall(M, s, X):
+    """Reference (Mhat, Q, Q_inv, result) of the dilation for a full-column-rank
+    X with s < n - s: the raw dilation conjugated by dense_centro_transform, then
+    moved to lead by the dense permutation P = [[0, I_n], [I_e, 0]]."""
+    n = M.rows
+    mode = M.mode
+    k, e = n - s, n - 2 * s
+    A, B = M.submatrix(0, s, 0, s), M.submatrix(0, s, s, n)
+    C, D = M.submatrix(s, n, 0, s), M.submatrix(s, n, s, n)
+    Y = _complete_rows(X.transpose(), None).transpose()
+    Xhat = hstack(Y, X)
+    A_stack = inverse(Xhat) * D * Y
+    B1 = hstack(*gauss_facts(X.transpose()).nullspace).transpose()
+    Ahat = block([[A_stack.submatrix(0, e, 0, e), Matrix.zeros(e, s, mode)],
+                  [A_stack.submatrix(e, k, 0, e), A]])
+    Mraw = block([[Ahat, vstack(B1, B)], [hstack(Y * B1 * Y + X * B * Y, C), D]])
+    Q_raw, Q_raw_inv, result = dense_centro_transform(Mraw, "even", k, Xhat)
+    P = block([[Matrix.zeros(n, e, mode), Matrix.identity(n, mode)],
+               [Matrix.identity(e, mode), Matrix.zeros(e, n, mode)]])
+    P_inv = block([[Matrix.zeros(e, n, mode), Matrix.identity(e, mode)],
+                   [Matrix.identity(n, mode), Matrix.zeros(n, e, mode)]])
+    return P * Mraw * P_inv, P * Q_raw, Q_raw_inv * P_inv, result
+
+
+def planted_transform_instance(rng, n):
+    """(M, parity, s, X) with M = Q C Q^-1 for a random centrosymmetric C and the
+    dense Q of a random invertible X at the center split, so X solves the split."""
+    parity, s = ("odd" if n % 2 else "even"), n // 2
+    C = rand_centrosymmetric(rng, n, -5, 5)
+    X = rand_invertible(rng, s, -3, 3)
+    Q, Q_inv, _ = dense_centro_transform(C, parity, s, X)
+    return Q * C * Q_inv, parity, s, X

@@ -231,6 +231,9 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     '{"rows": [["1", 1.5], ["2", "3"]]}',
     '{"rows": "abc"}',
     '{"rows": [[null, 1], [1, 2]]}',
+    pytest.param('{"rows": ' + "[" * 100_000 + "]" * 100_000 + "}", id="rows-nested-100000"),
+    pytest.param('{"rows": [["1"]], "note": ' + "[" * 5_000 + "]" * 5_000 + "}",
+                 id="other-key-nested-5000"),
 ])
 def test_malformed_matrix_is_one_line_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
@@ -386,3 +389,31 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
     # gen and alpha-scan still write their own output: a matrix and a CSV.
     assert set(json.loads(open(generated).read())) == {"rows"}
     assert open(scan).readline().startswith("alpha,")
+
+
+def test_each_check_runs_once_per_command(tmp_path, capsys, monkeypatch):
+    import centrosim.cli as cli
+    import centrosim.factorization as factorization
+    import centrosim.solver as solver
+
+    calls = []
+
+    def counted(module, name):
+        func = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (cli, factorization, solver):
+        for name in ("riccati_residual", "split_blocks", "is_centrosymmetric"):
+            if hasattr(module, name):
+                counted(module, name)
+    m = write(tmp_path, "m.json", [[1, -1], [1, -1]])
+    w = write(tmp_path, "w.json", [[1]])
+    code, _, _ = run(["factor-riccati", m, "--w", w, "--orientation", "lower"], capsys)
+    assert code == 0 and sorted(calls) == ["riccati_residual", "split_blocks"]
+    calls.clear()
+    code, _, _ = run(["factor-centro", write(tmp_path, "c.json", [[1, 2], [2, 1]])], capsys)
+    assert code == 0 and sorted(calls) == ["is_centrosymmetric", "split_blocks"]

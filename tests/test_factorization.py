@@ -88,6 +88,14 @@ def test_triangularize_rejects_nonzero_residual():
     assert exc.value.payload is not None
 
 
+@pytest.mark.parametrize("orientation", ["lower", "upper"])
+@pytest.mark.parametrize("func", [riccati_block_triangularize, riccati_det_factor])
+def test_riccati_functions_check_the_residual_on_their_own(func, orientation):
+    with pytest.raises(PreconditionError) as exc:
+        func(Matrix([[1, 2], [3, 4]]), 1, Matrix([[1]]), orientation)
+    assert exc.value.payload is not None
+
+
 def test_riccati_factor_counterexample():
     M = Matrix([[1, -1], [1, -1]])
     report = riccati_det_factor(M, 1, Matrix([[1]]), "lower")

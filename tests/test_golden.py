@@ -118,7 +118,7 @@ CASES = {
 
 
 def run_case(name, directory):
-    """stdout of main on case name, its input files written under directory."""
+    """Run main on case name, its input files written under directory."""
     argv, files = CASES[name]
     paths = {}
     for key, obj in files.items():

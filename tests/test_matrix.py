@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrosim import (APPROX, EXACT, CentrosimError, DimensionError, Matrix, ModeError,
-                       assemble_blocks, block, blocks_centrosymmetric,
+                       assemble_blocks, block, block_diag, blocks_centrosymmetric,
                        commutes_with_exchange, exchange_matrix, gauss_facts, hstack,
                        is_centrosymmetric, matrix_from_json_obj,
                        matrix_to_json_obj, rank_normal_form, solve_linear, split_blocks,
                        vstack)
-from oracles import fraction_matmul, rand_centrosymmetric, rand_int_matrix
+from oracles import (fraction_matmul, permutation_matrix, rand_centrosymmetric,
+                     rand_int_matrix)
 
 
 def test_exchange_matrix_size_one():
@@ -287,3 +288,41 @@ def test_internal_results_hold_only_field_elements(mode, kind):
             *basis, nf.T, nf.S, solve_linear(A, b)[0]]
     assert singular.nullspace and basis
     assert {type(v) for v in _entries(*mats)} == {kind}
+
+
+def _index_map(n):
+    """A permutation of range(n), the reversal (J's index map) drawn often."""
+    return st.one_of(st.just(list(range(n))[::-1]), st.permutations(range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_take_equals_the_product_by_permutation_matrices(data):
+    mode = data.draw(st.sampled_from([EXACT, APPROX]))
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    entries = (st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**4)
+               if mode == EXACT else st.floats(allow_nan=False, allow_infinity=False))
+    M = Matrix([[data.draw(entries) for _ in range(cols)] for _ in range(rows)],
+               mode=mode, cols=cols)
+    p, q = data.draw(_index_map(rows)), data.draw(_index_map(cols))
+    P, Q = permutation_matrix(p, mode), permutation_matrix(q, mode)
+    # Exact entries are the same Fractions; approximate ones equal floats, since
+    # a dense float sum can turn -0.0 into 0.0 and == does not tell them apart.
+    assert M.take(p, q) == P * M * Q.transpose()
+    assert M.take(p, range(cols)) == P * M
+    assert M.take(range(rows), q) == M * Q.transpose()
+
+
+def test_take_repeats_and_drops_indices():
+    M = Matrix([[1, 2, 3], [4, 5, 6]])
+    assert M.take([1, 1], [2, 0]) == Matrix([[6, 4], [6, 4]])
+    assert M.take([], [0]).shape == (0, 1)
+
+
+def test_block_diag():
+    A = Matrix([[1, 2]])
+    B = Matrix([[3], [4]])
+    assert block_diag(A, Matrix.identity(0), B) == Matrix([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
+    assert block_diag(Matrix.identity(1, APPROX)).mode == APPROX
+    with pytest.raises(ModeError):
+        block_diag(A, Matrix([[1.0]]))

@@ -9,9 +9,9 @@ from centrosim import (APPROX, CentrosimError, Matrix, PreconditionError, RankEr
                        exchange_matrix, inverse,
                        is_centrosymmetric, linear_toeplitz, rank)
 from centrosim.transforms import _check_conjugation
-from oracles import (embedding_instance, rand_centrosymmetric,
-                     rand_int_matrix, rand_invertible, tall_instance,
-                     wide_instance)
+from oracles import (dense_centro_transform, dense_dilate_tall, dense_embed,
+                     embedding_instance, planted_transform_instance, rand_centrosymmetric,
+                     rand_int_matrix, rand_invertible, tall_instance, wide_instance)
 
 
 def assert_report_verifies(M, report):
@@ -229,3 +229,50 @@ def test_dilate_orthonormal_rows_gives_orthogonal_q():
     assert QtQ.eq(Matrix.identity(4, APPROX), 1e-9)
     assert Mhat.submatrix(0, 3, 0, 3).eq(M, 1e-9)
     assert is_centrosymmetric(report.result, 1e-9)
+
+
+def _approx(M):
+    return Matrix([[float(v) for v in r] for r in M.to_lists()], mode=APPROX, cols=M.cols)
+
+
+@pytest.mark.parametrize("approx", [False, True])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_build_matches_the_dense_product_by_q(n, approx):
+    rng = random.Random(600 + n)
+    for _ in range(4):
+        M, parity, s, X = planted_transform_instance(rng, n)
+        if approx:
+            M, X = _approx(M), _approx(X)
+        report = build_centro_transform(M, parity, s, X)
+        # Approximate entries may differ from the dense products only in the sign
+        # of a zero, which == ignores.
+        assert (report.Q, report.Q_inv, report.result) == dense_centro_transform(M, parity, s, X)
+
+
+@pytest.mark.parametrize("s,m,r", [(1, 2, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1), (2, 3, 1),
+                                   (3, 3, 1), (3, 3, 2), (2, 4, 2), (4, 2, 2), (3, 4, 2)])
+def test_embed_matches_the_dense_interleaving(s, m, r):
+    rng = random.Random(610 + 100 * s + 10 * m + r)
+    for _ in range(3):
+        M, X = embedding_instance(rng, s, m, r)
+        report = embed_centro_principal(M, s, X)
+        assert (report.Q, report.Q_inv, report.result) == dense_embed(M, s, X)
+
+
+@pytest.mark.parametrize("n,s", [(3, 1), (4, 1), (5, 1), (5, 2), (6, 2), (7, 2), (7, 3)])
+def test_tall_dilation_matches_the_dense_permutation(n, s):
+    rng = random.Random(620 + 10 * n + s)
+    for _ in range(3):
+        M, X = tall_instance(rng, n, s)
+        Mhat, _, report = dilate_to_centrosimilar(M, s, X)
+        assert (Mhat, report.Q, report.Q_inv, report.result) == dense_dilate_tall(M, s, X)
+
+
+@pytest.mark.parametrize("n,s", [(3, 2), (4, 3), (5, 3), (5, 4), (7, 4)])
+def test_wide_dilation_matches_the_dense_product_by_q(n, s):
+    rng = random.Random(630 + 10 * n + s)
+    for _ in range(3):
+        M, X = wide_instance(rng, n, s)
+        Mhat, Xhat, report = dilate_to_centrosimilar(M, s, X)
+        expected = dense_centro_transform(Mhat, "even", s, Xhat)
+        assert (report.Q, report.Q_inv, report.result) == expected
