@@ -303,8 +303,21 @@ def _add_common(p, split=True):
                        help="split index s (default: center split)")
 
 
+class _UsageError(Exception):
+    """A malformed command line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError on bad arguments, where argparse would print the usage
+    and exit 2, the exit code of a negative verdict; subcommand parsers are
+    built from the same class."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="centrosim",
         description="Decide, construct and verify similarity to centrosymmetric matrices.")
     # gen and alpha-scan write their own --output (a matrix, a CSV); the
@@ -399,10 +412,10 @@ _shared_parser = functools.cache(build_parser)
 
 
 def main(argv=None):
-    args = _shared_parser().parse_args(argv)
     try:
+        args = _shared_parser().parse_args(argv)
         code, payload, summary = args.func(args)
-    except (CentrosimError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (_UsageError, CentrosimError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = {"schema": SCHEMA, "command": args.command, "mode": args.mode or EXACT,

@@ -15,10 +15,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .errors import DimensionError, PreconditionError
-from .linalg import gauss_facts, solve_linear
-from .matrix import APPROX, EXACT, BlockPartition, Matrix, _exchange, _field, split_blocks
+from .linalg import _nullspace_from_rref, _rref_exact, gauss_facts, solve_linear
+from .matrix import (APPROX, EXACT, BlockPartition, Matrix, _clear_denominators, _exchange,
+                     _field, split_blocks)
 
 
 def default_grid_values(numer_max=5, denom_max=3):
@@ -91,29 +93,115 @@ class IntertwinerSearch:
 
 
 def intertwiner_space(A, D, tol=None):
-    """Basis of {X : XA = DX} via the vectorized homogeneous system."""
+    """Basis of {X : XA = DX}: the canonical kernel basis of the vectorized system."""
     if not A.is_square or not D.is_square:
         raise DimensionError("intertwiner space needs square A and D")
+    basis = _sylvester_space(A, D, tol=tol)[1]
+    if A.mode == APPROX:
+        # Exact mode re-checked each one inside _sylvester_space.
+        for N in basis:
+            if not (N * A - D * N).is_zero(tol):
+                raise PreconditionError("nullspace vector fails XA = DX re-check",
+                                        payload=N)
+    return basis
+
+
+def _linear_stage(bp, tol):
+    """Affine solution set of all linear constraints on X.
+
+    Even parity: the homogeneous Sylvester system alone.  Odd parity folds in
+    the center conditions w = X x and y = z X, which are inhomogeneous.
+    """
+    center = (bp.x, bp.w, bp.z, bp.y) if bp.parity == "odd" else None
+    return _sylvester_space(bp.A, bp.D, center, tol)
+
+
+def _sylvester_space(A, D, center=None, tol=None):
+    """(particular or None, basis) of XA = DX, and of X x = w, z X = y as well
+    when center = (x, w, z, y).
+
+    Both are the ones elimination on the vectorized system gives: for each
+    free column of row-major vec(X), ascending, the basis matrix that is 1
+    there and 0 at the other free columns, and a particular solution that is 0
+    at every free column (None when the system is inconsistent).  Exact mode
+    reaches them by the Krylov reduction of D when a unit vector is cyclic for
+    D, by elimination otherwise, and re-checks each one by multiplication;
+    approximate mode eliminates.
+    """
+    if A.mode == APPROX:
+        return _eliminate(A, D, center, tol)
+    # XA = DX is unchanged when A and D are scaled by the lcm of their denominators.
+    scale = _lcm_denominators(A, D)
+    a = _int_rows(A, scale)
+    d = _int_rows(D, scale)
+    space = _krylov_space(a, d, center) or _eliminate(A, D, center, tol)
+    _recheck(a, d, center, *space)
+    return space
+
+
+def _recheck(a, d, center, particular, basis):
+    """Raise PreconditionError unless every basis matrix N solves the homogeneous
+    system (NA = DN, and N x = 0, z N = 0 under center) and the particular
+    solution P the full one (PA = DP, and P x = w, z P = y under center).
+
+    NA = DN is compared over the integers: a and d are the rows of A and D
+    times one common scale, and N is scaled by the lcm of its denominators.
+    """
+    a_cols = list(zip(*a))
+
+    def solves(X, homogeneous):
+        x_int = _int_rows(X, _lcm_denominators(X))
+        x_cols = list(zip(*x_int))
+        if ([[sum(map(mul, row, col)) for col in a_cols] for row in x_int]
+                != [[sum(map(mul, row, col)) for col in x_cols] for row in d]):
+            return False
+        if center is None:
+            return True
+        x, w, z, y = center
+        if homogeneous:
+            return (X * x).is_zero() and (z * X).is_zero()
+        return X * x == w and z * X == y
+
+    for N in basis:
+        if not solves(N, True):
+            raise PreconditionError("nullspace vector fails XA = DX re-check", payload=N)
+    if particular is not None and not solves(particular, False):
+        raise PreconditionError("particular solution fails the linear-stage re-check",
+                                payload=particular)
+
+
+def _eliminate(A, D, center, tol):
+    """_sylvester_space by Gauss-Jordan on the s*m-unknown vectorized system."""
     s = A.rows
     m = D.rows
-    K = Matrix._trusted(_sylvester_rows(A, D), A.mode, m * s)
-    facts = gauss_facts(K, tol)
-    basis = tuple(_unvec(v, m, s) for v in facts.nullspace)
-    # Each basis element is re-verified by an explicit multiplication.
-    for N in basis:
-        if not (N * A - D * N).is_zero(tol):
-            raise PreconditionError("nullspace vector fails XA = DX re-check",
-                                    payload=N)
-    return basis
+    n_unknowns = m * s
+    zero = _field(A.mode).zero
+    rows = _sylvester_rows(A, D)
+    rhs = [zero] * len(rows)
+    if center is not None:
+        x, w, z, y = center
+        for p in range(m):
+            row = [zero] * n_unknowns
+            for j in range(s):
+                row[_vec_index(p, j, s)] = x[j, 0]
+            rows.append(row)
+            rhs.append(w[p, 0])
+        for q in range(s):
+            row = [zero] * n_unknowns
+            for i in range(m):
+                row[_vec_index(i, q, s)] = z[0, i]
+            rows.append(row)
+            rhs.append(y[0, q])
+    K = Matrix._trusted(rows, A.mode, n_unknowns)
+    b = Matrix._trusted([(v,) for v in rhs], A.mode, 1)
+    particular, basis = solve_linear(K, b, tol)
+    if particular is not None:
+        particular = _unvec(particular.col(0), m, s, A.mode)
+    return particular, tuple(_unvec(v.col(0), m, s, A.mode) for v in basis)
 
 
 def _vec_index(i, j, s):
     return i * s + j
-
-
-def _unvec(col, m, s):
-    v = col.col(0)
-    return Matrix._trusted([v[i * s:(i + 1) * s] for i in range(m)], col.mode, s)
 
 
 def _sylvester_rows(A, D):
@@ -133,38 +221,107 @@ def _sylvester_rows(A, D):
     return rows
 
 
-def _linear_stage(bp, tol):
-    """Affine solution set of all linear constraints on X.
+def _lcm_denominators(*mats):
+    return math.lcm(*[v.denominator for M in mats for i in range(M.rows) for v in M.row(i)])
 
-    Even parity: the homogeneous Sylvester system alone.  Odd parity folds in
-    the center conditions w = X x and y = z X, which are inhomogeneous.
+
+def _int_rows(M, scale):
+    """The rows of scale * M as integers; scale is a multiple of every denominator."""
+    return [[v.numerator * (scale // v.denominator) for v in M.row(i)] for i in range(M.rows)]
+
+
+def _krylov_space(a, d, center):
+    """Exact _sylvester_space through a cyclic unit vector of D; None when D has none.
+
+    If T = [v, Dv, ..., D^(m-1) v] is invertible and f(t) = t^m + sum c_p t^p is
+    the characteristic polynomial of D (so D^m v = -sum c_p D^p v), then X = T Y
+    solves XA = DX exactly when the rows of Y are y_p = z h_p(A), with
+    h_(m-1) = I and h_(p-1) = h_p A + c_p I, for a row z with z f(A) = 0: the
+    companion-form solution of Gantmacher, The Theory of Matrices, vol. 1,
+    ch. VIII.  a and d are the rows of A and D times one common scale, so all
+    of this runs over the integers, in O(s^4) operations plus an s x s
+    nullspace instead of elimination on s*m unknowns.
     """
-    A, D = bp.A, bp.D
-    s = A.rows
-    m = D.rows
-    n_unknowns = m * s
-    zero = _field(A.mode).zero
-    rows = _sylvester_rows(A, D)
-    rhs = [zero] * len(rows)
-    if bp.parity == "odd":
-        for p in range(s):
-            row = [zero] * n_unknowns
-            for j in range(s):
-                row[_vec_index(p, j, s)] = bp.x[j, 0]
-            rows.append(row)
-            rhs.append(bp.w[p, 0])
-        for q in range(s):
-            row = [zero] * n_unknowns
-            for i in range(s):
-                row[_vec_index(i, q, s)] = bp.z[0, i]
-            rows.append(row)
-            rhs.append(bp.y[0, q])
-    K = Matrix._trusted(rows, A.mode, n_unknowns)
-    b = Matrix._trusted([(v,) for v in rhs], A.mode, 1)
-    particular, basis = solve_linear(K, b, tol)
-    if particular is not None:
-        particular = _unvec(particular, m, s)
-    return particular, tuple(_unvec(v, m, s) for v in basis)
+    s, m = len(a), len(d)
+    for i in range(m):
+        krylov = [[int(k == i) for k in range(m)]]
+        for _ in range(m):
+            krylov.append([sum(map(mul, row, krylov[-1])) for row in d])
+        # [T | -D^m v]: T is invertible iff e_i is cyclic, and then solves to c.
+        aug = [[vec[r] for vec in krylov[:m]] + [-krylov[m][r]] for r in range(m)]
+        if len(_rref_exact(aug, m)) == m:
+            break
+    else:
+        return None
+    c = [row[m].numerator for row in aug]
+    a_cols = list(zip(*a))
+    f_of_a = [[int(j == k) for k in range(s)] for j in range(s)]
+    for p in reversed(range(m)):
+        f_of_a = [[sum(map(mul, row, col)) + (c[p] if j == k else 0)
+                   for k, col in enumerate(a_cols)] for j, row in enumerate(f_of_a)]
+    # The rows z with z f(A) = 0: the nullspace of f(A) transposed.
+    ft = [list(col) for col in zip(*f_of_a)]
+    pivots = _rref_exact(ft, s)
+    t_rows = list(zip(*krylov[:m]))
+    vecs = []
+    for z in _clear_denominators(v.col(0) for v in _nullspace_from_rref(ft, pivots, s, EXACT))[0]:
+        ys = [z]
+        for p in range(m - 1, 0, -1):
+            ys.append([sum(map(mul, ys[-1], col)) + c[p] * zj for col, zj in zip(a_cols, z)])
+        y_cols = list(zip(*ys[::-1]))
+        vecs.append([sum(map(mul, t, yc)) for t in t_rows for yc in y_cols])
+    return _canonical_space(vecs, m, s, center)
+
+
+def _canonical_space(vecs, m, s, center):
+    """(particular or None, basis) in the canonical form of _sylvester_space, from
+    the row-major vec(X) of a basis of the Sylvester space.
+
+    Both come from one canonical basis of the pairs (X, tau) with XA = DX and,
+    under center, X x = tau w and z X = tau y.  Column tau is free exactly when
+    the system is consistent, and its basis vector is then (particular, 1).
+    """
+    n = m * s
+    if center is None:
+        vecs = [v + [0] for v in vecs] + [[0] * n + [1]]
+    else:
+        # Over X = sum t_k N_k the center conditions are m + s equations in (t, tau),
+        # each scaled to integers.
+        x, w, z, y = center
+        scale = _lcm_denominators(x, w)
+        x_int = [r[0] for r in _int_rows(x, scale)]
+        rows = [[sum(map(mul, v[p * s:(p + 1) * s], x_int)) for v in vecs] + [-r[0]]
+                for p, r in enumerate(_int_rows(w, scale))]
+        scale = _lcm_denominators(z, y)
+        z_int = _int_rows(z, scale)[0]
+        rows += [[sum(map(mul, v[q::s], z_int)) for v in vecs] + [-yq]
+                 for q, yq in enumerate(_int_rows(y, scale)[0])]
+        pivots = _rref_exact(rows, len(vecs) + 1)
+        ts = _clear_denominators(u.col(0) for u in
+                                 _nullspace_from_rref(rows, pivots, len(vecs) + 1, EXACT))[0]
+        cols = list(zip(*vecs)) if vecs else [()] * n
+        vecs = [[sum(map(mul, t, col)) for col in cols] + [t[-1]] for t in ts]
+    basis = _reduce(vecs, n + 1)
+    particular = _unvec(basis.pop(), m, s) if basis and basis[-1][n] else None
+    return particular, tuple(_unvec(b, m, s) for b in basis)
+
+
+def _reduce(vecs, n):
+    """The canonical basis of span(vecs), by free column ascending.
+
+    RREF with the columns reversed puts each pivot at the last nonzero entry a
+    vector of the span can have: exactly the free columns of any system whose
+    kernel is the span, so each row is that kernel's basis vector for its
+    free column, 1 there and 0 at the others.
+    """
+    rows = [v[::-1] for v in vecs]
+    rank_ = len(_rref_exact(rows, n))
+    return [rows[k][::-1] for k in reversed(range(rank_))]
+
+
+def _unvec(v, m, s, mode=EXACT):
+    """The m x s matrix whose row-major entries are v[:m*s]."""
+    return Matrix._trusted([v[i * s:(i + 1) * s] for i in range(m)], mode, s)
 
 
 def system_residuals(bp, X, tol=None):

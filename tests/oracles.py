@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 from centrosim import (Matrix, block, exchange_matrix, gauss_facts, hstack, inverse,
-                       rank_normal_form, vstack)
+                       rank_normal_form, solve_linear, vstack)
 from centrosim.transforms import _complete_rows
 
 
@@ -123,6 +123,25 @@ def kron(A, B):
                     row.append(A[i, j] * B[p, q])
             rows.append(row)
     return Matrix(rows, mode=A.mode, cols=A.cols * B.cols)
+
+
+def vectorized_sylvester_space(A, D, center=None):
+    """(particular or None, basis) of XA = DX (and X x = w, z X = y for
+    center = (x, w, z, y)) by solve_linear on the explicit Kronecker system
+    over row-major vec(X): vec(XA) = (I (x) A^T) vec(X), vec(DX) = (D (x) I) vec(X)."""
+    s, m = A.rows, D.rows
+    K = kron(Matrix.identity(m), A.transpose()) - kron(D, Matrix.identity(s))
+    b = Matrix.zeros(m * s, 1)
+    if center is not None:
+        x, w, z, y = center
+        K = vstack(K, kron(Matrix.identity(m), x.transpose()), kron(z, Matrix.identity(s)))
+        b = vstack(b, w, y.transpose())
+    particular, basis = solve_linear(K, b)
+
+    def unvec(v):
+        return Matrix([[v[i * s + j, 0] for j in range(s)] for i in range(m)], cols=s)
+
+    return (None if particular is None else unvec(particular)), tuple(map(unvec, basis))
 
 
 def rand_int_matrix(rng, rows, cols, lo=-9, hi=9):

@@ -417,3 +417,37 @@ def test_each_check_runs_once_per_command(tmp_path, capsys, monkeypatch):
     calls.clear()
     code, _, _ = run(["factor-centro", write(tmp_path, "c.json", [[1, 2], [2, 1]])], capsys)
     assert code == 0 and sorted(calls) == ["is_centrosymmetric", "split_blocks"]
+
+
+USAGE_ERRORS = {
+    "missing-matrix": ["solve"],
+    "unknown-command": ["frobnicate"],
+    "bad-int": ["solve", "{m}", "--d-max", "abc"],
+    "bad-choice": ["certify-singular", "{m}", "--w", "{m}", "--system", "5"],
+    "unknown-flag": ["check", "{m}", "--frobnicate"],
+}
+
+
+def _usage_argv(tmp_path, name):
+    m = write(tmp_path, "m.json", [[1, 2], [2, 1]])
+    return [a.format(m=m) for a in USAGE_ERRORS[name]]
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_one_with_one_error_line(tmp_path, capsys, name):
+    # argparse alone would print its usage block and exit 2, the negative-verdict code.
+    assert_one_line_error(*run(_usage_argv(tmp_path, name), capsys))
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_one_in_a_fresh_process(tmp_path, name):
+    assert_one_line_error(*_fresh_main(_usage_argv(tmp_path, name)))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+    code, out, err = _fresh_main(argv)
+    assert code == 0 and "usage:" in out and err == ""

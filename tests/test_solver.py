@@ -1,17 +1,20 @@
+import json
 import random
 from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from centrosim import (APPROX, EXACT, Matrix, PreconditionError, SearchOptions, block,
-                       default_grid_values, exchange_matrix, find_intertwiner,
-                       gauss_facts, intertwiner_space, linear_toeplitz,
+                       block_diag, default_grid_values, exchange_matrix, find_intertwiner,
+                       gauss_facts, hstack, intertwiner_space, linear_toeplitz,
                        riccati_residual, singular_certificate, solve_linear, solver,
                        split_blocks)
-from oracles import exhaustive_grid_hits, kron, rand_centrosymmetric, rand_int_matrix
+from centrosim.cli import main
+from oracles import (exhaustive_grid_hits, kron, rand_centrosymmetric, rand_int_matrix,
+                     vectorized_sylvester_space)
 
 SMALL_GRID = tuple(Fraction(v) for v in
                    ("-2", "-1", "-1/2", "0", "1/2", "1", "2"))
@@ -376,3 +379,232 @@ def test_grid_search_last_coordinate_roots(b, c, grid_hits):
     assert [(X[0, 0], X[1, 1]) for X in hits] == grid_hits
     assert hits == _grid_hits(exhaustive_grid_hits, M, 2, opts)
     assert find_intertwiner(M, "even", 2, opts) == _search_with(exhaustive_grid_hits, M, 2, opts)
+
+
+def _ints(A, D):
+    scale = solver._lcm_denominators(A, D)
+    return solver._int_rows(A, scale), solver._int_rows(D, scale)
+
+
+def _cyclic_units(D):
+    """The i for which e_i is a cyclic vector of D: its Krylov matrix has full rank."""
+    m = D.rows
+    out = []
+    for i in range(m):
+        cols = [Matrix([[int(k == i)] for k in range(m)], cols=1)]
+        for _ in range(m - 1):
+            cols.append(D * cols[-1])
+        if gauss_facts(hstack(*cols)).rank == m:
+            out.append(i)
+    return out
+
+
+RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+
+
+def _draw_matrix(draw, rows, cols, entries=st.integers(-3, 3)):
+    return Matrix([[draw(entries) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def _draw_conjugate(draw, T):
+    """S T S^-1 for a random unimodular S = L U."""
+    n = T.rows
+    L = Matrix([[1 if i == j else draw(st.integers(-2, 2)) if i > j else 0
+                 for j in range(n)] for i in range(n)], cols=n)
+    U = Matrix([[1 if i == j else draw(st.integers(-2, 2)) if i < j else 0
+                 for j in range(n)] for i in range(n)], cols=n)
+    S = L * U
+    return S * T * gauss_facts(S).inverse
+
+
+def _draw_triangular(draw, diag):
+    """Upper triangular with the given diagonal and small random entries above it."""
+    n = len(diag)
+    return Matrix([[diag[i] if i == j else draw(st.integers(-2, 2)) if i < j else 0
+                    for j in range(n)] for i in range(n)], cols=n)
+
+
+def _jordan(lam, k):
+    return Matrix([[lam if i == j else 1 if j == i + 1 else 0 for j in range(k)]
+                   for i in range(k)], cols=k)
+
+
+@st.composite
+def sylvester_cases(draw):
+    """(kind, A, D, center, cyclic): cyclic says whether a unit vector is cyclic for D
+    (None when the construction leaves it open)."""
+    kind = draw(st.sampled_from(["random", "shared", "derogatory", "late-cyclic"]))
+    s = draw(st.integers(1, 4))
+    cyclic = None
+    if kind == "random":
+        m = draw(st.integers(1, 4))
+        A = _draw_matrix(draw, s, s, RATIONALS)
+        D = _draw_matrix(draw, m, m, RATIONALS)
+    elif kind == "shared":
+        # A and D share at least one eigenvalue, so XA = DX has a nonzero solution.
+        m = draw(st.integers(1, 4))
+        eig_a = draw(st.lists(st.integers(-3, 3), min_size=s, max_size=s))
+        eig_d = draw(st.lists(st.sampled_from(eig_a), min_size=1, max_size=m))
+        eig_d += draw(st.lists(st.integers(-3, 3), min_size=m - len(eig_d),
+                               max_size=m - len(eig_d)))
+        A = _draw_conjugate(draw, _draw_triangular(draw, eig_a))
+        D = _draw_conjugate(draw, _draw_triangular(draw, eig_d))
+    elif kind == "derogatory":
+        # Two Jordan blocks of one eigenvalue: no vector is cyclic.
+        m = draw(st.integers(2, 4))
+        lam = draw(st.integers(-2, 2))
+        form = draw(st.sampled_from(["scalar", "zero", "jordan"]))
+        if form == "scalar":
+            D = lam * Matrix.identity(m)
+        elif form == "zero":
+            D = Matrix.zeros(m, m)
+        else:
+            D = _draw_conjugate(draw, block_diag(_jordan(lam, m - m // 2), _jordan(lam, m // 2)))
+        eig = D[0, 0] if form != "jordan" else lam
+        A = _draw_conjugate(draw, _draw_triangular(
+            draw, [eig] + draw(st.lists(st.integers(-3, 3), min_size=s - 1, max_size=s - 1))))
+        cyclic = False
+    else:
+        # e_0 is an eigenvector of D, so not cyclic; some later e_i is.
+        m = draw(st.integers(2, 4))
+        lam = draw(st.integers(-2, 2))
+        D = Matrix([[lam if i == j == 0 else 0 if j == 0 else draw(st.integers(-3, 3))
+                     for j in range(m)] for i in range(m)], cols=m)
+        units = _cyclic_units(D)
+        assume(units and units[0] > 0)
+        A = _draw_conjugate(draw, _draw_triangular(
+            draw, [lam] + draw(st.lists(st.integers(-3, 3), min_size=s - 1, max_size=s - 1))))
+        cyclic = True
+    center = None
+    if draw(st.booleans()):
+        # A zero x or z drops those conditions, so solutions with free columns remain.
+        degenerate = draw(st.sampled_from(["x", "z", None, None]))
+        x = Matrix.zeros(s, 1) if degenerate == "x" else _draw_matrix(draw, s, 1)
+        z = Matrix.zeros(1, m) if degenerate == "z" else _draw_matrix(draw, 1, m)
+        if draw(st.booleans()):
+            # Consistent: w and y come from a planted solution X0 of XA = DX.
+            X0 = Matrix.zeros(m, s)
+            for N in vectorized_sylvester_space(A, D)[1]:
+                X0 = X0 + draw(st.integers(-2, 2)) * N
+            w, y = X0 * x, z * X0
+        else:
+            w = _draw_matrix(draw, m, 1)
+            y = _draw_matrix(draw, 1, s)
+        center = (x, w, z, y)
+    return kind, A, D, center, cyclic
+
+
+@settings(max_examples=250, deadline=None)
+@given(sylvester_cases())
+def test_sylvester_space_matches_the_vectorized_oracle(case):
+    kind, A, D, center, cyclic = case
+    expected = vectorized_sylvester_space(A, D, center)
+    particular, basis = expected
+    if kind == "shared" and center is None:
+        assert basis
+    krylov = solver._krylov_space(*_ints(A, D), center)
+    event(f"{kind}; {'fallback' if krylov is None else 'krylov'}; "
+          f"{'no center' if center is None else 'inconsistent' if particular is None else 'consistent'}"
+          f"{'' if particular is None or particular.is_zero() else ' nonzero'}"
+          f"; dimension {'0' if not basis else '>0'}")
+    if cyclic is not None:
+        assert (krylov is not None) == cyclic
+    if krylov is not None:
+        assert krylov == expected
+    assert solver._sylvester_space(A, D, center) == expected
+    if center is None:
+        assert intertwiner_space(A, D) == basis
+        assert particular == Matrix.zeros(D.rows, A.rows)
+
+
+def test_krylov_particular_is_zero_at_the_free_columns():
+    # X is 1 x 3 and free but for X[0, 0] + X[0, 1] = 5: free columns 1 and 2.
+    A, D = 2 * Matrix.identity(3), Matrix([[2]])
+    center = (Matrix([[1], [1], [0]]), Matrix([[5]]), Matrix([[0]]), Matrix([[0, 0, 0]]))
+    space = solver._krylov_space(*_ints(A, D), center)
+    assert space == vectorized_sylvester_space(A, D, center)
+    assert space[0] == Matrix([[5, 0, 0]])
+    assert space[1] == (Matrix([[-1, 1, 0]]), Matrix([[0, 0, 1]]))
+
+
+def test_linear_stage_matches_the_oracle_in_both_parities():
+    for M, parity, s in ((linear_toeplitz(Fraction(3), 4), "even", 2),
+                         (Matrix([[2, 1, 1], [1, 5, 1], [1, 1, 2]]), "odd", 1),
+                         (Matrix([[1, 0, 2], [3, 7, 4], [5, 1, 1]]), "odd", 1)):
+        bp = split_blocks(M, parity, s)
+        center = (bp.x, bp.w, bp.z, bp.y) if parity == "odd" else None
+        assert solver._linear_stage(bp, None) == vectorized_sylvester_space(bp.A, bp.D, center)
+
+
+def _counting_eliminate(monkeypatch):
+    calls = []
+    eliminate = solver._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+    monkeypatch.setattr(solver, "_eliminate", counted)
+    return calls
+
+
+def test_scalar_d_takes_the_elimination_fallback(monkeypatch):
+    A = Matrix([[3, 1], [0, 2]])
+    D = 3 * Matrix.identity(2)
+    calls = _counting_eliminate(monkeypatch)
+    assert solver._krylov_space(*_ints(A, D), None) is None
+    space = solver._sylvester_space(A, D)
+    assert len(calls) == 1 and len(space[1]) == 2
+    assert space == vectorized_sylvester_space(A, D)
+
+
+def test_a_cyclic_unit_vector_never_eliminates(monkeypatch):
+    calls = _counting_eliminate(monkeypatch)
+    # e_0 is an eigenvector of D; e_1 is cyclic.
+    A, D = Matrix([[1, 0], [1, 3]]), Matrix([[1, 1], [0, 2]])
+    assert solver._sylvester_space(A, D) == vectorized_sylvester_space(A, D)
+    find_intertwiner(linear_toeplitz(Fraction(3), 4), "even", 2)
+    assert calls == []
+
+
+def _plus_e00(N):
+    return N + Matrix([[int(i == j == 0) for j in range(N.cols)] for i in range(N.rows)],
+                      cols=N.cols)
+
+
+def _corrupting(monkeypatch, name, part):
+    """Patch solver.name so that its first basis matrix (or its particular
+    solution) gains 1 in entry (0, 0)."""
+    func = getattr(solver, name)
+
+    def corrupted(*args):
+        space = func(*args)
+        if space is None:
+            return None
+        particular, basis = space
+        if part == "basis":
+            return particular, (_plus_e00(basis[0]),) + basis[1:]
+        return _plus_e00(particular), basis
+    monkeypatch.setattr(solver, name, corrupted)
+
+
+@pytest.mark.parametrize("name, part, rows, odd", [
+    ("_krylov_space", "basis", [[3, 2, 1, 0], [4, 3, 2, 1], [5, 4, 3, 2], [6, 5, 4, 3]], False),
+    ("_eliminate", "basis", [[3, 1, 1, 0], [0, 2, 0, 1], [1, 0, 3, 0], [0, 1, 0, 3]], False),
+    ("_krylov_space", "particular", [[2, 1, 1], [1, 5, 1], [1, 1, 2]], True),
+])
+def test_a_corrupted_linear_stage_raises_and_is_never_reported(monkeypatch, tmp_path, capsys,
+                                                               name, part, rows, odd):
+    M = Matrix(rows)
+    parity, s = ("odd", 1) if odd else ("even", 2)
+    bp = split_blocks(M, parity, s)
+    _corrupting(monkeypatch, name, part)
+    with pytest.raises(PreconditionError, match="re-check"):
+        find_intertwiner(M, parity, s)
+    if not odd:
+        with pytest.raises(PreconditionError, match="re-check"):
+            intertwiner_space(bp.A, bp.D)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": rows}))
+    code = main(["solve", str(path)] + (["--odd"] if odd else []))
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
