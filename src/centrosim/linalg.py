@@ -93,16 +93,30 @@ def _rref(a, n_cols, mode, threshold):
 
 
 def _rref_exact(a, n_cols):
-    """Fraction-free Gauss-Jordan on the cleared-denominator rows (Bareiss 1968).
+    """Gauss-Jordan on the cleared-denominator rows by _gauss_jordan_int; dividing
+    by the last pivot (and, for the rows past the rank, by their own scale)
+    gives the Fraction RREF."""
+    rows, scales = _clear_denominators(a)
+    pivots, prev = _gauss_jordan_int(rows, n_cols, scales)
+    r = len(pivots)
+    zero = Fraction(0)
+    for i, row in enumerate(rows):
+        d = prev if i < r else prev * scales[i]
+        a[i] = [Fraction(x, d) if x else zero for x in row]
+    return pivots
+
+
+def _gauss_jordan_int(rows, n_cols, scales=None):
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on integer rows, in place.
 
     After each pivot step every row is the current pivot value times the same
     row of Fraction Gauss-Jordan with the same pivots, so all pivots share one
     value and every entry is a minor of the integer matrix: each floor
-    division below is exact.  Dividing by the last pivot (and, for the rows
-    past the rank, by their own scale) gives the Fraction RREF.
+    division below is exact.  Returns the pivot columns and the last pivot
+    value prev (1 if none): pivot row k ends as prev times RREF row k.  Row
+    swaps are applied to scales too, when given.
     """
-    m = len(a)
-    rows, scales = _clear_denominators(a)
+    m = len(rows)
     pivots = []
     prev = 1
     r = 0
@@ -114,7 +128,8 @@ def _rref_exact(a, n_cols):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            scales[r], scales[piv] = scales[piv], scales[r]
+            if scales is not None:
+                scales[r], scales[piv] = scales[piv], scales[r]
         row_r = rows[r]
         pk = row_r[c]
         for i in range(m):
@@ -129,11 +144,7 @@ def _rref_exact(a, n_cols):
         prev = pk
         pivots.append(c)
         r += 1
-    zero = Fraction(0)
-    for i, row in enumerate(rows):
-        d = prev if i < r else prev * scales[i]
-        a[i] = [Fraction(x, d) if x else zero for x in row]
-    return pivots
+    return pivots, prev
 
 
 def _rref_approx(a, n_cols, threshold):

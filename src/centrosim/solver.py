@@ -18,9 +18,8 @@ from itertools import product
 from operator import mul
 
 from .errors import DimensionError, PreconditionError
-from .linalg import _nullspace_from_rref, _rref_exact, gauss_facts, solve_linear
-from .matrix import (APPROX, EXACT, BlockPartition, Matrix, _clear_denominators, _exchange,
-                     _field, split_blocks)
+from .linalg import _gauss_jordan_int, _rref_exact, gauss_facts, solve_linear
+from .matrix import APPROX, EXACT, BlockPartition, Matrix, _exchange, _field, split_blocks
 
 
 def default_grid_values(numer_max=5, denom_max=3):
@@ -249,28 +248,42 @@ def _krylov_space(a, d, center):
             krylov.append([sum(map(mul, row, krylov[-1])) for row in d])
         # [T | -D^m v]: T is invertible iff e_i is cyclic, and then solves to c.
         aug = [[vec[r] for vec in krylov[:m]] + [-krylov[m][r]] for r in range(m)]
-        if len(_rref_exact(aug, m)) == m:
+        pivots, prev = _gauss_jordan_int(aug, m)
+        if len(pivots) == m:
             break
     else:
         return None
-    c = [row[m].numerator for row in aug]
+    c = [row[m] // prev for row in aug]
     a_cols = list(zip(*a))
     f_of_a = [[int(j == k) for k in range(s)] for j in range(s)]
     for p in reversed(range(m)):
         f_of_a = [[sum(map(mul, row, col)) + (c[p] if j == k else 0)
                    for k, col in enumerate(a_cols)] for j, row in enumerate(f_of_a)]
-    # The rows z with z f(A) = 0: the nullspace of f(A) transposed.
-    ft = [list(col) for col in zip(*f_of_a)]
-    pivots = _rref_exact(ft, s)
     t_rows = list(zip(*krylov[:m]))
     vecs = []
-    for z in _clear_denominators(v.col(0) for v in _nullspace_from_rref(ft, pivots, s, EXACT))[0]:
+    # The rows z with z f(A) = 0: the nullspace of f(A) transposed.
+    for z in _int_kernel([list(col) for col in zip(*f_of_a)], s):
         ys = [z]
         for p in range(m - 1, 0, -1):
             ys.append([sum(map(mul, ys[-1], col)) + c[p] * zj for col, zj in zip(a_cols, z)])
         y_cols = list(zip(*ys[::-1]))
         vecs.append([sum(map(mul, t, yc)) for t in t_rows for yc in y_cols])
     return _canonical_space(vecs, m, s, center)
+
+
+def _int_kernel(rows, n):
+    """An integer basis of the nullspace of the first n columns of integer rows
+    (consumed): for each free column f, prev at f and -rows[k][f] at pivot k."""
+    pivots, prev = _gauss_jordan_int(rows, n)
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            v = [0] * n
+            v[f] = prev
+            for k, p in enumerate(pivots):
+                v[p] = -rows[k][f]
+            basis.append(v)
+    return basis
 
 
 def _canonical_space(vecs, m, s, center):
@@ -296,11 +309,9 @@ def _canonical_space(vecs, m, s, center):
         z_int = _int_rows(z, scale)[0]
         rows += [[sum(map(mul, v[q::s], z_int)) for v in vecs] + [-yq]
                  for q, yq in enumerate(_int_rows(y, scale)[0])]
-        pivots = _rref_exact(rows, len(vecs) + 1)
-        ts = _clear_denominators(u.col(0) for u in
-                                 _nullspace_from_rref(rows, pivots, len(vecs) + 1, EXACT))[0]
         cols = list(zip(*vecs)) if vecs else [()] * n
-        vecs = [[sum(map(mul, t, col)) for col in cols] + [t[-1]] for t in ts]
+        vecs = [[sum(map(mul, t, col)) for col in cols] + [t[-1]]
+                for t in _int_kernel(rows, len(vecs) + 1)]
     basis = _reduce(vecs, n + 1)
     particular = _unvec(basis.pop(), m, s) if basis and basis[-1][n] else None
     return particular, tuple(_unvec(b, m, s) for b in basis)
