@@ -1,10 +1,12 @@
-"""Exact-mode CLI reports compared byte for byte with committed golden files.
+"""CLI reports compared byte for byte with committed golden files.
 
 Each case runs ``cli.main`` on fixed input matrices and compares its stdout
-with ``tests/golden/<case>.json``.  Together the cases reach every command
-that prints an exact report and every transform branch: the searched and
-given-X conjugation (even and odd), the principal-block embedding, the wide
-and tall dilation, both determinant splits and both Riccati orientations.
+with ``tests/golden/<case>.json``.  Together the exact cases reach every
+command that prints an exact report and every transform branch: the searched
+and given-X conjugation (even and odd), the principal-block embedding, the
+wide and tall dilation, both determinant splits and both Riccati
+orientations.  The linear Toeplitz solves reach the exact grid in dimension 2
+and 3, and the approximate ``alpha-scan`` cases the float grid.
 
 To rewrite the golden files after a deliberate report change, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
@@ -13,6 +15,7 @@ To rewrite the golden files after a deliberate report change, run
 import json
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,11 @@ GOLDEN = Path(__file__).parent / "golden"
 def _m(text):
     """Matrix JSON from rows separated by ';' and entries by spaces."""
     return {"rows": [row.split() for row in text.split(";")]}
+
+
+def _toeplitz(alpha, n):
+    """The linear Toeplitz matrix with entries alpha + i - j."""
+    return {"rows": [[str(Fraction(alpha) + i - j) for j in range(n)] for i in range(n)]}
 
 
 TOEPLITZ4 = _m("3 2 1 0; 4 3 2 1; 5 4 3 2; 6 5 4 3")
@@ -74,6 +82,10 @@ CASES = {
     "solve_even": (["solve", "{m}", "--split", "2"], {"m": TOEPLITZ4}),
     "solve_odd": (["solve", "{m}", "--odd"], {"m": ODD3}),
     "solve_trivial": (["solve", "{m}", "--split", "1"], {"m": COUNTEREXAMPLE}),
+    # Grid exhaustion in dimension 3 and 2, and ten grid solutions in dimension 3.
+    "solve_toeplitz6_alpha3": (["solve", "{m}"], {"m": _toeplitz(3, 6)}),
+    "solve_toeplitz4_alpha0": (["solve", "{m}"], {"m": _toeplitz(0, 4)}),
+    "solve_toeplitz6_alpha11_3": (["solve", "{m}"], {"m": _toeplitz("11/3", 6)}),
     "transform_search_even": (["transform", "{m}"], {"m": TOEPLITZ4}),
     "transform_search_odd": (["transform", "{m}", "--odd"], {"m": ODD3}),
     "transform_search_inconclusive": (["transform", "{m}", "--split", "1"],
@@ -116,10 +128,17 @@ CASES = {
     "verify_corollary_b": (["verify-corollary", "--family", "B", "--c", "2,1/3,1/3"], {}),
 }
 
+# Approximate-mode reports of the float grid.
+SCAN_CASES = {
+    f"alpha_scan_size{n}": (["alpha-scan", "--size", str(n), "--start", "-8", "--stop", "8",
+                             "--step", "0.5"], {})
+    for n in (4, 6)
+}
+
 
 def run_case(name, directory):
     """Run main on case name, its input files written under directory."""
-    argv, files = CASES[name]
+    argv, files = {**CASES, **SCAN_CASES}[name]
     paths = {}
     for key, obj in files.items():
         paths[key] = str(Path(directory) / f"{key}.json")
@@ -135,12 +154,20 @@ def test_exact_report_matches_golden_file(name, tmp_path, capsys):
     assert json.loads(out)["mode"] == "exact"
 
 
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_alpha_scan_report_matches_golden_file(name, tmp_path, capsys):
+    run_case(name, tmp_path)
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert json.loads(out)["mode"] == "approx"
+
+
 if __name__ == "__main__":
     import contextlib
     import io
 
     GOLDEN.mkdir(exist_ok=True)
-    for case in sorted(CASES):
+    for case in sorted({**CASES, **SCAN_CASES}):
         buf = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(buf), \
                 contextlib.redirect_stderr(io.StringIO()):
