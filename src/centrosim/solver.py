@@ -476,36 +476,74 @@ def _grid_search(bp, X0, basis, opts, mode, tol, consider, full):
     """Pass the grid points solving C = XBX to consider, in product(values, repeat=d) order.
 
     Only the first d-1 coordinates u are walked: entry e of C - XBX is c - b*t - a*t^2 in
-    the last one, t.  Exact mode keeps the grid roots of the first entry not identically
-    zero, approximate mode the values within the threshold; each later entry filters them.
+    the last one, t, and each entry in turn keeps the values of t where it vanishes
+    (exactly, or within the approximate threshold).
     """
     k = len(basis) - 1
-    F = _field(mode)
     values = opts.grid(mode)
     r0, lin, quad = _quadratic_parts(bp, X0, basis)
-    root_seed = mode == EXACT
-    thresh = F.threshold(tol, bp.C, bp.B.max_abs() ** 2)
+    if mode == EXACT:
+        points = _integer_grid(values, k, r0, lin, quad)
+    else:
+        thresh = _field(mode).threshold(tol, bp.C, bp.B.max_abs() ** 2)
+        points = _float_grid(values, k, r0, lin, quad, thresh)
+    for u, survivors in points:
+        for t in survivors:
+            if full():
+                return
+            consider(sum((ti * N for ti, N in zip(u + (t,), basis)), X0))
+
+
+def _integer_grid(values, k, r0, lin, quad):
+    """(u, the values t at which every entry vanishes) for each prefix u with any.
+
+    With L the lcm of the grid denominators, every value v is the integer T = L v,
+    and entry e times L^2 and the lcm of its own denominators is the integer
+    quadratic C - B*T - a*T^2 in the last coordinate's T, where C and B are integer
+    polynomials in the prefix's T values.  Only the surviving points are turned
+    back into Fractions.
+    """
+    scale = math.lcm(*(v.denominator for v in values))
+    ts = [v.numerator * (scale // v.denominator) for v in values]
+    value = dict(zip(ts, values))
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    entries = []
+    for e in range(len(r0)):
+        # C = c0 - c . (U_i, then U_i U_j for i <= j) and B = b0 + b . U.
+        coeffs = ([scale * scale * r0[e], scale * lin[k][e], quad[k][k][e]]
+                  + [scale * lin[i][e] for i in range(k)]
+                  + [quad[i][j][e] + quad[j][i][e] if i < j else quad[i][i][e] for i, j in pairs]
+                  + [quad[i][k][e] + quad[k][i][e] for i in range(k)])
+        # An entry that vanishes identically keeps every value.
+        if any(coeffs):
+            lcm = math.lcm(*(v.denominator for v in coeffs))
+            c0, b0, a, *rest = [v.numerator * (lcm // v.denominator) for v in coeffs]
+            entries.append((c0, rest[:-k], b0, rest[-k:], a))
+    for U in product(ts, repeat=k):
+        monomials = U + tuple(U[i] * U[j] for i, j in pairs)
+        survivors = ts
+        for c0, c, b0, b, a in entries:
+            C = c0 - sum(map(mul, monomials, c))
+            B = b0 + sum(map(mul, U, b))
+            survivors = [T for T in survivors if (a * T + B) * T == C]
+            if not survivors:
+                break
+        else:
+            yield tuple(map(value.get, U)), [value[T] for T in survivors]
+
+
+def _float_grid(values, k, r0, lin, quad, thresh):
+    """(u, the values t within thresh of a root of every entry) for each prefix u."""
     for u in product(values, repeat=k):
-        # None (root seed): every entry so far vanishes identically in t.
-        survivors = None if root_seed else values
+        survivors = values
         for e, a in enumerate(quad[k][k]):
             c = r0[e] - sum(u[i] * (lin[i][e] + sum(u[j] * quad[i][j][e] for j in range(k)))
                             for i in range(k))
             b = lin[k][e] + sum(u[i] * (quad[i][k][e] + quad[k][i][e]) for i in range(k))
-            if survivors is None:
-                if a != 0 or b != 0 or c != 0:
-                    roots = _quadratic_roots(a, b, -c, F, tol)[0]
-                    survivors = [t for t in values if t in roots]
-            elif root_seed:
-                survivors = [t for t in survivors if c - b * t - t * t * a == 0]
-            else:
-                survivors = [t for t in survivors if abs(c - b * t - t * t * a) <= thresh]
-            if survivors == []:
+            survivors = [t for t in survivors if abs(c - b * t - t * t * a) <= thresh]
+            if not survivors:
                 break
-        for t in values if survivors is None else survivors:
-            if full():
-                return
-            consider(sum((ti * N for ti, N in zip(u + (t,), basis)), X0))
+        yield u, survivors
 
 
 @dataclass(frozen=True)

@@ -314,8 +314,13 @@ def _grid_hits(grid_search, M, s, opts, cap=None):
     """Every X the grid search passes to consider, stopping after cap of them."""
     bp = split_blocks(M, "even", s)
     particular, basis = solver._linear_stage(bp, opts.tol)
+    return _affine_grid_hits(grid_search, bp, particular, basis, opts, cap)
+
+
+def _affine_grid_hits(grid_search, bp, X0, basis, opts, cap=None):
+    """_grid_hits over X = X0 + sum t_i N_i for any X0 and N_i."""
     hits = []
-    grid_search(bp, particular, basis, opts, M.mode, opts.tol, hits.append,
+    grid_search(bp, X0, basis, opts, bp.C.mode, opts.tol, hits.append,
                 lambda: cap is not None and len(hits) >= cap)
     return hits
 
@@ -363,6 +368,41 @@ def test_grid_search_matches_exhaustive_oracle(d, mode, max_solutions, default_g
     cap = data.draw(st.sampled_from([None, 1, 2]))
     assert (_grid_hits(solver._grid_search, M, d, opts, cap)
             == _grid_hits(exhaustive_grid_hits, M, d, opts, cap))
+
+
+WIDE_POOL = GRID_POOL + tuple(Fraction(v) for v in
+                              ("1/7", "-1/7", "3/10", "-3/10", "1000000", "-1000000", "3000000/7"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_exact_grid_matches_exhaustive_oracle_on_wide_grids(d, data):
+    # The grid needs no Sylvester structure: X = X0 + sum t_i N_i over arbitrary
+    # X0 and N_i, with C = X* B X* planted at a grid point X*.  The grid repeats
+    # values and mixes denominators 7 and 10 with numerators up to 3*10^6; B, X0
+    # and the N_i have entries with large denominators.
+    def rational():
+        return Fraction(data.draw(st.integers(-3, 3)),
+                        data.draw(st.sampled_from((1, 7, 997, 10**6 + 3))))
+
+    def mat():
+        return Matrix([[rational() for _ in range(2)] for _ in range(2)], cols=2)
+
+    X0 = mat()
+    basis = tuple(mat() for _ in range(d))
+    B = mat()
+    grid = data.draw(st.lists(st.sampled_from(WIDE_POOL), min_size=1, max_size=8))
+    grid += data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=3))
+    X = X0
+    for N in basis:
+        X = X + data.draw(st.sampled_from(grid)) * N
+    bp = split_blocks(block([[Matrix.identity(2), B], [X * B * X, Matrix.identity(2)]]),
+                      "even", 2)
+    opts = SearchOptions(grid_values=tuple(grid))
+    cap = data.draw(st.sampled_from([None, 1, 2]))
+    hits = _affine_grid_hits(solver._grid_search, bp, X0, basis, opts, cap)
+    assert hits == _affine_grid_hits(exhaustive_grid_hits, bp, X0, basis, opts, cap)
+    assert cap is not None or X in hits
 
 
 @pytest.mark.parametrize("b, c, grid_hits", [
