@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -23,9 +24,8 @@ from .generators import (PalindromicSpec, alpha_scan, bordered_jacobi_pm,
                          periodic_jacobi_pm, toeplitz_scaled_intertwiner,
                          verify_palindromic_factorization, write_alpha_scan_csv)
 from .linalg import det
-from .matrix import (APPROX, EXACT, _field, blocks_centrosymmetric,
-                     commutes_with_exchange, is_centrosymmetric, load_matrix,
-                     matrix_to_json_obj, save_matrix, split_blocks)
+from .matrix import (APPROX, EXACT, _field, is_centrosymmetric, load_matrix,
+                     matrix_to_json_obj, save_matrix)
 from .solver import (SearchOptions, find_intertwiner, riccati_residual,
                      singular_certificate)
 from .transforms import build_centro_transform, dilate_to_centrosimilar, embed_centro_principal
@@ -87,17 +87,12 @@ def _on_matrix(cmd):
 
 @_on_matrix
 def _cmd_check(args, M, report):
-    tol = args.tol
-    entrywise = is_centrosymmetric(M, tol)
-    n = M.rows
-    blocks = None
-    if n >= 2:
-        blocks = blocks_centrosymmetric(split_blocks(M, "odd" if n % 2 else "even", n // 2),
-                                        tol)
-    report.update(centrosymmetric=entrywise,
-                  commutes_with_exchange=commutes_with_exchange(M, tol),
-                  blocks_centrosymmetric=blocks)
-    return (0 if entrywise else 2), report, f"centrosymmetric: {entrywise}"
+    # commutes_with_exchange and, at the center split, blocks_centrosymmetric
+    # compare the same entry pairs as is_centrosymmetric, so one test answers all three.
+    centro = is_centrosymmetric(M, args.tol)
+    report.update(centrosymmetric=centro, commutes_with_exchange=centro,
+                  blocks_centrosymmetric=centro if M.rows >= 2 else None)
+    return (0 if centro else 2), report, f"centrosymmetric: {centro}"
 
 
 @_on_matrix
@@ -425,11 +420,18 @@ def main(argv=None):
     if args.output and not args.writes_output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    if args.output:
-        print(summary)
-    else:
-        print(summary, file=sys.stderr)
-        print(text)
+    try:
+        if args.output:
+            print(summary)
+        else:
+            print(summary, file=sys.stderr)
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (as `| head` does).  Point stdout at
+        # devnull so that the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -356,14 +356,32 @@ def test_build_parser_returns_a_fresh_parser():
         second.parse_args(["check", "m.json"]))
 
 
-def _fresh_main(argv):
-    """Exit code, stdout and stderr of `python -m centrosim.cli argv` in a new process."""
+def _fresh_env():
+    """The environment of a new process that imports this centrosim."""
     env = dict(os.environ)
     src = str(Path(centrosim.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "centrosim.cli", *argv], env=env,
+    return env
+
+
+def _fresh_main(argv):
+    """Exit code, stdout and stderr of `python -m centrosim.cli argv` in a new process."""
+    proc = subprocess.run([sys.executable, "-m", "centrosim.cli", *argv], env=_fresh_env(),
                           capture_output=True, text=True, check=False)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_closed_pipe_exits_one_without_traceback():
+    # The 200 x 200 report is larger than a pipe buffer, so the CLI is still
+    # writing when the reader closes its end, as `centrosim gen ... | head` does.
+    proc = subprocess.Popen([sys.executable, "-m", "centrosim.cli", "gen", "toeplitz",
+                             "--size", "200"], env=_fresh_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.read(100).startswith("{")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == "generated 200x200 matrix\n"
 
 
 def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
@@ -417,6 +435,9 @@ def test_each_check_runs_once_per_command(tmp_path, capsys, monkeypatch):
     calls.clear()
     code, _, _ = run(["factor-centro", write(tmp_path, "c.json", [[1, 2], [2, 1]])], capsys)
     assert code == 0 and sorted(calls) == ["is_centrosymmetric", "split_blocks"]
+    calls.clear()
+    code, _, _ = run(["check", write(tmp_path, "c.json", [[1, 2], [2, 1]])], capsys)
+    assert code == 0 and calls == ["is_centrosymmetric"]
 
 
 USAGE_ERRORS = {

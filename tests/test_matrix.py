@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from centrosim import (APPROX, EXACT, CentrosimError, DimensionError, Matrix, ModeError,
@@ -66,6 +66,39 @@ def test_split_blocks_odd_example():
 def test_split_blocks_even_counterexample():
     bp = split_blocks(Matrix([[1, 3], [2, 2]]), "even", 1)
     assert not blocks_centrosymmetric(bp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7), st.sampled_from([EXACT, APPROX]), st.sampled_from([None, 1e-6]),
+       st.data())
+def test_centrosymmetry_predicates_agree(n, mode, tol, data):
+    # The entrywise test, MJ = JM and the block conditions at the center split
+    # compare the same entry pairs, so `check` reports one result under all three.
+    # Up to two entries of a centrosymmetric matrix are moved, in approximate
+    # mode by about the tolerance relative to the entry.
+    if mode == EXACT:
+        base = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    else:
+        base = st.floats(-1e6, 1e6)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            mirror = rows[n - 1 - i][n - 1 - j]
+            rows[i][j] = data.draw(base) if mirror is None else mirror
+    t = 1e-9 if tol is None else tol
+    for _ in range(data.draw(st.integers(0, 2))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if mode == EXACT:
+            rows[i][j] += data.draw(st.sampled_from([Fraction(1), Fraction(-1, 7)]))
+        else:
+            shift = data.draw(st.sampled_from([0.5, 0.999, 1.0, 1.001, 2.0, -1.0, -1.001]))
+            rows[i][j] += shift * t * max(1.0, abs(rows[i][j]))
+    M = Matrix(rows, mode=mode)
+    centro = is_centrosymmetric(M, tol)
+    event(f"{mode} centrosymmetric: {centro}")
+    assert commutes_with_exchange(M, tol) == centro
+    assert blocks_centrosymmetric(split_blocks(M, "odd" if n % 2 else "even", n // 2),
+                                  tol) == centro
 
 
 def test_split_blocks_centrosymmetric_four_by_four():
