@@ -533,7 +533,7 @@ def _integer_grid(values, k, r0, lin, quad):
 
 
 def _float_grid(values, k, r0, lin, quad, thresh):
-    """(u, the values t within thresh of a root of every entry) for each prefix u."""
+    """(u, the values t at which every entry is within thresh of 0) for each prefix u."""
     for u in product(values, repeat=k):
         survivors = values
         for e, a in enumerate(quad[k][k]):

@@ -379,8 +379,8 @@ def test_closed_pipe_exits_one_without_traceback():
                             stderr=subprocess.PIPE, text=True)
     assert proc.stdout.read(100).startswith("{")
     proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
     assert stderr == "generated 200x200 matrix\n"
 
 
