@@ -6,7 +6,9 @@ command that prints an exact report and every transform branch: the searched
 and given-X conjugation (even and odd), the principal-block embedding, the
 wide and tall dilation, both determinant splits and both Riccati
 orientations.  The linear Toeplitz solves reach the exact grid in dimension 2
-and 3, and the approximate ``alpha-scan`` cases the float grid.
+and 3, and the approximate ``alpha-scan`` cases the float grid.  The
+approximate ``solve`` cases pin the float residuals of the special
+candidates J, I and -J to their last bit, signs of zero included.
 
 To rewrite the golden files after a deliberate report change, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
@@ -126,7 +128,16 @@ CASES = {
     "verify_corollary_a": (["verify-corollary", "--family", "a", "--c", "1,2,3,2",
                             "--sign", "-"], {}),
     "verify_corollary_b": (["verify-corollary", "--family", "B", "--c", "2,1/3,1/3"], {}),
+    # Approximate-mode solves: J and -J solve the even split, J the odd one,
+    # and no candidate solves Toeplitz n=4 at alpha 0, whose report carries
+    # the smallest residual norm over every candidate tried.
+    "solve_approx_centro_even": (["solve", "{m}", "--mode", "approx"], {"m": CENTRO4}),
+    "solve_approx_centro_odd": (["solve", "{m}", "--odd", "--mode", "approx"],
+                                {"m": CENTRO5}),
+    "solve_approx_toeplitz4_alpha0": (["solve", "{m}", "--mode", "approx"],
+                                      {"m": _toeplitz(0, 4)}),
 }
+APPROX_CASES = {name for name, (argv, _) in CASES.items() if "approx" in argv}
 
 # Approximate-mode reports of the float grid.  Step 0.5 gives dyadic alphas
 # only; at step 0.1 most alphas are not dyadic, so the float evaluation of the
@@ -148,20 +159,26 @@ def run_case(name, directory):
     main([arg.format(**paths) for arg in argv])
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_exact_report_matches_golden_file(name, tmp_path, capsys):
-    run_case(name, tmp_path)
+def check_case(name, mode, directory, capsys):
+    run_case(name, directory)
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
-    assert json.loads(out)["mode"] == "exact"
+    assert json.loads(out)["mode"] == mode
+
+
+@pytest.mark.parametrize("name", sorted(set(CASES) - APPROX_CASES))
+def test_exact_report_matches_golden_file(name, tmp_path, capsys):
+    check_case(name, "exact", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(APPROX_CASES))
+def test_approx_solve_report_matches_golden_file(name, tmp_path, capsys):
+    check_case(name, "approx", tmp_path, capsys)
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_CASES))
 def test_alpha_scan_report_matches_golden_file(name, tmp_path, capsys):
-    run_case(name, tmp_path)
-    out = capsys.readouterr().out
-    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
-    assert json.loads(out)["mode"] == "approx"
+    check_case(name, "approx", tmp_path, capsys)
 
 
 if __name__ == "__main__":
