@@ -4,9 +4,11 @@ The search ladder for an intertwiner is deliberately simple and fully
 deterministic: special candidates (J, I, -J) are tried first, a
 one-dimensional solution space is handled by exact rational root finding,
 small spaces (dimension <= d_max) by a bounded rational grid, and anything
-larger is reported as exhausted.  Every hit is re-verified by independent
-matrix multiplication, so the ladder can miss solutions but never return a
-wrong one.
+larger is reported as exhausted.  The special candidates are screened by
+index maps: their residuals are the blocks with rows or columns reversed,
+subtracted, so a candidate is multiplied out only once it passes.  Every hit
+is re-verified by independent matrix multiplication, so the ladder can miss
+solutions but never return a wrong one.
 """
 
 from __future__ import annotations
@@ -346,6 +348,32 @@ def system_residuals(bp, X, tol=None):
     return syl, quad, extras, ok
 
 
+def _special_residuals(bp):
+    """The residuals system_residuals gives for J, I and -J, by index maps.
+
+    JA is A with its rows reversed, DJ is D with its columns reversed and JBJ
+    is B reversed both ways, so no product is formed; -J's Sylvester residual
+    is J's negated and its quadratic residual is J's.  In approximate mode a
+    product by a 0/1 matrix only adds terms +-0.0, so these entries equal the
+    products' entry for entry up to the sign of zero.
+    """
+    every = range(bp.A.rows)
+    rev = every[::-1]
+    syl = bp.A.take(rev, every) - bp.D.take(every, rev)
+    quad = bp.C - bp.B.take(rev, rev)
+    exchange = (syl, quad)
+    identity = (bp.A - bp.D, bp.C - bp.B)
+    negated = (-syl, quad)
+    if bp.parity == "odd":
+        one = range(1)
+        jx = bp.x.take(rev, one)
+        zj = bp.z.take(one, rev)
+        exchange += (bp.w - jx, bp.y - zj)
+        identity += (bp.w - bp.x, bp.y - bp.z)
+        negated += (bp.w + jx, bp.y + zj)
+    return exchange, identity, negated
+
+
 def _make_solution(bp, X, syl, quad, tol):
     facts = gauss_facts(X, tol)
     invertible = X.is_square and facts.rank == X.rows
@@ -388,12 +416,18 @@ def find_intertwiner(M, parity, s, options=None):
     seen = []
     best = [math.inf]
 
-    def consider(X):
+    def consider(X, screen=None):
+        """Keep X if it solves the system.  screen holds X's residuals found
+        without products, when known; X is multiplied out only if they vanish."""
         if any(X.eq(prev, tol) for prev in seen):
             return
-        syl, quad, extras, ok = system_residuals(bp, X, tol)
+        residuals = screen
+        ok = screen is None or all(R.is_zero(tol) for R in screen)
+        if ok:
+            syl, quad, extras, ok = system_residuals(bp, X, tol)
+            residuals = (syl, quad) + extras
         if mode == APPROX:
-            best[0] = min(best[0], _residual_norm((syl, quad) + extras))
+            best[0] = min(best[0], _residual_norm(residuals))
         if ok:
             solutions.append(_make_solution(bp, X, syl, quad, tol))
             seen.append(X)
@@ -404,9 +438,9 @@ def find_intertwiner(M, parity, s, options=None):
     # Special candidates come first, in a fixed order.
     if m == bp.A.rows:
         J = _exchange(m, mode)
-        for cand in (J, Matrix.identity(m, mode), -J):
+        for cand, screen in zip((J, Matrix.identity(m, mode), -J), _special_residuals(bp)):
             if not full():
-                consider(cand)
+                consider(cand, screen)
 
     particular, basis = _linear_stage(bp, tol)
     d = len(basis)

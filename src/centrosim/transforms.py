@@ -29,17 +29,25 @@ class TransformReport:
 
 
 def _check_conjugation(M, Q, Q_inv, result, tol):
-    """Check result = Q_inv M Q without recomputing that product."""
+    """Check result = Q_inv M Q without recomputing that product.
+
+    A determinant or trace that overflows binary64 is a ValueError about the
+    input, not an internal error.
+    """
     n = Q.rows
     F = _field(M.mode)
     if not (Q * Q_inv).eq(Matrix.identity(n, Q.mode), tol):
         raise CentrosimError("internal: Q * Q_inv is not the identity")
     if not (M * Q).eq(Q * result, tol):
         raise CentrosimError("internal: conjugation result mismatch")
-    if not F.eq(det(result), det(M), tol):
-        raise CentrosimError("internal: determinant not preserved")
-    if not F.eq(result.trace(), M.trace(), tol):
-        raise CentrosimError("internal: trace not preserved")
+    for name, of in (("determinant", det), ("trace", Matrix.trace)):
+        before, after = of(M), of(result)
+        # abs(v) < inf is False for inf and NaN and never converts a Fraction to float.
+        if not (abs(before) < math.inf and abs(after) < math.inf):
+            raise ValueError(f"the {name} overflows in approximate mode; use exact mode "
+                             "with integer or 'p/q' entries")
+        if not F.eq(after, before, tol):
+            raise CentrosimError(f"internal: {name} not preserved")
 
 
 def _checked_split(M, parity, s, X, tol, message="X does not solve XA = DX and C = XBX"):

@@ -241,6 +241,19 @@ def test_malformed_matrix_is_one_line_error(tmp_path, capsys, text):
     assert_one_line_error(*run(["factor-centro", str(bad)], capsys))
 
 
+@pytest.mark.parametrize("command, given_x", [("transform", False), ("transform", True),
+                                              ("embed", True), ("dilate", True)])
+def test_an_overflowing_determinant_is_a_data_error(tmp_path, capsys, command, given_x):
+    # X = 1 solves the split, but both determinants overflow binary64 to inf.
+    path, x_path = tmp_path / "big.json", tmp_path / "x.json"
+    path.write_text('{"rows": [[3e200, 1e200], [1e200, 3e200]]}')
+    x_path.write_text('{"rows": [[1.0]]}')
+    code, out, err = run([command, str(path)] + (["--x", str(x_path)] if given_x else []),
+                         capsys)
+    assert_one_line_error(code, out, err)
+    assert "determinant overflows" in err and "exact mode" in err and "internal" not in err
+
+
 def test_alpha_scan_points_are_not_accumulated():
     # A list, not a generator: callers of alpha_scan may take len() of the points.
     points = _scan_points(-4.0, 4.0, 0.1)

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from centrosim import (APPROX, EXACT, Matrix, PreconditionError, SearchOptions, block,
-                       block_diag, default_grid_values, exchange_matrix, find_intertwiner,
-                       gauss_facts, hstack, intertwiner_space, linear_toeplitz,
-                       riccati_residual, singular_certificate, solve_linear, solver,
-                       split_blocks)
+from centrosim import (APPROX, EXACT, BlockPartition, Matrix, PreconditionError,
+                       SearchOptions, assemble_blocks, block, block_diag, default_grid_values,
+                       exchange_matrix, find_intertwiner, gauss_facts, hstack,
+                       intertwiner_space, linear_toeplitz, riccati_residual,
+                       singular_certificate, solve_linear, solver, split_blocks)
 from centrosim.cli import main
-from oracles import (exhaustive_grid_hits, kron, rand_centrosymmetric, rand_int_matrix,
-                     vectorized_sylvester_space)
+from oracles import (exhaustive_grid_hits, kron, planted_transform_instance,
+                     rand_centrosymmetric, rand_int_matrix, vectorized_sylvester_space)
 
 SMALL_GRID = tuple(Fraction(v) for v in
                    ("-2", "-1", "-1/2", "0", "1/2", "1", "2"))
@@ -648,3 +648,130 @@ def test_a_corrupted_linear_stage_raises_and_is_never_reported(monkeypatch, tmp_
     code = main(["solve", str(path)] + (["--odd"] if odd else []))
     out, err = capsys.readouterr()
     assert code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@st.composite
+def special_candidate_cases(draw):
+    """(M, parity, s, plant): blocks of s = 1..4 in either parity and mode, with
+    the candidate named by plant ("J", "I", "-J" or None) made to solve.
+
+    Centrosymmetric blocks (JA = DJ, C = JBJ) make J and -J solve the even
+    split; A = D and C = B make I solve; odd parity adds the center: w = Jx and
+    y = zJ for J, w = x and y = z for I, w = -Jx and y = -zJ for -J only.
+    """
+    mode = draw(st.sampled_from([EXACT, APPROX]))
+    parity = draw(st.sampled_from(["even", "odd"]))
+    s = draw(st.integers(1, 4))
+    plant = draw(st.sampled_from([None, "J", "I", "-J"]))
+    if mode == EXACT:
+        scalars = st.fractions(-5, 5, max_denominator=3)
+    else:
+        # Small integers make exact zeros in the residuals, -0.0 their signs.
+        scalars = (st.integers(-3, 3).map(float) | st.sampled_from([0.0, -0.0])
+                   | st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+    def blk(rows, cols):
+        return Matrix([[draw(scalars) for _ in range(cols)] for _ in range(rows)],
+                      mode=mode, cols=cols)
+
+    every, one = range(s), range(1)
+    rev = every[::-1]
+    A, B, C, D = (blk(s, s) for _ in range(4))
+    if plant in ("J", "-J"):
+        C, D = B.take(rev, rev), A.take(rev, rev)
+    elif plant == "I":
+        C, D = B, A
+    if parity == "even":
+        bp = BlockPartition("even", s, A, B, C, D)
+    else:
+        x, w, y, z = blk(s, 1), blk(s, 1), blk(1, s), blk(1, s)
+        if plant == "J":
+            w, y = x.take(rev, one), z.take(one, rev)
+        elif plant == "I":
+            w, y = x, z
+        elif plant == "-J":
+            w, y = -x.take(rev, one), -z.take(one, rev)
+        bp = BlockPartition("odd", s, A, B, C, D, x, w, y, z, draw(scalars))
+    return assemble_blocks(bp), parity, s, plant
+
+
+def _abs_entries(R):
+    return [[abs(v) for v in row] for row in R.to_lists()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(special_candidate_cases())
+def test_screen_residuals_equal_the_products(case):
+    M, parity, s, plant = case
+    event(f"{M.mode} {parity} plant={plant}")
+    bp = split_blocks(M, parity, s)
+    J = exchange_matrix(s, M.mode)
+    candidates = {"J": J, "I": Matrix.identity(s, M.mode), "-J": -J}
+    for (name, X), screen in zip(candidates.items(), solver._special_residuals(bp)):
+        syl, quad, extras, ok = solver.system_residuals(bp, X)
+        products = (syl, quad) + extras
+        if M.mode == EXACT:
+            assert screen == products
+        else:
+            # Equal up to the sign of zero.
+            assert list(map(_abs_entries, screen)) == list(map(_abs_entries, products))
+            assert solver._residual_norm(screen) == solver._residual_norm(products)
+        assert all(R.is_zero() for R in screen) == ok
+        if name == plant:
+            assert ok
+
+
+def _counting_system_residuals(monkeypatch):
+    """Patch solver.system_residuals to record the X of every call."""
+    calls = []
+    system_residuals = solver.system_residuals
+
+    def counted(bp, X, tol=None):
+        calls.append(X)
+        return system_residuals(bp, X, tol)
+    monkeypatch.setattr(solver, "system_residuals", counted)
+    return calls
+
+
+def test_missed_special_candidates_form_no_product(monkeypatch):
+    M, parity, s, X = planted_transform_instance(random.Random(31), 12)
+    J = exchange_matrix(s)
+    assert X not in (J, Matrix.identity(s), -J)
+    calls = _counting_system_residuals(monkeypatch)
+    search = find_intertwiner(M, parity, s)
+    # The Sylvester space has dimension >= s > d_max, so only the three
+    # special candidates are tried.
+    assert len(search) == 0 and search.diagnostic.startswith("search exhausted")
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [4, 6, 5, 7])
+def test_each_special_hit_is_multiplied_out_once(monkeypatch, n):
+    M = rand_centrosymmetric(random.Random(n), n)
+    parity, s = ("odd" if n % 2 else "even"), n // 2
+    calls = _counting_system_residuals(monkeypatch)
+    # d_max = 0 stops the ladder after the special candidates, as J is in the
+    # Sylvester space.
+    search = find_intertwiner(M, parity, s, SearchOptions(d_max=0))
+    J = exchange_matrix(s)
+    assert search[0].X == J
+    assert calls == [sol.X for sol in search]
+
+
+@pytest.mark.parametrize("mode", [EXACT, APPROX])
+def test_a_false_pass_of_the_screen_is_rejected_by_the_products(monkeypatch, mode):
+    M, parity, s, _ = planted_transform_instance(random.Random(32), 6)
+    M = Matrix(M.to_lists(), mode=mode)
+    honest = find_intertwiner(M, parity, s)
+    special_residuals = solver._special_residuals
+
+    def lying(bp):
+        exchange, identity, negated = special_residuals(bp)
+        return tuple(Matrix.zeros(R.rows, R.cols, mode) for R in exchange), identity, negated
+    monkeypatch.setattr(solver, "_special_residuals", lying)
+    calls = _counting_system_residuals(monkeypatch)
+    search = find_intertwiner(M, parity, s)
+    J = exchange_matrix(s, mode)
+    assert calls[0] == J
+    assert all(sol.X != J for sol in search)
+    assert search == honest
