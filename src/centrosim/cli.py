@@ -416,7 +416,12 @@ def main(argv=None):
     report = {"schema": SCHEMA, "command": args.command, "mode": args.mode or EXACT,
               "exit_code": code}
     report.update(payload)
-    text = json.dumps(report, indent=1, default=str)
+    try:
+        text = json.dumps(report, indent=1, default=str, allow_nan=False)
+    except ValueError:
+        print("error: the report holds a non-finite number (floating-point overflow); "
+              "use exact mode", file=sys.stderr)
+        return 1
     if args.output and not args.writes_output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

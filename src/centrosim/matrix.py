@@ -97,7 +97,9 @@ class _ExactField:
 
 
 def _close(a, b, t):
-    return abs(a - b) <= t * max(1.0, abs(a), abs(b))
+    """|a - b| within t relative to the larger magnitude; never for a non-finite value."""
+    return (abs(a - b) <= t * max(1.0, abs(a), abs(b))
+            and math.isfinite(a) and math.isfinite(b))
 
 
 class _ApproxField:
@@ -125,8 +127,10 @@ class _ApproxField:
         return _close(a, b, self.tol(tol))
 
     def is_zero(self, a, tol=None, *scales):
-        """|a| <= tol * max(1, |a|, |scale|...): zero relative to the scales."""
-        return abs(a) <= self.tol(tol) * max(1.0, abs(a), *map(abs, scales))
+        """|a| <= tol * max(1, |a|, |scale|...): zero relative to the scales.
+        A non-finite a is never zero."""
+        return (math.isfinite(a)
+                and abs(a) <= self.tol(tol) * max(1.0, abs(a), *map(abs, scales)))
 
     def rows_eq(self, rows1, rows2, tol=None):
         t = self.tol(tol)
@@ -553,5 +557,5 @@ def load_matrix(path, mode=None):
 
 def save_matrix(M, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json_obj(M), fh, indent=1)
+        json.dump(matrix_to_json_obj(M), fh, indent=1, allow_nan=False)
         fh.write("\n")

@@ -13,10 +13,11 @@ solutions but never return a wrong one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from operator import mul
 
 from .errors import DimensionError, PreconditionError
@@ -24,8 +25,10 @@ from .linalg import _gauss_jordan_int, _rref_exact, gauss_facts, solve_linear
 from .matrix import APPROX, EXACT, BlockPartition, Matrix, _exchange, _field, split_blocks
 
 
+@functools.cache
 def default_grid_values(numer_max=5, denom_max=3):
-    """All reduced rationals p/q with |p| <= numer_max, 1 <= q <= denom_max."""
+    """All reduced rationals p/q with |p| <= numer_max, 1 <= q <= denom_max, ascending
+    (a tuple, built once per pair of bounds)."""
     vals = {Fraction(0)}
     for q in range(1, denom_max + 1):
         for p in range(1, numer_max + 1):
@@ -509,9 +512,12 @@ def _solve_on_line(bp, X0, N, F, tol):
 def _grid_search(bp, X0, basis, opts, mode, tol, consider, full):
     """Pass the grid points solving C = XBX to consider, in product(values, repeat=d) order.
 
-    Only the first d-1 coordinates u are walked: entry e of C - XBX is c - b*t - a*t^2 in
-    the last one, t, and each entry in turn keeps the values of t where it vanishes
-    (exactly, or within the approximate threshold).
+    Only the first d-1 coordinates u are searched: entry e of C - XBX is c - b*t - a*t^2
+    in the last one, t, and each entry in turn keeps the values of t where it vanishes
+    (exactly, or within the approximate threshold).  Exact mode walks the prefixes u
+    over scaled integers (_integer_grid); approximate mode walks only their first d-2
+    coordinates and screens every (last prefix coordinate, t) pair of the first entry
+    in one pass (_float_grid).
     """
     k = len(basis) - 1
     values = opts.grid(mode)
@@ -519,7 +525,11 @@ def _grid_search(bp, X0, basis, opts, mode, tol, consider, full):
     if mode == EXACT:
         points = _integer_grid(values, k, r0, lin, quad)
     else:
-        thresh = _field(mode).threshold(tol, bp.C, bp.B.max_abs() ** 2)
+        try:
+            thresh = _field(mode).threshold(tol, bp.C, bp.B.max_abs() ** 2)
+        except OverflowError:
+            raise ValueError("the grid threshold overflows in approximate mode; use exact "
+                             "mode") from None
         points = _float_grid(values, k, r0, lin, quad, thresh)
     for u, survivors in points:
         for t in survivors:
@@ -567,17 +577,64 @@ def _integer_grid(values, k, r0, lin, quad):
 
 
 def _float_grid(values, k, r0, lin, quad, thresh):
-    """(u, the values t at which every entry is within thresh of 0) for each prefix u."""
-    for u in product(values, repeat=k):
-        survivors = values
-        for e, a in enumerate(quad[k][k]):
-            c = r0[e] - sum(u[i] * (lin[i][e] + sum(u[j] * quad[i][j][e] for j in range(k)))
-                            for i in range(k))
-            b = lin[k][e] + sum(u[i] * (quad[i][k][e] + quad[k][i][e]) for i in range(k))
-            survivors = [t for t in survivors if abs(c - b * t - t * t * a) <= thresh]
-            if not survivors:
-                break
-        yield u, survivors
+    """(u, the values t at which every entry is within thresh of 0) for each prefix u
+    with any, in product(values, repeat=k) order.
+
+    The first k-1 coordinates (the head) are walked; for each head the first entry
+    is screened at every pair of last prefix coordinate v and t in one pass, and
+    each later entry filters only the t that survive at each v.  The c and b of an
+    entry are the same float operations, in the same order, for every prefix.
+    """
+    n = len(values)
+    # Per entry: its coefficients for _entry_columns, then t*t*a at every grid value t.
+    entries = [((r0[e], [lin[i][e] for i in range(k + 1)],
+                 [[quad[i][j][e] for j in range(k)] for i in range(k)],
+                 [quad[i][k][e] + quad[k][i][e] for i in range(k)]),
+                [t * t * a for t in values])
+               for e, a in enumerate(quad[k][k])]
+    (coeffs, tta), *later = entries
+    grid = list(zip(range(n), values, tta))
+    for head in product(values, repeat=k - 1):
+        cs, bs = _entry_columns(head, values, *coeffs)
+        pairs = [(iv, it) for iv, c, b in zip(range(n), cs, bs)
+                 for it, t, q in grid if abs(c - b * t - q) <= thresh]
+        survivors = {}
+        for iv, it in pairs:
+            survivors.setdefault(iv, []).append(it)
+        for iv, its in survivors.items():
+            v = values[iv]
+            for coeffs_e, tta_e in later:
+                (c,), (b,) = _entry_columns(head, (v,), *coeffs_e)
+                its = [it for it in its if abs(c - b * values[it] - tta_e[it]) <= thresh]
+                if not its:
+                    break
+            else:
+                yield head + (v,), [values[it] for it in its]
+
+
+def _entry_columns(head, vs, r0, lin, quad, sym):
+    """c and b of one entry at the prefixes head + (v,), one per v in vs.
+
+    Over the prefix u, c = r0 - sum_i u_i (lin_i + sum_j u_j quad_ij) and
+    b = lin_k + sum_i u_i sym_i, every sum taken left to right from 0 (sum() rounds
+    floats differently since Python 3.12, which would move results across versions).
+    """
+    last = len(head)
+    acc = [0.0] * len(vs)
+    for i, row in enumerate(quad):
+        part, q, li = _dot(head, row), row[last], lin[i]
+        us = vs if i == last else repeat(head[i])
+        acc = [s + u * (li + (part + v * q)) for s, u, v in zip(acc, us, vs)]
+    part, q, lk = _dot(head, sym), sym[last], lin[last + 1]
+    return [r0 - s for s in acc], [lk + (part + v * q) for v in vs]
+
+
+def _dot(head, coeffs):
+    """sum_j head_j coeffs_j over the head, left to right from 0."""
+    acc = 0.0
+    for u, c in zip(head, coeffs):
+        acc += u * c
+    return acc
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ elimination-based implementation under test.
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import add
 
 from centrosim import (APPROX, Matrix, block, exchange_matrix, gauss_facts, hstack, inverse,
                        rank_normal_form, solve_linear, vstack)
@@ -111,6 +113,39 @@ def exhaustive_grid_hits(bp, X0, basis, opts, mode, tol, consider, full):
             for i in range(d):
                 X = X + tvec[i] * basis[i]
             consider(X)
+
+
+def _sum(terms):
+    """sum() as Python 3.11 computes it for floats: left to right from 0 (3.12's
+    sum() compensates rounding and would differ in the last bit)."""
+    return reduce(add, terms, 0)
+
+
+def prefix_major_float_grid(values, k, r0, lin, quad, thresh):
+    """Reference for centrosim's ``solver._float_grid``: one prefix u at a time.
+
+    For every prefix u of product(values, repeat=k), each entry's c and b are
+    evaluated at u and the values t of the last coordinate with
+    |c - b*t - a*t^2| <= thresh are kept; yields (u, those t) for every u,
+    empty or not.
+    """
+    for u in product(values, repeat=k):
+        survivors = values
+        for e, a in enumerate(quad[k][k]):
+            c, b = prefix_coefficients(u, e, r0, lin, quad)
+            survivors = [t for t in survivors if abs(c - b * t - t * t * a) <= thresh]
+            if not survivors:
+                break
+        yield u, survivors
+
+
+def prefix_coefficients(u, e, r0, lin, quad):
+    """c and b of entry e at prefix u, so that the entry reads c - b*t - a*t^2."""
+    k = len(u)
+    c = r0[e] - _sum(u[i] * (lin[i][e] + _sum(u[j] * quad[i][j][e] for j in range(k)))
+                     for i in range(k))
+    b = lin[k][e] + _sum(u[i] * (quad[i][k][e] + quad[k][i][e]) for i in range(k))
+    return c, b
 
 
 def float_scaled_candidates(size, alpha):

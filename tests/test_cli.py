@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -252,6 +253,46 @@ def test_an_overflowing_determinant_is_a_data_error(tmp_path, capsys, command, g
                          capsys)
     assert_one_line_error(code, out, err)
     assert "determinant overflows" in err and "exact mode" in err and "internal" not in err
+
+
+def test_an_overflowed_approximate_solve_is_a_data_error(tmp_path, capsys):
+    # A nonzero nilpotent matrix, so no X solves its split; the residuals of
+    # X = 1 and X = -1 overflow to inf and must not count as zero.
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": [[1e308, 1e308], [-1e308, -1e308]]}')
+    code, out, err = run(["solve", str(path), "--split", "1", "--mode", "approx"], capsys)
+    assert_one_line_error(code, out, err)
+    assert "non-finite" in err and "exact mode" in err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+NEAR_OVERFLOW = (1e308, -1e308, 1.7e308, -1.7e308, 1.3e154, -1e154, 0.0, 1.0, -2.0)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 4), st.data())
+def test_approximate_reports_near_overflow_are_strict_json(tmp_path, capsys, n, data):
+    entry = st.sampled_from(NEAR_OVERFLOW) | st.floats(-1.79e308, 1.79e308, allow_nan=False)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": rows}))
+    for args in (["solve", str(path)], ["solve", str(path), "--split", "1"],
+                 ["check", str(path)], ["transform", str(path)]):
+        code, out, err = run(args + ["--mode", "approx"], capsys)
+        if code == 1:
+            assert_one_line_error(code, out, err)
+            continue
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert report["exit_code"] == code
+        if code == 0 and args[0] == "solve":
+            residuals = [v for sol in report["solutions"]
+                         for key in ("sylvester_residual", "quadratic_residual")
+                         for row in sol[key]["rows"] for v in row]
+            assert all(math.isfinite(v) for v in residuals)
 
 
 def test_alpha_scan_points_are_not_accumulated():

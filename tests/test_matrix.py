@@ -11,8 +11,8 @@ from centrosim import (APPROX, EXACT, CentrosimError, DimensionError, Matrix, Mo
                        assemble_blocks, block, block_diag, blocks_centrosymmetric,
                        commutes_with_exchange, exchange_matrix, gauss_facts, hstack,
                        is_centrosymmetric, matrix_from_json_obj,
-                       matrix_to_json_obj, rank_normal_form, solve_linear, split_blocks,
-                       vstack)
+                       matrix_to_json_obj, rank_normal_form, save_matrix, solve_linear,
+                       split_blocks, vstack)
 from oracles import (fraction_matmul, permutation_matrix, rand_centrosymmetric,
                      rand_int_matrix)
 
@@ -185,6 +185,15 @@ def test_approx_zero_tolerance_is_exact_comparison():
     a = Matrix([[1.0, 2.0]])
     assert a.eq(a, 0) and a.eq(a, 0.0)
     assert not a.eq(Matrix([[1.0, 2.0 + 2 ** -51]]), 0.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_approx_non_finite_values_are_never_zero_or_equal(value, tmp_path):
+    big = Matrix([[value, 1e308]], mode=APPROX)
+    assert not big.is_zero() and not big.eq(big) and not big.eq(big, 1e300)
+    assert not Matrix([[value]], mode=APPROX).is_zero(1e300)
+    with pytest.raises(ValueError):
+        save_matrix(big, tmp_path / "big.json")
 
 
 def test_json_round_trip_exact_lowest_terms():

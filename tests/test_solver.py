@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -14,7 +15,8 @@ from centrosim import (APPROX, EXACT, BlockPartition, Matrix, PreconditionError,
                        singular_certificate, solve_linear, solver, split_blocks)
 from centrosim.cli import main
 from oracles import (exhaustive_grid_hits, kron, planted_transform_instance,
-                     rand_centrosymmetric, rand_int_matrix, vectorized_sylvester_space)
+                     prefix_coefficients, prefix_major_float_grid, rand_centrosymmetric,
+                     rand_int_matrix, vectorized_sylvester_space)
 
 SMALL_GRID = tuple(Fraction(v) for v in
                    ("-2", "-1", "-1/2", "0", "1/2", "1", "2"))
@@ -333,12 +335,14 @@ def _diag(v):
 GRID_POOL = tuple(Fraction(v) for v in ("-3", "-2", "-1", "-1/2", "0", "1/3", "1/2", "1", "2", "3"))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([2, 3]), st.sampled_from([EXACT, APPROX]),
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.sampled_from([EXACT, APPROX]),
        st.sampled_from([None, 1]), st.booleans(), st.data())
 def test_grid_search_matches_exhaustive_oracle(d, mode, max_solutions, default_grid, data):
     # A and D share d distinct eigenvalues, so the Sylvester space has
     # dimension d; C = X* B X* plants X* = P diag(x) S^-1 on or off the grid.
+    # Dimension 4 runs in approximate mode only, on grids of at most 4 values.
+    assume(d < 4 or mode == APPROX)
     eig = data.draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d, unique=True))
     perm = data.draw(st.permutations(range(d)))
     x = data.draw(st.lists(st.sampled_from(GRID_POOL + (Fraction(5, 7),)), min_size=d,
@@ -359,15 +363,78 @@ def test_grid_search_matches_exhaustive_oracle(d, mode, max_solutions, default_g
         M = Matrix([[float(v) for v in r] for r in M.to_lists()], mode=APPROX)
     grid = None
     if not (default_grid and d == 2):
-        grid = tuple(data.draw(st.lists(st.sampled_from(GRID_POOL), min_size=1, max_size=7,
-                                        unique=True)))
-    opts = SearchOptions(grid_values=grid, max_solutions=max_solutions)
+        grid = tuple(data.draw(st.lists(st.sampled_from(GRID_POOL), min_size=1,
+                                        max_size=7 if d < 4 else 4, unique=True)))
+    opts = SearchOptions(d_max=4, grid_values=grid, max_solutions=max_solutions)
     assert len(intertwiner_space(A, D)) == d
     expected = _search_with(exhaustive_grid_hits, M, d, opts)
     assert find_intertwiner(M, "even", d, opts) == expected
     cap = data.draw(st.sampled_from([None, 1, 2]))
     assert (_grid_hits(solver._grid_search, M, d, opts, cap)
             == _grid_hits(exhaustive_grid_hits, M, d, opts, cap))
+
+
+# Quarters in [-2, 2]: every product and sum the float grid forms over them at
+# k <= 3 is exact in binary64, so a residual can be planted at exactly +-thresh.
+QUARTERS = tuple(v / 4 for v in range(-8, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 9), st.booleans(), st.booleans(), st.data())
+def test_float_grid_matches_the_prefix_major_oracle(k, n_entries, dyadic, plant, data):
+    scalar = (st.sampled_from(QUARTERS) if dyadic else
+              st.floats(-4, 4, allow_nan=False) | st.sampled_from((0.0, -0.0, 1.0)))
+    # Grids repeat values; the entries' coefficients come from the same pool.
+    values = tuple(sorted(data.draw(st.lists(scalar, min_size=1, max_size=5))))
+
+    def draw_coeffs():
+        return data.draw(st.lists(scalar, min_size=n_entries, max_size=n_entries))
+
+    r0 = draw_coeffs()
+    lin = [draw_coeffs() for _ in range(k + 1)]
+    quad = [[draw_coeffs() for _ in range(k + 1)] for _ in range(k + 1)]
+    thresh = data.draw(st.sampled_from((0.0, 0.25, 1.0) if plant else (0.0, 1e-9, 0.25)))
+    if plant:
+        # A hit at one grid point, on the boundary |residual| = thresh: the dyadic
+        # residuals are moved to exactly +-thresh, and for arbitrary floats thresh
+        # becomes their largest magnitude, as the oracle's float operations give it.
+        *u, t = point = [data.draw(st.sampled_from(values)) for _ in range(k + 1)]
+        residuals = []
+        for e in range(n_entries):
+            c, b = prefix_coefficients(u, e, r0, lin, quad)
+            residuals.append(c - b * t - t * t * quad[k][k][e])
+        if dyadic:
+            for e, q in enumerate(residuals):
+                r0[e] += data.draw(st.sampled_from((thresh, -thresh))) - q
+        else:
+            thresh = max(map(abs, residuals))
+    expected = [(u, ts) for u, ts in prefix_major_float_grid(values, k, r0, lin, quad, thresh)
+                if ts]
+    assert list(solver._float_grid(values, k, r0, lin, quad, thresh)) == expected
+    if plant:
+        assert point[-1] in dict(expected)[tuple(point[:-1])]
+    event(f"hit prefixes: {min(len(expected), 3)}{'+' if len(expected) > 3 else ''}")
+
+
+def test_a_four_dimensional_float_grid_search_stays_small():
+    # X = diag(t0, ..., t3) spans the Sylvester space of A = D = diag(1, 2, 3, 4), and
+    # C = X X at t = (+-1, +-2, +-3, +-1/2): 16 grid hits among 25^4 points.
+    A = [[float(i + 1) if i == j else 0.0 for j in range(4)] for i in range(4)]
+    C = [[v * v if i == j else 0.0 for j, v in enumerate((1.0, 2.0, 3.0, 0.5))]
+         for i in range(4)]
+    identity = [[float(i == j) for j in range(4)] for i in range(4)]
+    M = block([[Matrix(A, mode=APPROX), Matrix(identity, mode=APPROX)],
+               [Matrix(C, mode=APPROX), Matrix(A, mode=APPROX)]])
+    tracemalloc.start()
+    try:
+        search = find_intertwiner(M, "even", 4, SearchOptions(d_max=4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [[sol.X[i, i] for i in range(4)] for sol in search] == [
+        [t0, t1, t2, t3] for t0 in (-1, 1) for t1 in (-2, 2) for t2 in (-3, 3)
+        for t3 in (-0.5, 0.5)]
+    assert peak < 1_000_000
 
 
 WIDE_POOL = GRID_POOL + tuple(Fraction(v) for v in
