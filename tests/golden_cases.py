@@ -90,6 +90,13 @@ CASES = {
     "transform_search_odd": (["transform", "{m}", "--odd"], {"m": ODD3}),
     "transform_search_inconclusive": (["transform", "{m}", "--split", "1"],
                                       {"m": COUNTEREXAMPLE}),
+    # Ten grid solutions, of which the first invertible one is used; the same
+    # with the search capped at two; and the d=1 line that solves throughout,
+    # whose diagnostic survives although J already solves.
+    "transform_toeplitz6_alpha11_3": (["transform", "{m}"], {"m": _toeplitz("11/3", 6)}),
+    "transform_toeplitz6_alpha11_3_max2": (["transform", "{m}", "--max-solutions", "2"],
+                                           {"m": _toeplitz("11/3", 6)}),
+    "transform_scalar_line": (["transform", "{m}"], {"m": _m("5 0; 0 5")}),
     "transform_x_even": (["transform", "{m}", "--x", "{x}"], {"m": EVEN6, "x": EVEN6_X}),
     "transform_x_odd": (["transform", "{m}", "--odd", "--x", "{x}"],
                         {"m": ODD5, "x": ODD5_X}),
