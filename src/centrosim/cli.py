@@ -118,16 +118,17 @@ def _cmd_transform(args, M, report):
     parity, s = args.parity, args.split
     report.update(parity=parity, split=s)
     if args.x:
-        X = load_matrix(args.x, mode=args.mode)
+        X, X_inv = load_matrix(args.x, mode=args.mode), None
     else:
-        search = find_intertwiner(M, parity, s, _search_options(args))
+        # The search verified the X it returns and holds its inverse.
+        search = find_intertwiner(M, parity, s, _search_options(args), stop_at_invertible=True)
         report["diagnostic"] = search.diagnostic
         invertibles = search.invertible_solutions
         if not invertibles:
             report["solutions"] = [_solution_obj(sol) for sol in search.solutions]
             return 2, report, "method inconclusive: no invertible intertwiner found"
-        X = invertibles[0].X
-    tr = build_centro_transform(M, parity, s, X, args.tol)
+        X, X_inv = invertibles[0].X, invertibles[0].inverse
+    tr = build_centro_transform(M, parity, s, X, args.tol, X_inv)
     report["X"] = _mat(X)
     report["transform"] = _transform_obj(tr)
     return 0, report, f"certified: {tr.certification}"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
@@ -69,6 +70,7 @@ class IntertwinerSolution:
     quadratic_residual: Matrix
     rank: int
     invertible: bool
+    inverse: Matrix | None = None
 
 
 @dataclass(frozen=True)
@@ -379,9 +381,9 @@ def _special_residuals(bp):
 
 def _make_solution(bp, X, syl, quad, tol):
     facts = gauss_facts(X, tol)
-    invertible = X.is_square and facts.rank == X.rows
     return IntertwinerSolution(X=X, sylvester_residual=syl, quadratic_residual=quad,
-                               rank=facts.rank, invertible=invertible)
+                               rank=facts.rank, invertible=facts.inverse is not None,
+                               inverse=facts.inverse)
 
 
 def _residual_norm(mats):
@@ -406,8 +408,12 @@ def _quadratic_roots(a, b, c, F, tol):
     return sorted({(-b - root) / (2 * a), (-b + root) / (2 * a)}), None
 
 
-def find_intertwiner(M, parity, s, options=None):
-    """Search for X solving the full equation system of the (parity, s) split."""
+def find_intertwiner(M, parity, s, options=None, *, stop_at_invertible=False):
+    """Search for X solving the full equation system of the (parity, s) split.
+
+    With stop_at_invertible, no candidate is tried once an invertible solution
+    has been found; the linear stage and the diagnostic are unchanged.
+    """
     opts = options or SearchOptions()
     tol = opts.tol
     bp = split_blocks(M, parity, s)
@@ -436,7 +442,8 @@ def find_intertwiner(M, parity, s, options=None):
             seen.append(X)
 
     def full():
-        return opts.max_solutions is not None and len(solutions) >= opts.max_solutions
+        return ((opts.max_solutions is not None and len(solutions) >= opts.max_solutions)
+                or (stop_at_invertible and any(sol.invertible for sol in solutions)))
 
     # Special candidates come first, in a fixed order.
     if m == bp.A.rows:
@@ -544,11 +551,13 @@ def _integer_grid(values, k, r0, lin, quad):
     With L the lcm of the grid denominators, every value v is the integer T = L v,
     and entry e times L^2 and the lcm of its own denominators is the integer
     quadratic C - B*T - a*T^2 in the last coordinate's T, where C and B are integer
-    polynomials in the prefix's T values.  Only the surviving points are turned
-    back into Fractions.
+    polynomials in the prefix's T values.  At each prefix the first entry that does
+    not vanish there is solved for its grid roots (_grid_roots) and each later
+    entry filters them.  Only the surviving points are turned back into Fractions.
     """
     scale = math.lcm(*(v.denominator for v in values))
     ts = [v.numerator * (scale // v.denominator) for v in values]
+    counts = Counter(ts)
     value = dict(zip(ts, values))
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
     entries = []
@@ -569,11 +578,34 @@ def _integer_grid(values, k, r0, lin, quad):
         for c0, c, b0, b, a in entries:
             C = c0 - sum(map(mul, monomials, c))
             B = b0 + sum(map(mul, U, b))
-            survivors = [T for T in survivors if (a * T + B) * T == C]
+            if survivors is ts:
+                survivors = _grid_roots(a, B, C, ts, counts)
+            else:
+                survivors = [T for T in survivors if (a * T + B) * T == C]
             if not survivors:
                 break
         else:
             yield tuple(map(value.get, U)), [value[T] for T in survivors]
+
+
+def _grid_roots(a, b, c, ts, counts):
+    """The T of ts with a T^2 + b T = c, ascending and each as often as ts holds it
+    (counts is the Counter of ts); ts itself when a = b = c = 0.
+
+    The integer roots come from the discriminant's integer square root, or from
+    one division when a = 0, so the grid values are never tried one by one.
+    """
+    if a:
+        disc = b * b + 4 * a * c
+        root = math.isqrt(disc) if disc >= 0 else None
+        if root is None or root * root != disc:
+            return []
+        quotients = [divmod(num, 2 * a) for num in {-b - root, -b + root}]
+    elif b:
+        quotients = [divmod(c, b)]
+    else:
+        return [] if c else ts
+    return [T for T in sorted(q for q, rem in quotients if not rem) for _ in range(counts[T])]
 
 
 def _float_grid(values, k, r0, lin, quad, thresh):

@@ -89,18 +89,21 @@ def _certify(M, Q, Q_inv, result, k, certification, tol):
     return TransformReport(Q=Q, Q_inv=Q_inv, result=result, certification=certification)
 
 
-def build_centro_transform(M, parity, s, X, tol=None):
+def build_centro_transform(M, parity, s, X, tol=None, inverse=None):
     """Conjugate M by Q = diag(I, XJ) (even) or diag(I, 1, XJ) (odd).
 
-    X must be invertible and solve the full equation system of the split;
-    the result is verified to be centrosymmetric.
+    X must be invertible and solve the full equation system of the split.
+    Both are checked unless X's inverse is passed, as for a solution the
+    search has already verified; the result is verified to be
+    centrosymmetric either way.
     """
     n = M.rows
     if parity == "even" and n != 2 * s:
         raise DimensionError("even transform needs the center split s = n/2")
-    _checked_split(M, parity, s, X, tol, "X does not solve the equation system")
-    return _certify(M, *_conjugate(M, X, gauss_facts(X, tol).inverse), n,
-                    "fully_centrosymmetric", tol)
+    if inverse is None:
+        _checked_split(M, parity, s, X, tol, "X does not solve the equation system")
+        inverse = gauss_facts(X, tol).inverse
+    return _certify(M, *_conjugate(M, X, inverse), n, "fully_centrosymmetric", tol)
 
 
 def embed_centro_principal(M, s, X, tol=None):

@@ -470,11 +470,11 @@ def test_each_check_runs_once_per_command(tmp_path, capsys, monkeypatch):
 
     calls = []
 
-    def counted(module, name):
+    def counted(module, name, label=None):
         func = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.append(label or name)
             return func(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
@@ -492,6 +492,25 @@ def test_each_check_runs_once_per_command(tmp_path, capsys, monkeypatch):
     calls.clear()
     code, _, _ = run(["check", write(tmp_path, "c.json", [[1, 2], [2, 1]])], capsys)
     assert code == 0 and calls == ["is_centrosymmetric"]
+    # Linear Toeplitz n=6 at alpha 11/3: J, I and -J fail their screens, so only
+    # grid hits are multiplied out and inverted.  solve verifies all ten hits;
+    # transform stops at the first, which is invertible, and conjugates with the
+    # inverse the search found, so transforms checks it neither way again.
+    import centrosim.transforms as transforms
+    for module in (solver, transforms):
+        for name in ("system_residuals", "gauss_facts"):
+            counted(module, name, f"{module.__name__.split('.')[-1]}.{name}")
+    toeplitz6 = write(tmp_path, "t6.json", [[Fraction(11, 3) + i - j for j in range(6)]
+                                            for i in range(6)])
+    calls.clear()
+    code, _, _ = run(["solve", toeplitz6], capsys)
+    assert code == 0 and sorted(calls) == (["solver.gauss_facts"] * 10
+                                           + ["solver.system_residuals"] * 10 + ["split_blocks"])
+    calls.clear()
+    code, out, _ = run(["transform", toeplitz6], capsys)
+    assert code == 0 and sorted(calls) == ["solver.gauss_facts", "solver.system_residuals",
+                                           "split_blocks"]
+    assert load_report(out)["transform"]["certification"] == "fully_centrosymmetric"
 
 
 TOEPLITZ4 = [[3, 2, 1, 0], [4, 3, 2, 1], [5, 4, 3, 2], [6, 5, 4, 3]]

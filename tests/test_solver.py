@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
@@ -470,6 +471,31 @@ def test_exact_grid_matches_exhaustive_oracle_on_wide_grids(d, data):
     hits = _affine_grid_hits(solver._grid_search, bp, X0, basis, opts, cap)
     assert hits == _affine_grid_hits(exhaustive_grid_hits, bp, X0, basis, opts, cap)
     assert cap is not None or X in hits
+
+
+# Scaled grid values T, ascending, with 2 repeated as user grid_values may repeat it.
+ROOT_GRID = [-6, -3, -2, 0, 2, 2, 3, 4]
+
+
+@pytest.mark.parametrize("a, b, c, roots", [
+    (0, 2, -6, [-3]),           # a = 0, integral quotient
+    (0, 4, 6, []),              # a = 0, quotient 3/2
+    (0, 0, 0, ROOT_GRID),       # a = b = c = 0: every value, repeats kept
+    (0, 0, 5, []),              # a = b = 0, c != 0
+    (1, 0, -4, []),             # negative discriminant
+    (4, 0, 1, []),              # square discriminant, roots +-1/2
+    (2, 1, 6, [-2]),            # roots -2 and 3/2
+    (1, -4, -4, [2, 2]),        # double root 2, held twice by the grid
+    (1, 0, 25, []),             # roots +-5, both off the grid
+    (-1, 0, -16, [4]),          # roots +-4, -4 off the grid
+    (-1, 1, -6, [-2, 3]),       # a < 0: still ascending
+    (0, 1, 2, [2, 2]),          # a repeated grid value
+])
+def test_grid_roots_solve_the_first_entry(a, b, c, roots):
+    # _grid_roots solves a T^2 + b T = c for the grid values T it finds: the same
+    # list, in the same order and with the same repeats, as testing every value.
+    found = solver._grid_roots(a, b, c, ROOT_GRID, Counter(ROOT_GRID))
+    assert found == roots == [T for T in ROOT_GRID if (a * T + b) * T == c]
 
 
 @pytest.mark.parametrize("b, c, grid_hits", [
