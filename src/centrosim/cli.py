@@ -107,7 +107,8 @@ def _cmd_solve(args, M, report):
     if search.best_residual is not None:
         report["best_residual_norm"] = search.best_residual
     ok = any(sol.invertible for sol in search.solutions)
-    summary = (f"{len(search.solutions)} exact solution(s), "
+    kind = "exact" if M.mode == EXACT else "approximate"
+    summary = (f"{len(search.solutions)} {kind} solution(s), "
                f"invertible: {sum(1 for x in search.solutions if x.invertible)}"
                + (f"; diagnostic: {search.diagnostic}" if search.diagnostic else ""))
     return (0 if ok else 2), report, summary

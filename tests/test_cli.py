@@ -443,7 +443,7 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
     report = str(tmp_path / "report.json")
     first = ["solve", odd, "--mode", "approx", "--odd", "--tol", "1e-6", "-o", report]
     code, out, _ = run(first, capsys)
-    assert code == 0 and out.startswith("1 exact solution")
+    assert code == 0 and out.startswith("1 approximate solution(s)")
     assert load_report(open(report).read())["parity"] == "odd"
     generated = str(tmp_path / "gen.json")
     scan = str(tmp_path / "scan.csv")
