@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import DimensionError, InsufficientSamplesError, PreconditionError
 from .linalg import det, gauss_facts
 from .matrix import APPROX, EXACT, Matrix, _field, split_blocks
-from .solver import SearchOptions, find_intertwiner, system_residuals
+from .solver import GridOverflowError, SearchOptions, find_intertwiner, system_residuals
 
 
 def linear_toeplitz(alpha, m, mode=EXACT):
@@ -237,7 +237,11 @@ def alpha_scan(size, alphas, tol=None, options=None):
                 found = 1
                 if gauss_facts(X, eff_tol).rank == X.rows:
                     invertible = 1
-        search = find_intertwiner(M, "even", size // 2, opts)
+        try:
+            search = find_intertwiner(M, "even", size // 2, opts)
+        except GridOverflowError:
+            raise ValueError(f"the grid threshold overflows in approximate mode at alpha "
+                             f"{alpha!r}") from None
         if search.best_residual is not None:
             best = min(best, search.best_residual)
         for sol in search.solutions:

@@ -38,6 +38,10 @@ def default_grid_values(numer_max=5, denom_max=3):
     return tuple(sorted(vals))
 
 
+class GridOverflowError(ValueError):
+    """The approximate-mode grid threshold overflows binary64."""
+
+
 @dataclass(frozen=True)
 class SearchOptions:
     d_max: int = 3
@@ -535,8 +539,8 @@ def _grid_search(bp, X0, basis, opts, mode, tol, consider, full):
         try:
             thresh = _field(mode).threshold(tol, bp.C, bp.B.max_abs() ** 2)
         except OverflowError:
-            raise ValueError("the grid threshold overflows in approximate mode; use exact "
-                             "mode") from None
+            raise GridOverflowError("the grid threshold overflows in approximate mode; use "
+                                    "exact mode") from None
         points = _float_grid(values, k, r0, lin, quad, thresh)
     for u, survivors in points:
         for t in survivors:

@@ -265,6 +265,21 @@ def test_an_overflowed_approximate_solve_is_a_data_error(tmp_path, capsys):
     assert "non-finite" in err and "exact mode" in err
 
 
+def test_an_overflowing_alpha_scan_grid_names_the_alpha(tmp_path, capsys):
+    # alpha-scan has no exact mode, so its error names the alpha instead of
+    # suggesting one; solve on the same matrix keeps the exact-mode hint.
+    code, out, err = run(["alpha-scan", "--size", "4", "--start", "1e200", "--stop", "1e200"],
+                         capsys)
+    assert_one_line_error(code, out, err)
+    assert "grid threshold overflows" in err and "alpha 1e+200" in err
+    assert "exact mode" not in err
+    path = tmp_path / "t4.json"
+    path.write_text(json.dumps({"rows": [[1e200 + i - j for j in range(4)] for i in range(4)]}))
+    code, out, err = run(["solve", str(path)], capsys)
+    assert_one_line_error(code, out, err)
+    assert "grid threshold overflows" in err and "use exact mode" in err
+
+
 def _reject_constant(token):
     raise ValueError(f"non-JSON token {token}")
 
