@@ -73,8 +73,11 @@ class IntertwinerSolution:
     sylvester_residual: Matrix
     quadratic_residual: Matrix
     rank: int
-    invertible: bool
-    inverse: Matrix | None = None
+    inverse: Matrix | None
+
+    @property
+    def invertible(self):
+        return self.inverse is not None
 
 
 @dataclass(frozen=True)
@@ -386,8 +389,7 @@ def _special_residuals(bp):
 def _make_solution(bp, X, syl, quad, tol):
     facts = gauss_facts(X, tol)
     return IntertwinerSolution(X=X, sylvester_residual=syl, quadratic_residual=quad,
-                               rank=facts.rank, invertible=facts.inverse is not None,
-                               inverse=facts.inverse)
+                               rank=facts.rank, inverse=facts.inverse)
 
 
 def _residual_norm(mats):
