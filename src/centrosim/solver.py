@@ -417,8 +417,10 @@ def _quadratic_roots(a, b, c, F, tol):
 def find_intertwiner(M, parity, s, options=None, *, stop_at_invertible=False):
     """Search for X solving the full equation system of the (parity, s) split.
 
-    With stop_at_invertible, no candidate is tried once an invertible solution
-    has been found; the linear stage and the diagnostic are unchanged.
+    With stop_at_invertible, no candidate is tried, and the grid is not
+    walked, once an invertible solution has been found (as with max_solutions
+    once that many are found); the linear stage and the diagnostic are
+    unchanged.
     """
     opts = options or SearchOptions()
     tol = opts.tol
@@ -487,7 +489,8 @@ def find_intertwiner(M, parity, s, options=None, *, stop_at_invertible=False):
                           "equation solves the system" if ts else
                           "no solution on the line: its first nonzero quadratic equation "
                           "is a nonzero constant")
-    else:
+    elif not full():
+        # A full search has a solution, so it needs no grid and no diagnostic.
         _grid_search(bp, particular, basis, opts, mode, tol, consider, full)
         if not solutions:
             diagnostic = f"search exhausted: no grid point solves the system in dimension {d}"

@@ -514,6 +514,19 @@ def test_grid_search_last_coordinate_roots(b, c, grid_hits):
     assert find_intertwiner(M, "even", 2, opts) == _search_with(exhaustive_grid_hits, M, 2, opts)
 
 
+@pytest.mark.parametrize("opts, stop", [(SearchOptions(), True),
+                                        (SearchOptions(max_solutions=1), False)])
+def test_a_full_search_skips_the_grid(opts, stop, monkeypatch):
+    # J solves this centrosymmetric matrix, whose Sylvester space at the center
+    # split has dimension 2; once J fills the search the grid is not walked.
+    M = Matrix([[4, -3, 5, -5], [2, -2, 3, 2], [2, 3, -2, 2], [-5, 5, -3, 4]])
+    first = find_intertwiner(M, "even", 2).solutions[0]
+    monkeypatch.setattr(solver, "_grid_search", None)
+    search = find_intertwiner(M, "even", 2, opts, stop_at_invertible=stop)
+    assert len(search.basis) == 2 and search.diagnostic is None
+    assert search.solutions == (first,) and first.X == exchange_matrix(2) and first.invertible
+
+
 def _ints(A, D):
     scale = solver._lcm_denominators(A, D)
     return solver._int_rows(A, scale), solver._int_rows(D, scale)
