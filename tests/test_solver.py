@@ -1,7 +1,7 @@
 import json
 import random
-from collections import Counter
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from unittest.mock import patch
 
