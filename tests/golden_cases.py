@@ -73,6 +73,52 @@ RICCATI_UPPER_W = _m("0 -2 -2; 0 2 2")
 SINGULAR = _m("2 3 3 -2; -2 -2 -2 0; 2 1 1 2; -4 -6 -6 4")
 SINGULAR_W = _m("-1 -2; -2 0")
 ONE = _m("1")
+# Planted similar matrices M = diag(I, U) C0 diag(I, U^-1) at n = 12, 14 and 13:
+# C0 is small-integer centrosymmetric and U an integer unimodular s x s matrix, so
+# U J solves the center split's equations and no special candidate does.  The
+# Sylvester spaces have dimension 6 and 7 (odd: 0 once the center equations hold).
+PLANTED12 = _m(
+    "-1 -2 0 2 -3 -3 -7 -9 6 -8 -5 -3;"
+    "3 1 -3 -1 1 -3 4 1 -3 4 4 -2;"
+    "1 -2 -3 -3 0 0 0 0 3 -6 -1 6;"
+    "-3 -2 -3 1 0 -3 -1 2 0 -3 -2 1;"
+    "3 1 -3 -2 2 2 6 0 -3 4 4 -4;"
+    "1 -3 1 1 0 -3 3 4 -2 5 3 2;"
+    "-1 3 0 1 2 0 -7 -5 5 -8 -4 2;"
+    "-1 3 -6 0 0 4 11 15 -10 13 6 5;"
+    "1 0 -15 0 6 8 16 32 -23 25 14 6;"
+    "0 -2 -5 3 1 1 2 10 -9 8 5 1;"
+    "2 -1 -2 -6 0 2 9 8 -5 10 6 0;"
+    "-1 -2 3 1 -3 -2 -5 -7 4 -6 -2 -2")
+PLANTED14 = _m(
+    "0 -3 2 -3 3 1 1 5 2 1 1 -2 -3 1;"
+    "3 3 -1 -1 2 -1 1 3 3 0 -2 0 2 6;"
+    "0 1 3 0 -3 3 -3 -4 -3 2 -2 3 -1 -2;"
+    "-1 0 2 2 -3 -3 2 2 2 1 2 0 -4 -2;"
+    "2 -1 2 1 2 3 0 -5 -5 -5 -4 2 -2 -4;"
+    "-1 2 0 2 -1 -3 0 1 3 1 1 -1 4 -1;"
+    "-1 -2 1 -3 0 -3 -2 -3 -2 -1 -1 1 2 -2;"
+    "5 2 0 1 -5 -1 9 3 -6 2 -14 -1 1 11;"
+    "-3 1 1 -2 10 4 -11 -3 -4 -10 6 -2 -5 -16;"
+    "-3 -2 2 -2 -2 -2 -3 -2 3 2 4 2 1 1;"
+    "-1 -2 -2 2 -6 -1 8 1 1 6 -5 3 -1 8;"
+    "4 3 3 1 -2 -3 8 -3 -6 -4 -11 2 5 8;"
+    "1 0 0 -2 -3 0 3 2 0 3 -2 -1 3 5;"
+    "0 0 -2 2 -2 -1 3 -1 2 4 -2 2 1 4")
+PLANTED13 = _m(
+    "1 -3 -3 3 -2 1 3 1 6 -2 4 2 -1;"
+    "0 -2 2 -1 -1 1 0 3 8 3 7 2 -1;"
+    "-1 0 -3 -3 3 0 2 2 8 4 7 -4 -6;"
+    "0 0 0 -1 -3 -2 3 -1 7 0 5 -2 1;"
+    "-3 2 -1 2 -1 0 -2 1 -6 2 -4 2 5;"
+    "3 2 -2 1 -3 -2 -2 3 -2 9 1 0 -2;"
+    "-3 -3 2 -1 0 1 3 1 5 0 4 -3 -6;"
+    "-2 -1 -2 2 3 -1 0 -3 -7 -4 -7 3 9;"
+    "1 5 -3 5 -9 1 -9 3 -11 6 -3 5 4;"
+    "2 5 -1 2 -3 2 -4 1 -8 0 -4 5 3;"
+    "-3 -6 4 -6 12 1 11 -3 17 -6 6 -8 -8;"
+    "0 2 0 1 2 2 -3 0 14 -3 10 0 -1;"
+    "-3 1 2 -2 -1 1 3 1 -10 2 -7 -1 0")
 
 # name -> (argv, files): each {key} in argv names the file written from files[key].
 CASES = {
@@ -86,6 +132,10 @@ CASES = {
     "solve_toeplitz6_alpha3": (["solve", "{m}"], {"m": _toeplitz(3, 6)}),
     "solve_toeplitz4_alpha0": (["solve", "{m}"], {"m": _toeplitz(0, 4)}),
     "solve_toeplitz6_alpha11_3": (["solve", "{m}"], {"m": _toeplitz("11/3", 6)}),
+    # The Krylov reduction of the linear stage at n >= 12, in both parities.
+    "solve_planted12": (["solve", "{m}"], {"m": PLANTED12}),
+    "solve_planted14": (["solve", "{m}"], {"m": PLANTED14}),
+    "solve_planted13_odd": (["solve", "{m}", "--odd"], {"m": PLANTED13}),
     "transform_search_even": (["transform", "{m}"], {"m": TOEPLITZ4}),
     "transform_search_odd": (["transform", "{m}", "--odd"], {"m": ODD3}),
     "transform_search_inconclusive": (["transform", "{m}", "--split", "1"],
