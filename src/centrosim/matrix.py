@@ -6,9 +6,9 @@ compares entries with a relative tolerance.  The two modes never mix inside
 one operation; doing so raises :class:`~centrosim.errors.ModeError`.
 
 Everything a mode decides about its scalars (zero and one, coercion, equality
-and zero tests, the tolerance, thresholds, JSON form, square roots) lives in
-one field object per mode, ``_field(mode)``; the other modules ask it rather
-than test the mode.
+and zero tests, residual screens, the tolerance, thresholds, JSON form, square
+roots) lives in one field object per mode, ``_field(mode)``; the other modules
+ask it rather than test the mode.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ class _ExactField:
     one = Fraction(1)
 
     def coerce(self, value):
+        if type(value) is Fraction:
+            return value
         if isinstance(value, bool):
             raise ModeError("boolean is not a valid exact scalar")
         if isinstance(value, (int, Fraction, str)):
@@ -71,8 +73,13 @@ class _ExactField:
     def threshold(self, tol, *scales):
         return 0
 
-    def to_json(self, v):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    def screen(self, pairs, tol=None):
+        """Whether L - R vanishes for every pair (L, R) of equal-shape matrices,
+        and None: L == R is tested, up to the first entry that differs."""
+        return all(L._data == R._data for L, R in pairs), None
+
+    # "p", or "p/q" in lowest terms.
+    to_json = str
 
     def matmul(self, a, b, p):
         """Rows of the product of row tuples a and b (b has p columns).
@@ -146,6 +153,12 @@ class _ApproxField:
         return self.tol(tol) * max([1.0] + [float(s.max_abs()) if isinstance(s, Matrix)
                                             else abs(s) for s in scales])
 
+    def screen(self, pairs, tol=None):
+        """Whether L - R is zero within tol for every pair (L, R), and the
+        differences, whose size the search reports."""
+        residuals = tuple(L - R for L, R in pairs)
+        return all(R.is_zero(tol) for R in residuals), residuals
+
     def to_json(self, v):
         return v
 
@@ -207,7 +220,7 @@ class Matrix:
             if any(len(r) != n_cols for r in rows):
                 raise DimensionError("rows have unequal lengths")
         coerce = _field(mode).coerce
-        object.__setattr__(self, "_data", tuple(tuple(coerce(v) for v in r) for r in rows))
+        object.__setattr__(self, "_data", tuple(tuple(map(coerce, r)) for r in rows))
         object.__setattr__(self, "_rows", n_rows)
         object.__setattr__(self, "_cols", n_cols)
         object.__setattr__(self, "mode", mode)
@@ -510,6 +523,14 @@ def matrix_to_json_obj(M):
 
 def _entry_from_json(v):
     if isinstance(v, str):
+        # Without underscores (which Python 3.10's Fraction() rejects), int()
+        # accepts exactly the integer strings Fraction() accepts; any other
+        # string, and its error message, is Fraction()'s.
+        if "_" not in v:
+            try:
+                return int(v)
+            except ValueError:
+                pass
         try:
             return Fraction(v)
         except ZeroDivisionError:

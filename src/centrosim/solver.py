@@ -5,8 +5,9 @@ deterministic: special candidates (J, I, -J) are tried first, a
 one-dimensional solution space is handled by exact rational root finding,
 small spaces (dimension <= d_max) by a bounded rational grid, and anything
 larger is reported as exhausted.  The special candidates are screened by
-index maps: their residuals are the blocks with rows or columns reversed,
-subtracted, so a candidate is multiplied out only once it passes.  Every hit
+index maps: their residuals are differences of blocks with rows or columns
+reversed, which exact mode compares entry by entry and approximate mode
+subtracts, so a candidate is multiplied out only once it passes.  Every hit
 is re-verified by independent matrix multiplication, so the ladder can miss
 solutions but never return a wrong one.
 """
@@ -22,7 +23,7 @@ from itertools import product, repeat
 from operator import mul
 
 from .errors import DimensionError, PreconditionError
-from .linalg import _gauss_jordan_int, _rref_exact, gauss_facts, solve_linear
+from .linalg import _gauss_jordan_int, gauss_facts, solve_linear
 from .matrix import APPROX, EXACT, BlockPartition, Matrix, _exchange, _field, split_blocks
 
 
@@ -138,49 +139,65 @@ def _sylvester_space(A, D, center=None, tol=None):
     there and 0 at the other free columns, and a particular solution that is 0
     at every free column (None when the system is inconsistent).  Exact mode
     reaches them by the Krylov reduction of D when a unit vector is cyclic for
-    D, by elimination otherwise, and re-checks each one by multiplication;
-    approximate mode eliminates.
+    D, by elimination otherwise; either way _reduce brings them to integer
+    rows, which are re-checked by multiplication before they become Fraction
+    matrices.  Approximate mode eliminates.
     """
     if A.mode == APPROX:
         return _eliminate(A, D, center, tol)
-    # XA = DX is unchanged when A and D are scaled by the lcm of their denominators.
+    s, m = A.rows, D.rows
+    # XA = DX is unchanged when A and D are scaled by the lcm of their
+    # denominators, and X x = tau w (z X = tau y) when x and w (z and y) are.
     scale = _lcm_denominators(A, D)
     a = _int_rows(A, scale)
     d = _int_rows(D, scale)
-    space = _krylov_space(a, d, center) or _eliminate(A, D, center, tol)
-    _recheck(a, d, center, *space)
-    return space
-
-
-def _recheck(a, d, center, particular, basis):
-    """Raise PreconditionError unless every basis matrix N solves the homogeneous
-    system (NA = DN, and N x = 0, z N = 0 under center) and the particular
-    solution P the full one (PA = DP, and P x = w, z P = y under center).
-
-    NA = DN is compared over the integers: a and d are the rows of A and D
-    times one common scale, and N is scaled by the lcm of its denominators.
-    """
-    a_cols = list(zip(*a))
-
-    def solves(X, homogeneous):
-        x_int = _int_rows(X, _lcm_denominators(X))
-        x_cols = list(zip(*x_int))
-        if ([[sum(map(mul, row, col)) for col in a_cols] for row in x_int]
-                != [[sum(map(mul, row, col)) for col in x_cols] for row in d]):
-            return False
-        if center is None:
-            return True
+    int_center = None
+    if center is not None:
         x, w, z, y = center
-        if homogeneous:
-            return (X * x).is_zero() and (z * X).is_zero()
-        return X * x == w and z * X == y
+        xw, zy = _lcm_denominators(x, w), _lcm_denominators(z, y)
+        int_center = (_int_entries(x, xw), _int_entries(w, xw),
+                      _int_entries(z, zy), _int_entries(y, zy))
+    vecs = _krylov_space(a, d, int_center)
+    if vecs is None:
+        particular, basis = _eliminate(A, D, center, tol)
+        vecs = [_int_entries(N, _lcm_denominators(N)) + [0] for N in basis]
+        if particular is not None:
+            lp = _lcm_denominators(particular)
+            vecs.append(_int_entries(particular, lp) + [lp])
+    rows, den = _reduce(vecs, m * s + 1)
+    _recheck(a, d, int_center, rows, den)
+    zero = Fraction(0)
+    mats = [_unvec([Fraction(v, den) if v else zero for v in row[:-1]], m, s) for row in rows]
+    particular = mats.pop() if rows and rows[-1][-1] else None
+    return particular, tuple(mats)
 
-    for N in basis:
-        if not solves(N, True):
-            raise PreconditionError("nullspace vector fails XA = DX re-check", payload=N)
-    if particular is not None and not solves(particular, False):
-        raise PreconditionError("particular solution fails the linear-stage re-check",
-                                payload=particular)
+
+def _recheck(a, d, center, rows, den):
+    """Raise PreconditionError unless every row, den times a pair (vec(X), tau),
+    has XA = DX (and, under center, X x = tau w and z X = tau y): the basis
+    matrices (tau = 0) solve the homogeneous system and the particular
+    solution (tau = 1) the full one.
+
+    Everything is compared over the integers: a and d are the rows of A and D
+    times one common scale, center holds x, w, z, y as integer vectors scaled
+    in pairs, and den X is the row itself.
+    """
+    s, m = len(a), len(d)
+    a_cols = list(zip(*a))
+    for row in rows:
+        x_rows = [row[i * s:(i + 1) * s] for i in range(m)]
+        x_cols = list(zip(*x_rows))
+        tau = row[-1]
+        ok = ([[sum(map(mul, r, col)) for col in a_cols] for r in x_rows]
+              == [[sum(map(mul, r, col)) for col in x_cols] for r in d])
+        if ok and center is not None:
+            x, w, z, y = center
+            ok = ([sum(map(mul, r, x)) for r in x_rows] == [tau * v for v in w]
+                  and [sum(map(mul, z, col)) for col in x_cols] == [tau * v for v in y])
+        if not ok:
+            raise PreconditionError("particular solution fails the linear-stage re-check" if tau
+                                    else "nullspace vector fails XA = DX re-check",
+                                    payload=_unvec([Fraction(v, den) for v in row], m, s))
 
 
 def _eliminate(A, D, center, tol):
@@ -243,8 +260,14 @@ def _int_rows(M, scale):
     return [[v.numerator * (scale // v.denominator) for v in M.row(i)] for i in range(M.rows)]
 
 
+def _int_entries(M, scale):
+    """The row-major entries of scale * M as integers."""
+    return [v for row in _int_rows(M, scale) for v in row]
+
+
 def _krylov_space(a, d, center):
-    """Exact _sylvester_space through a cyclic unit vector of D; None when D has none.
+    """Integer rows (vec(X), tau) spanning the pairs of _pair_rows, through a
+    cyclic unit vector of D; None when D has none.
 
     If T = [v, Dv, ..., D^(m-1) v] is invertible and f(t) = t^m + sum c_p t^p is
     the characteristic polynomial of D (so D^m v = -sum c_p D^p v), then X = T Y
@@ -282,7 +305,7 @@ def _krylov_space(a, d, center):
             ys.append([sum(map(mul, ys[-1], col)) + c[p] * zj for col, zj in zip(a_cols, z)])
         y_cols = list(zip(*ys[::-1]))
         vecs.append([sum(map(mul, t, yc)) for t in t_rows for yc in y_cols])
-    return _canonical_space(vecs, m, s, center)
+    return _pair_rows(vecs, m * s, s, center)
 
 
 def _int_kernel(rows, n):
@@ -300,48 +323,39 @@ def _int_kernel(rows, n):
     return basis
 
 
-def _canonical_space(vecs, m, s, center):
-    """(particular or None, basis) in the canonical form of _sylvester_space, from
-    the row-major vec(X) of a basis of the Sylvester space.
+def _pair_rows(vecs, n, s, center):
+    """Integer rows (vec(X), tau) spanning the pairs with XA = DX and, under the
+    integer center (x, w, z, y), X x = tau w and z X = tau y, from the
+    row-major vec(X) of a basis of the Sylvester space.
 
-    Both come from one canonical basis of the pairs (X, tau) with XA = DX and,
-    under center, X x = tau w and z X = tau y.  Column tau is free exactly when
-    the system is consistent, and its basis vector is then (particular, 1).
+    Column tau takes a nonzero value exactly when the system is consistent.
     """
-    n = m * s
     if center is None:
-        vecs = [v + [0] for v in vecs] + [[0] * n + [1]]
-    else:
-        # Over X = sum t_k N_k the center conditions are m + s equations in (t, tau),
-        # each scaled to integers.
-        x, w, z, y = center
-        scale = _lcm_denominators(x, w)
-        x_int = [r[0] for r in _int_rows(x, scale)]
-        rows = [[sum(map(mul, v[p * s:(p + 1) * s], x_int)) for v in vecs] + [-r[0]]
-                for p, r in enumerate(_int_rows(w, scale))]
-        scale = _lcm_denominators(z, y)
-        z_int = _int_rows(z, scale)[0]
-        rows += [[sum(map(mul, v[q::s], z_int)) for v in vecs] + [-yq]
-                 for q, yq in enumerate(_int_rows(y, scale)[0])]
-        cols = list(zip(*vecs)) if vecs else [()] * n
-        vecs = [[sum(map(mul, t, col)) for col in cols] + [t[-1]]
-                for t in _int_kernel(rows, len(vecs) + 1)]
-    basis = _reduce(vecs, n + 1)
-    particular = _unvec(basis.pop(), m, s) if basis and basis[-1][n] else None
-    return particular, tuple(_unvec(b, m, s) for b in basis)
+        return [v + [0] for v in vecs] + [[0] * n + [1]]
+    # Over X = sum t_k N_k the center conditions are m + s equations in (t, tau).
+    x, w, z, y = center
+    rows = [[sum(map(mul, v[p * s:(p + 1) * s], x)) for v in vecs] + [-wp]
+            for p, wp in enumerate(w)]
+    rows += [[sum(map(mul, v[q::s], z)) for v in vecs] + [-yq] for q, yq in enumerate(y)]
+    cols = list(zip(*vecs)) if vecs else [()] * n
+    return [[sum(map(mul, t, col)) for col in cols] + [t[-1]]
+            for t in _int_kernel(rows, len(vecs) + 1)]
 
 
 def _reduce(vecs, n):
-    """The canonical basis of span(vecs), by free column ascending.
+    """The canonical basis of the span of integer vectors, by free column
+    ascending, as integer rows and their common denominator den: row k over den
+    is basis vector k.
 
     RREF with the columns reversed puts each pivot at the last nonzero entry a
     vector of the span can have: exactly the free columns of any system whose
     kernel is the span, so each row is that kernel's basis vector for its
-    free column, 1 there and 0 at the others.
+    free column, 1 there and 0 at the others.  Fraction-free Gauss-Jordan
+    leaves every pivot row as the last pivot value times its RREF row.
     """
     rows = [v[::-1] for v in vecs]
-    rank_ = len(_rref_exact(rows, n))
-    return [rows[k][::-1] for k in reversed(range(rank_))]
+    pivots, den = _gauss_jordan_int(rows, n)
+    return [rows[k][::-1] for k in reversed(range(len(pivots)))], den
 
 
 def _unvec(v, m, s, mode=EXACT):
@@ -360,29 +374,30 @@ def system_residuals(bp, X, tol=None):
     return syl, quad, extras, ok
 
 
-def _special_residuals(bp):
-    """The residuals system_residuals gives for J, I and -J, by index maps.
+def _special_pairs(bp):
+    """For J, I and -J, the pairs (L, R) of index-mapped blocks whose differences
+    L - R are the residuals system_residuals gives.
 
     JA is A with its rows reversed, DJ is D with its columns reversed and JBJ
     is B reversed both ways, so no product is formed; -J's Sylvester residual
-    is J's negated and its quadratic residual is J's.  In approximate mode a
-    product by a 0/1 matrix only adds terms +-0.0, so these entries equal the
+    is DJ - JA and its quadratic residual is J's.  In approximate mode a
+    product by a 0/1 matrix only adds terms +-0.0, so the differences equal the
     products' entry for entry up to the sign of zero.
     """
     every = range(bp.A.rows)
     rev = every[::-1]
-    syl = bp.A.take(rev, every) - bp.D.take(every, rev)
-    quad = bp.C - bp.B.take(rev, rev)
-    exchange = (syl, quad)
-    identity = (bp.A - bp.D, bp.C - bp.B)
-    negated = (-syl, quad)
+    ja, dj = bp.A.take(rev, every), bp.D.take(every, rev)
+    quad = (bp.C, bp.B.take(rev, rev))
+    exchange = ((ja, dj), quad)
+    identity = ((bp.A, bp.D), (bp.C, bp.B))
+    negated = ((dj, ja), quad)
     if bp.parity == "odd":
         one = range(1)
         jx = bp.x.take(rev, one)
         zj = bp.z.take(one, rev)
-        exchange += (bp.w - jx, bp.y - zj)
-        identity += (bp.w - bp.x, bp.y - bp.z)
-        negated += (bp.w + jx, bp.y + zj)
+        exchange += ((bp.w, jx), (bp.y, zj))
+        identity += ((bp.w, bp.x), (bp.y, bp.z))
+        negated += ((bp.w, -jx), (bp.y, -zj))
     return exchange, identity, negated
 
 
@@ -434,12 +449,12 @@ def find_intertwiner(M, parity, s, options=None, *, stop_at_invertible=False):
     best = [math.inf]
 
     def consider(X, screen=None):
-        """Keep X if it solves the system.  screen holds X's residuals found
-        without products, when known; X is multiplied out only if they vanish."""
+        """Keep X if it solves the system.  screen holds the pairs whose
+        differences are X's residuals, when known; X is multiplied out only if
+        they vanish."""
         if any(X.eq(prev, tol) for prev in seen):
             return
-        residuals = screen
-        ok = screen is None or all(R.is_zero(tol) for R in screen)
+        ok, residuals = (True, None) if screen is None else F.screen(screen, tol)
         if ok:
             syl, quad, extras, ok = system_residuals(bp, X, tol)
             residuals = (syl, quad) + extras
@@ -456,7 +471,7 @@ def find_intertwiner(M, parity, s, options=None, *, stop_at_invertible=False):
     # Special candidates come first, in a fixed order.
     if m == bp.A.rows:
         J = _exchange(m, mode)
-        for cand, screen in zip((J, Matrix.identity(m, mode), -J), _special_residuals(bp)):
+        for cand, screen in zip((J, Matrix.identity(m, mode), -J), _special_pairs(bp)):
             if not full():
                 consider(cand, screen)
 

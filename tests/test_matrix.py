@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,53 @@ def test_json_round_trip_property(n_rows, n_cols, data):
                mode=EXACT if exact else APPROX, cols=n_cols)
     text = json.dumps(matrix_to_json_obj(M))
     assert matrix_from_json_obj(json.loads(text)) == M
+
+
+# Every character str.isspace() accepts (the last is U+3000), decimal digits
+# of several scripts, and digits that are not decimal (superscripts).
+WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+DIGIT_TEXT = st.text(alphabet="0123456789" * 3 + "_\u0660\u0665\uff10\uff19\u0966\u096b\u00b2",
+                     min_size=1, max_size=6)
+# Digit strings around int()'s digit limit (Python 3.11+; 0 means no limit).
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG_DIGITS = (st.builds(lambda k, d: d * (LIMIT + k), st.integers(-1, 2), st.sampled_from("19"))
+               if LIMIT else st.nothing())
+ENTRY_STRINGS = st.builds(
+    lambda lead, sign, body, trail: lead + sign + body + trail,
+    st.text(alphabet=WHITESPACE, max_size=2),
+    st.sampled_from(["", "", "+", "-", "-", "+-", "_"]),
+    st.one_of(DIGIT_TEXT, LONG_DIGITS,
+              st.builds("{}/{}".format, DIGIT_TEXT | LONG_DIGITS,
+                        DIGIT_TEXT | st.sampled_from(["0", "00", "-1"])),
+              st.builds("{}.{}{}".format, DIGIT_TEXT, DIGIT_TEXT,
+                        st.sampled_from(["", "e3", "E-2", "e+1", "e", "e_1"]))),
+    st.text(alphabet=WHITESPACE, max_size=2)) | st.text(max_size=4)
+
+
+def _fraction_reader(v, mode):
+    """The matrix [[v]] with v read by Fraction(str), or the reader's error message."""
+    try:
+        return Matrix([[Fraction(v)]], mode=mode)
+    except ZeroDivisionError:
+        return f"matrix entry {v!r} has a zero denominator"
+    except OverflowError:
+        return "matrix entry too large for approximate mode"
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(ENTRY_STRINGS, st.sampled_from([EXACT, APPROX]))
+def test_json_string_entries_read_as_fraction_reads_them(v, mode):
+    event("error" if isinstance(_fraction_reader(v, mode), str) else "matrix")
+    try:
+        got = matrix_from_json_obj({"rows": [[v]]}, mode=mode)
+    except ValueError as exc:
+        got = str(exc)
+        assert "\n" not in got
+    else:
+        assert type(got[0, 0]) is (Fraction if mode == EXACT else float)
+    assert got == _fraction_reader(v, mode)
 
 
 def test_block_assembly_with_empty_blocks():

@@ -15,6 +15,8 @@ from centrosim import (APPROX, EXACT, BlockPartition, Matrix, PreconditionError,
                        intertwiner_space, linear_toeplitz, riccati_residual,
                        singular_certificate, solve_linear, solver, split_blocks)
 from centrosim.cli import main
+from centrosim.matrix import _field
+from golden_cases import PLANTED12
 from oracles import (exhaustive_grid_hits, kron, planted_transform_instance,
                      prefix_coefficients, prefix_major_float_grid, rand_centrosymmetric,
                      rand_int_matrix, vectorized_sylvester_space)
@@ -532,6 +534,20 @@ def _ints(A, D):
     return solver._int_rows(A, scale), solver._int_rows(D, scale)
 
 
+def _space_and_path(A, D, center=None):
+    """_sylvester_space(A, D, center), and whether it got there by the Krylov
+    reduction (without calling _eliminate)."""
+    calls = []
+    eliminate = solver._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+    with patch.object(solver, "_eliminate", counted):
+        space = solver._sylvester_space(A, D, center)
+    return space, not calls
+
+
 def _cyclic_units(D):
     """The i for which e_i is a cyclic vector of D: its Krylov matrix has full rank."""
     m = D.rows
@@ -648,16 +664,14 @@ def test_sylvester_space_matches_the_vectorized_oracle(case):
     particular, basis = expected
     if kind == "shared" and center is None:
         assert basis
-    krylov = solver._krylov_space(*_ints(A, D), center)
-    event(f"{kind}; {'fallback' if krylov is None else 'krylov'}; "
+    space, krylov = _space_and_path(A, D, center)
+    event(f"{kind}; {'krylov' if krylov else 'fallback'}; "
           f"{'no center' if center is None else 'inconsistent' if particular is None else 'consistent'}"
           f"{'' if particular is None or particular.is_zero() else ' nonzero'}"
           f"; dimension {'0' if not basis else '>0'}")
     if cyclic is not None:
-        assert (krylov is not None) == cyclic
-    if krylov is not None:
-        assert krylov == expected
-    assert solver._sylvester_space(A, D, center) == expected
+        assert krylov == cyclic
+    assert space == expected
     if center is None:
         assert intertwiner_space(A, D) == basis
         assert particular == Matrix.zeros(D.rows, A.rows)
@@ -667,8 +681,8 @@ def test_krylov_particular_is_zero_at_the_free_columns():
     # X is 1 x 3 and free but for X[0, 0] + X[0, 1] = 5: free columns 1 and 2.
     A, D = 2 * Matrix.identity(3), Matrix([[2]])
     center = (Matrix([[1], [1], [0]]), Matrix([[5]]), Matrix([[0]]), Matrix([[0, 0, 0]]))
-    space = solver._krylov_space(*_ints(A, D), center)
-    assert space == vectorized_sylvester_space(A, D, center)
+    space, krylov = _space_and_path(A, D, center)
+    assert krylov and space == vectorized_sylvester_space(A, D, center)
     assert space[0] == Matrix([[5, 0, 0]])
     assert space[1] == (Matrix([[-1, 1, 0]]), Matrix([[0, 0, 1]]))
 
@@ -712,38 +726,39 @@ def test_a_cyclic_unit_vector_never_eliminates(monkeypatch):
     assert calls == []
 
 
-def _plus_e00(N):
-    return N + Matrix([[int(i == j == 0) for j in range(N.cols)] for i in range(N.rows)],
-                      cols=N.cols)
+def _corrupting(monkeypatch, part):
+    """Patch solver._reduce so that the first entry of its first basis row (or
+    of its particular row) gains 1 before the re-check sees it."""
+    reduce = solver._reduce
 
-
-def _corrupting(monkeypatch, name, part):
-    """Patch solver.name so that its first basis matrix (or its particular
-    solution) gains 1 in entry (0, 0)."""
-    func = getattr(solver, name)
-
-    def corrupted(*args):
-        space = func(*args)
-        if space is None:
-            return None
-        particular, basis = space
-        if part == "basis":
-            return particular, (_plus_e00(basis[0]),) + basis[1:]
-        return _plus_e00(particular), basis
-    monkeypatch.setattr(solver, name, corrupted)
+    def corrupted(vecs, n):
+        rows, den = reduce(vecs, n)
+        row = rows[-1] if part == "particular" else rows[0]
+        assert bool(row[-1]) == (part == "particular")
+        row[0] += 1
+        return rows, den
+    monkeypatch.setattr(solver, "_reduce", corrupted)
 
 
 @pytest.mark.parametrize("name, part, rows, odd", [
     ("_krylov_space", "basis", [[3, 2, 1, 0], [4, 3, 2, 1], [5, 4, 3, 2], [6, 5, 4, 3]], False),
     ("_eliminate", "basis", [[3, 1, 1, 0], [0, 2, 0, 1], [1, 0, 3, 0], [0, 1, 0, 3]], False),
     ("_krylov_space", "particular", [[2, 1, 1], [1, 5, 1], [1, 1, 2]], True),
+    # D = 3I is derogatory; X = [[1, 1], [2, 2]] is the one solution.
+    ("_eliminate", "particular", [[3, 1, 1, 1, 0], [0, 2, 1, 0, 1], [1, 1, 0, 1, 0],
+                                  [1, 1, 2, 3, 0], [1, 1, 4, 0, 3]], True),
 ])
 def test_a_corrupted_linear_stage_raises_and_is_never_reported(monkeypatch, tmp_path, capsys,
                                                                name, part, rows, odd):
+    """name is the path the linear stage takes: the Krylov reduction or elimination."""
     M = Matrix(rows)
-    parity, s = ("odd", 1) if odd else ("even", 2)
+    parity, s = ("odd", len(rows) // 2) if odd else ("even", 2)
     bp = split_blocks(M, parity, s)
-    _corrupting(monkeypatch, name, part)
+    center = (bp.x, bp.w, bp.z, bp.y) if odd else None
+    assert _space_and_path(bp.A, bp.D, center)[1] == (name == "_krylov_space")
+    _corrupting(monkeypatch, part)
+    with pytest.raises(PreconditionError, match="re-check"):
+        solver._sylvester_space(bp.A, bp.D, center)
     with pytest.raises(PreconditionError, match="re-check"):
         find_intertwiner(M, parity, s)
     if not odd:
@@ -813,16 +828,19 @@ def test_screen_residuals_equal_the_products(case):
     bp = split_blocks(M, parity, s)
     J = exchange_matrix(s, M.mode)
     candidates = {"J": J, "I": Matrix.identity(s, M.mode), "-J": -J}
-    for (name, X), screen in zip(candidates.items(), solver._special_residuals(bp)):
+    F = _field(M.mode)
+    for (name, X), pairs in zip(candidates.items(), solver._special_pairs(bp)):
         syl, quad, extras, ok = solver.system_residuals(bp, X)
         products = (syl, quad) + extras
+        screen = tuple(L - R for L, R in pairs)
         if M.mode == EXACT:
             assert screen == products
         else:
             # Equal up to the sign of zero.
             assert list(map(_abs_entries, screen)) == list(map(_abs_entries, products))
             assert solver._residual_norm(screen) == solver._residual_norm(products)
-        assert all(R.is_zero() for R in screen) == ok
+        # Exact mode compares the pairs and forms no difference.
+        assert F.screen(pairs) == (ok, None if M.mode == EXACT else screen)
         if name == plant:
             assert ok
 
@@ -851,6 +869,27 @@ def test_missed_special_candidates_form_no_product(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("mode, differences", [(EXACT, 0), (APPROX, 6)])
+def test_an_exact_screen_subtracts_nothing(monkeypatch, tmp_path, capsys, mode, differences):
+    # J, I and -J all fail on the planted n = 12 golden case, whose Sylvester
+    # space (dimension 6) exceeds d_max: the screen is the whole search.
+    # Approximate mode forms the screen's six differences, for the residual norm.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(PLANTED12))
+    subtractions = []
+    sub = Matrix.__sub__
+
+    def counted(self, other):
+        subtractions.append(self.shape)
+        return sub(self, other)
+    monkeypatch.setattr(Matrix, "__sub__", counted)
+    calls = _counting_system_residuals(monkeypatch)
+    code = main(["solve", str(path), "--mode", mode])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["solutions"] == [] and len(report["sylvester_basis"]) == 6
+    assert len(subtractions) == differences and calls == []
+
+
 @pytest.mark.parametrize("n", [4, 6, 5, 7])
 def test_each_special_hit_is_multiplied_out_once(monkeypatch, n):
     M = rand_centrosymmetric(random.Random(n), n)
@@ -869,12 +908,12 @@ def test_a_false_pass_of_the_screen_is_rejected_by_the_products(monkeypatch, mod
     M, parity, s, _ = planted_transform_instance(random.Random(32), 6)
     M = Matrix(M.to_lists(), mode=mode)
     honest = find_intertwiner(M, parity, s)
-    special_residuals = solver._special_residuals
+    special_pairs = solver._special_pairs
 
     def lying(bp):
-        exchange, identity, negated = special_residuals(bp)
-        return tuple(Matrix.zeros(R.rows, R.cols, mode) for R in exchange), identity, negated
-    monkeypatch.setattr(solver, "_special_residuals", lying)
+        exchange, identity, negated = special_pairs(bp)
+        return tuple((L, L) for L, _ in exchange), identity, negated
+    monkeypatch.setattr(solver, "_special_pairs", lying)
     calls = _counting_system_residuals(monkeypatch)
     search = find_intertwiner(M, parity, s)
     J = exchange_matrix(s, mode)
