@@ -132,6 +132,14 @@ CASES = {
     "solve_toeplitz6_alpha3": (["solve", "{m}"], {"m": _toeplitz(3, 6)}),
     "solve_toeplitz4_alpha0": (["solve", "{m}"], {"m": _toeplitz(0, 4)}),
     "solve_toeplitz6_alpha11_3": (["solve", "{m}"], {"m": _toeplitz("11/3", 6)}),
+    # The same grid widened to |p| <= 7, q <= 4: its values' lcm is 12, not 6.
+    "solve_toeplitz6_alpha11_3_grid7_4": (["solve", "{m}", "--grid-numer-max", "7",
+                                           "--grid-denom-max", "4"],
+                                          {"m": _toeplitz("11/3", 6)}),
+    # The d=1 line x^2 = 3, whose report carries the discriminant, and x^2 = 4,
+    # whose roots +-2 both solve.
+    "solve_line_discriminant": (["solve", "{m}"], {"m": _m("2 1; 3 2")}),
+    "solve_line_roots": (["solve", "{m}"], {"m": _m("2 1; 4 2")}),
     # The Krylov reduction of the linear stage at n >= 12, in both parities.
     "solve_planted12": (["solve", "{m}"], {"m": PLANTED12}),
     "solve_planted14": (["solve", "{m}"], {"m": PLANTED14}),
