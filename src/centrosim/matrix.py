@@ -33,8 +33,10 @@ def _clear_denominators(rows):
     int_rows = []
     scales = []
     for row in rows:
-        li = math.lcm(*(v.denominator for v in row))
-        int_rows.append([v.numerator * (li // v.denominator) for v in row])
+        dens = [v.denominator for v in row]
+        li = math.lcm(*dens)
+        int_rows.append([v.numerator * (li // q) for v, q in zip(row, dens)] if li != 1
+                        else [v.numerator for v in row])
         scales.append(li)
     return int_rows, scales
 
@@ -85,11 +87,13 @@ class _ExactField:
         """Rows of the product of row tuples a and b (b has p columns).
 
         Each row of a and each column of b is scaled by the lcm of its
-        denominators, so an entry is one integer dot product over one Fraction.
+        denominators, so an entry is one integer dot product over one Fraction
+        (built from the integer alone when its scale is 1).
         """
         rows, row_scales = _clear_denominators(a)
         cols, col_scales = _clear_denominators(zip(*b) if b else [()] * p)
-        return [[Fraction(sum(map(mul, r, c)), lr * lc) for c, lc in zip(cols, col_scales)]
+        return [[Fraction(sum(map(mul, r, c)), q) if (q := lr * lc) != 1
+                 else Fraction(sum(map(mul, r, c))) for c, lc in zip(cols, col_scales)]
                 for r, lr in zip(rows, row_scales)]
 
     def sqrt(self, x):

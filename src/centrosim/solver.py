@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import DimensionError, PreconditionError
 from .linalg import _gauss_jordan_int, gauss_facts, solve_linear
@@ -450,12 +450,15 @@ def find_intertwiner(M, parity, s, options=None, *, stop_at_invertible=False):
 
     def consider(X, screen=None):
         """Keep X if it solves the system.  screen holds the pairs whose
-        differences are X's residuals, when known; X is multiplied out only if
-        they vanish."""
-        if any(X.eq(prev, tol) for prev in seen):
-            return
+        differences are the candidate's residuals, when known: X is then a
+        function that builds the candidate, called only once they vanish, and
+        the candidate is multiplied out only then."""
         ok, residuals = (True, None) if screen is None else F.screen(screen, tol)
         if ok:
+            if screen is not None:
+                X = X()
+            if any(X.eq(prev, tol) for prev in seen):
+                return
             syl, quad, extras, ok = system_residuals(bp, X, tol)
             residuals = (syl, quad) + extras
         if mode == APPROX:
@@ -470,10 +473,11 @@ def find_intertwiner(M, parity, s, options=None, *, stop_at_invertible=False):
 
     # Special candidates come first, in a fixed order.
     if m == bp.A.rows:
-        J = _exchange(m, mode)
-        for cand, screen in zip((J, Matrix.identity(m, mode), -J), _special_pairs(bp)):
+        J = functools.partial(_exchange, m, mode)
+        builds = (J, functools.partial(Matrix.identity, m, mode), lambda: -J())
+        for build, screen in zip(builds, _special_pairs(bp)):
             if not full():
-                consider(cand, screen)
+                consider(build, screen)
 
     particular, basis = _linear_stage(bp, tol)
     d = len(basis)
@@ -517,12 +521,38 @@ def find_intertwiner(M, parity, s, options=None, *, stop_at_invertible=False):
 
 
 def _quadratic_parts(bp, X0, basis):
-    """Row-major entries of R0, Rlin[i], Rquad[i][j]: over X = X0 + sum t_i N_i,
-    C - XBX = R0 - sum t_i Rlin[i] - sum t_i t_j Rquad[i][j]."""
-    XB = X0 * bp.B
-    NB = [N * bp.B for N in basis]
-    return (_entries(bp.C - XB * X0), [_entries(P * X0 + XB * N) for P, N in zip(NB, basis)],
-            [[_entries(P * N) for N in basis] for P in NB])
+    """(K, rows, r0, lin, quad): the row-major entries of K R0, K Rlin[i] and
+    K Rquad[i][j] for one K > 0, where over X = X0 + sum t_i N_i,
+    C - XBX = R0 - sum t_i Rlin[i] - sum t_i t_j Rquad[i][j].
+
+    Exact mode works over the integers, with rows = (den, x0, ns) the integer rows
+    of den X0 and den N_i.  Approximate mode forms the Matrix products, whose
+    float bits the reports pin, with K = 1 and rows None.
+    """
+    if bp.B.mode == APPROX:
+        XB = X0 * bp.B
+        NB = [N * bp.B for N in basis]
+        return (1, None, _entries(bp.C - XB * X0),
+                [_entries(P * X0 + XB * N) for P, N in zip(NB, basis)],
+                [[_entries(P * N) for N in basis] for P in NB])
+    den = _lcm_denominators(X0, *basis)
+    x0, *ns = [_int_rows(M, den) for M in (X0, *basis)]
+    lb, lc = _lcm_denominators(bp.B), _lcm_denominators(bp.C)
+    K = lb * lc * den * den
+    # den X0 (den N_i) times lb lc B times den X0 (den N_j) is K X0 B X0 (K N_i B N_j).
+    b_cols = list(zip(*_int_rows(bp.B, lb * lc)))
+    xb, *nbs = [[[sum(map(mul, r, c)) for c in b_cols] for r in M] for M in (x0, *ns)]
+    x0_cols, *n_cols = [list(zip(*M)) for M in (x0, *ns)]
+    r0 = list(map(sub, _int_entries(bp.C, K), _int_product(xb, x0_cols)))
+    lin = [list(map(add, _int_product(nb, x0_cols), _int_product(xb, nc)))
+           for nb, nc in zip(nbs, n_cols)]
+    quad = [[_int_product(nb, nc) for nc in n_cols] for nb in nbs]
+    return K, (den, x0, ns), r0, lin, quad
+
+
+def _int_product(rows, cols):
+    """The row-major entries of the product of integer rows and integer columns."""
+    return [sum(map(mul, r, c)) for r in rows for c in cols]
 
 
 def _entries(R):
@@ -531,10 +561,11 @@ def _entries(R):
 
 def _solve_on_line(bp, X0, N, F, tol):
     """Parameters t in the field F with C = (X0 + tN) B (X0 + tN) on the affine line."""
-    r0, (r1,), ((r2,),) = _quadratic_parts(bp, X0, (N,))
+    K, _, r0, (r1,), ((r2,),) = _quadratic_parts(bp, X0, (N,))
     for a, b, c in zip(r2, r1, [-v for v in r0]):
         if not F.all_zero((a, b, c), tol):
-            roots, disc = _quadratic_roots(a, b, c, F, tol)
+            # Over K: the roots and the discriminant do not depend on the scale.
+            roots, disc = _quadratic_roots(*(F.coerce(v) / K for v in (a, b, c)), F, tol)
             return roots, disc, None
     # The quadratic constraint holds identically along the line.
     return [-F.one, F.zero, F.one], None, "one-parameter solution line; returning representatives"
@@ -545,16 +576,20 @@ def _grid_search(bp, X0, basis, opts, mode, tol, consider, full):
 
     Only the first d-1 coordinates u are searched: entry e of C - XBX is c - b*t - a*t^2
     in the last one, t, and each entry in turn keeps the values of t where it vanishes
-    (exactly, or within the approximate threshold).  Exact mode walks the prefixes u
-    over scaled integers (_integer_grid); approximate mode walks only their first d-2
-    coordinates and screens every (last prefix coordinate, t) pair of the first entry
-    in one pass (_float_grid).
+    (exactly, or within the approximate threshold).  Exact mode walks the prefixes
+    over scaled integers (_integer_grid) and builds each hit from the integer rows of
+    X0 and the basis (_integer_hit); approximate mode walks only their first d-2
+    coordinates and screens every (last prefix coordinate, t) pair of the first
+    entry in one pass (_float_grid).
     """
     k = len(basis) - 1
     values = opts.grid(mode)
-    r0, lin, quad = _quadratic_parts(bp, X0, basis)
+    _, rows, r0, lin, quad = _quadratic_parts(bp, X0, basis)
     if mode == EXACT:
-        points = _integer_grid(values, k, r0, lin, quad)
+        scale = math.lcm(*(v.denominator for v in values))
+        ts = [v.numerator * (scale // v.denominator) for v in values]
+        points = _integer_grid(scale, ts, k, r0, lin, quad)
+        build = functools.partial(_integer_hit, scale, *rows)
     else:
         try:
             thresh = _field(mode).threshold(tol, bp.C, bp.B.max_abs() ** 2)
@@ -562,54 +597,88 @@ def _grid_search(bp, X0, basis, opts, mode, tol, consider, full):
             raise GridOverflowError("the grid threshold overflows in approximate mode; use "
                                     "exact mode") from None
         points = _float_grid(values, k, r0, lin, quad, thresh)
+
+        def build(u):
+            return sum((ti * N for ti, N in zip(u, basis)), X0)
     for u, survivors in points:
         for t in survivors:
             if full():
                 return
-            consider(sum((ti * N for ti, N in zip(u + (t,), basis)), X0))
+            consider(build(u + (t,)))
 
 
-def _integer_grid(values, k, r0, lin, quad):
-    """(u, the values t at which every entry vanishes) for each prefix u with any.
+def _integer_hit(scale, den, x0, ns, T):
+    """X0 + sum u_i N_i at T = scale u, from the integer rows den X0 and den N_i:
+    (scale x0 + sum T_i n_i) / (scale den), one Fraction per entry."""
+    q = scale * den
+    return Matrix._trusted([[Fraction(scale * v + sum(map(mul, T, col)), q)
+                             for v, col in zip(row, zip(*cols))]
+                            for row, *cols in zip(x0, *ns)], EXACT, len(x0[0]))
 
-    With L the lcm of the grid denominators, every value v is the integer T = L v,
-    and entry e times L^2 and the lcm of its own denominators is the integer
-    quadratic C - B*T - a*T^2 in the last coordinate's T, where C and B are integer
-    polynomials in the prefix's T values.  At each prefix the first entry that does
-    not vanish there is solved for its grid roots (_grid_roots) and each later
-    entry filters them.  Only the surviving points are turned back into Fractions.
+
+def _integer_grid(scale, ts, k, r0, lin, quad):
+    """(U, the T at which every entry vanishes) for each prefix U of
+    product(ts, repeat=k) with any, in that order; ts are the grid values times
+    scale, the lcm of their denominators.
+
+    Entry e of C - XBX, times scale^2 and a positive integer, is C - B*T - a*T^2
+    in the last coordinate's T, with C and B integer polynomials in the prefix.
+    For each head (the first k-1 prefix coordinates) the first entry's C and B
+    are formed at every value V of the last prefix coordinate at once; only where
+    it passes the first test of _grid_roots is the first entry that does not
+    vanish solved for its grid roots, and each later entry filters them.
     """
-    scale = math.lcm(*(v.denominator for v in values))
-    ts = [v.numerator * (scale // v.denominator) for v in values]
     counts = Counter(ts)
-    value = dict(zip(ts, values))
-    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    last = k - 1
+    head_pairs = [(i, j) for i in range(last) for j in range(i, last)]
+    pairs = head_pairs + [(i, last) for i in range(k)]
     entries = []
     for e in range(len(r0)):
-        # C = c0 - c . (U_i, then U_i U_j for i <= j) and B = b0 + b . U.
+        # C = c0 - c . (U_i, then U_i U_j over pairs) and B = b0 + b . U.
         coeffs = ([scale * scale * r0[e], scale * lin[k][e], quad[k][k][e]]
                   + [scale * lin[i][e] for i in range(k)]
                   + [quad[i][j][e] + quad[j][i][e] if i < j else quad[i][i][e] for i, j in pairs]
                   + [quad[i][k][e] + quad[k][i][e] for i in range(k)])
         # An entry that vanishes identically keeps every value.
         if any(coeffs):
-            lcm = math.lcm(*(v.denominator for v in coeffs))
-            c0, b0, a, *rest = [v.numerator * (lcm // v.denominator) for v in coeffs]
+            g = math.gcd(*coeffs)
+            c0, b0, a, *rest = [v // g for v in coeffs]
             entries.append((c0, rest[:-k], b0, rest[-k:], a))
-    for U in product(ts, repeat=k):
-        monomials = U + tuple(U[i] * U[j] for i, j in pairs)
-        survivors = ts
-        for c0, c, b0, b, a in entries:
-            C = c0 - sum(map(mul, monomials, c))
-            B = b0 + sum(map(mul, U, b))
-            if survivors is ts:
-                survivors = _grid_roots(a, B, C, ts, counts)
-            else:
-                survivors = [T for T in survivors if (a * T + B) * T == C]
-            if not survivors:
-                break
+    if not entries:
+        for U in product(ts, repeat=k):
+            yield U, ts
+        return
+    (c0, c, b0, b, a), *later = entries
+    # The first entry at U = head + (V,): C = C0 - V (CV + cvv V) and B = B0 + bv V.
+    n_head = k + len(head_pairs)
+    c_head, cv, c_cross = c[:last] + c[k:n_head], c[last], c[n_head:-1]
+    cvv, bv = c[-1], b[last]
+    for head in product(ts, repeat=last):
+        C0 = c0 - sum(map(mul, head + tuple(head[i] * head[j] for i, j in head_pairs), c_head))
+        CV = cv + sum(map(mul, head, c_cross))
+        B0 = b0 + sum(map(mul, head, b))
+        Cs = [C0 - V * (CV + cvv * V) for V in ts]
+        Bs = [B0 + bv * V for V in ts]
+        if a:
+            discs = [B * B + 4 * a * C for C, B in zip(Cs, Bs)]
+            keep = [n for n, q in enumerate(discs) if q >= 0 and math.isqrt(q) ** 2 == q]
         else:
-            yield tuple(map(value.get, U)), [value[T] for T in survivors]
+            keep = [n for n, (C, B) in enumerate(zip(Cs, Bs)) if not (C % B if B else C)]
+        for n in keep:
+            U = head + (ts[n],)
+            survivors = _grid_roots(a, Bs[n], Cs[n], ts, counts)
+            monomials = U + tuple(U[i] * U[j] for i, j in pairs)
+            for c0e, ce, b0e, be, ae in later:
+                if not survivors:
+                    break
+                C = c0e - sum(map(mul, monomials, ce))
+                B = b0e + sum(map(mul, U, be))
+                if survivors is ts:
+                    survivors = _grid_roots(ae, B, C, ts, counts)
+                else:
+                    survivors = [T for T in survivors if (ae * T + B) * T == C]
+            if survivors:
+                yield U, survivors
 
 
 def _grid_roots(a, b, c, ts, counts):

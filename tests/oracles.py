@@ -6,13 +6,15 @@ elimination-based implementation under test.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from operator import add
+from operator import add, mul
 
 from centrosim import (APPROX, Matrix, block, exchange_matrix, gauss_facts, hstack, inverse,
                        rank_normal_form, solve_linear, vstack)
+from centrosim.solver import _grid_roots
 from centrosim.transforms import _complete_rows
 
 
@@ -74,6 +76,58 @@ def fraction_rref(a, n_cols):
         pivots.append(c)
         r += 1
     return pivots
+
+
+def fraction_quadratic_parts(bp, X0, basis):
+    """Row-major entries of R0, Rlin[i], Rquad[i][j] by Matrix products: over
+    X = X0 + sum t_i N_i, C - XBX = R0 - sum t_i Rlin[i] - sum t_i t_j Rquad[i][j]."""
+    def entries(R):
+        return [v for row in R.to_lists() for v in row]
+    return (entries(bp.C - X0 * bp.B * X0),
+            [entries(N * bp.B * X0 + X0 * bp.B * N) for N in basis],
+            [[entries(Ni * bp.B * Nj) for Nj in basis] for Ni in basis])
+
+
+def prefix_major_integer_grid(values, k, r0, lin, quad):
+    """Reference for centrosim's ``solver._integer_grid``: one prefix u at a time.
+
+    For every prefix u of product(values, repeat=k), the first entry that does not
+    vanish at u is solved for its grid roots (``solver._grid_roots``, itself pinned
+    against testing every value) and each later entry filters them; yields (u, the
+    values t at which every entry vanishes) for every u with any.  r0, lin and quad
+    may hold Fractions or integers.
+    """
+    scale = math.lcm(*(v.denominator for v in values))
+    ts = [v.numerator * (scale // v.denominator) for v in values]
+    counts = Counter(ts)
+    value = dict(zip(ts, values))
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    entries = []
+    for e in range(len(r0)):
+        # C = c0 - c . (U_i, then U_i U_j for i <= j) and B = b0 + b . U.
+        coeffs = ([scale * scale * r0[e], scale * lin[k][e], quad[k][k][e]]
+                  + [scale * lin[i][e] for i in range(k)]
+                  + [quad[i][j][e] + quad[j][i][e] if i < j else quad[i][i][e] for i, j in pairs]
+                  + [quad[i][k][e] + quad[k][i][e] for i in range(k)])
+        # An entry that vanishes identically keeps every value.
+        if any(coeffs):
+            lcm = math.lcm(*(v.denominator for v in coeffs))
+            c0, b0, a, *rest = [v.numerator * (lcm // v.denominator) for v in coeffs]
+            entries.append((c0, rest[:-k], b0, rest[-k:], a))
+    for U in product(ts, repeat=k):
+        monomials = U + tuple(U[i] * U[j] for i, j in pairs)
+        survivors = ts
+        for c0, c, b0, b, a in entries:
+            C = c0 - sum(map(mul, monomials, c))
+            B = b0 + sum(map(mul, U, b))
+            if survivors is ts:
+                survivors = _grid_roots(a, B, C, ts, counts)
+            else:
+                survivors = [T for T in survivors if (a * T + B) * T == C]
+            if not survivors:
+                break
+        else:
+            yield tuple(map(value.get, U)), [value[T] for T in survivors]
 
 
 def exhaustive_grid_hits(bp, X0, basis, opts, mode, tol, consider, full):

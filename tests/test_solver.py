@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -17,9 +18,10 @@ from centrosim import (APPROX, EXACT, BlockPartition, Matrix, PreconditionError,
 from centrosim.cli import main
 from centrosim.matrix import _field
 from golden_cases import PLANTED12
-from oracles import (exhaustive_grid_hits, kron, planted_transform_instance,
-                     prefix_coefficients, prefix_major_float_grid, rand_centrosymmetric,
-                     rand_int_matrix, vectorized_sylvester_space)
+from oracles import (exhaustive_grid_hits, fraction_quadratic_parts, kron,
+                     planted_transform_instance, prefix_coefficients, prefix_major_float_grid,
+                     prefix_major_integer_grid, rand_centrosymmetric, rand_int_matrix,
+                     vectorized_sylvester_space)
 
 SMALL_GRID = tuple(Fraction(v) for v in
                    ("-2", "-1", "-1/2", "0", "1/2", "1", "2"))
@@ -417,6 +419,88 @@ def test_float_grid_matches_the_prefix_major_oracle(k, n_entries, dyadic, plant,
     if plant:
         assert point[-1] in dict(expected)[tuple(point[:-1])]
     event(f"hit prefixes: {min(len(expected), 3)}{'+' if len(expected) > 3 else ''}")
+
+
+# Per entry, the (a, b, c) of c - b*t - a*t^2 at a planted prefix, for a drawn
+# root t1 (and t2): vanishing; a = 0 with root t1; a double root; two roots.
+PLANTS = {
+    "vanish": lambda a, t1, t2: (0, 0, 0),
+    "linear": lambda a, t1, t2: (0, a, a * t1),
+    "double": lambda a, t1, t2: (a, -2 * a * t1, -a * t1 * t1),
+    "two": lambda a, t1, t2: (a, -a * (t1 + t2), -a * t1 * t2),
+}
+
+
+def _planted_entry(k, u, target, draw_int):
+    """Integer (r0, lin, quad) of one entry c - b*t - a*t^2 equal to target's
+    (a, b, c) at prefix u, every other coefficient drawn; None draws them all."""
+    r0 = Fraction(draw_int())
+    lin = [Fraction(draw_int()) for _ in range(k + 1)]
+    quad = [[Fraction(draw_int()) for _ in range(k + 1)] for _ in range(k + 1)]
+    if target is not None:
+        a, b, c = target
+        quad[k][k] = Fraction(a)
+        lin[k] = b - sum(u[i] * (quad[i][k] + quad[k][i]) for i in range(k))
+        r0 = c + sum(u[i] * (lin[i] + sum(u[j] * quad[i][j] for j in range(k)))
+                     for i in range(k))
+    scale = math.lcm(*(v.denominator for v in [r0, *lin, *(q for row in quad for q in row)]))
+    return (int(r0 * scale), [int(v * scale) for v in lin],
+            [[int(v * scale) for v in row] for row in quad])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.data())
+def test_integer_grid_matches_the_prefix_major_oracle(k, n_entries, data):
+    # Grids hold 0 and negatives, repeat values and mix denominators; each entry is
+    # drawn, identically zero, or planted at a grid prefix to vanish there, to have
+    # a = 0, a double root or two roots, and the oracle walks one prefix at a time.
+    values = tuple(sorted(data.draw(st.lists(st.sampled_from(GRID_POOL), min_size=1,
+                                             max_size=5))))
+    u = [data.draw(st.sampled_from(values)) for _ in range(k)]
+    parts = []
+    kinds = []
+    for _ in range(n_entries):
+        kind = data.draw(st.sampled_from(sorted(PLANTS) + ["drawn", "zero"]))
+        kinds.append(kind)
+        small = st.integers(-2, 2) if kind != "zero" else st.just(0)
+        target = None
+        if kind in PLANTS:
+            t1, t2 = (data.draw(st.sampled_from(values + (Fraction(1, 5),))) for _ in "12")
+            target = PLANTS[kind](data.draw(st.sampled_from((-3, -1, 1, 2))), t1, t2)
+        parts.append(_planted_entry(k, u, target, lambda: data.draw(small)))
+    r0 = [p[0] for p in parts]
+    lin = [[p[1][i] for p in parts] for i in range(k + 1)]
+    quad = [[[p[2][i][j] for p in parts] for j in range(k + 1)] for i in range(k + 1)]
+    expected = list(prefix_major_integer_grid(values, k, r0, lin, quad))
+    scale = math.lcm(*(v.denominator for v in values))
+    ts = [v.numerator * (scale // v.denominator) for v in values]
+    value = dict(zip(ts, values))
+    found = [(tuple(map(value.get, U)), [value[T] for T in survivors])
+             for U, survivors in solver._integer_grid(scale, ts, k, r0, lin, quad)]
+    assert found == expected
+    event(f"first entry {kinds[0] if kinds else 'none'}, hits {'yes' if expected else 'no'}")
+
+
+def _fraction_matrix(draw, rows, cols):
+    return Matrix([[Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from((1, 2, 3, 10))))
+                    for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_integer_quadratic_parts_are_the_fraction_parts_scaled(m, s, d, data):
+    # X0 and the N_i are m x s, B is s x m and C is m x s, all with denominators.
+    X0 = _fraction_matrix(data.draw, m, s)
+    basis = tuple(_fraction_matrix(data.draw, m, s) for _ in range(d))
+    B, C = _fraction_matrix(data.draw, s, m), _fraction_matrix(data.draw, m, s)
+    bp = BlockPartition("even", s, Matrix.identity(s), B, C, Matrix.identity(m))
+    K, (den, x0, ns), r0, lin, quad = solver._quadratic_parts(bp, X0, basis)
+    R0, Rlin, Rquad = fraction_quadratic_parts(bp, X0, basis)
+    assert K > 0 and all(type(v) is int for v in r0 + lin[0] + quad[0][0])
+    assert r0 == [K * v for v in R0]
+    assert lin == [[K * v for v in R] for R in Rlin]
+    assert quad == [[[K * v for v in R] for R in row] for row in Rquad]
+    assert [Matrix(rows) * Fraction(1, den) for rows in (x0, *ns)] == [X0, *basis]
 
 
 def test_a_four_dimensional_float_grid_search_stays_small():
@@ -888,6 +972,23 @@ def test_an_exact_screen_subtracts_nothing(monkeypatch, tmp_path, capsys, mode, 
     report = json.loads(capsys.readouterr().out)
     assert code == 2 and report["solutions"] == [] and len(report["sylvester_basis"]) == 6
     assert len(subtractions) == differences and calls == []
+
+
+def test_exact_planted_solve_negates_no_matrix(monkeypatch, tmp_path, capsys):
+    # -J is built only once its screen passes, and on the planted n = 12 golden
+    # case no special candidate passes.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(PLANTED12))
+    negations = []
+    neg = Matrix.__neg__
+
+    def counted(self):
+        negations.append(self.shape)
+        return neg(self)
+    monkeypatch.setattr(Matrix, "__neg__", counted)
+    assert main(["solve", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["solutions"] == []
+    assert negations == []
 
 
 @pytest.mark.parametrize("n", [4, 6, 5, 7])
