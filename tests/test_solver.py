@@ -451,9 +451,9 @@ def _planted_entry(k, u, target, draw_int):
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 4), st.data())
 def test_integer_grid_matches_the_prefix_major_oracle(k, n_entries, data):
-    # Grids hold 0 and negatives, repeat values and mix denominators; each entry is
-    # drawn, identically zero, or planted at a grid prefix to vanish there, to have
-    # a = 0, a double root or two roots, and the oracle walks one prefix at a time.
+    # Grids come from a pool with 0 and negatives, may repeat values and mix
+    # denominators; each entry is drawn, identically zero, or planted at a grid
+    # prefix to vanish there, to have a = 0, a double root or two roots.
     values = tuple(sorted(data.draw(st.lists(st.sampled_from(GRID_POOL), min_size=1,
                                              max_size=5))))
     u = [data.draw(st.sampled_from(values)) for _ in range(k)]
@@ -465,7 +465,7 @@ def test_integer_grid_matches_the_prefix_major_oracle(k, n_entries, data):
         small = st.integers(-2, 2) if kind != "zero" else st.just(0)
         target = None
         if kind in PLANTS:
-            t1, t2 = (data.draw(st.sampled_from(values + (Fraction(1, 5),))) for _ in "12")
+            t1, t2 = (data.draw(st.sampled_from(values + (Fraction(1, 5),))) for _ in range(2))
             target = PLANTS[kind](data.draw(st.sampled_from((-3, -1, 1, 2))), t1, t2)
         parts.append(_planted_entry(k, u, target, lambda: data.draw(small)))
     r0 = [p[0] for p in parts]
