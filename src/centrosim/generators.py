@@ -18,14 +18,21 @@ from fractions import Fraction
 from .errors import DimensionError, InsufficientSamplesError, PreconditionError
 from .linalg import det, gauss_facts
 from .matrix import APPROX, EXACT, Matrix, _field, split_blocks
-from .solver import GridOverflowError, SearchOptions, find_intertwiner, system_residuals
+from .solver import SearchOptions, _residual_norm, find_intertwiner, system_residuals
 
 
 def linear_toeplitz(alpha, m, mode=EXACT):
-    """m x m Toeplitz matrix with entry (i, j) = alpha + (i - j)."""
+    """m x m Toeplitz matrix with entry (i, j) = alpha + (i - j).
+
+    Approximate mode rejects an alpha at which binary64 rounds two of the
+    2m - 1 values alpha + k together: the matrix would not be the Toeplitz one.
+    """
     if m < 1:
         raise DimensionError("Toeplitz size must be >= 1")
     alpha = _field(mode).coerce(alpha)
+    if mode == APPROX and len({alpha + k for k in range(1 - m, m)}) < 2 * m - 1:
+        raise ValueError(f"alpha {alpha!r} is too large for size {m} in approximate mode: "
+                         f"binary64 rounds the entries alpha + (i - j) together")
     return Matrix([[alpha + (i - j) for j in range(m)] for i in range(m)], mode=mode, cols=m)
 
 
@@ -42,26 +49,25 @@ def _toeplitz_table(m, alpha):
     return []
 
 
-def toeplitz_scaled_intertwiner(m, alpha, alternate_at_singular=True):
+def toeplitz_scaled_intertwiner(m, alpha):
     """Numerator matrix Xt and squared scale delta of the known intertwiner.
 
     The true intertwiner is Xt / sqrt(delta); the scaled identities
     Xt A = D Xt and delta C = Xt B Xt hold whenever delta != 0.  For m = 6 at
     alpha = 15 the generic numerator is singular, so the alternate invertible
-    numerator (delta = 16^2 * 30) is returned unless alternate_at_singular is
-    switched off.
+    numerator (delta = 16^2 * 30) is returned.
     """
     alpha = Fraction(alpha)
     table = _toeplitz_table(m, alpha)
     if not table:
         raise DimensionError(f"scaled intertwiners are tabulated for m in (4, 6), got {m}")
-    rows, delta = table[-1] if alpha == 15 and alternate_at_singular else table[0]
+    rows, delta = table[-1] if alpha == 15 else table[0]
     return Matrix(rows, mode=EXACT, cols=len(rows)), Fraction(delta)
 
 
-def verify_scaled_intertwiner(m, alpha, alternate_at_singular=True):
+def verify_scaled_intertwiner(m, alpha):
     """Check Xt A = D Xt and delta C = Xt B Xt exactly for one alpha."""
-    xt, delta = toeplitz_scaled_intertwiner(m, alpha, alternate_at_singular)
+    xt, delta = toeplitz_scaled_intertwiner(m, alpha)
     bp = split_blocks(linear_toeplitz(alpha, m), "even", m // 2)
     return (xt * bp.A == bp.D * xt) and (delta * bp.C == xt * bp.B * xt)
 
@@ -177,25 +183,22 @@ def palindromic_factors(family, spec):
             _tridiagonal([t + sign2 * c[0]] + [t] * (s - 2) + [t - c[s]], off, off))
 
 
-def verify_palindromic_factorization(family, c, sign, samples=None, points=None):
+def verify_palindromic_factorization(family, c, sign, samples=None):
     """Certify det(family matrix) = product of the two factors as an identity in t.
 
-    Both sides are polynomials of degree <= size in t, so agreement at
-    size + 1 distinct rational points proves the identity; size + 2 points are
-    used by default.
+    Both sides are polynomials of degree <= size in t, so agreement at the
+    points t = 0, 1, ..., samples - 1 proves the identity once samples >= size + 1;
+    samples is size + 2 by default.
     """
     c = tuple(Fraction(v) for v in c)
     n1 = len(c)
-    if points is None:
-        if samples is None:
-            samples = n1 + 2
-        points = [Fraction(k) for k in range(samples)]
-    points = [Fraction(p) for p in points]
-    if len(set(points)) < n1 + 1:
+    if samples is None:
+        samples = n1 + 2
+    if samples < n1 + 1:
         raise InsufficientSamplesError(
-            f"need at least {n1 + 1} distinct points for size {n1}, got {len(set(points))}")
+            f"need at least {n1 + 1} distinct points for size {n1}, got {max(samples, 0)}")
     build = periodic_jacobi_pm if family == "A" else bordered_jacobi_pm
-    for t in points:
+    for t in map(Fraction, range(samples)):
         spec = PalindromicSpec(t=t, c=c, sign=sign)
         lhs = det(build(spec))
         f1, f2 = palindromic_factors(family, spec)
@@ -204,7 +207,7 @@ def verify_palindromic_factorization(family, c, sign, samples=None, points=None)
     return True
 
 
-def alpha_scan(size, alphas, tol=None, options=None):
+def alpha_scan(size, alphas, tol=None):
     """Numeric sweep: for each alpha, how close does the search get to an intertwiner.
 
     Returns rows (alpha, size, best_residual_norm, found, invertible).  The
@@ -215,7 +218,7 @@ def alpha_scan(size, alphas, tol=None, options=None):
         raise DimensionError("alpha scan uses the even center split")
     F = _field(APPROX)
     eff_tol = F.tol(tol)
-    opts = options or SearchOptions(tol=eff_tol)
+    opts = SearchOptions(tol=eff_tol)
     rows = []
     for alpha in alphas:
         alpha = float(alpha)
@@ -230,18 +233,13 @@ def alpha_scan(size, alphas, tol=None, options=None):
         invertible = 0
         for X in candidates:
             syl, quad, extras, _ = system_residuals(bp, X, eff_tol)
-            resid = max([float(r.max_abs()) for r in (syl, quad) + extras if r.rows and r.cols],
-                        default=0.0)
+            resid = _residual_norm((syl, quad) + extras)
             best = min(best, resid)
             if resid <= thresh:
                 found = 1
                 if gauss_facts(X, eff_tol).rank == X.rows:
                     invertible = 1
-        try:
-            search = find_intertwiner(M, "even", size // 2, opts)
-        except GridOverflowError:
-            raise ValueError(f"the grid threshold overflows in approximate mode at alpha "
-                             f"{alpha!r}") from None
+        search = find_intertwiner(M, "even", size // 2, opts)
         if search.best_residual is not None:
             best = min(best, search.best_residual)
         for sol in search.solutions:

@@ -420,10 +420,6 @@ def exchange_matrix(n, mode=EXACT):
     """The n-by-n anti-diagonal permutation matrix J."""
     if n < 1:
         raise DimensionError("exchange matrix needs size >= 1")
-    return _exchange(n, mode)
-
-
-def _exchange(n, mode=EXACT):
     F = _field(mode)
     return Matrix._trusted([[F.one if i + j == n - 1 else F.zero for j in range(n)]
                             for i in range(n)], mode, n)

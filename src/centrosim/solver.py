@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
@@ -24,7 +23,7 @@ from operator import add, mul, sub
 
 from .errors import DimensionError, PreconditionError
 from .linalg import _gauss_jordan_int, gauss_facts, solve_linear
-from .matrix import APPROX, EXACT, BlockPartition, Matrix, _exchange, _field, split_blocks
+from .matrix import APPROX, EXACT, BlockPartition, Matrix, _field, exchange_matrix, split_blocks
 
 
 @functools.cache
@@ -48,7 +47,6 @@ class SearchOptions:
     d_max: int = 3
     grid_numer_max: int = 5
     grid_denom_max: int = 3
-    grid_values: tuple | None = None
     max_solutions: int | None = None
     tol: float | None = None
 
@@ -60,12 +58,8 @@ class SearchOptions:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
 
     def grid(self, mode):
-        vals = self.grid_values
-        if vals is None:
-            vals = default_grid_values(self.grid_numer_max, self.grid_denom_max)
-        else:
-            vals = sorted(Fraction(v) for v in vals)
-        return tuple(map(_field(mode).coerce, vals))
+        return tuple(map(_field(mode).coerce,
+                         default_grid_values(self.grid_numer_max, self.grid_denom_max)))
 
 
 @dataclass(frozen=True)
@@ -87,7 +81,6 @@ class IntertwinerSearch:
 
     solutions: tuple
     basis: tuple
-    particular: Matrix | None
     diagnostic: str | None
     discriminant: object = None
     best_residual: float | None = None
@@ -120,16 +113,6 @@ def intertwiner_space(A, D, tol=None):
     return basis
 
 
-def _linear_stage(bp, tol):
-    """Affine solution set of all linear constraints on X.
-
-    Even parity: the homogeneous Sylvester system alone.  Odd parity folds in
-    the center conditions w = X x and y = z X, which are inhomogeneous.
-    """
-    center = (bp.x, bp.w, bp.z, bp.y) if bp.parity == "odd" else None
-    return _sylvester_space(bp.A, bp.D, center, tol)
-
-
 def _sylvester_space(A, D, center=None, tol=None):
     """(particular or None, basis) of XA = DX, and of X x = w, z X = y as well
     when center = (x, w, z, y).
@@ -138,10 +121,11 @@ def _sylvester_space(A, D, center=None, tol=None):
     free column of row-major vec(X), ascending, the basis matrix that is 1
     there and 0 at the other free columns, and a particular solution that is 0
     at every free column (None when the system is inconsistent).  Exact mode
-    reaches them by the Krylov reduction of D when a unit vector is cyclic for
-    D, by elimination otherwise; either way _reduce brings them to integer
-    rows, which are re-checked by multiplication before they become Fraction
-    matrices.  Approximate mode eliminates.
+    finds an integer basis of XA = DX by the Krylov reduction of D when a unit
+    vector is cyclic for D, by integer elimination on the vectorized rows
+    otherwise; either way _pair_rows adds the center and _reduce brings the
+    result to integer rows, which are re-checked by multiplication before they
+    become Fraction matrices.  Approximate mode eliminates.
     """
     if A.mode == APPROX:
         return _eliminate(A, D, center, tol)
@@ -157,14 +141,10 @@ def _sylvester_space(A, D, center=None, tol=None):
         xw, zy = _lcm_denominators(x, w), _lcm_denominators(z, y)
         int_center = (_int_entries(x, xw), _int_entries(w, xw),
                       _int_entries(z, zy), _int_entries(y, zy))
-    vecs = _krylov_space(a, d, int_center)
+    vecs = _krylov_space(a, d)
     if vecs is None:
-        particular, basis = _eliminate(A, D, center, tol)
-        vecs = [_int_entries(N, _lcm_denominators(N)) + [0] for N in basis]
-        if particular is not None:
-            lp = _lcm_denominators(particular)
-            vecs.append(_int_entries(particular, lp) + [lp])
-    rows, den = _reduce(vecs, m * s + 1)
+        vecs = _int_kernel(_sylvester_rows(a, d, 0), m * s)
+    rows, den = _reduce(_pair_rows(vecs, m * s, s, int_center), m * s + 1)
     _recheck(a, d, int_center, rows, den)
     zero = Fraction(0)
     mats = [_unvec([Fraction(v, den) if v else zero for v in row[:-1]], m, s) for row in rows]
@@ -201,25 +181,25 @@ def _recheck(a, d, center, rows, den):
 
 
 def _eliminate(A, D, center, tol):
-    """_sylvester_space by Gauss-Jordan on the s*m-unknown vectorized system."""
+    """Approximate _sylvester_space by Gauss-Jordan on the s*m-unknown vectorized system."""
     s = A.rows
     m = D.rows
     n_unknowns = m * s
     zero = _field(A.mode).zero
-    rows = _sylvester_rows(A, D)
+    rows = _sylvester_rows(A.to_lists(), D.to_lists(), zero)
     rhs = [zero] * len(rows)
     if center is not None:
         x, w, z, y = center
         for p in range(m):
             row = [zero] * n_unknowns
             for j in range(s):
-                row[_vec_index(p, j, s)] = x[j, 0]
+                row[p * s + j] = x[j, 0]
             rows.append(row)
             rhs.append(w[p, 0])
         for q in range(s):
             row = [zero] * n_unknowns
             for i in range(m):
-                row[_vec_index(i, q, s)] = z[0, i]
+                row[i * s + q] = z[0, i]
             rows.append(row)
             rhs.append(y[0, q])
     K = Matrix._trusted(rows, A.mode, n_unknowns)
@@ -230,23 +210,18 @@ def _eliminate(A, D, center, tol):
     return particular, tuple(_unvec(v.col(0), m, s, A.mode) for v in basis)
 
 
-def _vec_index(i, j, s):
-    return i * s + j
-
-
-def _sylvester_rows(A, D):
-    """Coefficient rows of (XA - DX) entry (p, q) over row-major vec(X)."""
-    s = A.rows
-    m = D.rows
-    zero = _field(A.mode).zero
+def _sylvester_rows(a, d, zero):
+    """Coefficient rows of (XA - DX) entry (p, q) over row-major vec(X), from
+    the rows a of A and d of D."""
+    s, m = len(a), len(d)
     rows = []
     for p in range(m):
         for q in range(s):
             row = [zero] * (m * s)
             for j in range(s):
-                row[_vec_index(p, j, s)] += A[j, q]
+                row[p * s + j] += a[j][q]
             for i in range(m):
-                row[_vec_index(i, q, s)] -= D[p, i]
+                row[i * s + q] -= d[p][i]
             rows.append(row)
     return rows
 
@@ -265,9 +240,9 @@ def _int_entries(M, scale):
     return [v for row in _int_rows(M, scale) for v in row]
 
 
-def _krylov_space(a, d, center):
-    """Integer rows (vec(X), tau) spanning the pairs of _pair_rows, through a
-    cyclic unit vector of D; None when D has none.
+def _krylov_space(a, d):
+    """Integer row-major vec(X) of a basis of {X : XA = DX}, through a cyclic
+    unit vector of D; None when D has none.
 
     If T = [v, Dv, ..., D^(m-1) v] is invertible and f(t) = t^m + sum c_p t^p is
     the characteristic polynomial of D (so D^m v = -sum c_p D^p v), then X = T Y
@@ -305,7 +280,7 @@ def _krylov_space(a, d, center):
             ys.append([sum(map(mul, ys[-1], col)) + c[p] * zj for col, zj in zip(a_cols, z)])
         y_cols = list(zip(*ys[::-1]))
         vecs.append([sum(map(mul, t, yc)) for t in t_rows for yc in y_cols])
-    return _pair_rows(vecs, m * s, s, center)
+    return vecs
 
 
 def _int_kernel(rows, n):
@@ -401,12 +376,6 @@ def _special_pairs(bp):
     return exchange, identity, negated
 
 
-def _make_solution(bp, X, syl, quad, tol):
-    facts = gauss_facts(X, tol)
-    return IntertwinerSolution(X=X, sylvester_residual=syl, quadratic_residual=quad,
-                               rank=facts.rank, inverse=facts.inverse)
-
-
 def _residual_norm(mats):
     out = 0.0
     for m in mats:
@@ -464,7 +433,8 @@ def find_intertwiner(M, parity, s, options=None, *, stop_at_invertible=False):
         if mode == APPROX:
             best[0] = min(best[0], _residual_norm(residuals))
         if ok:
-            solutions.append(_make_solution(bp, X, syl, quad, tol))
+            facts = gauss_facts(X, tol)
+            solutions.append(IntertwinerSolution(X, syl, quad, facts.rank, facts.inverse))
             seen.append(X)
 
     def full():
@@ -473,13 +443,16 @@ def find_intertwiner(M, parity, s, options=None, *, stop_at_invertible=False):
 
     # Special candidates come first, in a fixed order.
     if m == bp.A.rows:
-        J = functools.partial(_exchange, m, mode)
+        J = functools.partial(exchange_matrix, m, mode)
         builds = (J, functools.partial(Matrix.identity, m, mode), lambda: -J())
         for build, screen in zip(builds, _special_pairs(bp)):
             if not full():
                 consider(build, screen)
 
-    particular, basis = _linear_stage(bp, tol)
+    # The linear constraints on X: XA = DX, and in odd parity the inhomogeneous
+    # center conditions w = X x and y = z X.
+    center = (bp.x, bp.w, bp.z, bp.y) if bp.parity == "odd" else None
+    particular, basis = _sylvester_space(bp.A, bp.D, center, tol)
     d = len(basis)
     diagnostic = None
     discriminant = None
@@ -510,13 +483,12 @@ def find_intertwiner(M, parity, s, options=None, *, stop_at_invertible=False):
                           "is a nonzero constant")
     elif not full():
         # A full search has a solution, so it needs no grid and no diagnostic.
-        _grid_search(bp, particular, basis, opts, mode, tol, consider, full)
+        _grid_search(bp, particular, basis, opts.grid(mode), mode, tol, consider, full)
         if not solutions:
             diagnostic = f"search exhausted: no grid point solves the system in dimension {d}"
 
     best_residual = None if best[0] is math.inf else best[0]
-    return IntertwinerSearch(solutions=tuple(solutions), basis=basis,
-                             particular=particular, diagnostic=diagnostic,
+    return IntertwinerSearch(solutions=tuple(solutions), basis=basis, diagnostic=diagnostic,
                              discriminant=discriminant, best_residual=best_residual)
 
 
@@ -571,8 +543,9 @@ def _solve_on_line(bp, X0, N, F, tol):
     return [-F.one, F.zero, F.one], None, "one-parameter solution line; returning representatives"
 
 
-def _grid_search(bp, X0, basis, opts, mode, tol, consider, full):
-    """Pass the grid points solving C = XBX to consider, in product(values, repeat=d) order.
+def _grid_search(bp, X0, basis, values, mode, tol, consider, full):
+    """Pass the grid points solving C = XBX to consider, in product(values, repeat=d) order;
+    values are distinct, ascending and in the working field.
 
     Only the first d-1 coordinates u are searched: entry e of C - XBX is c - b*t - a*t^2
     in the last one, t, and each entry in turn keeps the values of t where it vanishes
@@ -583,7 +556,6 @@ def _grid_search(bp, X0, basis, opts, mode, tol, consider, full):
     entry in one pass (_float_grid).
     """
     k = len(basis) - 1
-    values = opts.grid(mode)
     _, rows, r0, lin, quad = _quadratic_parts(bp, X0, basis)
     if mode == EXACT:
         scale = math.lcm(*(v.denominator for v in values))
@@ -628,7 +600,7 @@ def _integer_grid(scale, ts, k, r0, lin, quad):
     it passes the first test of _grid_roots is the first entry that does not
     vanish solved for its grid roots, and each later entry filters them.
     """
-    counts = Counter(ts)
+    members = set(ts)
     last = k - 1
     head_pairs = [(i, j) for i in range(last) for j in range(i, last)]
     pairs = head_pairs + [(i, last) for i in range(k)]
@@ -666,7 +638,7 @@ def _integer_grid(scale, ts, k, r0, lin, quad):
             keep = [n for n, (C, B) in enumerate(zip(Cs, Bs)) if not (C % B if B else C)]
         for n in keep:
             U = head + (ts[n],)
-            survivors = _grid_roots(a, Bs[n], Cs[n], ts, counts)
+            survivors = _grid_roots(a, Bs[n], Cs[n], ts, members)
             monomials = U + tuple(U[i] * U[j] for i, j in pairs)
             for c0e, ce, b0e, be, ae in later:
                 if not survivors:
@@ -674,16 +646,16 @@ def _integer_grid(scale, ts, k, r0, lin, quad):
                 C = c0e - sum(map(mul, monomials, ce))
                 B = b0e + sum(map(mul, U, be))
                 if survivors is ts:
-                    survivors = _grid_roots(ae, B, C, ts, counts)
+                    survivors = _grid_roots(ae, B, C, ts, members)
                 else:
                     survivors = [T for T in survivors if (ae * T + B) * T == C]
             if survivors:
                 yield U, survivors
 
 
-def _grid_roots(a, b, c, ts, counts):
-    """The T of ts with a T^2 + b T = c, ascending and each as often as ts holds it
-    (counts is the Counter of ts); ts itself when a = b = c = 0.
+def _grid_roots(a, b, c, ts, members):
+    """The T of ts with a T^2 + b T = c, ascending (members is the set of ts);
+    ts itself when a = b = c = 0.
 
     The integer roots come from the discriminant's integer square root, or from
     one division when a = 0, so the grid values are never tried one by one.
@@ -698,7 +670,7 @@ def _grid_roots(a, b, c, ts, counts):
         quotients = [divmod(c, b)]
     else:
         return [] if c else ts
-    return [T for T in sorted(q for q, rem in quotients if not rem) for _ in range(counts[T])]
+    return sorted(q for q, rem in quotients if not rem and q in members)
 
 
 def _float_grid(values, k, r0, lin, quad, thresh):

@@ -6,7 +6,6 @@ elimination-based implementation under test.
 """
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -99,7 +98,7 @@ def prefix_major_integer_grid(values, k, r0, lin, quad):
     """
     scale = math.lcm(*(v.denominator for v in values))
     ts = [v.numerator * (scale // v.denominator) for v in values]
-    counts = Counter(ts)
+    members = set(ts)
     value = dict(zip(ts, values))
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
     entries = []
@@ -121,7 +120,7 @@ def prefix_major_integer_grid(values, k, r0, lin, quad):
             C = c0 - sum(map(mul, monomials, c))
             B = b0 + sum(map(mul, U, b))
             if survivors is ts:
-                survivors = _grid_roots(a, B, C, ts, counts)
+                survivors = _grid_roots(a, B, C, ts, members)
             else:
                 survivors = [T for T in survivors if (a * T + B) * T == C]
             if not survivors:
@@ -130,7 +129,7 @@ def prefix_major_integer_grid(values, k, r0, lin, quad):
             yield tuple(map(value.get, U)), [value[T] for T in survivors]
 
 
-def exhaustive_grid_hits(bp, X0, basis, opts, mode, tol, consider, full):
+def exhaustive_grid_hits(bp, X0, basis, values, mode, tol, consider, full):
     """Reference grid search: every point of product(values, repeat=d), in order.
 
     A drop-in for centrosim's ``solver._grid_search``: each point whose
@@ -138,7 +137,6 @@ def exhaustive_grid_hits(bp, X0, basis, opts, mode, tol, consider, full):
     is passed to ``consider`` as X = X0 + sum t_i N_i.
     """
     d = len(basis)
-    values = opts.grid(mode)
     R0 = bp.C - X0 * bp.B * X0
     Rlin = [N * bp.B * X0 + X0 * bp.B * N for N in basis]
     Rquad = [[Ni * bp.B * Nj for Nj in basis] for Ni in basis]

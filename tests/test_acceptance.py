@@ -19,6 +19,7 @@ from centrosim import (APPROX, Matrix, block,
                        riccati_residual, singular_certificate, split_blocks,
                        toeplitz_scaled_intertwiner,
                        verify_palindromic_factorization)
+from centrosim.generators import _toeplitz_table
 from oracles import (embedding_instance, rand_centrosymmetric,
                      rand_int_matrix, rand_invertible, tall_instance,
                      wide_instance)
@@ -71,13 +72,13 @@ def test_criterion_04_example_two_scaled_identities_and_rank():
     points = [Fraction(k, 5) for k in range(-9, 11)]
     assert len(set(points)) == 20
     for alpha in points:
-        xt, delta = toeplitz_scaled_intertwiner(6, alpha, alternate_at_singular=False)
+        xt, delta = toeplitz_scaled_intertwiner(6, alpha)
         assert delta == 9 * alpha * alpha - 105
         bp = split_blocks(linear_toeplitz(alpha, 6), "even", 3)
         assert xt * bp.A == bp.D * xt
         assert delta * bp.C == xt * bp.B * xt
-    first, _ = toeplitz_scaled_intertwiner(6, 15, alternate_at_singular=False)
-    assert rank(first) == 2
+    (first, _), _ = _toeplitz_table(6, Fraction(15))
+    assert rank(Matrix(first)) == 2
     alt, delta_alt = toeplitz_scaled_intertwiner(6, 15)
     assert delta_alt == 7680
     assert rank(alt) == 3

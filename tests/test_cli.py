@@ -267,17 +267,34 @@ def test_an_overflowed_approximate_solve_is_a_data_error(tmp_path, capsys):
 
 def test_an_overflowing_alpha_scan_grid_names_the_alpha(tmp_path, capsys):
     # alpha-scan has no exact mode, so its error names the alpha instead of
-    # suggesting one; solve on the same matrix keeps the exact-mode hint.
+    # suggesting one (binary64 merges the Toeplitz entries long before the grid
+    # threshold overflows); solve on the same matrix keeps the exact-mode hint.
     code, out, err = run(["alpha-scan", "--size", "4", "--start", "1e200", "--stop", "1e200"],
                          capsys)
     assert_one_line_error(code, out, err)
-    assert "grid threshold overflows" in err and "alpha 1e+200" in err
+    assert "too large" in err and "alpha 1e+200" in err
     assert "exact mode" not in err
     path = tmp_path / "t4.json"
     path.write_text(json.dumps({"rows": [[1e200 + i - j for j in range(4)] for i in range(4)]}))
     code, out, err = run(["solve", str(path)], capsys)
     assert_one_line_error(code, out, err)
     assert "grid threshold overflows" in err and "use exact mode" in err
+
+
+@pytest.mark.parametrize("alpha, scans", [
+    ("9007199254740992", False), ("1152921504606846976", False),  # 2^53 and 2^60
+    ("9007199254740000", True), ("4e15", True),
+])
+def test_alpha_scan_rejects_an_alpha_binary64_cannot_offset(capsys, alpha, scans):
+    # At 2^53 and above, alpha + (i - j) rounds to fewer than 2n - 1 values,
+    # so the matrix scanned would not be the linear Toeplitz one.
+    code, out, err = run(["alpha-scan", "--size", "6", "--start", alpha, "--stop", alpha],
+                         capsys)
+    if scans:
+        assert code == 0 and load_report(out)["rows"][0][0] == float(alpha)
+    else:
+        assert_one_line_error(code, out, err)
+        assert f"alpha {float(alpha)!r}" in err
 
 
 def _reject_constant(token):

@@ -61,8 +61,8 @@ def test_scaled_intertwiner_six_alternate_at_fifteen():
     assert xt == Matrix([[-9, 50, 55], [58, 0, 50], [71, 58, -9]])
     assert delta == 7680
     assert rank(xt) == 3
-    first, delta_first = toeplitz_scaled_intertwiner(6, 15, alternate_at_singular=False)
-    assert rank(first) == 2
+    (first, delta_first), _ = generators._toeplitz_table(6, Fraction(15))
+    assert rank(Matrix(first)) == 2
     assert delta_first == 9 * 225 - 105
 
 
@@ -181,8 +181,7 @@ def test_bordered_jacobi_sign_changes_corner_diagonals():
 
 
 def test_verify_factorization_family_a_small():
-    assert verify_palindromic_factorization("A", (1, 1, 1), 1,
-                                            points=[Fraction(k) for k in range(5)])
+    assert verify_palindromic_factorization("A", (1, 1, 1), 1, samples=5)
 
 
 def test_verify_factorization_family_b_even_size():
@@ -195,7 +194,7 @@ def test_verify_factorization_family_b_even_size():
 
 def test_verify_factorization_rejects_too_few_points():
     with pytest.raises(InsufficientSamplesError):
-        verify_palindromic_factorization("A", (1, 1, 1), 1, points=[Fraction(0), Fraction(1)])
+        verify_palindromic_factorization("A", (1, 1, 1), 1, samples=2)
 
 
 def test_conjugated_periodic_jacobi_is_centrosymmetric():

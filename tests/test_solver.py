@@ -2,7 +2,6 @@ import json
 import math
 import random
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -25,6 +24,8 @@ from oracles import (exhaustive_grid_hits, fraction_quadratic_parts, kron,
 
 SMALL_GRID = tuple(Fraction(v) for v in
                    ("-2", "-1", "-1/2", "0", "1/2", "1", "2"))
+# The search options whose grid is SMALL_GRID.
+SMALL = {"grid_numer_max": 2, "grid_denom_max": 2}
 
 
 def coords_in_basis(X, basis):
@@ -71,8 +72,7 @@ def test_find_intertwiner_centrosymmetric_contains_exchange():
     rng = random.Random(9)
     for n in (2, 4, 6):
         M = rand_centrosymmetric(rng, n)
-        search = find_intertwiner(M, "even", n // 2,
-                                  SearchOptions(grid_values=SMALL_GRID))
+        search = find_intertwiner(M, "even", n // 2, SearchOptions(**SMALL))
         J = exchange_matrix(n // 2)
         assert any(sol.X == J and sol.invertible for sol in search)
 
@@ -82,7 +82,7 @@ def test_find_intertwiner_odd_centrosymmetric_contains_exchange():
     for n in (3, 5):
         M = rand_centrosymmetric(rng, n)
         s = (n - 1) // 2
-        search = find_intertwiner(M, "odd", s, SearchOptions(grid_values=SMALL_GRID))
+        search = find_intertwiner(M, "odd", s, SearchOptions(**SMALL))
         J = exchange_matrix(s)
         assert any(sol.X == J and sol.invertible for sol in search)
 
@@ -135,7 +135,7 @@ def test_find_intertwiner_solutions_reverified_by_multiplication():
         B = M.submatrix(0, s, s, n)
         C = M.submatrix(s, n, 0, s)
         D = M.submatrix(s, n, s, n)
-        for sol in find_intertwiner(M, "even", s, SearchOptions(grid_values=SMALL_GRID)):
+        for sol in find_intertwiner(M, "even", s, SearchOptions(**SMALL)):
             assert sol.X * A == D * sol.X
             assert C == sol.X * B * sol.X
 
@@ -167,7 +167,7 @@ def planted_instance(rng, s):
 
 def test_constructed_instances_yield_invertible_solution():
     rng = random.Random(13)
-    opts = SearchOptions(grid_values=SMALL_GRID, max_solutions=1)
+    opts = SearchOptions(**SMALL, max_solutions=1)
     for trial in range(200):
         s = (trial % 3) + 1
         M, X = planted_instance(rng, s)
@@ -180,7 +180,7 @@ def test_constructed_instances_yield_invertible_solution():
 def test_pipeline_search_then_transform_certifies():
     from centrosim import build_centro_transform, is_centrosymmetric
     rng = random.Random(15)
-    opts = SearchOptions(grid_values=SMALL_GRID, max_solutions=1)
+    opts = SearchOptions(**SMALL, max_solutions=1)
     for trial in range(200):
         s = (trial % 3) + 1
         M, _ = planted_instance(rng, s)
@@ -317,19 +317,24 @@ def _search_with(grid_search, M, s, opts):
         return find_intertwiner(M, "even", s, opts)
 
 
-def _grid_hits(grid_search, M, s, opts, cap=None):
-    """Every X the grid search passes to consider, stopping after cap of them."""
+def _grid_hits(grid_search, M, s, values, cap=None):
+    """Every X the grid search over values passes to consider, stopping after cap of them."""
     bp = split_blocks(M, "even", s)
-    particular, basis = solver._linear_stage(bp, opts.tol)
-    return _affine_grid_hits(grid_search, bp, particular, basis, opts, cap)
+    particular, basis = solver._sylvester_space(bp.A, bp.D)
+    return _affine_grid_hits(grid_search, bp, particular, basis, values, cap)
 
 
-def _affine_grid_hits(grid_search, bp, X0, basis, opts, cap=None):
+def _affine_grid_hits(grid_search, bp, X0, basis, values, cap=None):
     """_grid_hits over X = X0 + sum t_i N_i for any X0 and N_i."""
     hits = []
-    grid_search(bp, X0, basis, opts, bp.C.mode, opts.tol, hits.append,
+    grid_search(bp, X0, basis, values, bp.C.mode, None, hits.append,
                 lambda: cap is not None and len(hits) >= cap)
     return hits
+
+
+def _grid(values, mode):
+    """A grid as _grid_search takes it: distinct values, ascending, in the mode's field."""
+    return tuple(map(_field(mode).coerce, sorted(values)))
 
 
 def _diag(v):
@@ -340,14 +345,10 @@ def _diag(v):
 GRID_POOL = tuple(Fraction(v) for v in ("-3", "-2", "-1", "-1/2", "0", "1/3", "1/2", "1", "2", "3"))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([2, 3, 4]), st.sampled_from([EXACT, APPROX]),
-       st.sampled_from([None, 1]), st.booleans(), st.data())
-def test_grid_search_matches_exhaustive_oracle(d, mode, max_solutions, default_grid, data):
-    # A and D share d distinct eigenvalues, so the Sylvester space has
-    # dimension d; C = X* B X* plants X* = P diag(x) S^-1 on or off the grid.
-    # Dimension 4 runs in approximate mode only, on grids of at most 4 values.
-    assume(d < 4 or mode == APPROX)
+def _planted_grid_instance(data, d, mode):
+    """M whose even split at d has a d-dimensional Sylvester space: A and D share
+    d distinct eigenvalues, and C = X* B X* plants X* = P diag(x) S^-1 on or off
+    the grid."""
     eig = data.draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d, unique=True))
     perm = data.draw(st.permutations(range(d)))
     x = data.draw(st.lists(st.sampled_from(GRID_POOL + (Fraction(5, 7),)), min_size=d,
@@ -366,17 +367,36 @@ def test_grid_search_matches_exhaustive_oracle(d, mode, max_solutions, default_g
     M = block([[A, B], [X * B * X, D]])
     if mode == APPROX:
         M = Matrix([[float(v) for v in r] for r in M.to_lists()], mode=APPROX)
-    grid = None
-    if not (default_grid and d == 2):
-        grid = tuple(data.draw(st.lists(st.sampled_from(GRID_POOL), min_size=1,
-                                        max_size=7 if d < 4 else 4, unique=True)))
-    opts = SearchOptions(d_max=4, grid_values=grid, max_solutions=max_solutions)
     assert len(intertwiner_space(A, D)) == d
-    expected = _search_with(exhaustive_grid_hits, M, d, opts)
-    assert find_intertwiner(M, "even", d, opts) == expected
+    return M
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.sampled_from([EXACT, APPROX]), st.data())
+def test_grid_search_matches_exhaustive_oracle(d, mode, data):
+    # Custom grids of distinct values from a pool with 0, negatives and 1/3.
+    # Dimension 4 runs in approximate mode only, on grids of at most 4 values.
+    assume(d < 4 or mode == APPROX)
+    M = _planted_grid_instance(data, d, mode)
+    values = _grid(data.draw(st.lists(st.sampled_from(GRID_POOL), min_size=1,
+                                      max_size=7 if d < 4 else 4, unique=True)), mode)
     cap = data.draw(st.sampled_from([None, 1, 2]))
-    assert (_grid_hits(solver._grid_search, M, d, opts, cap)
-            == _grid_hits(exhaustive_grid_hits, M, d, opts, cap))
+    assert (_grid_hits(solver._grid_search, M, d, values, cap)
+            == _grid_hits(exhaustive_grid_hits, M, d, values, cap))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([EXACT, APPROX]), st.integers(0, 4),
+       st.integers(1, 4), st.sampled_from([None, 1]), st.data())
+def test_search_over_bounded_grids_matches_exhaustive_oracle(d, mode, numer_max, denom_max,
+                                                             max_solutions, data):
+    # The whole search, over the grid the options give, against the exhaustive
+    # grid walk; in dimension 3 only on grids of at most 13 values.
+    opts = SearchOptions(grid_numer_max=numer_max, grid_denom_max=denom_max,
+                         max_solutions=max_solutions)
+    assume(d == 2 or len(opts.grid(mode)) <= 13)
+    M = _planted_grid_instance(data, d, mode)
+    assert find_intertwiner(M, "even", d, opts) == _search_with(exhaustive_grid_hits, M, d, opts)
 
 
 # Quarters in [-2, 2]: every product and sum the float grid forms over them at
@@ -451,11 +471,11 @@ def _planted_entry(k, u, target, draw_int):
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 4), st.data())
 def test_integer_grid_matches_the_prefix_major_oracle(k, n_entries, data):
-    # Grids come from a pool with 0 and negatives, may repeat values and mix
+    # Grids of distinct values come from a pool with 0 and negatives and mix
     # denominators; each entry is drawn, identically zero, or planted at a grid
     # prefix to vanish there, to have a = 0, a double root or two roots.
     values = tuple(sorted(data.draw(st.lists(st.sampled_from(GRID_POOL), min_size=1,
-                                             max_size=5))))
+                                             max_size=5, unique=True))))
     u = [data.draw(st.sampled_from(values)) for _ in range(k)]
     parts = []
     kinds = []
@@ -532,9 +552,9 @@ WIDE_POOL = GRID_POOL + tuple(Fraction(v) for v in
 @given(st.sampled_from([2, 3]), st.data())
 def test_exact_grid_matches_exhaustive_oracle_on_wide_grids(d, data):
     # The grid needs no Sylvester structure: X = X0 + sum t_i N_i over arbitrary
-    # X0 and N_i, with C = X* B X* planted at a grid point X*.  The grid repeats
-    # values and mixes denominators 7 and 10 with numerators up to 3*10^6; B, X0
-    # and the N_i have entries with large denominators.
+    # X0 and N_i, with C = X* B X* planted at a grid point X*.  The grid mixes
+    # denominators 7 and 10 with numerators up to 3*10^6; B, X0 and the N_i have
+    # entries with large denominators.
     def rational():
         return Fraction(data.draw(st.integers(-3, 3)),
                         data.draw(st.sampled_from((1, 7, 997, 10**6 + 3))))
@@ -545,42 +565,40 @@ def test_exact_grid_matches_exhaustive_oracle_on_wide_grids(d, data):
     X0 = mat()
     basis = tuple(mat() for _ in range(d))
     B = mat()
-    grid = data.draw(st.lists(st.sampled_from(WIDE_POOL), min_size=1, max_size=8))
-    grid += data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=3))
+    grid = _grid(data.draw(st.lists(st.sampled_from(WIDE_POOL), min_size=1, max_size=8,
+                                    unique=True)), EXACT)
     X = X0
     for N in basis:
         X = X + data.draw(st.sampled_from(grid)) * N
     bp = split_blocks(block([[Matrix.identity(2), B], [X * B * X, Matrix.identity(2)]]),
                       "even", 2)
-    opts = SearchOptions(grid_values=tuple(grid))
     cap = data.draw(st.sampled_from([None, 1, 2]))
-    hits = _affine_grid_hits(solver._grid_search, bp, X0, basis, opts, cap)
-    assert hits == _affine_grid_hits(exhaustive_grid_hits, bp, X0, basis, opts, cap)
+    hits = _affine_grid_hits(solver._grid_search, bp, X0, basis, grid, cap)
+    assert hits == _affine_grid_hits(exhaustive_grid_hits, bp, X0, basis, grid, cap)
     assert cap is not None or X in hits
 
 
-# Scaled grid values T, ascending, with 2 repeated as user grid_values may repeat it.
-ROOT_GRID = [-6, -3, -2, 0, 2, 2, 3, 4]
+# Scaled grid values T, distinct and ascending.
+ROOT_GRID = [-6, -3, -2, 0, 2, 3, 4]
 
 
 @pytest.mark.parametrize("a, b, c, roots", [
     (0, 2, -6, [-3]),           # a = 0, integral quotient
     (0, 4, 6, []),              # a = 0, quotient 3/2
-    (0, 0, 0, ROOT_GRID),       # a = b = c = 0: every value, repeats kept
+    (0, 0, 0, ROOT_GRID),       # a = b = c = 0: every value
     (0, 0, 5, []),              # a = b = 0, c != 0
     (1, 0, -4, []),             # negative discriminant
     (4, 0, 1, []),              # square discriminant, roots +-1/2
     (2, 1, 6, [-2]),            # roots -2 and 3/2
-    (1, -4, -4, [2, 2]),        # double root 2, held twice by the grid
+    (1, -4, -4, [2]),           # double root 2, found once
     (1, 0, 25, []),             # roots +-5, both off the grid
     (-1, 0, -16, [4]),          # roots +-4, -4 off the grid
     (-1, 1, -6, [-2, 3]),       # a < 0: still ascending
-    (0, 1, 2, [2, 2]),          # a repeated grid value
 ])
 def test_grid_roots_solve_the_first_entry(a, b, c, roots):
     # _grid_roots solves a T^2 + b T = c for the grid values T it finds: the same
-    # list, in the same order and with the same repeats, as testing every value.
-    found = solver._grid_roots(a, b, c, ROOT_GRID, Counter(ROOT_GRID))
+    # list, in the same order, as testing every value.
+    found = solver._grid_roots(a, b, c, ROOT_GRID, set(ROOT_GRID))
     assert found == roots == [T for T in ROOT_GRID if (a * T + b) * T == c]
 
 
@@ -594,9 +612,9 @@ def test_grid_search_last_coordinate_roots(b, c, grid_hits):
     # X = diag(t0, t1) spans the Sylvester space of A = D = diag(1, 2).
     M = block([[_diag((1, 2)), _diag(b)], [_diag(c), _diag((1, 2))]])
     opts = SearchOptions()
-    hits = _grid_hits(solver._grid_search, M, 2, opts)
+    hits = _grid_hits(solver._grid_search, M, 2, default_grid_values())
     assert [(X[0, 0], X[1, 1]) for X in hits] == grid_hits
-    assert hits == _grid_hits(exhaustive_grid_hits, M, 2, opts)
+    assert hits == _grid_hits(exhaustive_grid_hits, M, 2, default_grid_values())
     assert find_intertwiner(M, "even", 2, opts) == _search_with(exhaustive_grid_hits, M, 2, opts)
 
 
@@ -620,16 +638,16 @@ def _ints(A, D):
 
 def _space_and_path(A, D, center=None):
     """_sylvester_space(A, D, center), and whether it got there by the Krylov
-    reduction (without calling _eliminate)."""
-    calls = []
-    eliminate = solver._eliminate
+    reduction (not the integer fallback)."""
+    found = []
+    krylov_space = solver._krylov_space
 
-    def counted(*args):
-        calls.append(args)
-        return eliminate(*args)
-    with patch.object(solver, "_eliminate", counted):
+    def recorded(*args):
+        found.append(krylov_space(*args))
+        return found[-1]
+    with patch.object(solver, "_krylov_space", recorded):
         space = solver._sylvester_space(A, D, center)
-    return space, not calls
+    return space, found[0] is not None
 
 
 def _cyclic_units(D):
@@ -771,38 +789,50 @@ def test_krylov_particular_is_zero_at_the_free_columns():
     assert space[1] == (Matrix([[-1, 1, 0]]), Matrix([[0, 0, 1]]))
 
 
-def test_linear_stage_matches_the_oracle_in_both_parities():
+def test_linear_stage_matches_the_oracle_in_both_parities(monkeypatch):
+    spaces = []
+    sylvester_space = solver._sylvester_space
+
+    def recorded(*args):
+        spaces.append(sylvester_space(*args))
+        return spaces[-1]
+    monkeypatch.setattr(solver, "_sylvester_space", recorded)
     for M, parity, s in ((linear_toeplitz(Fraction(3), 4), "even", 2),
                          (Matrix([[2, 1, 1], [1, 5, 1], [1, 1, 2]]), "odd", 1),
                          (Matrix([[1, 0, 2], [3, 7, 4], [5, 1, 1]]), "odd", 1)):
         bp = split_blocks(M, parity, s)
         center = (bp.x, bp.w, bp.z, bp.y) if parity == "odd" else None
-        assert solver._linear_stage(bp, None) == vectorized_sylvester_space(bp.A, bp.D, center)
+        find_intertwiner(M, parity, s)
+        assert spaces.pop() == vectorized_sylvester_space(bp.A, bp.D, center)
 
 
-def _counting_eliminate(monkeypatch):
+def _counting(monkeypatch, name):
+    """The argument tuples of every call to solver.<name> from here on."""
     calls = []
-    eliminate = solver._eliminate
+    fn = getattr(solver, name)
 
     def counted(*args):
         calls.append(args)
-        return eliminate(*args)
-    monkeypatch.setattr(solver, "_eliminate", counted)
+        return fn(*args)
+    monkeypatch.setattr(solver, name, counted)
     return calls
 
 
 def test_scalar_d_takes_the_elimination_fallback(monkeypatch):
+    # No unit vector is cyclic for D = 3I, so the integer Sylvester rows are
+    # eliminated; no Fraction elimination runs.
     A = Matrix([[3, 1], [0, 2]])
     D = 3 * Matrix.identity(2)
-    calls = _counting_eliminate(monkeypatch)
-    assert solver._krylov_space(*_ints(A, D), None) is None
+    rows, eliminate, solve = (_counting(monkeypatch, name) for name in
+                              ("_sylvester_rows", "_eliminate", "solve_linear"))
+    assert solver._krylov_space(*_ints(A, D)) is None
     space = solver._sylvester_space(A, D)
-    assert len(calls) == 1 and len(space[1]) == 2
+    assert len(rows) == 1 and eliminate == solve == [] and len(space[1]) == 2
     assert space == vectorized_sylvester_space(A, D)
 
 
 def test_a_cyclic_unit_vector_never_eliminates(monkeypatch):
-    calls = _counting_eliminate(monkeypatch)
+    calls = _counting(monkeypatch, "_sylvester_rows")
     # e_0 is an eigenvector of D; e_1 is cyclic.
     A, D = Matrix([[1, 0], [1, 3]]), Matrix([[1, 1], [0, 2]])
     assert solver._sylvester_space(A, D) == vectorized_sylvester_space(A, D)
@@ -826,15 +856,16 @@ def _corrupting(monkeypatch, part):
 
 @pytest.mark.parametrize("name, part, rows, odd", [
     ("_krylov_space", "basis", [[3, 2, 1, 0], [4, 3, 2, 1], [5, 4, 3, 2], [6, 5, 4, 3]], False),
-    ("_eliminate", "basis", [[3, 1, 1, 0], [0, 2, 0, 1], [1, 0, 3, 0], [0, 1, 0, 3]], False),
+    ("integer_fallback", "basis", [[3, 1, 1, 0], [0, 2, 0, 1], [1, 0, 3, 0], [0, 1, 0, 3]], False),
     ("_krylov_space", "particular", [[2, 1, 1], [1, 5, 1], [1, 1, 2]], True),
     # D = 3I is derogatory; X = [[1, 1], [2, 2]] is the one solution.
-    ("_eliminate", "particular", [[3, 1, 1, 1, 0], [0, 2, 1, 0, 1], [1, 1, 0, 1, 0],
-                                  [1, 1, 2, 3, 0], [1, 1, 4, 0, 3]], True),
+    ("integer_fallback", "particular", [[3, 1, 1, 1, 0], [0, 2, 1, 0, 1], [1, 1, 0, 1, 0],
+                                        [1, 1, 2, 3, 0], [1, 1, 4, 0, 3]], True),
 ])
 def test_a_corrupted_linear_stage_raises_and_is_never_reported(monkeypatch, tmp_path, capsys,
                                                                name, part, rows, odd):
-    """name is the path the linear stage takes: the Krylov reduction or elimination."""
+    """name is the path the linear stage takes: the Krylov reduction or the
+    integer fallback."""
     M = Matrix(rows)
     parity, s = ("odd", len(rows) // 2) if odd else ("even", 2)
     bp = split_blocks(M, parity, s)
