@@ -199,6 +199,12 @@ CASES = {
                                 {"m": CENTRO5}),
     "solve_approx_toeplitz4_alpha0": (["solve", "{m}", "--mode", "approx"],
                                       {"m": _toeplitz(0, 4)}),
+    # The float grid in dimension 3: ten hits, whose order and bits are pinned,
+    # and an exhausted search whose first entry has a = 0 (linear in t).
+    "solve_approx_toeplitz6_alpha11_3": (["solve", "{m}", "--mode", "approx"],
+                                         {"m": _toeplitz("11/3", 6)}),
+    "solve_approx_toeplitz6_alpha3": (["solve", "{m}", "--mode", "approx"],
+                                      {"m": _toeplitz(3, 6)}),
 }
 APPROX_CASES = {name for name, (argv, _) in CASES.items() if "approx" in argv}
 

@@ -10,7 +10,9 @@ and 3, the planted n = 12, 14 and odd 13 solves the Krylov linear stage with
 Sylvester spaces of dimension 6 and 7, and the approximate ``alpha-scan``
 cases the float grid.  The
 approximate ``solve`` cases pin the float residuals of the special
-candidates J, I and -J to their last bit, signs of zero included.
+candidates J, I and -J to their last bit, signs of zero included, and the
+approximate Toeplitz n=6 solves the float grid's hits in dimension 3, in order
+and to their last bit, and its exhaustion where the first entry is linear.
 
 The cases live in ``golden_cases.py``, which also checks or rewrites the golden
 files without pytest (see its docstring).
