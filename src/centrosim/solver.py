@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
@@ -498,15 +499,19 @@ def _quadratic_parts(bp, X0, basis):
     C - XBX = R0 - sum t_i Rlin[i] - sum t_i t_j Rquad[i][j].
 
     Exact mode works over the integers, with rows = (den, x0, ns) the integer rows
-    of den X0 and den N_i.  Approximate mode forms the Matrix products, whose
-    float bits the reports pin, with K = 1 and rows None.
+    of den X0 and den N_i.  Approximate mode forms the products on row lists with
+    the float kernel of Matrix products, whose bits the reports pin, with K = 1
+    and rows None.
     """
     if bp.B.mode == APPROX:
-        XB = X0 * bp.B
-        NB = [N * bp.B for N in basis]
-        return (1, None, _entries(bp.C - XB * X0),
-                [_entries(P * X0 + XB * N) for P, N in zip(NB, basis)],
-                [[_entries(P * N) for N in basis] for P in NB])
+        def times(rows, M):
+            return _field(APPROX).matmul(rows, M.to_lists(), M.cols)
+
+        xb, *nbs = [times(M.to_lists(), bp.B) for M in (X0, *basis)]
+        return (1, None, list(map(sub, _flat(bp.C.to_lists()), _flat(times(xb, X0)))),
+                [list(map(add, _flat(times(nb, X0)), _flat(times(xb, N))))
+                 for nb, N in zip(nbs, basis)],
+                [[_flat(times(nb, N)) for N in basis] for nb in nbs])
     den = _lcm_denominators(X0, *basis)
     x0, *ns = [_int_rows(M, den) for M in (X0, *basis)]
     lb, lc = _lcm_denominators(bp.B), _lcm_denominators(bp.C)
@@ -527,8 +532,8 @@ def _int_product(rows, cols):
     return [sum(map(mul, r, c)) for r in rows for c in cols]
 
 
-def _entries(R):
-    return [v for row in R.to_lists() for v in row]
+def _flat(rows):
+    return [v for row in rows for v in row]
 
 
 def _solve_on_line(bp, X0, N, F, tol):
@@ -552,8 +557,10 @@ def _grid_search(bp, X0, basis, values, mode, tol, consider, full):
     (exactly, or within the approximate threshold).  Exact mode walks the prefixes
     over scaled integers (_integer_grid) and builds each hit from the integer rows of
     X0 and the basis (_integer_hit); approximate mode walks only their first d-2
-    coordinates and screens every (last prefix coordinate, t) pair of the first
-    entry in one pass (_float_grid).
+    coordinates and, at each value of the last prefix coordinate, tests the first
+    entry only at the values of t in proven windows around its binary64 roots, or
+    at every t where the windows are not finite or the entry is constant in t
+    (_float_grid).  The order of values is what makes the windows a bisection.
     """
     k = len(basis) - 1
     _, rows, r0, lin, quad = _quadratic_parts(bp, X0, basis)
@@ -675,14 +682,39 @@ def _grid_roots(a, b, c, ts, members):
 
 def _float_grid(values, k, r0, lin, quad, thresh):
     """(u, the values t at which every entry is within thresh of 0) for each prefix u
-    with any, in product(values, repeat=k) order.
+    with any, in product(values, repeat=k) order; values must be ascending.
 
-    The first k-1 coordinates (the head) are walked; for each head the first entry
-    is screened at every pair of last prefix coordinate v and t in one pass, and
-    each later entry filters only the t that survive at each v.  The c and b of an
-    entry are the same float operations, in the same order, for every prefix.
+    The first k-1 coordinates (the head) are walked.  For each head and each value
+    v of the last prefix coordinate, the first entry, c - b*t - a*t^2, is solved
+    for t in binary64 and only the values in proven windows around its roots get
+    the test abs(c - b*t - t*t*a) <= thresh (_first_entry); each later entry
+    filters the t that survive.  The c and b of an entry are the same float
+    operations, in the same order, for every prefix.
+
+    The windows drop no t that passes.  Let u = 2^-53, T = max |values|, and
+    cmax, bmax the largest |c| and |b| over the head's v.  The test's three
+    products and two differences err from the exact c - b t - a t^2 by at most
+    3u/(1-3u) (|c| + |b| T + |a| T^2) (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1), plus 2^-1075 per product that underflows,
+    so a passing t has |c - b t - a t^2| <= h, with
+        h = thresh + EPS (thresh + cmax + bmax T + |a| max(T^2, TINY)) + TINY,
+    EPS = 2^-44 = 512u and TINY = 2^-1022, the least normal double.  Every
+    quantity below is a few roundings, each within u relative or 2^-1075
+    absolute, from its exact value, and EPS and TINY cover them.
+      a != 0: with D = b^2 + 4ac and m = -b/(2a), c - b t - a t^2 is
+        -a ((t - m)^2 - D/(4a^2)).  S = 4|a| h + EPS (bmax^2 + 4|a| cmax) + TINY
+        bounds 4|a| h plus the rounding of D, so no t passes when D + S < 0, and
+        otherwise sqrt(max(D - S, 0)) <= 2|a| |t - m| <= sqrt(D + S): one window
+        around each root, or one around m when they are near or complex.
+        Each window is widened on both sides by
+        EPS (bmax + sqrt(bmax^2 + 4|a| cmax + S)) / (2|a|) + TINY, EPS times a
+        bound on |m| and the outer radius, for the rounding of m, the radii and
+        the window edges.
+      a = 0, b != 0: |t - c/b| <= h/|b|, widened by EPS (|c/b| + h/|b|) + TINY.
+      a = b = 0, or a widening that is not finite (an overflow, or
+        thresh = inf): every t is tested, as in a walk without windows.  At a v
+        whose c or b is NaN no t passes, whichever values its window holds.
     """
-    n = len(values)
     # Per entry: its coefficients for _entry_columns, then t*t*a at every grid value t.
     entries = [((r0[e], [lin[i][e] for i in range(k + 1)],
                  [[quad[i][j][e] for j in range(k)] for i in range(k)],
@@ -690,15 +722,9 @@ def _float_grid(values, k, r0, lin, quad, thresh):
                 [t * t * a for t in values])
                for e, a in enumerate(quad[k][k])]
     (coeffs, tta), *later = entries
-    grid = list(zip(range(n), values, tta))
     for head in product(values, repeat=k - 1):
         cs, bs = _entry_columns(head, values, *coeffs)
-        pairs = [(iv, it) for iv, c, b in zip(range(n), cs, bs)
-                 for it, t, q in grid if abs(c - b * t - q) <= thresh]
-        survivors = {}
-        for iv, it in pairs:
-            survivors.setdefault(iv, []).append(it)
-        for iv, its in survivors.items():
+        for iv, its in _first_entry(values, tta, quad[k][k][0], cs, bs, thresh):
             v = values[iv]
             for coeffs_e, tta_e in later:
                 (c,), (b,) = _entry_columns(head, (v,), *coeffs_e)
@@ -707,6 +733,57 @@ def _float_grid(values, k, r0, lin, quad, thresh):
                     break
             else:
                 yield head + (v,), [values[it] for it in its]
+
+
+# EPS and TINY of _float_grid's windows: relative and absolute rounding margins.
+_EPS, _TINY = 2.0 ** -44, 2.0 ** -1022
+
+
+def _first_entry(values, tta, a, cs, bs, thresh):
+    """(iv, the ascending indices it with abs(c - b*values[it] - tta[it]) <= thresh)
+    for each c = cs[iv] and b = bs[iv] with any; tta holds t*t*a at every value t,
+    and only the t in the windows of _float_grid's docstring are tested."""
+    n = len(values)
+    big_t, c_max, b_max = max(-values[0], values[-1]), max(map(abs, cs)), max(map(abs, bs))
+    a_t2 = abs(a) * max(big_t * big_t, _TINY)
+    h = thresh + _EPS * (thresh + c_max + b_max * big_t + a_t2) + _TINY
+    if a:
+        four_a, two_a = 4 * a, abs(2 * a)
+        slack = abs(four_a) * h + _EPS * (b_max * b_max + abs(four_a) * c_max) + _TINY
+        pad = _EPS * ((b_max + math.sqrt(b_max * b_max + abs(four_a) * c_max + slack)) / two_a)
+        pad += _TINY
+    for iv, c, b in zip(range(n), cs, bs):
+        if a:
+            disc = b * b + four_a * c
+            if disc + slack < 0:
+                continue
+            mid, outer = b / (-2 * a), math.sqrt(disc + slack) / two_a
+            inner = math.sqrt(disc - slack) / two_a if disc > slack else 0.0
+        elif b:
+            mid, inner, outer = c / b, 0.0, h / abs(b)
+            pad = _EPS * (abs(mid) + outer) + _TINY
+        else:
+            pad = math.inf
+        its = _windows(values, mid, inner, outer, pad) if pad < math.inf else range(n)
+        if its:
+            its = [it for it in its if abs(c - b * values[it] - tta[it]) <= thresh]
+            if its:
+                yield iv, its
+
+
+def _windows(values, mid, inner, outer, pad):
+    """The indices, ascending, of the values in [mid - outer, mid - inner] and
+    [mid + inner, mid + outer], each widened by pad on both sides."""
+    n = len(values)
+    found, it = [], bisect_left(values, mid - outer - pad)
+    while it < n and values[it] <= mid - inner + pad:
+        found.append(it)
+        it += 1
+    it = bisect_left(values, mid + inner - pad, it)
+    while it < n and values[it] <= mid + outer + pad:
+        found.append(it)
+        it += 1
+    return found
 
 
 def _entry_columns(head, vs, r0, lin, quad, sym):

@@ -402,15 +402,60 @@ def test_search_over_bounded_grids_matches_exhaustive_oracle(d, mode, numer_max,
 # Quarters in [-2, 2]: every product and sum the float grid forms over them at
 # k <= 3 is exact in binary64, so a residual can be planted at exactly +-thresh.
 QUARTERS = tuple(v / 4 for v in range(-8, 9))
+# The 25 values of the default grid, as the approximate search walks them.
+PRODUCTION_GRID = tuple(map(float, default_grid_values()))
+# Shapes of the first entry c - b*t - a*t^2 at the planted prefix, around a root
+# at the planted t: as drawn; a double root; a discriminant within a few ulps of
+# 0; |a| far below |b|; a = 0; a = b = 0; every coefficient near 1e150, where
+# b*b overflows.
+FIRST_ENTRY_SHAPES = ("drawn", "double", "near_double", "small_a", "linear", "flat", "huge")
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 9), st.booleans(), st.booleans(), st.data())
-def test_float_grid_matches_the_prefix_major_oracle(k, n_entries, dyadic, plant, data):
+def _shape_first_entry(shape, u, t, a, r0, lin, quad):
+    """Set the first entry's coefficients so that at prefix u it has shape (see
+    FIRST_ENTRY_SHAPES) with a root near t; a is the drawn nonzero leading term."""
+    k = len(u)
+
+    def move_to(b_target, c_target):
+        c, b = prefix_coefficients(u, 0, r0, lin, quad)
+        lin[k][0] += b_target - b
+        r0[0] += c_target - c
+        return prefix_coefficients(u, 0, r0, lin, quad)
+
+    if shape == "huge":
+        for coeffs in (r0, *lin, *(q for row in quad for q in row)):
+            coeffs[0] *= 1e150
+        return
+    if shape in ("double", "near_double"):
+        quad[k][k][0] = a
+        c, b = move_to(-2 * a * t, -a * t * t)
+        if shape == "near_double" and c:
+            quad[k][k][0] = -(b * b) / (4 * c)
+    elif shape == "small_a":
+        quad[k][k][0] = a * 2.0 ** -30
+        b = a * 3.0
+        move_to(b, b * t + quad[k][k][0] * t * t)
+    elif shape == "linear":
+        quad[k][k][0] = 0.0
+        move_to(a, a * t)
+    elif shape == "flat":
+        quad[k][k][0] = 0.0
+        move_to(0.0, 0.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 9), st.booleans(), st.booleans(),
+       st.sampled_from(FIRST_ENTRY_SHAPES), st.data())
+def test_float_grid_matches_the_prefix_major_oracle(k, n_entries, dyadic, plant, shape, data):
     scalar = (st.sampled_from(QUARTERS) if dyadic else
               st.floats(-4, 4, allow_nan=False) | st.sampled_from((0.0, -0.0, 1.0)))
-    # Grids repeat values; the entries' coefficients come from the same pool.
-    values = tuple(sorted(data.draw(st.lists(scalar, min_size=1, max_size=5))))
+    # Grids repeat values; the entries' coefficients come from the same pool.  The
+    # default grid is drawn at k <= 2, where the oracle walks at most 625 prefixes.
+    if k <= 2 and data.draw(st.booleans()):
+        values = PRODUCTION_GRID
+        dyadic = False
+    else:
+        values = tuple(sorted(data.draw(st.lists(scalar, min_size=1, max_size=5))))
 
     def draw_coeffs():
         return data.draw(st.lists(scalar, min_size=n_entries, max_size=n_entries))
@@ -418,17 +463,21 @@ def test_float_grid_matches_the_prefix_major_oracle(k, n_entries, dyadic, plant,
     r0 = draw_coeffs()
     lin = [draw_coeffs() for _ in range(k + 1)]
     quad = [[draw_coeffs() for _ in range(k + 1)] for _ in range(k + 1)]
-    thresh = data.draw(st.sampled_from((0.0, 0.25, 1.0) if plant else (0.0, 1e-9, 0.25)))
+    *u, t = point = [data.draw(st.sampled_from(values)) for _ in range(k + 1)]
+    lead = (st.sampled_from((-2.0, -0.75, -0.25, 0.5, 1.0, 1.75)) if dyadic else
+            st.floats(0.1, 4) | st.floats(-4, -0.1))
+    _shape_first_entry(shape, u, t, data.draw(lead), r0, lin, quad)
+    thresh = data.draw(st.sampled_from((0.0, 0.25, 1.0, math.inf) if plant else
+                                       (0.0, 1e-9, 0.25, math.inf)))
     if plant:
-        # A hit at one grid point, on the boundary |residual| = thresh: the dyadic
-        # residuals are moved to exactly +-thresh, and for arbitrary floats thresh
-        # becomes their largest magnitude, as the oracle's float operations give it.
-        *u, t = point = [data.draw(st.sampled_from(values)) for _ in range(k + 1)]
+        # A hit at the planted point, on the boundary |residual| = thresh: the dyadic
+        # residuals are moved to exactly +-thresh, and otherwise thresh becomes
+        # their largest magnitude, as the oracle's float operations give it.
         residuals = []
         for e in range(n_entries):
             c, b = prefix_coefficients(u, e, r0, lin, quad)
             residuals.append(c - b * t - t * t * quad[k][k][e])
-        if dyadic:
+        if dyadic and math.isfinite(thresh) and shape != "huge":
             for e, q in enumerate(residuals):
                 r0[e] += data.draw(st.sampled_from((thresh, -thresh))) - q
         else:
@@ -436,9 +485,56 @@ def test_float_grid_matches_the_prefix_major_oracle(k, n_entries, dyadic, plant,
     expected = [(u, ts) for u, ts in prefix_major_float_grid(values, k, r0, lin, quad, thresh)
                 if ts]
     assert list(solver._float_grid(values, k, r0, lin, quad, thresh)) == expected
-    if plant:
+    if plant and not math.isnan(thresh):
         assert point[-1] in dict(expected)[tuple(point[:-1])]
-    event(f"hit prefixes: {min(len(expected), 3)}{'+' if len(expected) > 3 else ''}")
+    event(f"shape {shape}, hit prefixes: {min(len(expected), 3)}"
+          f"{'+' if len(expected) > 3 else ''}")
+
+
+def _float_grid_case(first, later=()):
+    """(r0, lin, quad) at k = 1 whose entries, c - b*t - a*t^2 at prefix v, have
+    c = c0 - c1 v - c2 v^2, b = b0 + b1 v and the given a: each entry is
+    (c0, c1, c2, b0, b1, a)."""
+    entries = (first, *later)
+    r0 = [e[0] for e in entries]
+    lin = [[e[1] for e in entries], [e[3] for e in entries]]
+    quad = [[[e[2] for e in entries], [e[4] for e in entries]],
+            [[0.0] * len(entries), [e[5] for e in entries]]]
+    return r0, lin, quad
+
+
+# Each fallback of the float grid's windows, on the default grid at k = 1:
+# a = b = 0 at v = 1, where the first entry vanishes at every t; a = 0 with c/b
+# overflowing at every v; b*b overflowing with a != 0; an infinite threshold; an
+# infinite coefficient; and, for contrast, a v with no real root.
+@pytest.mark.parametrize("first, later, thresh, n_hits", [
+    ((1.0, 1.0, 0.0, -1.0, 1.0, 0.0), [(0.0, 0.0, 0.0, 1.0, 0.0, 1.0)], 0.0, 26),
+    ((1e300, 0.0, 0.0, 1e-300, 0.0, 0.0), [], 1e300, 625),
+    ((1e200, 1e200, 0.0, 1e200, 1e200, 1.0), [], 1e9, 10),
+    ((2.0, 1.0, 0.5, 1.0, -1.0, 3.0), [(1.0, 0.0, 1.0, 0.0, 1.0, -1.0)], math.inf, 625),
+    ((math.inf, 0.0, 0.0, 1.0, 0.0, 1.0), [], math.inf, 625),
+    ((-1.0, 0.0, 0.0, 0.0, 0.0, 1.0), [], 0.5, 0),
+], ids=["a_b_zero", "linear_overflow", "square_overflow", "thresh_inf", "inf_coefficient",
+        "complex_roots"])
+def test_float_grid_fallbacks_match_the_prefix_major_oracle(first, later, thresh, n_hits):
+    r0, lin, quad = _float_grid_case(first, later)
+    expected = [(u, ts) for u, ts in
+                prefix_major_float_grid(PRODUCTION_GRID, 1, r0, lin, quad, thresh) if ts]
+    assert list(solver._float_grid(PRODUCTION_GRID, 1, r0, lin, quad, thresh)) == expected
+    assert sum(map(len, dict(expected).values())) == n_hits
+
+
+def test_float_grid_finds_a_near_double_root():
+    # c - b*t - a*t^2 with b = 1 and a = -1/(4c) rounded: a discriminant of a few
+    # ulps, and the double root 2c = 1/2 hit within a threshold of 1e-15.
+    c = 0.25 + 2.0 ** -50
+    a = -1.0 / (4 * c)
+    r0, lin, quad = _float_grid_case((c, 0.0, 0.0, 1.0, 0.0, a))
+    assert abs(1.0 * 1.0 + 4 * a * c) <= 4 * 2.0 ** -52
+    hits = list(solver._float_grid(PRODUCTION_GRID, 1, r0, lin, quad, 1e-15))
+    assert hits == [(u, ts) for u, ts in
+                    prefix_major_float_grid(PRODUCTION_GRID, 1, r0, lin, quad, 1e-15) if ts]
+    assert hits and all(ts == [0.5] for _, ts in hits)
 
 
 # Per entry, the (a, b, c) of c - b*t - a*t^2 at a planted prefix, for a drawn
