@@ -684,36 +684,31 @@ def _float_grid(values, k, r0, lin, quad, thresh):
     """(u, the values t at which every entry is within thresh of 0) for each prefix u
     with any, in product(values, repeat=k) order; values must be ascending.
 
-    The first k-1 coordinates (the head) are walked.  For each head and each value
-    v of the last prefix coordinate, the first entry, c - b*t - a*t^2, is solved
-    for t in binary64 and only the values in proven windows around its roots get
-    the test abs(c - b*t - t*t*a) <= thresh (_first_entry); each later entry
-    filters the t that survive.  The c and b of an entry are the same float
-    operations, in the same order, for every prefix.
+    The first k-1 coordinates (the head) are walked.  At each value v of the last
+    prefix coordinate the first entry, c - b*t - a*t^2, is solved for t in binary64
+    and only the values in proven windows around its roots get the test
+    abs(c - b*t - t*t*a) <= thresh (_first_entry); each later entry filters the t
+    that survive.  The c and b of an entry are the same float operations, in the
+    same order, for every prefix.
 
-    The windows drop no t that passes.  Let u = 2^-53, T = max |values|, and
-    cmax, bmax the largest |c| and |b| over the head's v.  The test's three
-    products and two differences err from the exact c - b t - a t^2 by at most
-    3u/(1-3u) (|c| + |b| T + |a| T^2) (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 3.1), plus 2^-1075 per product that underflows,
-    so a passing t has |c - b t - a t^2| <= h, with
+    The windows: with u = 2^-53, T = max |values| and cmax, bmax the largest |c|
+    and |b| over the head, the test errs from the exact c - b t - a t^2 by at most
+    3u/(1-3u) (|c| + |b| T + |a| T^2) (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.1) plus 2^-1075 per product that underflows, so a t that
+    passes has |c - b t - a t^2| <= h, where
         h = thresh + EPS (thresh + cmax + bmax T + |a| max(T^2, TINY)) + TINY,
-    EPS = 2^-44 = 512u and TINY = 2^-1022, the least normal double.  Every
-    quantity below is a few roundings, each within u relative or 2^-1075
-    absolute, from its exact value, and EPS and TINY cover them.
-      a != 0: with D = b^2 + 4ac and m = -b/(2a), c - b t - a t^2 is
-        -a ((t - m)^2 - D/(4a^2)).  S = 4|a| h + EPS (bmax^2 + 4|a| cmax) + TINY
-        bounds 4|a| h plus the rounding of D, so no t passes when D + S < 0, and
-        otherwise sqrt(max(D - S, 0)) <= 2|a| |t - m| <= sqrt(D + S): one window
-        around each root, or one around m when they are near or complex.
-        Each window is widened on both sides by
-        EPS (bmax + sqrt(bmax^2 + 4|a| cmax + S)) / (2|a|) + TINY, EPS times a
-        bound on |m| and the outer radius, for the rounding of m, the radii and
-        the window edges.
-      a = 0, b != 0: |t - c/b| <= h/|b|, widened by EPS (|c/b| + h/|b|) + TINY.
-      a = b = 0, or a widening that is not finite (an overflow, or
-        thresh = inf): every t is tested, as in a walk without windows.  At a v
-        whose c or b is NaN no t passes, whichever values its window holds.
+    EPS = 2^-44 = 512u and TINY = 2^-1022 (the least normal double) also cover,
+    with room to spare, each rounding (u relative, 2^-1075 absolute) of h and of
+    the quantities below.  For a != 0, c - b t - a t^2 = -a ((t - m)^2 - D/(4a^2))
+    with m = -b/(2a) and D = b^2 + 4ac, and S = 4|a| h + EPS (bmax^2 + 4|a| cmax)
+    + TINY bounds 4|a| h plus the rounding of D: no t passes where D + S < 0, and
+    elsewhere sqrt(max(D - S, 0)) <= 2|a| |t - m| <= sqrt(D + S), one window
+    around each root (or around m), each widened on both sides by
+    EPS (bmax + sqrt(bmax^2 + 4|a| cmax + S)) / (2|a|) + TINY, EPS times bounds on
+    |m| and on the outer radius.  For a = 0 != b, |t - c/b| <= h/|b|, widened by
+    EPS (|c/b| + h/|b|) + TINY.  A v with a = b = 0, or a widening that is not
+    finite (an overflow, or thresh = inf), tests every t.  At a v whose c or b is
+    NaN no t passes, whichever values its window holds.
     """
     # Per entry: its coefficients for _entry_columns, then t*t*a at every grid value t.
     entries = [((r0[e], [lin[i][e] for i in range(k + 1)],
