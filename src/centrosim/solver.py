@@ -759,26 +759,23 @@ def _first_entry(values, tta, a, cs, bs, thresh):
             pad = _EPS * (abs(mid) + outer) + _TINY
         else:
             pad = math.inf
-        its = _windows(values, mid, inner, outer, pad) if pad < math.inf else range(n)
+        if pad < math.inf:
+            # The values in [mid - outer, mid - inner] and [mid + inner, mid + outer],
+            # each widened by pad on both sides.
+            its, it = [], bisect_left(values, mid - outer - pad)
+            while it < n and values[it] <= mid - inner + pad:
+                its.append(it)
+                it += 1
+            it = bisect_left(values, mid + inner - pad, it)
+            while it < n and values[it] <= mid + outer + pad:
+                its.append(it)
+                it += 1
+        else:
+            its = range(n)
         if its:
             its = [it for it in its if abs(c - b * values[it] - tta[it]) <= thresh]
             if its:
                 yield iv, its
-
-
-def _windows(values, mid, inner, outer, pad):
-    """The indices, ascending, of the values in [mid - outer, mid - inner] and
-    [mid + inner, mid + outer], each widened by pad on both sides."""
-    n = len(values)
-    found, it = [], bisect_left(values, mid - outer - pad)
-    while it < n and values[it] <= mid - inner + pad:
-        found.append(it)
-        it += 1
-    it = bisect_left(values, mid + inner - pad, it)
-    while it < n and values[it] <= mid + outer + pad:
-        found.append(it)
-        it += 1
-    return found
 
 
 def _entry_columns(head, vs, r0, lin, quad, sym):
