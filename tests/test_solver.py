@@ -485,7 +485,7 @@ def test_float_grid_matches_the_prefix_major_oracle(k, n_entries, dyadic, plant,
     expected = [(u, ts) for u, ts in prefix_major_float_grid(values, k, r0, lin, quad, thresh)
                 if ts]
     assert list(solver._float_grid(values, k, r0, lin, quad, thresh)) == expected
-    if plant and not math.isnan(thresh):
+    if plant:
         assert point[-1] in dict(expected)[tuple(point[:-1])]
     event(f"shape {shape}, hit prefixes: {min(len(expected), 3)}"
           f"{'+' if len(expected) > 3 else ''}")
