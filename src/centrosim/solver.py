@@ -694,8 +694,8 @@ def _float_grid(values, k, r0, lin, quad, thresh):
     The windows: with u = 2^-53, T = max |values| and cmax, bmax the largest |c|
     and |b| over the head, the test errs from the exact c - b t - a t^2 by at most
     3u/(1-3u) (|c| + |b| T + |a| T^2) (Higham, Accuracy and Stability of Numerical
-    Algorithms, section 3.1) plus 2^-1075 per product that underflows, so a t that
-    passes has |c - b t - a t^2| <= h, where
+    Algorithms, section 3.1) plus 2^-1075 per product that underflows (|a| 2^-1075
+    for t*t), so a t that passes has |c - b t - a t^2| <= h, where
         h = thresh + EPS (thresh + cmax + bmax T + |a| max(T^2, TINY)) + TINY,
     EPS = 2^-44 = 512u and TINY = 2^-1022 (the least normal double) also cover,
     with room to spare, each rounding (u relative, 2^-1075 absolute) of h and of
