@@ -73,10 +73,12 @@ RICCATI_UPPER_W = _m("0 -2 -2; 0 2 2")
 SINGULAR = _m("2 3 3 -2; -2 -2 -2 0; 2 1 1 2; -4 -6 -6 4")
 SINGULAR_W = _m("-1 -2; -2 0")
 ONE = _m("1")
-# Planted similar matrices M = diag(I, U) C0 diag(I, U^-1) at n = 12, 14 and 13:
+# Planted similar matrices M = diag(I, U) C0 diag(I, U^-1) at n = 12, 14, 16 and 13:
 # C0 is small-integer centrosymmetric and U an integer unimodular s x s matrix, so
 # U J solves the center split's equations and no special candidate does.  The
-# Sylvester spaces have dimension 6 and 7 (odd: 0 once the center equations hold).
+# Sylvester spaces have dimension 6, 7 and 8 (odd: 0 once the center equations
+# hold); at n = 16 the canonical basis has entries of about 114 bits over one
+# denominator.
 PLANTED12 = _m(
     "-1 -2 0 2 -3 -3 -7 -9 6 -8 -5 -3;"
     "3 1 -3 -1 1 -3 4 1 -3 4 4 -2;"
@@ -105,6 +107,23 @@ PLANTED14 = _m(
     "4 3 3 1 -2 -3 8 -3 -6 -4 -11 2 5 8;"
     "1 0 0 -2 -3 0 3 2 0 3 -2 -1 3 5;"
     "0 0 -2 2 -2 -1 3 -1 2 4 -2 2 1 4")
+PLANTED16 = _m(
+    "-2 2 -2 -2 0 2 -1 3 1 -1 2 3 1 0 2 2;"
+    "-3 -2 3 2 0 0 -3 -3 -3 2 -3 -1 0 1 -3 2;"
+    "3 -3 1 -2 3 -1 2 0 2 -1 1 -6 -1 0 -1 -4;"
+    "-2 0 2 -2 0 -1 -3 3 -1 4 0 -8 -3 -1 1 -2;"
+    "-2 2 -1 2 3 3 -1 0 3 -3 -6 1 -3 -6 -1 -5;"
+    "2 0 -2 0 -1 -1 -2 3 -3 -2 0 3 2 1 -1 3;"
+    "1 0 2 3 -2 -1 -1 -1 1 -2 -1 2 1 0 1 1;"
+    "0 -1 -1 0 -1 -2 1 -1 2 -2 5 0 2 3 -1 -2;"
+    "0 1 0 3 3 4 -3 3 2 -3 -2 1 -2 -5 1 -6;"
+    "2 0 -4 -2 -4 -5 -1 4 -1 -1 7 1 5 6 2 5;"
+    "-2 -1 -1 2 -1 -2 -1 -3 3 -4 -1 4 0 -2 0 -1;"
+    "1 -1 -3 -3 -3 -3 0 3 0 -2 5 4 2 1 2 0;"
+    "2 2 2 -4 0 0 4 0 -4 4 3 -15 5 12 1 5;"
+    "-1 -3 -1 -5 -5 1 -1 4 1 0 0 9 -3 -5 -1 -4;"
+    "-1 -3 1 0 0 -3 1 -3 -3 0 2 -3 2 5 -2 2;"
+    "1 3 2 4 3 4 0 -2 3 -1 -5 -4 -4 -5 0 -7")
 PLANTED13 = _m(
     "1 -3 -3 3 -2 1 3 1 6 -2 4 2 -1;"
     "0 -2 2 -1 -1 1 0 3 8 3 7 2 -1;"
@@ -143,6 +162,7 @@ CASES = {
     # The Krylov reduction of the linear stage at n >= 12, in both parities.
     "solve_planted12": (["solve", "{m}"], {"m": PLANTED12}),
     "solve_planted14": (["solve", "{m}"], {"m": PLANTED14}),
+    "solve_planted16": (["solve", "{m}"], {"m": PLANTED16}),
     "solve_planted13_odd": (["solve", "{m}", "--odd"], {"m": PLANTED13}),
     "transform_search_even": (["transform", "{m}"], {"m": TOEPLITZ4}),
     "transform_search_odd": (["transform", "{m}", "--odd"], {"m": ODD3}),
