@@ -161,24 +161,50 @@ def _recheck(a, d, center, rows, den):
 
     Everything is compared over the integers: a and d are the rows of A and D
     times one common scale, center holds x, w, z, y as integer vectors scaled
-    in pairs, and den X is the row itself.
+    in pairs, and den X is the row itself.  The first row that fails names
+    the error and is its payload.
+
+    All rows are checked by one product pair (Kronecker substitution): row k
+    is digit k of the packed row P = sum_k 2^(bits k) row_k, so every
+    residual of P (PA - DP, and P x - P_tau w and z P - P_tau y) is
+    sum_k 2^(bits k) r_k over the same residual r_k of each row.  With
+    rho the largest |entry| of any row, tau included, every |r_k| is at most
+        R = rho max(s max|a| + m max|d|, s max|x| + max|w|, m max|z| + max|y|),
+    and bits is chosen with 2^bits > 2R.  Were some r_k nonzero, the lowest
+    such k0 would leave 2^(bits k0) r_k0 plus multiples of 2^(bits (k0 + 1)),
+    so 2^bits would divide r_k0, which 0 < |r_k0| < 2^bits forbids: P's
+    residuals all vanish exactly when every row's do.  By the same argument
+    the lowest set bit of a nonzero packed residual v lies in digit k0, so
+    ((v & -v).bit_length() - 1) // bits is the first row that fails there
+    (bits = 0 only when R = 0, and then no residual is nonzero).
     """
+    if not rows:
+        return
     s, m = len(a), len(d)
-    a_cols = list(zip(*a))
-    for row in rows:
-        x_rows = [row[i * s:(i + 1) * s] for i in range(m)]
-        x_cols = list(zip(*x_rows))
-        tau = row[-1]
-        ok = ([[sum(map(mul, r, col)) for col in a_cols] for r in x_rows]
-              == [[sum(map(mul, r, col)) for col in x_cols] for r in d])
-        if ok and center is not None:
-            x, w, z, y = center
-            ok = ([sum(map(mul, r, x)) for r in x_rows] == [tau * v for v in w]
-                  and [sum(map(mul, z, col)) for col in x_cols] == [tau * v for v in y])
-        if not ok:
-            raise PreconditionError("particular solution fails the linear-stage re-check" if tau
-                                    else "nullspace vector fails XA = DX re-check",
-                                    payload=_unvec([Fraction(v, den) for v in row], m, s))
+    bound = s * _max_abs(*a) + m * _max_abs(*d)
+    if center is not None:
+        x, w, z, y = center
+        bound = max(bound, s * _max_abs(x) + _max_abs(w), m * _max_abs(z) + _max_abs(y))
+    bits = (2 * _max_abs(*rows) * bound).bit_length()
+    packed = rows[-1]
+    for row in reversed(rows[:-1]):
+        packed = [(p << bits) + v for p, v in zip(packed, row)]
+    x_rows = [packed[i * s:(i + 1) * s] for i in range(m)]
+    x_cols = list(zip(*x_rows))
+    tau = packed[-1]
+    residuals = list(map(sub, _int_product(x_rows, list(zip(*a))), _int_product(d, x_cols)))
+    if center is not None:
+        residuals += [sum(map(mul, r, x)) - tau * v for r, v in zip(x_rows, w)]
+        residuals += [sum(map(mul, z, col)) - tau * v for col, v in zip(x_cols, y)]
+    if any(residuals):
+        row = rows[min(((v & -v).bit_length() - 1) // bits for v in residuals if v)]
+        raise PreconditionError("particular solution fails the linear-stage re-check" if row[-1]
+                                else "nullspace vector fails XA = DX re-check",
+                                payload=_unvec([Fraction(v, den) for v in row], m, s))
+
+
+def _max_abs(*vectors):
+    return max((abs(v) for vec in vectors for v in vec), default=0)
 
 
 def _eliminate(A, D, center, tol):
@@ -251,8 +277,11 @@ def _krylov_space(a, d):
     h_(m-1) = I and h_(p-1) = h_p A + c_p I, for a row z with z f(A) = 0: the
     companion-form solution of Gantmacher, The Theory of Matrices, vol. 1,
     ch. VIII.  a and d are the rows of A and D times one common scale, so all
-    of this runs over the integers, in O(s^4) operations plus an s x s
-    nullspace instead of elimination on s*m unknowns.
+    of this runs over the integers.  The Horner pass that gives f(A) keeps
+    every h_p(A), and y_p is the combination sum_j z_j h_p(A)[j] of its rows
+    (one row per p when z is a unit vector, as when f(A) = 0): O(m s^3 + m^2 s^2
+    + m^3) operations, O(s^4) when m = s, plus an s x s nullspace, instead of
+    elimination on s*m unknowns.
     """
     s, m = len(a), len(d)
     for i in range(m):
@@ -268,18 +297,26 @@ def _krylov_space(a, d):
         return None
     c = [row[m] // prev for row in aug]
     a_cols = list(zip(*a))
-    f_of_a = [[int(j == k) for k in range(s)] for j in range(s)]
+    # h_(m-1), ..., h_0 and last h_0 A + c_0 I = f(A).
+    hs = [[[int(j == k) for k in range(s)] for j in range(s)]]
     for p in reversed(range(m)):
-        f_of_a = [[sum(map(mul, row, col)) + (c[p] if j == k else 0)
-                   for k, col in enumerate(a_cols)] for j, row in enumerate(f_of_a)]
+        hs.append([[sum(map(mul, row, col)) + (c[p] if j == k else 0)
+                    for k, col in enumerate(a_cols)] for j, row in enumerate(hs[-1])])
+    f_of_a = hs.pop()
+    hs.reverse()
     t_rows = list(zip(*krylov[:m]))
     vecs = []
-    # The rows z with z f(A) = 0: the nullspace of f(A) transposed.
+    # The rows z with z f(A) = 0: the nullspace of f(A) transposed.  Each has a
+    # nonzero entry, prev at its free column.
     for z in _int_kernel([list(col) for col in zip(*f_of_a)], s):
-        ys = [z]
-        for p in range(m - 1, 0, -1):
-            ys.append([sum(map(mul, ys[-1], col)) + c[p] * zj for col, zj in zip(a_cols, z)])
-        y_cols = list(zip(*ys[::-1]))
+        (z0, j0), *rest = [(zj, j) for j, zj in enumerate(z) if zj]
+        ys = []
+        for h in hs:
+            y = [z0 * v for v in h[j0]]
+            for zj, j in rest:
+                y = [u + zj * v for u, v in zip(y, h[j])]
+            ys.append(y)
+        y_cols = list(zip(*ys))
         vecs.append([sum(map(mul, t, yc)) for t in t_rows for yc in y_cols])
     return vecs
 
@@ -689,7 +726,8 @@ def _float_grid(values, k, r0, lin, quad, thresh):
     and only the values in proven windows around its roots get the test
     abs(c - b*t - t*t*a) <= thresh (_first_entry); each later entry filters the t
     that survive.  The c and b of an entry are the same float operations, in the
-    same order, for every prefix.
+    same order, for every prefix, and each entry's head dot products are formed
+    once per head.
 
     The windows: with u = 2^-53, T = max |values| and cmax, bmax the largest |c|
     and |b| over the head, the test errs from the exact c - b t - a t^2 by at most
@@ -719,15 +757,18 @@ def _float_grid(values, k, r0, lin, quad, thresh):
     (coeffs, tta), *later = entries
     for head in product(values, repeat=k - 1):
         cs, bs = _entry_columns(head, values, *coeffs)
-        for iv, its in _first_entry(values, tta, quad[k][k][0], cs, bs, thresh):
-            v = values[iv]
-            for coeffs_e, tta_e in later:
-                (c,), (b,) = _entry_columns(head, (v,), *coeffs_e)
-                its = [it for it in its if abs(c - b * values[it] - tta_e[it]) <= thresh]
-                if not its:
-                    break
-            else:
-                yield head + (v,), [values[it] for it in its]
+        # (iv, its) for each v = values[iv] that every entry so far keeps; each
+        # later entry is evaluated once per head, at all of them at once.
+        alive = list(_first_entry(values, tta, quad[k][k][0], cs, bs, thresh))
+        for coeffs_e, tta_e in later:
+            if not alive:
+                break
+            cs, bs = _entry_columns(head, [values[iv] for iv, _ in alive], *coeffs_e)
+            alive = [(iv, kept) for (iv, its), c, b in zip(alive, cs, bs)
+                     if (kept := [it for it in its
+                                  if abs(c - b * values[it] - tta_e[it]) <= thresh])]
+        for iv, its in alive:
+            yield head + (values[iv],), [values[it] for it in its]
 
 
 # EPS and TINY of _float_grid's windows: relative and absolute rounding margins.

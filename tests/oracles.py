@@ -11,9 +11,10 @@ from functools import reduce
 from itertools import product
 from operator import add, mul
 
-from centrosim import (APPROX, Matrix, block, exchange_matrix, gauss_facts, hstack, inverse,
-                       rank_normal_form, solve_linear, vstack)
-from centrosim.solver import _grid_roots
+from centrosim import (APPROX, Matrix, PreconditionError, block, exchange_matrix, gauss_facts,
+                       hstack, inverse, rank_normal_form, solve_linear, vstack)
+from centrosim.linalg import _gauss_jordan_int
+from centrosim.solver import _grid_roots, _int_kernel, _unvec
 from centrosim.transforms import _complete_rows
 
 
@@ -251,6 +252,63 @@ def vectorized_sylvester_space(A, D, center=None):
         return Matrix([[v[i * s + j, 0] for j in range(s)] for i in range(m)], cols=s)
 
     return (None if particular is None else unvec(particular)), tuple(map(unvec, basis))
+
+
+def chained_krylov_space(a, d):
+    """Reference for centrosim's ``solver._krylov_space``: the same Krylov
+    reduction, but each y_p = z h_p(A) is formed as the chain
+    y_(p-1) = y_p A + c_p z from y_(m-1) = z, one vector-matrix product per step,
+    and f(A) is formed without keeping the Horner cofactors h_p(A)."""
+    s, m = len(a), len(d)
+    for i in range(m):
+        krylov = [[int(k == i) for k in range(m)]]
+        for _ in range(m):
+            krylov.append([sum(map(mul, row, krylov[-1])) for row in d])
+        # [T | -D^m v]: T is invertible iff e_i is cyclic, and then solves to c.
+        aug = [[vec[r] for vec in krylov[:m]] + [-krylov[m][r]] for r in range(m)]
+        pivots, prev = _gauss_jordan_int(aug, m)
+        if len(pivots) == m:
+            break
+    else:
+        return None
+    c = [row[m] // prev for row in aug]
+    a_cols = list(zip(*a))
+    f_of_a = [[int(j == k) for k in range(s)] for j in range(s)]
+    for p in reversed(range(m)):
+        f_of_a = [[sum(map(mul, row, col)) + (c[p] if j == k else 0)
+                   for k, col in enumerate(a_cols)] for j, row in enumerate(f_of_a)]
+    t_rows = list(zip(*krylov[:m]))
+    vecs = []
+    # The rows z with z f(A) = 0: the nullspace of f(A) transposed.
+    for z in _int_kernel([list(col) for col in zip(*f_of_a)], s):
+        ys = [z]
+        for p in range(m - 1, 0, -1):
+            ys.append([sum(map(mul, ys[-1], col)) + c[p] * zj for col, zj in zip(a_cols, z)])
+        y_cols = list(zip(*ys[::-1]))
+        vecs.append([sum(map(mul, t, yc)) for t in t_rows for yc in y_cols])
+    return vecs
+
+
+def per_row_recheck(a, d, center, rows, den):
+    """Reference for centrosim's ``solver._recheck``: multiplies out each row on
+    its own and raises PreconditionError for the first that fails XA = DX (or,
+    under the integer center (x, w, z, y), X x = tau w or z X = tau y)."""
+    s, m = len(a), len(d)
+    a_cols = list(zip(*a))
+    for row in rows:
+        x_rows = [row[i * s:(i + 1) * s] for i in range(m)]
+        x_cols = list(zip(*x_rows))
+        tau = row[-1]
+        ok = ([[sum(map(mul, r, col)) for col in a_cols] for r in x_rows]
+              == [[sum(map(mul, r, col)) for col in x_cols] for r in d])
+        if ok and center is not None:
+            x, w, z, y = center
+            ok = ([sum(map(mul, r, x)) for r in x_rows] == [tau * v for v in w]
+                  and [sum(map(mul, z, col)) for col in x_cols] == [tau * v for v in y])
+        if not ok:
+            raise PreconditionError("particular solution fails the linear-stage re-check" if tau
+                                    else "nullspace vector fails XA = DX re-check",
+                                    payload=_unvec([Fraction(v, den) for v in row], m, s))
 
 
 def rand_int_matrix(rng, rows, cols, lo=-9, hi=9):

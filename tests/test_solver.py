@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from centrosim import (APPROX, EXACT, BlockPartition, Matrix, PreconditionError,
@@ -17,10 +17,10 @@ from centrosim import (APPROX, EXACT, BlockPartition, Matrix, PreconditionError,
 from centrosim.cli import main
 from centrosim.matrix import _field
 from golden_cases import PLANTED12
-from oracles import (exhaustive_grid_hits, fraction_quadratic_parts, kron,
-                     planted_transform_instance, prefix_coefficients, prefix_major_float_grid,
-                     prefix_major_integer_grid, rand_centrosymmetric, rand_int_matrix,
-                     vectorized_sylvester_space)
+from oracles import (chained_krylov_space, exhaustive_grid_hits, fraction_quadratic_parts, kron,
+                     per_row_recheck, planted_transform_instance, prefix_coefficients,
+                     prefix_major_float_grid, prefix_major_integer_grid, rand_centrosymmetric,
+                     rand_int_matrix, vectorized_sylvester_space)
 
 SMALL_GRID = tuple(Fraction(v) for v in
                    ("-2", "-1", "-1/2", "0", "1/2", "1", "2"))
@@ -883,6 +883,113 @@ def test_krylov_particular_is_zero_at_the_free_columns():
     assert krylov and space == vectorized_sylvester_space(A, D, center)
     assert space[0] == Matrix([[5, 0, 0]])
     assert space[1] == (Matrix([[-1, 1, 0]]), Matrix([[0, 0, 1]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sylvester_cases())
+def test_krylov_space_matches_the_chained_oracle(case):
+    _, A, D, _, _ = case
+    a, d = _ints(A, D)
+    assert solver._krylov_space(a, d) == chained_krylov_space(a, d)
+
+
+@pytest.mark.parametrize("A, D, nonzeros", [
+    # f(A) = (A - I)(A - 2I) = [[0, 1], [0, 2]]: its left kernel is spanned by
+    # z = (2, -1), so each y_p combines two rows of h_p(A).
+    (Matrix([[1, 1], [0, 3]]), Matrix([[1, 1], [0, 2]]), [2]),
+    # A = D, so f(A) = 0 (Cayley-Hamilton) and every z is a unit vector.
+    (Matrix([[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 1], [1, 1, 0, 2]]),
+     Matrix([[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 1], [1, 1, 0, 2]]), [1, 1, 1, 1]),
+])
+def test_krylov_space_combines_the_horner_cofactor_rows(A, D, nonzeros, monkeypatch):
+    kernels = []
+    int_kernel = solver._int_kernel
+
+    def recorded(rows, n):
+        kernels.append(int_kernel(rows, n))
+        return kernels[-1]
+    monkeypatch.setattr(solver, "_int_kernel", recorded)
+    a, d = _ints(A, D)
+    vecs = solver._krylov_space(a, d)
+    assert vecs == chained_krylov_space(a, d) and len(kernels) == 1
+    assert [sum(map(bool, z)) for z in kernels[0]] == nonzeros
+    assert solver._sylvester_space(A, D) == vectorized_sylvester_space(A, D)
+
+
+def _recheck_args(A, D, center=None):
+    """The arguments with which _sylvester_space(A, D, center) calls _recheck."""
+    calls = []
+    with patch.object(solver, "_recheck", lambda *args: calls.append(args)):
+        solver._sylvester_space(A, D, center)
+    return calls[0]
+
+
+SIGNS = st.sampled_from([1, -1])
+# +-1, and magnitudes up to 2^200 of either sign.
+CORRUPTIONS = st.one_of(SIGNS, st.builds(lambda v, sign: sign * v, st.integers(2, 2 ** 200),
+                                                 SIGNS))
+POWERS = st.builds(lambda t, sign: sign << t, st.integers(0, 200), SIGNS)
+
+
+@st.composite
+def recheck_cases(draw):
+    """(a, d, center, rows, den) for _recheck.
+
+    Either the rows the linear stage gives for a sylvester_cases instance, with
+    one entry of the first, a middle or the last row (the particular row, tau
+    included, when there is one) corrupted, or an entry of two adjacent rows
+    corrupted by delta 2^W and -delta, which cancel when digits are W bits
+    wide; or constant rows of powers of two against constant a and d, whose
+    residuals reach the bound that sizes _recheck's digits.
+    """
+    if draw(st.booleans()):
+        _, A, D, center, _ = draw(sylvester_cases())
+        a, d, center, rows, den = _recheck_args(A, D, center)
+        rows = [list(row) for row in rows]
+        how = draw(st.sampled_from(["none", "one", "adjacent"]))
+        if rows and how != "none":
+            k = draw(st.sampled_from([0, len(rows) // 2, len(rows) - 1]))
+            e = draw(st.integers(0, len(rows[0]) - 1))
+            delta = draw(CORRUPTIONS)
+            if how == "one" or len(rows) == 1:
+                how = "one"
+                rows[k][e] += delta
+            else:
+                k = min(k, len(rows) - 2)
+                rows[k][e] += delta << draw(st.integers(1, 260))
+                rows[k + 1][e] -= delta
+        event(f"stage; {how}; {len(rows)} rows")
+        return a, d, center, rows, den
+    s, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = st.sampled_from([0, 1, -1, 2, -2, 4, -4])
+    a = [[draw(entries)] * s for _ in range(s)]
+    d = [[draw(entries)] * m for _ in range(m)]
+    consts = draw(st.lists(st.one_of(st.sampled_from([0, 1, -1]), POWERS),
+                           min_size=1, max_size=4))
+    rows = [[c] * (m * s) + [draw(st.sampled_from([0, c]))] for c in consts]
+    event("constant rows")
+    return a, d, None, rows, draw(st.integers(1, 5))
+
+
+def _outcome(recheck, a, d, center, rows, den):
+    try:
+        recheck(a, d, center, rows, den)
+    except PreconditionError as err:
+        return str(err), err.payload
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(recheck_cases())
+# XA - DX = X: row 0 has residual 2^100 and row 1 -1, which cancel in digits of
+# 100 bits; and row 0 alone fails, with the lowest set bit of its residual at 100.
+@example(([[1]], [[0]], None, [[2 ** 100, 0], [-1, 0]], 1))
+@example(([[1]], [[0]], None, [[2 ** 100, 0], [0, 0]], 1))
+def test_packed_recheck_matches_the_per_row_oracle(case):
+    a, d, center, rows, den = case
+    expected = _outcome(per_row_recheck, a, d, center, rows, den)
+    event("raises" if expected else "passes")
+    assert _outcome(solver._recheck, a, d, center, rows, den) == expected
 
 
 def test_linear_stage_matches_the_oracle_in_both_parities(monkeypatch):
