@@ -893,13 +893,15 @@ def test_krylov_space_matches_the_chained_oracle(case):
     assert solver._krylov_space(a, d) == chained_krylov_space(a, d)
 
 
+CYCLIC4 = Matrix([[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 1], [1, 1, 0, 2]])
+
+
 @pytest.mark.parametrize("A, D, nonzeros", [
     # f(A) = (A - I)(A - 2I) = [[0, 1], [0, 2]]: its left kernel is spanned by
     # z = (2, -1), so each y_p combines two rows of h_p(A).
     (Matrix([[1, 1], [0, 3]]), Matrix([[1, 1], [0, 2]]), [2]),
     # A = D, so f(A) = 0 (Cayley-Hamilton) and every z is a unit vector.
-    (Matrix([[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 1], [1, 1, 0, 2]]),
-     Matrix([[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 1], [1, 1, 0, 2]]), [1, 1, 1, 1]),
+    (CYCLIC4, CYCLIC4, [1, 1, 1, 1]),
 ])
 def test_krylov_space_combines_the_horner_cofactor_rows(A, D, nonzeros, monkeypatch):
     kernels = []
@@ -926,8 +928,8 @@ def _recheck_args(A, D, center=None):
 
 SIGNS = st.sampled_from([1, -1])
 # +-1, and magnitudes up to 2^200 of either sign.
-CORRUPTIONS = st.one_of(SIGNS, st.builds(lambda v, sign: sign * v, st.integers(2, 2 ** 200),
-                                                 SIGNS))
+CORRUPTIONS = st.one_of(SIGNS,
+                        st.builds(lambda v, sign: sign * v, st.integers(2, 2 ** 200), SIGNS))
 POWERS = st.builds(lambda t, sign: sign << t, st.integers(0, 200), SIGNS)
 
 
