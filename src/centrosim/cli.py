@@ -25,7 +25,7 @@ from .generators import (PalindromicSpec, alpha_scan, bordered_jacobi_pm,
                          verify_palindromic_factorization, write_alpha_scan_csv)
 from .linalg import det
 from .matrix import (APPROX, EXACT, _field, is_centrosymmetric, load_matrix,
-                     matrix_to_json_obj, save_matrix)
+                     matrix_to_json_obj, parse_rational, save_matrix)
 from .solver import (SearchOptions, find_intertwiner, riccati_residual,
                      singular_certificate)
 from .transforms import build_centro_transform, dilate_to_centrosimilar, embed_centro_principal
@@ -73,12 +73,16 @@ def _search_options(args):
 
 
 def _on_matrix(cmd):
-    """Run cmd(args, M, report) on the loaded matrix M, with args.parity and
-    args.split resolved (the center split by default) for commands that take
-    --split, and the report started with M's mode and rows."""
+    """Run cmd(args, M, report) on the loaded matrix M, with args.x or args.w
+    (the second matrix, if the command takes one) loaded in M's mode,
+    args.parity and args.split resolved (the center split by default) for
+    commands that take --split, and the report started with M's mode and rows."""
     @functools.wraps(cmd)
     def run(args):
         M = load_matrix(args.matrix, mode=args.mode)
+        for name in ("x", "w"):
+            if getattr(args, name, None) is not None:
+                setattr(args, name, load_matrix(getattr(args, name), mode=M.mode))
         if "split" in vars(args):
             args.parity, args.split = _parity_split(args, M.rows)
         return cmd(args, M, {"mode": M.mode, "matrix": _mat(M)})
@@ -118,8 +122,8 @@ def _cmd_solve(args, M, report):
 def _cmd_transform(args, M, report):
     parity, s = args.parity, args.split
     report.update(parity=parity, split=s)
-    if args.x:
-        X, X_inv = load_matrix(args.x, mode=args.mode), None
+    if args.x is not None:
+        X, X_inv = args.x, None
     else:
         # The search verified the X it returns and holds its inverse.
         search = find_intertwiner(M, parity, s, _search_options(args), stop_at_invertible=True)
@@ -137,17 +141,15 @@ def _cmd_transform(args, M, report):
 
 @_on_matrix
 def _cmd_embed(args, M, report):
-    X = load_matrix(args.x, mode=args.mode)
-    tr = embed_centro_principal(M, args.split, X, args.tol)
-    report.update(split=args.split, X=_mat(X), transform=_transform_obj(tr))
+    tr = embed_centro_principal(M, args.split, args.x, args.tol)
+    report.update(split=args.split, X=_mat(args.x), transform=_transform_obj(tr))
     return 0, report, f"certified: {tr.certification}"
 
 
 @_on_matrix
 def _cmd_dilate(args, M, report):
-    X = load_matrix(args.x, mode=args.mode)
-    Mhat, Xhat, tr = dilate_to_centrosimilar(M, args.split, X, args.tol)
-    report.update(split=args.split, X=_mat(X), Mhat=_mat(Mhat), Xhat=_mat(Xhat),
+    Mhat, Xhat, tr = dilate_to_centrosimilar(M, args.split, args.x, args.tol)
+    report.update(split=args.split, X=_mat(args.x), Mhat=_mat(Mhat), Xhat=_mat(Xhat),
                   transform=_transform_obj(tr))
     return 0, report, f"certified: {tr.certification} (dilated size {Mhat.rows})"
 
@@ -178,9 +180,8 @@ def _cmd_factor_centro(args, M, report):
 
 @_on_matrix
 def _cmd_factor_riccati(args, M, report):
-    W = load_matrix(args.w, mode=args.mode)
-    witness = riccati_residual(M, args.split, W, args.orientation, args.tol)
-    report.update(split=args.split, orientation=args.orientation, W=_mat(W),
+    witness = riccati_residual(M, args.split, args.w, args.orientation, args.tol)
+    report.update(split=args.split, orientation=args.orientation, W=_mat(args.w),
                   residual=_mat(witness.residual))
     if not witness.is_exact(args.tol):
         return 2, report, "nonzero Riccati residual; factorization not applicable"
@@ -193,9 +194,8 @@ def _cmd_factor_riccati(args, M, report):
 
 @_on_matrix
 def _cmd_certify_singular(args, M, report):
-    W = load_matrix(args.w, mode=args.mode)
-    holds = singular_certificate(M, args.split, W, args.system, args.tol)
-    report.update(split=args.split, system=args.system, W=_mat(W), certificate_holds=holds)
+    holds = singular_certificate(M, args.split, args.w, args.system, args.tol)
+    report.update(split=args.split, system=args.system, W=_mat(args.w), certificate_holds=holds)
     if holds:
         report["det"] = _field(M.mode).to_json(det(M))
         return 0, report, f"system {args.system} holds; det(M) = {report['det']}"
@@ -204,9 +204,11 @@ def _cmd_certify_singular(args, M, report):
 
 def _rational(text, option):
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(text.strip())
+    except ZeroDivisionError:
         raise ValueError(f"{option}: not a rational number: {text!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
 
 
 def _parse_rational_list(text):
@@ -411,6 +413,9 @@ _shared_parser = functools.cache(build_parser)
 def main(argv=None):
     try:
         args = _shared_parser().parse_args(argv)
+        # argparse in Python 3.11 reads an option written --name=-- as [], not as an error.
+        if any(isinstance(v, list) for v in vars(args).values()):
+            raise _UsageError("'--' is not a value for an option")
         code, payload, summary = args.func(args)
     except (_UsageError, CentrosimError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

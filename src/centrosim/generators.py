@@ -107,18 +107,8 @@ class PalindromicSpec:
 
 def periodic_jacobi_pm(spec):
     """Tridiagonal matrix with diagonal t, couplings c0..c(n-1) and corners +-cn."""
-    n1 = spec.size
-    t, c, sign = spec.t, spec.c, spec.sign
-    zero = Fraction(0)
-    rows = [[zero] * n1 for _ in range(n1)]
-    for i in range(n1):
-        rows[i][i] = t
-    for i in range(n1 - 1):
-        rows[i][i + 1] = c[i]
-        rows[i + 1][i] = c[i]
-    rows[0][n1 - 1] = sign * c[n1 - 1]
-    rows[n1 - 1][0] = sign * c[n1 - 1]
-    return Matrix(rows, mode=EXACT, cols=n1)
+    c = spec.c
+    return _tridiagonal([spec.t] * spec.size, c[:-1], c[:-1], corner=spec.sign * c[-1])
 
 
 def bordered_jacobi_pm(spec):
@@ -145,7 +135,9 @@ def conjugated_periodic_jacobi(spec):
     return Q * periodic_jacobi_pm(spec) * Q_inv
 
 
-def _tridiagonal(diag, off_super, off_sub):
+def _tridiagonal(diag, off_super, off_sub, corner=None):
+    """The band diag, off_super, off_sub, with corner at (0, k-1) and (k-1, 0)
+    when given."""
     k = len(diag)
     zero = Fraction(0)
     rows = [[zero] * k for _ in range(k)]
@@ -154,6 +146,8 @@ def _tridiagonal(diag, off_super, off_sub):
     for i in range(k - 1):
         rows[i][i + 1] = off_super[i]
         rows[i + 1][i] = off_sub[i]
+    if corner is not None:
+        rows[0][k - 1] = rows[k - 1][0] = corner
     return Matrix(rows, mode=EXACT, cols=k)
 
 

@@ -178,17 +178,26 @@ def _rref_approx(a, n_cols, threshold):
     return pivots
 
 
-def _nullspace_from_rref(a, pivots, n_cols, mode):
-    free = [c for c in range(n_cols) if c not in pivots]
-    F = _field(mode)
+def _kernel_vectors(a, pivots, n_cols, one, zero):
+    """For each free column f of rows a, whose first n_cols columns are one
+    times an RREF with these pivots, ascending: the kernel vector that is one
+    at f, zero at the other free columns and -a[k][f] at pivot k."""
     basis = []
-    for f in free:
-        vec = [F.zero] * n_cols
-        vec[f] = F.one
-        for k, p in enumerate(pivots):
-            vec[p] = -a[k][f]
-        basis.append(Matrix._trusted([(v,) for v in vec], mode, 1))
+    for f in range(n_cols):
+        if f not in pivots:
+            vec = [zero] * n_cols
+            vec[f] = one
+            for k, p in enumerate(pivots):
+                vec[p] = -a[k][f]
+            basis.append(vec)
     return basis
+
+
+def _nullspace_from_rref(a, pivots, n_cols, mode):
+    """The kernel vectors of an RREF as column matrices."""
+    F = _field(mode)
+    return [Matrix._trusted([(v,) for v in vec], mode, 1)
+            for vec in _kernel_vectors(a, pivots, n_cols, F.one, F.zero)]
 
 
 @dataclass(frozen=True)
@@ -202,10 +211,6 @@ def gauss_facts(M, tol=None):
     """Rank, right-nullspace basis (free columns ascending) and inverse if any."""
     threshold = _field(M.mode).threshold(tol, M)
     n, c = M.rows, M.cols
-    if n == 0:
-        basis = _nullspace_from_rref([], [], c, M.mode)
-        inv = Matrix.identity(0, M.mode) if c == 0 else None
-        return GaussFacts(0, tuple(basis), inv)
     if M.is_square:
         ident = Matrix.identity(n, M.mode)
         a = [list(M.row(i)) + list(ident.row(i)) for i in range(n)]

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import DimensionError, ModeError
 
@@ -53,8 +54,10 @@ class _ExactField:
             return value
         if isinstance(value, bool):
             raise ModeError("boolean is not a valid exact scalar")
-        if isinstance(value, (int, Fraction, str)):
+        if isinstance(value, (int, Fraction)):
             return Fraction(value)
+        if isinstance(value, str):
+            return Fraction(parse_rational(value))
         if isinstance(value, float):
             raise ModeError("float entry in exact mode; use approx mode or a 'p/q' string")
         raise ModeError(f"cannot use {type(value).__name__} as an exact scalar")
@@ -121,7 +124,7 @@ class _ApproxField:
 
     def coerce(self, value):
         if isinstance(value, str):
-            return float(Fraction(value))
+            return float(parse_rational(value))
         if isinstance(value, (int, float, Fraction)):
             return float(value)
         raise ModeError(f"cannot use {type(value).__name__} as an approximate scalar")
@@ -303,25 +306,21 @@ class Matrix:
         if self.mode != other.mode:
             raise ModeError(f"cannot mix {self.mode} and {other.mode} matrices")
 
-    def __add__(self, other):
+    def _entrywise(self, other, op, message):
+        """op on each entry pair; message, given both shapes, names a mismatch."""
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_mode(other)
         if self.shape != other.shape:
-            raise DimensionError(f"cannot add {self.shape} and {other.shape}")
-        return Matrix._trusted([[a + b for a, b in zip(r1, r2)]
-                                for r1, r2 in zip(self._data, other._data)],
+            raise DimensionError(message.format(self.shape, other.shape))
+        return Matrix._trusted((map(op, r1, r2) for r1, r2 in zip(self._data, other._data)),
                                self.mode, self._cols)
 
+    def __add__(self, other):
+        return self._entrywise(other, add, "cannot add {} and {}")
+
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_mode(other)
-        if self.shape != other.shape:
-            raise DimensionError(f"cannot subtract {other.shape} from {self.shape}")
-        return Matrix._trusted([[a - b for a, b in zip(r1, r2)]
-                                for r1, r2 in zip(self._data, other._data)],
-                               self.mode, self._cols)
+        return self._entrywise(other, sub, "cannot subtract {1} from {0}")
 
     def __neg__(self):
         return Matrix._trusted([[-v for v in r] for r in self._data], self.mode, self._cols)
@@ -497,23 +496,24 @@ def assemble_blocks(bp):
     return block([[bp.A, bp.x, bp.B], [bp.y, center, bp.z], [bp.C, bp.w, bp.D]])
 
 
-def blocks_centrosymmetric(bp, tol=None):
-    """Block-level centrosymmetry conditions: JA = DJ, C = JBJ (+ Jx = w, zJ = y
-    in odd parity), each product by J taken as a reversal of rows or columns."""
-    if bp.A.rows != bp.A.cols or bp.A.shape != bp.D.shape:
-        return False
+def _exchange_pairs(bp):
+    """The block pairs (JA, DJ), (C, JBJ) and, in odd parity, (w, Jx) and
+    (y, zJ), lazily: a product by J is a reversal of rows or columns."""
     every = range(bp.A.rows)
     rev = every[::-1]
-    if not bp.A.take(rev, every).eq(bp.D.take(every, rev), tol):
-        return False
-    if not bp.C.eq(bp.B.take(rev, rev), tol):
-        return False
+    yield bp.A.take(rev, every), bp.D.take(every, rev)
+    yield bp.C, bp.B.take(rev, rev)
     if bp.parity == "odd":
-        if not bp.w.eq(bp.x.take(rev, range(1)), tol):
-            return False
-        if not bp.y.eq(bp.z.take(range(1), rev), tol):
-            return False
-    return True
+        yield bp.w, bp.x.take(rev, range(1))
+        yield bp.y, bp.z.take(range(1), rev)
+
+
+def blocks_centrosymmetric(bp, tol=None):
+    """Block-level centrosymmetry conditions: JA = DJ, C = JBJ (+ Jx = w, zJ = y
+    in odd parity), tested in that order up to the first that fails."""
+    if bp.A.rows != bp.A.cols or bp.A.shape != bp.D.shape:
+        return False
+    return all(L.eq(R, tol) for L, R in _exchange_pairs(bp))
 
 
 def matrix_to_json_obj(M):
@@ -521,18 +521,39 @@ def matrix_to_json_obj(M):
     return {"rows": [[to_json(v) for v in r] for r in M._data]}
 
 
+# Python's default limit on the digits of an int read from or written to a
+# string: no report could print an entry whose decimal exponent is larger.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def parse_rational(text):
+    """Fraction(text), or int(text) for an integer string, with Fraction()'s
+    errors; a decimal exponent past _MAX_EXPONENT raises ValueError before
+    Fraction() would build 10**exponent."""
+    # Without underscores (which Python 3.10's Fraction() rejects), int()
+    # accepts exactly the integer strings Fraction() accepts.
+    if "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        try:
+            huge = abs(int(exponent[1])) > _MAX_EXPONENT
+        except ValueError:  # more digits than int() reads
+            huge = True
+        if huge:
+            raise ValueError(f"{text!r} has a decimal exponent larger than {_MAX_EXPONENT} "
+                             "in magnitude")
+    return Fraction(text)
+
+
 def _entry_from_json(v):
     if isinstance(v, str):
-        # Without underscores (which Python 3.10's Fraction() rejects), int()
-        # accepts exactly the integer strings Fraction() accepts; any other
-        # string, and its error message, is Fraction()'s.
-        if "_" not in v:
-            try:
-                return int(v)
-            except ValueError:
-                pass
         try:
-            return Fraction(v)
+            return parse_rational(v)
         except ZeroDivisionError:
             raise ValueError(f"matrix entry {v!r} has a zero denominator") from None
     if isinstance(v, bool) or not isinstance(v, (int, float)):

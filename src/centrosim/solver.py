@@ -23,8 +23,9 @@ from itertools import product, repeat
 from operator import add, mul, sub
 
 from .errors import DimensionError, PreconditionError
-from .linalg import _gauss_jordan_int, gauss_facts, solve_linear
-from .matrix import APPROX, EXACT, BlockPartition, Matrix, _field, exchange_matrix, split_blocks
+from .linalg import _gauss_jordan_int, _kernel_vectors, gauss_facts, solve_linear
+from .matrix import (APPROX, EXACT, BlockPartition, Matrix, _exchange_pairs, _field,
+                     exchange_matrix, split_blocks)
 
 
 @functools.cache
@@ -131,17 +132,10 @@ def _sylvester_space(A, D, center=None, tol=None):
     if A.mode == APPROX:
         return _eliminate(A, D, center, tol)
     s, m = A.rows, D.rows
-    # XA = DX is unchanged when A and D are scaled by the lcm of their
-    # denominators, and X x = tau w (z X = tau y) when x and w (z and y) are.
-    scale = _lcm_denominators(A, D)
-    a = _int_rows(A, scale)
-    d = _int_rows(D, scale)
-    int_center = None
-    if center is not None:
-        x, w, z, y = center
-        xw, zy = _lcm_denominators(x, w), _lcm_denominators(z, y)
-        int_center = (_int_entries(x, xw), _int_entries(w, xw),
-                      _int_entries(z, zy), _int_entries(y, zy))
+    # XA = DX is unchanged when A and D are scaled by one factor, and
+    # X x = tau w and z X = tau y when x, w, z and y are.
+    _, a, d = _scaled_rows(A, D)
+    int_center = None if center is None else tuple(map(_flat, _scaled_rows(*center)[1:]))
     vecs = _krylov_space(a, d)
     if vecs is None:
         vecs = _int_kernel(_sylvester_rows(a, d, 0), m * s)
@@ -160,8 +154,8 @@ def _recheck(a, d, center, rows, den):
     solution (tau = 1) the full one.
 
     Everything is compared over the integers: a and d are the rows of A and D
-    times one common scale, center holds x, w, z, y as integer vectors scaled
-    in pairs, and den X is the row itself.  The first row that fails names
+    times one common scale, center holds x, w, z, y as integer vectors times
+    another, and den X is the row itself.  The first row that fails names
     the error and is its payload.
 
     All rows are checked by one product pair (Kronecker substitution): row k
@@ -253,18 +247,13 @@ def _sylvester_rows(a, d, zero):
     return rows
 
 
-def _lcm_denominators(*mats):
-    return math.lcm(*[v.denominator for M in mats for i in range(M.rows) for v in M.row(i)])
-
-
-def _int_rows(M, scale):
-    """The rows of scale * M as integers; scale is a multiple of every denominator."""
-    return [[v.numerator * (scale // v.denominator) for v in M.row(i)] for i in range(M.rows)]
-
-
-def _int_entries(M, scale):
-    """The row-major entries of scale * M as integers."""
-    return [v for row in _int_rows(M, scale) for v in row]
+def _scaled_rows(*mats):
+    """(scale, then the integer rows of scale * M for each M in mats): scale is
+    the lcm of every denominator in mats."""
+    rows = [[M.row(i) for i in range(M.rows)] for M in mats]
+    scale = math.lcm(*[v.denominator for M in rows for row in M for v in row])
+    return (scale, *([[v.numerator * (scale // v.denominator) for v in row] for row in M]
+                     for M in rows))
 
 
 def _krylov_space(a, d):
@@ -325,15 +314,7 @@ def _int_kernel(rows, n):
     """An integer basis of the nullspace of the first n columns of integer rows
     (consumed): for each free column f, prev at f and -rows[k][f] at pivot k."""
     pivots, prev = _gauss_jordan_int(rows, n)
-    basis = []
-    for f in range(n):
-        if f not in pivots:
-            v = [0] * n
-            v[f] = prev
-            for k, p in enumerate(pivots):
-                v[p] = -rows[k][f]
-            basis.append(v)
-    return basis
+    return _kernel_vectors(rows, pivots, n, prev, 0)
 
 
 def _pair_rows(vecs, n, s, center):
@@ -397,20 +378,14 @@ def _special_pairs(bp):
     product by a 0/1 matrix only adds terms +-0.0, so the differences equal the
     products' entry for entry up to the sign of zero.
     """
-    every = range(bp.A.rows)
-    rev = every[::-1]
-    ja, dj = bp.A.take(rev, every), bp.D.take(every, rev)
-    quad = (bp.C, bp.B.take(rev, rev))
-    exchange = ((ja, dj), quad)
+    exchange = tuple(_exchange_pairs(bp))
+    (ja, dj), quad, *center = exchange
     identity = ((bp.A, bp.D), (bp.C, bp.B))
     negated = ((dj, ja), quad)
-    if bp.parity == "odd":
-        one = range(1)
-        jx = bp.x.take(rev, one)
-        zj = bp.z.take(one, rev)
-        exchange += ((bp.w, jx), (bp.y, zj))
-        identity += ((bp.w, bp.x), (bp.y, bp.z))
-        negated += ((bp.w, -jx), (bp.y, -zj))
+    if center:
+        (w, jx), (y, zj) = center
+        identity += ((w, bp.x), (y, bp.z))
+        negated += ((w, -jx), (y, -zj))
     return exchange, identity, negated
 
 
@@ -549,15 +524,14 @@ def _quadratic_parts(bp, X0, basis):
                 [list(map(add, _flat(times(nb, X0)), _flat(times(xb, N))))
                  for nb, N in zip(nbs, basis)],
                 [[_flat(times(nb, N)) for N in basis] for nb in nbs])
-    den = _lcm_denominators(X0, *basis)
-    x0, *ns = [_int_rows(M, den) for M in (X0, *basis)]
-    lb, lc = _lcm_denominators(bp.B), _lcm_denominators(bp.C)
-    K = lb * lc * den * den
-    # den X0 (den N_i) times lb lc B times den X0 (den N_j) is K X0 B X0 (K N_i B N_j).
-    b_cols = list(zip(*_int_rows(bp.B, lb * lc)))
-    xb, *nbs = [[[sum(map(mul, r, c)) for c in b_cols] for r in M] for M in (x0, *ns)]
+    den, x0, *ns = _scaled_rows(X0, *basis)
+    lbc, b, c = _scaled_rows(bp.B, bp.C)
+    K = lbc * den * den
+    # den X0 (den N_i) times lbc B times den X0 (den N_j) is K X0 B X0 (K N_i B N_j).
+    b_cols = list(zip(*b))
+    xb, *nbs = [[[sum(map(mul, r, col)) for col in b_cols] for r in M] for M in (x0, *ns)]
     x0_cols, *n_cols = [list(zip(*M)) for M in (x0, *ns)]
-    r0 = list(map(sub, _int_entries(bp.C, K), _int_product(xb, x0_cols)))
+    r0 = list(map(sub, [den * den * v for v in _flat(c)], _int_product(xb, x0_cols)))
     lin = [list(map(add, _int_product(nb, x0_cols), _int_product(xb, nc)))
            for nb, nc in zip(nbs, n_cols)]
     quad = [[_int_product(nb, nc) for nc in n_cols] for nb in nbs]

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import CentrosimError, DimensionError, PreconditionError, RankError
-from .linalg import det, gauss_facts, inverse, rank_normal_form
-from .matrix import (EXACT, Matrix, _field, block, block_diag, hstack,
+from .linalg import _gauss_jordan_int, det, gauss_facts, inverse, rank_normal_form
+from .matrix import (EXACT, Matrix, _clear_denominators, _field, block, block_diag, hstack,
                      is_centrosymmetric, split_blocks, vstack)
 from .solver import system_residuals
 
@@ -140,25 +140,21 @@ def embed_centro_principal(M, s, X, tol=None):
 
 def _complete_rows(X, tol):
     """Rows Y that make vstack(X, Y) square and invertible: standard basis rows,
-    lowest index first (exact mode), or a Gram-Schmidt completion (approximate mode)."""
+    lowest index first (exact mode), or a Gram-Schmidt completion (approximate mode).
+
+    Stacked greedily, e_i raises the rank exactly when no vector of X's row
+    space has its last nonzero entry at i: at a pivot of X's RREF with the
+    columns reversed.  So Y is the e_i at every other column, if X has full row rank.
+    """
     if X.mode != EXACT:
         return _complete_rows_orthonormal(X, tol)
     s = X.cols
-    added = []
-    current = X
-    cur_rank = gauss_facts(current).rank
-    for i in range(s):
-        if current.rows == s:
-            break
-        e = Matrix([[1 if j == i else 0 for j in range(s)]], mode=EXACT, cols=s)
-        candidate = vstack(current, e)
-        cand_rank = gauss_facts(candidate).rank
-        if cand_rank > cur_rank:
-            current, cur_rank = candidate, cand_rank
-            added.append(e)
-    if current.rows != s or cur_rank != s:
+    rows, _ = _clear_denominators(X.row(i)[::-1] for i in range(X.rows))
+    pivots, _ = _gauss_jordan_int(rows, s)
+    if len(pivots) != X.rows:
         raise RankError("row completion failed; X is rank deficient")
-    return vstack(*added) if added else Matrix.zeros(0, s, X.mode)
+    ends = {s - 1 - p for p in pivots}
+    return Matrix.identity(s).take([i for i in range(s) if i not in ends], range(s))
 
 
 def _complete_rows_orthonormal(X, tol):

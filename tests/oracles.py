@@ -11,11 +11,11 @@ from functools import reduce
 from itertools import product
 from operator import add, mul
 
-from centrosim import (APPROX, Matrix, PreconditionError, block, exchange_matrix, gauss_facts,
-                       hstack, inverse, rank_normal_form, solve_linear, vstack)
+from centrosim import (APPROX, EXACT, Matrix, PreconditionError, RankError, block,
+                       exchange_matrix, gauss_facts, hstack, inverse, rank_normal_form,
+                       solve_linear, vstack)
 from centrosim.linalg import _gauss_jordan_int
 from centrosim.solver import _grid_roots, _int_kernel, _unvec
-from centrosim.transforms import _complete_rows
 
 
 def cofactor_det(M):
@@ -474,6 +474,29 @@ def dense_embed(M, s, X):
     return Q1 * L_inv, L * Q1_inv, L * Mp * L_inv
 
 
+def greedy_complete_rows(X):
+    """Reference exact row completion: e_0, e_1, ... are stacked under X in turn,
+    each kept when gauss_facts finds that it raises the rank, until the stack is
+    square (the loop transforms._complete_rows ran before it read the added rows
+    off one elimination)."""
+    s = X.cols
+    added = []
+    current = X
+    cur_rank = gauss_facts(current).rank
+    for i in range(s):
+        if current.rows == s:
+            break
+        e = Matrix([[1 if j == i else 0 for j in range(s)]], mode=EXACT, cols=s)
+        candidate = vstack(current, e)
+        cand_rank = gauss_facts(candidate).rank
+        if cand_rank > cur_rank:
+            current, cur_rank = candidate, cand_rank
+            added.append(e)
+    if current.rows != s or cur_rank != s:
+        raise RankError("row completion failed; X is rank deficient")
+    return vstack(*added) if added else Matrix.zeros(0, s, X.mode)
+
+
 def dense_dilate_tall(M, s, X):
     """Reference (Mhat, Q, Q_inv, result) of the dilation for a full-column-rank
     X with s < n - s: the raw dilation conjugated by dense_centro_transform, then
@@ -483,7 +506,7 @@ def dense_dilate_tall(M, s, X):
     k, e = n - s, n - 2 * s
     A, B = M.submatrix(0, s, 0, s), M.submatrix(0, s, s, n)
     C, D = M.submatrix(s, n, 0, s), M.submatrix(s, n, s, n)
-    Y = _complete_rows(X.transpose(), None).transpose()
+    Y = greedy_complete_rows(X.transpose()).transpose()
     Xhat = hstack(Y, X)
     A_stack = inverse(Xhat) * D * Y
     B1 = hstack(*gauss_facts(X.transpose()).nullspace).transpose()

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -72,7 +73,7 @@ def test_transform_toeplitz_report_reverifiable(tmp_path, capsys):
     rep_path = str(tmp_path / "report.json")
     code, out, _ = run(["transform", m_path, "--split", "2", "-o", rep_path], capsys)
     assert code == 0
-    report = json.load(open(rep_path))
+    report = json.loads(Path(rep_path).read_text())
     assert report["exit_code"] == 0
     assert report["transform"]["certification"] == "fully_centrosymmetric"
     # Reports are re-verifiable: Q^-1 M Q recomputed from the report matches.
@@ -108,6 +109,43 @@ def test_embed_and_dilate_commands(tmp_path, capsys):
     report = load_report(out)
     assert report["transform"]["certification"] == "dilated(4)"
     assert report["Mhat"]["rows"][0] == ["4", "0", "6", "0"]
+
+
+# (command and options, M, the option of the second matrix, that matrix): each
+# exits 0 on these integer rows.
+SECOND_MATRIX_CASES = [
+    (["transform", "--odd", "--split", "1"], [[2, 1, 1], [1, 5, 1], [1, 1, 2]], "--x", [[1]]),
+    (["embed", "--split", "2"], [[1, 0, 7, 4], [5, 6, 8, 9], [7, 0, 1, 3], [0, 0, 0, 2]],
+     "--x", [[1, 0], [0, 0]]),
+    (["dilate", "--split", "2"], [[4, 0, 6], [9, 7, 3], [6, 0, 4]], "--x", [[1, 0]]),
+    (["factor-riccati", "--split", "1", "--orientation", "lower"], [[1, -1], [1, -1]],
+     "--w", [[1]]),
+    (["certify-singular", "--split", "1", "--system", "1"], [[2, 3], [2, 3]], "--w", [[1]]),
+]
+
+
+def _floats(rows):
+    return [[float(v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("cmd, m_rows, flag, x_rows", SECOND_MATRIX_CASES)
+def test_an_integer_second_matrix_is_read_in_the_float_mode_of_m(tmp_path, capsys, cmd,
+                                                                 m_rows, flag, x_rows):
+    m = write(tmp_path, "m.json", _floats(m_rows))
+    x = write(tmp_path, "x.json", x_rows)
+    code, out, err = run([cmd[0], m, *cmd[1:], flag, x], capsys)
+    assert code == 0, err
+    report = load_report(out)
+    assert report["mode"] == "approx"
+    assert report[flag[2:].upper()] == {"rows": _floats(x_rows)}
+
+
+@pytest.mark.parametrize("cmd, m_rows, flag, x_rows", SECOND_MATRIX_CASES)
+def test_a_float_second_matrix_with_an_exact_m_is_an_error(tmp_path, capsys, cmd,
+                                                           m_rows, flag, x_rows):
+    m = write(tmp_path, "m.json", m_rows)
+    x = write(tmp_path, "x.json", _floats(x_rows))
+    assert_one_line_error(*run([cmd[0], m, *cmd[1:], flag, x], capsys))
 
 
 def test_factor_centro_command(tmp_path, capsys):
@@ -167,7 +205,7 @@ def test_gen_jacobi_families(tmp_path, capsys):
     code, out, _ = run(["gen", "jacobi-a", "--t", "2", "--c", "1,1,1",
                         "--sign", "+", "-o", out_path], capsys)
     assert code == 0
-    assert json.load(open(out_path)) == {"rows": [["2", "1", "1"], ["1", "2", "1"], ["1", "1", "2"]]}
+    assert json.loads(Path(out_path).read_text()) == {"rows": [["2", "1", "1"], ["1", "2", "1"], ["1", "1", "2"]]}
     code, out, _ = run(["gen", "jacobi-b", "--t", "2", "--c", "1,1,1", "--sign", "+"], capsys)
     assert code == 0
     assert load_report(out)["matrix"]["rows"][0] == ["3", "1", "0"]
@@ -354,6 +392,36 @@ def test_bad_rational_argument_is_one_line_error(capsys, args):
     assert_one_line_error(*run(args, capsys))
 
 
+@pytest.mark.parametrize("args", [
+    ["gen", "toeplitz", "--alpha=--"],
+    ["gen", "jacobi-a", "--t=--", "--c=1,2,1"],
+    ["gen", "jacobi-b", "--c=1,2,1", "--sign=--"],
+    ["alpha-scan", "--start=--", "--stop=1"],
+])
+def test_double_dash_option_value_is_one_line_error(capsys, args):
+    assert_one_line_error(*run(args, capsys))
+
+
+def test_huge_decimal_exponents_are_one_line_errors_at_once(tmp_path, capsys):
+    # Fraction() would build 10**99999999 first, for longer than any timeout.
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": [["1e99999999", "0"], ["0", "1"]]}')
+    for argv in (["check", str(path)], ["gen", "toeplitz", "--alpha", "1e99999999"]):
+        start = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_error(code, out, err)
+        assert "exponent" in err
+
+
+def test_decimal_arguments_still_parse(capsys):
+    code, out, _ = run(["gen", "toeplitz", "--alpha", "1.5e-1", "--size", "2"], capsys)
+    assert code == 0
+    report = load_report(out)
+    assert report["alpha"] == "3/20"
+    assert report["matrix"]["rows"] == [["3/20", "-17/20"], ["23/20", "3/20"]]
+
+
 def _is_rational(text):
     try:
         Fraction(text.strip())
@@ -476,7 +544,7 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
     first = ["solve", odd, "--mode", "approx", "--odd", "--tol", "1e-6", "-o", report]
     code, out, _ = run(first, capsys)
     assert code == 0 and out.startswith("1 approximate solution(s)")
-    assert load_report(open(report).read())["parity"] == "odd"
+    assert load_report(Path(report).read_text())["parity"] == "odd"
     generated = str(tmp_path / "gen.json")
     scan = str(tmp_path / "scan.csv")
     later = [
@@ -491,8 +559,8 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
     for argv in later:
         assert run(argv, capsys) == _fresh_main(argv), argv
     # gen and alpha-scan still write their own output: a matrix and a CSV.
-    assert set(json.loads(open(generated).read())) == {"rows"}
-    assert open(scan).readline().startswith("alpha,")
+    assert set(json.loads(Path(generated).read_text())) == {"rows"}
+    assert Path(scan).read_text().startswith("alpha,")
 
 
 def test_each_check_runs_once_per_command(tmp_path, capsys, monkeypatch):

@@ -728,8 +728,8 @@ def test_a_full_search_skips_the_grid(opts, stop, monkeypatch):
 
 
 def _ints(A, D):
-    scale = solver._lcm_denominators(A, D)
-    return solver._int_rows(A, scale), solver._int_rows(D, scale)
+    _, a, d = solver._scaled_rows(A, D)
+    return a, d
 
 
 def _space_and_path(A, D, center=None):

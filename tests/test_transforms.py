@@ -2,15 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from centrosim import (APPROX, CentrosimError, Matrix, PreconditionError, RankError,
+from centrosim import (APPROX, EXACT, CentrosimError, Matrix, PreconditionError, RankError,
                        block, build_centro_transform, char_poly_samples, det,
                        dilate_to_centrosimilar, embed_centro_principal,
                        exchange_matrix, inverse,
                        is_centrosymmetric, linear_toeplitz, rank)
-from centrosim.transforms import _check_conjugation
+from centrosim.transforms import _check_conjugation, _complete_rows
 from oracles import (dense_centro_transform, dense_dilate_tall, dense_embed,
-                     embedding_instance, planted_transform_instance, rand_centrosymmetric,
+                     embedding_instance, greedy_complete_rows, planted_transform_instance,
+                     rand_centrosymmetric,
                      rand_int_matrix, rand_invertible, tall_instance, wide_instance)
 
 
@@ -276,3 +279,35 @@ def test_wide_dilation_matches_the_dense_product_by_q(n, s):
         Mhat, Xhat, report = dilate_to_centrosimilar(M, s, X)
         expected = dense_centro_transform(Mhat, "even", s, Xhat)
         assert (report.Q, report.Q_inv, report.result) == expected
+
+
+RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def completion_inputs(draw):
+    """A rational X of up to 6 x 6, with a last row that combines two drawn rows
+    (so X is rank deficient) half of the time."""
+    n_rows, n_cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(RATIONALS, min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+    if rows and draw(st.booleans()):
+        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_rows - 1))
+        t = draw(RATIONALS)
+        rows.append([a + t * b for a, b in zip(rows[i], rows[j])])
+    return Matrix(rows, mode=EXACT, cols=n_cols)
+
+
+@settings(max_examples=400, deadline=None)
+@given(completion_inputs())
+def test_row_completion_matches_the_greedy_oracle(X):
+    try:
+        expected = greedy_complete_rows(X)
+    except RankError as exc:
+        event("rank deficient")
+        with pytest.raises(RankError) as raised:
+            _complete_rows(X, None)
+        assert str(raised.value) == str(exc)
+    else:
+        event("completed")
+        assert _complete_rows(X, None) == expected
