@@ -17,18 +17,10 @@ import os
 import sys
 from fractions import Fraction
 
+# Only errors and matrix load with the CLI; each command imports the rest when it runs.
 from .errors import CentrosimError, PreconditionError
-from .factorization import _triangularize_and_factor, centro_det_factors
-from .generators import (PalindromicSpec, alpha_scan, bordered_jacobi_pm,
-                         conjugated_periodic_jacobi, linear_toeplitz,
-                         periodic_jacobi_pm, toeplitz_scaled_intertwiner,
-                         verify_palindromic_factorization, write_alpha_scan_csv)
-from .linalg import det
 from .matrix import (APPROX, EXACT, _field, is_centrosymmetric, load_matrix,
                      matrix_to_json_obj, parse_rational, save_matrix)
-from .solver import (SearchOptions, find_intertwiner, riccati_residual,
-                     singular_certificate)
-from .transforms import build_centro_transform, dilate_to_centrosimilar, embed_centro_principal
 
 SCHEMA = "centrosim/1"
 
@@ -68,6 +60,7 @@ _SEARCH_ARGS = ("d_max", "grid_numer_max", "grid_denom_max", "max_solutions")
 
 
 def _search_options(args):
+    from .solver import SearchOptions
     return SearchOptions(**{k: getattr(args, k) for k in _SEARCH_ARGS + ("tol",)
                             if getattr(args, k) is not None})
 
@@ -101,6 +94,7 @@ def _cmd_check(args, M, report):
 
 @_on_matrix
 def _cmd_solve(args, M, report):
+    from .solver import find_intertwiner
     search = find_intertwiner(M, args.parity, args.split, _search_options(args))
     report.update(parity=args.parity, split=args.split,
                   solutions=[_solution_obj(sol) for sol in search.solutions],
@@ -120,6 +114,8 @@ def _cmd_solve(args, M, report):
 
 @_on_matrix
 def _cmd_transform(args, M, report):
+    from .solver import find_intertwiner
+    from .transforms import build_centro_transform
     parity, s = args.parity, args.split
     report.update(parity=parity, split=s)
     if args.x is not None:
@@ -141,6 +137,7 @@ def _cmd_transform(args, M, report):
 
 @_on_matrix
 def _cmd_embed(args, M, report):
+    from .transforms import embed_centro_principal
     tr = embed_centro_principal(M, args.split, args.x, args.tol)
     report.update(split=args.split, X=_mat(args.x), transform=_transform_obj(tr))
     return 0, report, f"certified: {tr.certification}"
@@ -148,6 +145,7 @@ def _cmd_embed(args, M, report):
 
 @_on_matrix
 def _cmd_dilate(args, M, report):
+    from .transforms import dilate_to_centrosimilar
     Mhat, Xhat, tr = dilate_to_centrosimilar(M, args.split, args.x, args.tol)
     report.update(split=args.split, X=_mat(args.x), Mhat=_mat(Mhat), Xhat=_mat(Xhat),
                   transform=_transform_obj(tr))
@@ -167,6 +165,7 @@ def _factor_obj(rep, mode):
 
 @_on_matrix
 def _cmd_factor_centro(args, M, report):
+    from .factorization import centro_det_factors
     try:
         rep = centro_det_factors(M, args.tol)
     except PreconditionError:
@@ -180,6 +179,8 @@ def _cmd_factor_centro(args, M, report):
 
 @_on_matrix
 def _cmd_factor_riccati(args, M, report):
+    from .factorization import _triangularize_and_factor
+    from .solver import riccati_residual
     witness = riccati_residual(M, args.split, args.w, args.orientation, args.tol)
     report.update(split=args.split, orientation=args.orientation, W=_mat(args.w),
                   residual=_mat(witness.residual))
@@ -194,6 +195,8 @@ def _cmd_factor_riccati(args, M, report):
 
 @_on_matrix
 def _cmd_certify_singular(args, M, report):
+    from .linalg import det
+    from .solver import singular_certificate
     holds = singular_certificate(M, args.split, args.w, args.system, args.tol)
     report.update(split=args.split, system=args.system, W=_mat(args.w), certificate_holds=holds)
     if holds:
@@ -218,6 +221,8 @@ def _parse_rational_list(text):
 
 
 def _cmd_gen(args):
+    from .generators import (PalindromicSpec, bordered_jacobi_pm, linear_toeplitz,
+                             periodic_jacobi_pm, toeplitz_scaled_intertwiner)
     if args.family == "toeplitz":
         alpha = _rational(args.alpha, "--alpha")
         M = linear_toeplitz(alpha, args.size)
@@ -241,6 +246,8 @@ def _cmd_gen(args):
 
 
 def _cmd_verify_corollary(args):
+    from .generators import (PalindromicSpec, bordered_jacobi_pm, conjugated_periodic_jacobi,
+                             verify_palindromic_factorization)
     family = args.family.upper()
     c = _parse_rational_list(args.c)
     sign = 1 if args.sign == "+" else -1
@@ -273,6 +280,7 @@ def _scan_points(start, stop, step):
 
 
 def _cmd_alpha_scan(args):
+    from .generators import alpha_scan, write_alpha_scan_csv
     rows = alpha_scan(args.size, _scan_points(args.start, args.stop, args.step), tol=args.tol)
     report = {"size": args.size, "count": len(rows),
               "columns": ["alpha", "size", "best_residual_norm",

@@ -525,6 +525,35 @@ def _fresh_main(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+_LOADED_MODULES = """
+import sys
+import centrosim.cli
+centrosim.cli.load_matrix(sys.argv[1])
+if sys.argv[2:]:
+    centrosim.cli.main(sys.argv[2:])
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "centrosim"))
+"""
+
+
+@pytest.mark.parametrize("command, runs", [
+    (None, ()),
+    ("check", ()),
+    ("solve", ("linalg", "solver")),
+    ("transform", ("linalg", "solver", "transforms")),
+    ("factor-centro", ("factorization", "linalg", "solver")),
+])
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, runs):
+    # A new process starts with none of centrosim loaded: importing the CLI and
+    # reading a matrix load errors and matrix; a command then adds what it runs.
+    path = write(tmp_path, "m.json", [[2, 1], [1, 2]])
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, path,
+                           *([command, path] if command else [])],
+                          env=_fresh_env(), capture_output=True, text=True, check=True)
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert loaded == sorted(["centrosim", "centrosim.cli", "centrosim.errors",
+                             "centrosim.matrix", *("centrosim." + m for m in runs)])
+
+
 def test_closed_pipe_exits_one_without_traceback():
     # The 200 x 200 report is larger than a pipe buffer, so the CLI is still
     # writing when the reader closes its end, as `centrosim gen ... | head` does.
