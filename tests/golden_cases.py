@@ -54,6 +54,12 @@ EMBED_A2_B1_X = _m("0 0 0; -1/3 -2/3 -1/3")
 EMBED_A0_B2 = _m("1 0 2 -2 16 -14; 1 1 1 -4 6 -11; 8 -16 -3 17 0 35; 6 -12 -3 13 0 24;"
                  "-1 7/2 1/2 -9/2 1 -21/2; -2 4 0 -2 0 -5")
 EMBED_A0_B2_X = _m("2 0; 3/2 0; -1/4 -1/2; -1/2 0")
+# Rank 2 of 3 with X[0][0] = 0 (from oracles.embedding_instance): searching the
+# first row for a pivot and taking the first column's pivot from the second row
+# give different T and S, so the report pins how the normal form is read.
+EMBED_PIVOT = _m("-1 3 -1 -15 14 5; -7/5 26/5 4/5 -6 6 3; 18/5 -49/5 -16/5 -11 8 3;"
+                 "-2/5 -9/5 -11/5 3 -1 5; -2/5 -14/5 -16/5 6 -3 6; 0 2 2 -4 2 -3")
+EMBED_PIVOT_X = _m("0 -1 -1; 1/5 -8/5 -7/5; -2/5 6/5 4/5")
 WIDE5 = _m("-22/19 121/38 47/19 3 1; 24/19 48/19 4/19 2 -1; -17/19 -163/38 -44/19 3 -2;"
            "-10 47 48 -1 3; 12 -45 -50 2 1")
 WIDE5_X = _m("-1 2 3; 0 -3 -2")
@@ -183,6 +189,8 @@ CASES = {
                     {"m": EMBED_A2_B1, "x": EMBED_A2_B1_X}),
     "embed_a0_b2": (["embed", "{m}", "--split", "2", "--x", "{x}"],
                     {"m": EMBED_A0_B2, "x": EMBED_A0_B2_X}),
+    "embed_pivot_order": (["embed", "{m}", "--x", "{x}"],
+                          {"m": EMBED_PIVOT, "x": EMBED_PIVOT_X}),
     "dilate_wide": (["dilate", "{m}", "--split", "3", "--x", "{x}"],
                     {"m": WIDE5, "x": WIDE5_X}),
     "dilate_tall": (["dilate", "{m}", "--x", "{x}"], {"m": TALL5, "x": TALL5_X}),
