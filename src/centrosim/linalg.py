@@ -257,73 +257,34 @@ class RankNormalForm:
     T: Matrix
     S: Matrix
     r: int
+    T_inv: Matrix
+    S_inv: Matrix
 
 
 def rank_normal_form(X, tol=None):
-    """Invertible T, S with T X S = [[I_r, 0], [0, 0]].
-
-    Pivots are chosen deterministically: first nonzero entry of the remaining
-    submatrix in row-major order (exact mode), largest magnitude otherwise.
+    """Invertible T, S with T X S = [[I_r, 0], [0, 0]], and their inverses, read off
+    the RREF R of [X | I] with r = gauss_facts(X, tol).rank.  T is the augmented
+    part.  Pivot rows are only added to other rows, so T's first r rows vanish at
+    each other row's original index and its last rows are units there (found as
+    the largest entry where the first rows vanish): T^-1 is X's pivot columns,
+    then those units.  S is R's pivot unit columns, then its kernel vectors;
+    S^-1 is R's first r rows, exact at the pivots, then the free columns' units.
     """
-    m, n = X.rows, X.cols
-    mode = X.mode
-    threshold = _field(mode).threshold(tol, X)
-    a = [list(X.row(i)) for i in range(m)]
-    t = Matrix.identity(m, mode).to_lists()
-    s = Matrix.identity(n, mode).to_lists()
-    k = 0
-    while k < m and k < n:
-        pi = pj = None
-        if mode == EXACT:
-            for i in range(k, m):
-                for j in range(k, n):
-                    if a[i][j] != 0:
-                        pi, pj = i, j
-                        break
-                if pi is not None:
-                    break
-        else:
-            best = threshold
-            for i in range(k, m):
-                for j in range(k, n):
-                    if abs(a[i][j]) > best:
-                        best = abs(a[i][j])
-                        pi, pj = i, j
-        if pi is None:
-            break
-        if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-            t[k], t[pi] = t[pi], t[k]
-        if pj != k:
-            for row in a:
-                row[k], row[pj] = row[pj], row[k]
-            for row in s:
-                row[k], row[pj] = row[pj], row[k]
-        pk = a[k][k]
-        if pk != 1:
-            inv = 1 / pk
-            for j in range(n):
-                a[k][j] *= inv
-            for j in range(m):
-                t[k][j] *= inv
-        for i in range(m):
-            if i == k:
-                continue
-            f = a[i][k]
-            if f:
-                for j in range(n):
-                    a[i][j] -= f * a[k][j]
-                for j in range(m):
-                    t[i][j] -= f * t[k][j]
-        for j in range(k + 1, n):
-            f = a[k][j]
-            if f:
-                for i in range(m):
-                    a[i][j] -= f * a[i][k]
-                for i in range(n):
-                    s[i][j] -= f * s[i][k]
-        k += 1
-    return RankNormalForm(Matrix._trusted(t, mode, m), Matrix._trusted(s, mode, n), k)
+    m, n, mode = X.rows, X.cols, X.mode
+    F = _field(mode)
+    ident, unit = Matrix.identity(m, mode), Matrix.identity(n, mode)
+    a = [list(X.row(i)) + list(ident.row(i)) for i in range(m)]
+    pivots = _rref(a, n, mode, F.threshold(tol, X))
+    r, T = len(pivots), [row[n:] for row in a]
+    rest = [max(range(m), key=lambda c: (not any(t[c] for t in T[:r]), abs(row[c])))
+            for row in T[r:]]
+    kernel = _kernel_vectors(a, pivots, n, F.one, F.zero)
+    S = [[unit[i, p] for p in pivots] + [v[i] for v in kernel] for i in range(n)]
+    S_inv = [[unit[c, p] if c in pivots else a[k][c] for c in range(n)]
+             for k, p in enumerate(pivots)] + [unit.row(f) for f in range(n) if f not in pivots]
+    T_inv = [[X[i, p] for p in pivots] + [ident[i, c] for c in rest] for i in range(m)]
+    return RankNormalForm(Matrix._trusted(T, mode, m), Matrix._trusted(S, mode, n), r,
+                          Matrix._trusted(T_inv, mode, m), Matrix._trusted(S_inv, mode, n))
 
 
 def char_poly_samples(M, points):

@@ -427,7 +427,6 @@ def find_intertwiner(M, parity, s, options=None, *, stop_at_invertible=False):
     m = bp.D.rows
 
     solutions = []
-    seen = []
     best = [math.inf]
 
     def consider(X, screen=None):
@@ -439,7 +438,7 @@ def find_intertwiner(M, parity, s, options=None, *, stop_at_invertible=False):
         if ok:
             if screen is not None:
                 X = X()
-            if any(X.eq(prev, tol) for prev in seen):
+            if any(X.eq(sol.X, tol) for sol in solutions):
                 return
             syl, quad, extras, ok = system_residuals(bp, X, tol)
             residuals = (syl, quad) + extras
@@ -448,7 +447,6 @@ def find_intertwiner(M, parity, s, options=None, *, stop_at_invertible=False):
         if ok:
             facts = gauss_facts(X, tol)
             solutions.append(IntertwinerSolution(X, syl, quad, facts.rank, facts.inverse))
-            seen.append(X)
 
     def full():
         return ((opts.max_solutions is not None and len(solutions) >= opts.max_solutions)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CentrosimError, DimensionError, PreconditionError, RankError
-from .linalg import _gauss_jordan_int, det, gauss_facts, inverse, rank_normal_form
+from .linalg import _gauss_jordan_int, det, gauss_facts, rank_normal_form
 from .matrix import (EXACT, Matrix, _clear_denominators, _field, block, block_diag, hstack,
                      is_centrosymmetric, split_blocks, vstack)
 from .solver import system_residuals
@@ -121,12 +121,10 @@ def embed_centro_principal(M, s, X, tol=None):
     if r == 0:
         raise PreconditionError("X has rank zero; the embedding needs rank r > 0")
     if r == s == n - s:
-        return _certify(M, *_conjugate(M, X, gauss_facts(X, tol).inverse), n,
-                        "fully_centrosymmetric", tol)
+        return _certify(M, *_conjugate(M, X, nf.T), n, "fully_centrosymmetric", tol)
 
-    T, S = nf.T, nf.S
-    Q1 = block_diag(S, inverse(T, tol))
-    Q1_inv = block_diag(inverse(S, tol), T)
+    Q1 = block_diag(nf.S, nf.T_inv)
+    Q1_inv = block_diag(nf.S_inv, nf.T)
     Mp = Q1_inv * M * Q1
     # The interleaving permutation keeps indices 0..r-1, then takes s..s+r-1 and
     # r..s-1 each reversed, then keeps s+r..n-1; its matrix L has L^-1 = L^T.
@@ -158,32 +156,31 @@ def _complete_rows(X, tol):
 
 
 def _complete_rows_orthonormal(X, tol):
-    """Gram-Schmidt row completion; keeps X verbatim as the top rows."""
+    """Gram-Schmidt row completion; keeps X verbatim as the top rows.  A row
+    joins when its residual exceeds sqrt(tol) times its own norm (1 for e_i)."""
     s = X.cols
     thresh = math.sqrt(_field(X.mode).tol(tol))
     ortho = []
 
-    def project_out(v):
+    def join(v):
+        scale = math.hypot(*v)  # cannot overflow; size keeps the sum the reports use
         for u in ortho:
             coeff = sum(a * b for a, b in zip(v, u))
             v = [a - coeff * b for a, b in zip(v, u)]
-        return v
+        size = math.sqrt(sum(a * a for a in v))
+        if size <= thresh * scale:
+            return False
+        ortho.append([a / size for a in v])
+        return True
 
     for i in range(X.rows):
-        v = project_out(list(X.row(i)))
-        norm = math.sqrt(sum(a * a for a in v))
-        if norm > thresh:
-            ortho.append([a / norm for a in v])
+        join(list(X.row(i)))
     added = []
     for i in range(s):
         if X.rows + len(added) == s:
             break
-        v = project_out([1.0 if j == i else 0.0 for j in range(s)])
-        norm = math.sqrt(sum(a * a for a in v))
-        if norm > thresh:
-            v = [a / norm for a in v]
-            ortho.append(v)
-            added.append(v)
+        if join([1.0 if j == i else 0.0 for j in range(s)]):
+            added.append(ortho[-1])
     if X.rows + len(added) != s:
         raise RankError("orthonormal completion failed; X is rank deficient")
     return Matrix(added, mode=X.mode, cols=s) if added else Matrix.zeros(0, s, X.mode)

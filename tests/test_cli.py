@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import centrosim
-from centrosim import Matrix, is_centrosymmetric, matrix_from_json_obj, save_matrix
+from centrosim import Matrix, block, is_centrosymmetric, matrix_from_json_obj, save_matrix
 from centrosim.cli import _scan_points, build_parser, main
 
 
@@ -109,6 +109,44 @@ def test_embed_and_dilate_commands(tmp_path, capsys):
     report = load_report(out)
     assert report["transform"]["certification"] == "dilated(4)"
     assert report["Mhat"]["rows"][0] == ["4", "0", "6", "0"]
+
+
+# Approximate M = [[I, B], [X B X, I]], which X solves.  The first X has rank 2
+# at the default tolerance, near the threshold; for the second, inverting T by
+# a second elimination fails its own rank test.  Both certify because the
+# normal form reads the rank, T^-1 and S^-1 off one elimination.
+EMBED_APPROX_CASES = [
+    ([[9.061824051102873e-10, -7.628902916663366e-11, 0.49999999994408273],
+      [9.55152541084856e-10, -1.0, -0.999999999875843],
+      [0.0, -1.00000000040015, 1.0000000000769873]],
+     [[1, 2, 0], [0, 1, 3], [1, 0, 1]], "principal_block(4)"),
+    ([[1.0, 1e10], [2.0, 2e10]], [[1, 0], [0, 1]], "principal_block(2)"),
+]
+
+
+@pytest.mark.parametrize("x_rows, b_rows, certification", EMBED_APPROX_CASES)
+def test_embed_reads_rank_and_inverses_off_one_elimination(tmp_path, capsys, x_rows, b_rows,
+                                                          certification):
+    X, B = Matrix(x_rows, mode="approx"), Matrix(b_rows, mode="approx")
+    ident = Matrix.identity(X.rows, "approx")
+    m, x = tmp_path / "m.json", tmp_path / "x.json"
+    save_matrix(block([[ident, B], [X * B * X, ident]]), m)
+    save_matrix(X, x)
+    code, out, err = run(["embed", str(m), "--x", str(x), "--split", str(X.rows)], capsys)
+    assert code == 0, err
+    assert load_report(out)["transform"]["certification"] == certification
+
+
+@pytest.mark.parametrize("m_rows, x_rows", [
+    ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1e-12, 0.0, 1.0]], [[1e-6, 0.0]]),
+    ([[1, 0, 1], [0, 1, 1], ["1/1000000000000", 0, 1]], [["1/1000000", 0]]),
+])
+def test_dilate_keeps_a_full_rank_x_with_small_entries(tmp_path, capsys, m_rows, x_rows):
+    # The approximate row completion measures X's rows against their own norm.
+    m, x = write(tmp_path, "m.json", m_rows), write(tmp_path, "x.json", x_rows)
+    code, out, err = run(["dilate", m, "--split", "2", "--x", x], capsys)
+    assert code == 0, err
+    assert load_report(out)["transform"]["certification"] == "dilated(4)"
 
 
 # (command and options, M, the option of the second matrix, that matrix): each

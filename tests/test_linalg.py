@@ -211,6 +211,43 @@ def test_integer_kernel_matches_oracle_facts_and_solve(m, n, data):
         assert particular == Matrix([[v] for v in expected], cols=1)
 
 
+@st.composite
+def planted_rank(draw):
+    """A rational m x n matrix U V, m, n <= 5, whose inner dimension k runs
+    over 0..min(m, n): its rank is at most k, and k for most draws."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    k = draw(st.integers(0, min(m, n)))
+    U = draw(st.lists(st.lists(RATIONALS, min_size=k, max_size=k), min_size=m, max_size=m))
+    V = draw(st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[sum((U[i][t] * V[t][j] for t in range(k)), Fraction(0)) for j in range(n)]
+            for i in range(m)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_rank(), st.sampled_from((EXACT, APPROX)))
+def test_rank_normal_form_reads_the_rank_of_gauss_facts(rows, mode):
+    X = Matrix(rows, mode=mode, cols=len(rows[0]))
+    nf = rank_normal_form(X)
+    r = nf.r
+    assert r == gauss_facts(X).rank
+    expected = Matrix([[int(i == j < r) for j in range(X.cols)] for i in range(X.rows)],
+                      mode=mode, cols=X.cols)
+    ident = Matrix.identity(X.cols, mode)
+    # S^-1 is read off R with its pivot entries set exactly, so both products
+    # are the identity to the last bit in either mode.
+    assert nf.S * nf.S_inv == ident and nf.S_inv * nf.S == ident
+    product = nf.T * X * nf.S
+    T_products = (nf.T * nf.T_inv, nf.T_inv * nf.T)
+    if mode == EXACT:
+        # Bareiss det shares no code with the elimination that built T and S.
+        assert product == expected
+        assert det(nf.T) != 0 and det(nf.S) != 0
+        assert T_products == (Matrix.identity(X.rows),) * 2
+    else:
+        assert product.eq(expected)
+        assert all(P.eq(Matrix.identity(X.rows, mode)) for P in T_products)
+
+
 def test_integer_kernel_matches_oracle_on_larger_rank_deficient_systems():
     rng = random.Random(16)
     for m, n, r in ((12, 15, 9), (16, 16, 13), (20, 12, 12)):

@@ -391,7 +391,7 @@ def test_internal_results_hold_only_field_elements(mode, kind):
     mats = [A + S, A - S, -A, A * S, A * b, 3 * A, A * 3, A.transpose(), b.transpose(),
             A.submatrix(0, 2, 1, 3), Matrix.identity(3, mode), Matrix.zeros(2, 3, mode),
             exchange_matrix(3, mode), facts.inverse, *singular.nullspace, particular,
-            *basis, nf.T, nf.S, solve_linear(A, b)[0]]
+            *basis, nf.T, nf.S, nf.T_inv, nf.S_inv, solve_linear(A, b)[0]]
     assert singular.nullspace and basis
     assert {type(v) for v in _entries(*mats)} == {kind}
 
