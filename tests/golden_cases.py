@@ -78,6 +78,11 @@ RICCATI_UPPER = _m("1 1 2 -22 -24; 0 -2 -2 26 28; -2 2 3 3 -1; 2 2 0 3 1; -3 1 -
 RICCATI_UPPER_W = _m("0 -2 -2; 0 2 2")
 SINGULAR = _m("2 3 3 -2; -2 -2 -2 0; 2 1 1 2; -4 -6 -6 4")
 SINGULAR_W = _m("-1 -2; -2 0")
+# A rational invertible X for linear Toeplitz n=8 at alpha 5, where
+# alpha^2 - 21 = 4 is a square: the first certified Toeplitz case beyond the
+# paper's 4 x 4 and 6 x 6 (its Sylvester space has dimension 6 > d_max).
+TOEPLITZ8_ALPHA5_X = _m("39/11 -9 26/11 1/11; -304/33 152/11 -7 -53/33;"
+                        "26/33 -73/11 21/11 -35/33; -37/33 -35/11 -14/11 -14/33")
 ONE = _m("1")
 # Planted similar matrices M = diag(I, U) C0 diag(I, U^-1) at n = 12, 14, 16 and 13:
 # C0 is small-integer centrosymmetric and U an integer unimodular s x s matrix, so
@@ -184,6 +189,8 @@ CASES = {
     "transform_x_even": (["transform", "{m}", "--x", "{x}"], {"m": EVEN6, "x": EVEN6_X}),
     "transform_x_odd": (["transform", "{m}", "--odd", "--x", "{x}"],
                         {"m": ODD5, "x": ODD5_X}),
+    "transform_x_toeplitz8_alpha5": (["transform", "{m}", "--x", "{x}"],
+                                     {"m": _toeplitz(5, 8), "x": TOEPLITZ8_ALPHA5_X}),
     "embed_a1_b1": (["embed", "{m}", "--x", "{x}"], {"m": EMBED_A1_B1, "x": EMBED_A1_B1_X}),
     "embed_a2_b1": (["embed", "{m}", "--split", "3", "--x", "{x}"],
                     {"m": EMBED_A2_B1, "x": EMBED_A2_B1_X}),

@@ -3,7 +3,8 @@
 Each case runs ``cli.main`` on fixed input matrices and compares its stdout
 with ``tests/golden/<case>.json``.  Together the exact cases reach every
 command that prints an exact report and every transform branch: the searched
-and given-X conjugation (even and odd), the principal-block embedding, the
+and given-X conjugation (even and odd, and linear Toeplitz n = 8 at alpha 5,
+beyond the paper's sizes), the principal-block embedding, the
 wide and tall dilation, both determinant splits and both Riccati
 orientations.  The linear Toeplitz solves reach the exact grid in dimension 2
 and 3, the planted n = 12, 14, 16 and odd 13 solves the Krylov linear stage with
