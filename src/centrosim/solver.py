@@ -40,10 +40,6 @@ def default_grid_values(numer_max=5, denom_max=3):
     return tuple(sorted(vals))
 
 
-class GridOverflowError(ValueError):
-    """The approximate-mode grid threshold overflows binary64."""
-
-
 @dataclass(frozen=True)
 class SearchOptions:
     d_max: int = 3
@@ -582,8 +578,8 @@ def _grid_search(bp, X0, basis, values, mode, tol, consider, full):
         try:
             thresh = _field(mode).threshold(tol, bp.C, bp.B.max_abs() ** 2)
         except OverflowError:
-            raise GridOverflowError("the grid threshold overflows in approximate mode; use "
-                                    "exact mode") from None
+            raise ValueError("the grid threshold overflows in approximate mode; use "
+                             "exact mode") from None
         points = _float_grid(values, k, r0, lin, quad, thresh)
 
         def build(u):

@@ -51,7 +51,7 @@ def _check_conjugation(M, Q, Q_inv, result, tol):
 
 
 def _checked_split(M, parity, s, X, tol, message="X does not solve XA = DX and C = XBX"):
-    """The block split of M, after checking X's shape and every equation of the split."""
+    """Check X's shape and every equation of M's block split."""
     bp = split_blocks(M, parity, s)
     shape = (bp.D.rows, bp.A.rows)
     if X.shape != shape:
@@ -60,7 +60,6 @@ def _checked_split(M, parity, s, X, tol, message="X does not solve XA = DX and C
     if not ok:
         raise PreconditionError(message, payload={"sylvester": syl, "quadratic": quad,
                                                   "center": extras})
-    return bp
 
 
 def _conjugate(M, X, X_inv):
@@ -186,73 +185,66 @@ def _complete_rows_orthonormal(X, tol):
     return Matrix(added, mode=X.mode, cols=s) if added else Matrix.zeros(0, s, X.mode)
 
 
+def _dilate_by_rows(M, s, X, null_basis, tol):
+    """(Mhat, Xhat, Xhat^-1) for a full-rank wide X, s > n - s: Xhat = [X; Y] with Y
+    from _complete_rows, Mhat = [[A, [B, B2]], [[C; YBX + YB2Y], [[D, 0], [Y A Xhat^-1]]]]
+    and B2 the columns null_basis of X's right nullspace."""
+    n, e = M.rows, 2 * s - M.rows
+    bp = split_blocks(M, "even", s)
+    A, B, C, D = bp.A, bp.B, bp.C, bp.D
+    Y = _complete_rows(X, tol)
+    Xhat = vstack(X, Y)
+    Xhat_inv = gauss_facts(Xhat, tol).inverse
+    if Xhat_inv is None:
+        raise RankError("completion of X to an invertible matrix failed")
+    B2 = hstack(*null_basis)
+    if B2.cols != e:
+        raise RankError("right-nullspace of X has unexpected dimension")
+    Bhat = hstack(B, B2)
+    Chat = vstack(C, Y * B * X + Y * B2 * Y)
+    Dhat = block([[D, Matrix.zeros(n - s, e, M.mode)], [Y * A * Xhat_inv]])
+    if not (Xhat * A).eq(Dhat * Xhat, tol) or not Chat.eq(Xhat * Bhat * Xhat, tol):
+        raise CentrosimError("internal: dilated equation system check failed")
+    return block([[A, Bhat], [Chat, Dhat]]), Xhat, Xhat_inv
+
+
 def dilate_to_centrosimilar(M, s, X, tol=None):
     """Dilate M to a 2k x 2k matrix similar to a centrosymmetric one, k = max(s, n-s).
 
     X must be a full-rank (n-s) x s solution of XA = DX and C = XBX.  Returns
     (Mhat, Xhat, report): M sits as the leading n x n principal submatrix of
     Mhat, and Xhat is the invertible intertwiner certifying Mhat's split.
+
+    A tall X (s < n-s) is dilated by the wide construction through a symmetry:
+    M'' = M^T with its diagonal blocks swapped has split n-s, blocks D^T, B^T,
+    C^T and A^T, and the wide X^T solves it, since X^T D^T = (DX)^T = (XA)^T =
+    A^T X^T and X^T B^T X^T = (XBX)^T = C^T.
     """
-    n = M.rows
-    bp = _checked_split(M, "even", s, X, tol)
-    facts = gauss_facts(X, tol)
+    n, k = M.rows, max(s, M.rows - s)
+    _checked_split(M, "even", s, X, tol)
+    tall = 2 * s < n
+    facts = gauss_facts(X.transpose() if tall else X, tol)
     if facts.rank != min(s, n - s):
         raise RankError(f"X has rank {facts.rank} < min(s, n-s) = {min(s, n - s)}; "
                         "use embed_centro_principal instead")
     if 2 * s == n:
         return M, X, _certify(M, *_conjugate(M, X, facts.inverse), n,
                               "fully_centrosymmetric", tol)
-    mode = M.mode
-
-    def zs(a_, b_):
-        return Matrix.zeros(a_, b_, mode)
-
-    A, B, C, D = bp.A, bp.B, bp.C, bp.D
-
-    if s > n - s:
-        k = s
-        e = 2 * s - n
-        Y = _complete_rows(X, tol)
-        Xhat = vstack(X, Y)
-        Xhat_inv = gauss_facts(Xhat, tol).inverse
-        if Xhat_inv is None:
-            raise RankError("completion of X to an invertible matrix failed")
-        D_tail = Y * A * Xhat_inv
-        D21 = D_tail.submatrix(0, e, 0, n - s)
-        D22 = D_tail.submatrix(0, e, n - s, s)
-        null_basis = facts.nullspace
-        B2 = hstack(*null_basis) if null_basis else zs(s, 0)
-        if B2.cols != e:
-            raise RankError("right-nullspace of X has unexpected dimension")
-        Ahat = A
-        Bhat = hstack(B, B2)
-        Chat = vstack(C, Y * B * X + Y * B2 * Y)
-        Dhat = block([[D, zs(n - s, e)], [D21, D22]])
+    if not tall:
+        Mhat, Xhat, Xhat_inv = _dilate_by_rows(M, s, X, facts.nullspace, tol)
     else:
-        # s < n - s: complete by columns on the left, then swap M into the lead.
-        k = n - s
         e = n - 2 * s
-        Y = _complete_rows(X.transpose(), tol).transpose()
-        Xhat = hstack(Y, X)
-        Xhat_inv = gauss_facts(Xhat, tol).inverse
-        if Xhat_inv is None:
-            raise RankError("completion of X to an invertible matrix failed")
-        A_stack = Xhat_inv * D * Y
-        A11 = A_stack.submatrix(0, e, 0, e)
-        A21 = A_stack.submatrix(e, k, 0, e)
-        left_null = gauss_facts(X.transpose(), tol).nullspace
-        B1 = hstack(*left_null).transpose() if left_null else zs(0, k)
-        if B1.rows != e:
-            raise RankError("left-nullspace of X has unexpected dimension")
-        Ahat = block([[A11, zs(e, s)], [A21, A]])
-        Bhat = vstack(B1, B)
-        Chat = hstack(Y * B1 * Y + X * B * Y, C)
-        Dhat = D
-    if not (Xhat * Ahat).eq(Dhat * Xhat, tol) or not Chat.eq(Xhat * Bhat * Xhat, tol):
-        raise CentrosimError("internal: dilated equation system check failed")
-    Mhat = block([[Ahat, Bhat], [Chat, Dhat]])
+        swap = [*range(s, n), *range(s)]
+        Mt, Xt, Xt_inv = _dilate_by_rows(M.transpose().take(swap, swap), k, X.transpose(),
+                                         facts.nullspace, tol)
+        # Transpose back, swap the blocks back and put the e new indices first,
+        # so that Xhat = [Y, X].
+        back = [*range(k + s, 2 * k), *range(k, k + s), *range(k)]
+        new_first = [*range(s, k), *range(s)]
+        Mhat, Xhat = Mt.transpose().take(back, back), Xt.take(new_first, range(k)).transpose()
+        Xhat_inv = Xt_inv.take(range(k), new_first).transpose()
     Q, Q_inv, result = _conjugate(Mhat, Xhat, Xhat_inv)
-    if s < n - s:
+    if tall:
         # Move the first e indices to the end, so that M leads.
         p = [*range(e, e + n), *range(e)]
         every = range(2 * k)

@@ -137,14 +137,16 @@ def test_embed_reads_rank_and_inverses_off_one_elimination(tmp_path, capsys, x_r
     assert load_report(out)["transform"]["certification"] == certification
 
 
-@pytest.mark.parametrize("m_rows, x_rows", [
-    ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1e-12, 0.0, 1.0]], [[1e-6, 0.0]]),
-    ([[1, 0, 1], [0, 1, 1], ["1/1000000000000", 0, 1]], [["1/1000000", 0]]),
+@pytest.mark.parametrize("split, m_rows, x_rows", [
+    (2, [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1e-12, 0.0, 1.0]], [[1e-6, 0.0]]),
+    (2, [[1, 0, 1], [0, 1, 1], ["1/1000000000000", 0, 1]], [["1/1000000", 0]]),
+    (1, [[1.0, 1.0, 1.0], [1e-12, 1.0, 0.0], [0.0, 0.0, 1.0]], [[1e-6], [0.0]]),
 ])
-def test_dilate_keeps_a_full_rank_x_with_small_entries(tmp_path, capsys, m_rows, x_rows):
-    # The approximate row completion measures X's rows against their own norm.
+def test_dilate_keeps_a_full_rank_x_with_small_entries(tmp_path, capsys, split, m_rows, x_rows):
+    # The approximate row completion measures X's rows against their own norm;
+    # a tall X is completed as the rows of its transpose.
     m, x = write(tmp_path, "m.json", m_rows), write(tmp_path, "x.json", x_rows)
-    code, out, err = run(["dilate", m, "--split", "2", "--x", x], capsys)
+    code, out, err = run(["dilate", m, "--split", str(split), "--x", x], capsys)
     assert code == 0, err
     assert load_report(out)["transform"]["certification"] == "dilated(4)"
 
@@ -329,6 +331,17 @@ def test_an_overflowing_determinant_is_a_data_error(tmp_path, capsys, command, g
                          capsys)
     assert_one_line_error(code, out, err)
     assert "determinant overflows" in err and "exact mode" in err and "internal" not in err
+
+
+def test_an_overflowing_pivot_is_a_data_error(tmp_path, capsys):
+    # X solves M = [[I, I], [0, I]] (X^2 underflows to 0); at tol 0 its subnormal
+    # entry is a pivot of the normal form, and 1 / 1e-310 overflows to inf.
+    m = write(tmp_path, "m.json", [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+                                   [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    x = write(tmp_path, "x.json", [[1e-310, 0.0], [0.0, 0.0]])
+    code, out, err = run(["embed", m, "--tol", "0", "--x", x], capsys)
+    assert_one_line_error(code, out, err)
+    assert "overflows" in err and "exact mode" in err and "internal" not in err
 
 
 def test_an_overflowed_approximate_solve_is_a_data_error(tmp_path, capsys):

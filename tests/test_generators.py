@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import centrosim.generators as generators
 from centrosim import (DimensionError, InsufficientSamplesError,
                        Matrix, PalindromicSpec, PreconditionError, alpha_scan,
-                       bordered_jacobi_pm, centro_det_factors,
+                       bordered_jacobi_pm, centro_det_factors, char_poly_samples,
                        conjugated_periodic_jacobi, det,
                        is_centrosymmetric, linear_toeplitz,
                        palindromic_factors, periodic_jacobi_pm, rank,
@@ -40,6 +40,17 @@ def test_linear_toeplitz_six_at_fifteen():
     assert bp.A == Matrix([[15, 14, 13], [16, 15, 14], [17, 16, 15]])
     assert bp.B == Matrix([[12, 11, 10], [13, 12, 11], [14, 13, 12]])
     assert bp.C == Matrix([[18, 17, 16], [19, 18, 17], [20, 19, 18]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(4, 12), alpha=st.fractions(-20, 20, max_denominator=12))
+def test_linear_toeplitz_char_poly_has_one_quadratic_factor(m, alpha):
+    # T_m(alpha) has rank 2, so det(t I - T_m) = t^(m-2) (t^2 - trace t + e2), where
+    # e2, the sum of the principal 2 x 2 minors (j - i)^2, is m^2 (m^2 - 1) / 12.
+    points = [Fraction(t) for t in range(m + 1)]
+    e2 = Fraction(m * m * (m * m - 1), 12)
+    expected = [t ** (m - 2) * (t * t - m * alpha * t + e2) for t in points]
+    assert char_poly_samples(linear_toeplitz(alpha, m), points) == expected
 
 
 def test_scaled_intertwiner_four():
