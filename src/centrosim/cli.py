@@ -115,8 +115,9 @@ def _cmd_solve(args, M, report):
 @_on_matrix
 def _cmd_transform(args, M, report):
     from .solver import find_intertwiner
-    from .transforms import build_centro_transform
+    from .transforms import _center_split, build_centro_transform
     parity, s = args.parity, args.split
+    _center_split(M, parity, s)
     report.update(parity=parity, split=s)
     if args.x is not None:
         X, X_inv = args.x, None

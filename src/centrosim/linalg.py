@@ -215,20 +215,32 @@ class GaussFacts:
 
 
 def gauss_facts(M, tol=None):
-    """Rank, right-nullspace basis (free columns ascending) and inverse if any."""
-    threshold = _field(M.mode).threshold(tol, M)
+    """Rank, right-nullspace basis (free columns ascending) and inverse if any.
+
+    Exact mode eliminates the cleared-denominator rows of [M | I] (of M when not
+    square), whose pivot row k ends as prev times RREF row k, and builds a
+    Fraction only for an entry of the inverse, or of a kernel vector if none.
+    """
+    F = _field(M.mode)
     n, c = M.rows, M.cols
-    if M.is_square:
-        ident = Matrix.identity(n, M.mode)
-        a = [list(M.row(i)) + list(ident.row(i)) for i in range(n)]
+    unit = range(n) if M.is_square else ()
+    a = [[*M.row(i), *(F.one if i == j else F.zero for j in unit)] for i in range(n)]
+    if M.mode == EXACT:
+        a, _ = _clear_denominators(a)
+        pivots, one = _gauss_jordan_int(a, c)
+
+        def entry(v):
+            return Fraction(v, one) if v else F.zero
     else:
-        a = [list(M.row(i)) for i in range(n)]
-    pivots = _rref(a, c, M.mode, threshold)
-    rank_ = len(pivots)
-    inv = None
-    if M.is_square and rank_ == n:
-        inv = Matrix._trusted([row[n:] for row in a], M.mode, n)
-    return GaussFacts(rank_, tuple(_nullspace_from_rref(a, pivots, c, M.mode)), inv)
+        pivots, one = _rref_approx(a, c, F.threshold(tol, M)), F.one
+
+        def entry(v):
+            return v
+    if M.is_square and len(pivots) == n:
+        return GaussFacts(n, (), Matrix._trusted([map(entry, r[n:]) for r in a], M.mode, n))
+    kernel = _kernel_vectors(a, pivots, c, one, F.zero)
+    return GaussFacts(len(pivots), tuple(Matrix._trusted([(entry(v),) for v in vec], M.mode, 1)
+                                         for vec in kernel), None)
 
 
 def rank(M, tol=None):

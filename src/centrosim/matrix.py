@@ -18,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from operator import add, mul, sub
 
 from .errors import DimensionError, ModeError
@@ -40,6 +41,20 @@ def _clear_denominators(rows):
                         else [v.numerator for v in row])
         scales.append(li)
     return int_rows, scales
+
+
+def _scaled_rows(*mats):
+    """(scale, then the integer rows of scale * M for each M in mats): scale is
+    the lcm of every denominator in mats."""
+    rows = [[M.row(i) for i in range(M.rows)] for M in mats]
+    scale = math.lcm(*[v.denominator for M in rows for row in M for v in row])
+    return (scale, *([[v.numerator * (scale // v.denominator) for v in row] for row in M]
+                     for M in rows))
+
+
+def _int_product(rows, cols):
+    """The row-major entries of the product of integer rows and integer columns."""
+    return [sum(map(mul, r, c)) for r in rows for c in cols]
 
 
 class _ExactField:
@@ -98,6 +113,56 @@ class _ExactField:
         return [[Fraction(sum(map(mul, r, c)), q) if (q := lr * lc) != 1
                  else Fraction(sum(map(mul, r, c))) for c, lc in zip(cols, col_scales)]
                 for r, lr in zip(rows, row_scales)]
+
+    # The certificate kernel.  A chain is a tuple of matrices or operands; each
+    # operand is cleared to integer rows over one scale, so a product is integer
+    # dot products and a Fraction is built only for an entry that is reported.
+    def operand(self, M):
+        """M as (integer rows, integer columns, scale) of scale * M, scale the
+        lcm of its denominators; an operand is returned as it is."""
+        if type(M) is tuple:
+            return M
+        if M.mode != EXACT:
+            raise ModeError(f"cannot mix exact and {M.mode} matrices")
+        scale, rows = _scaled_rows(M)
+        return rows, list(zip(*rows)) if rows else [()] * M.cols, scale
+
+    def _combine(self, terms):
+        """(integer rows, scale, column count) of the sum over terms (sign, *chain)
+        of sign times the chain's product: integer chains over their operands'
+        scales, summed over the lcm of those."""
+        parts = []
+        for sign, *chain in terms:
+            (rows, cols, scale), *rest = map(self.operand, chain)
+            for r, c, q in rest:
+                if len(r) != len(cols):
+                    raise DimensionError("chain factors do not conform")
+                rows, cols, scale = [[sum(map(mul, x, y)) for y in c] for x in rows], c, scale * q
+            parts.append((sign, rows, scale, (len(rows), len(cols))))
+        if len({shape for *_, shape in parts}) > 1:
+            raise DimensionError("chain products differ in shape")
+        lcm = math.lcm(*[q for _, _, q, _ in parts])
+        total = None
+        for sign, rows, q, _ in parts:
+            f = sign * (lcm // q)
+            rows = rows if f == 1 else [[f * v for v in r] for r in rows]
+            total = rows if total is None else [list(map(add, t, r)) for t, r in zip(total, rows)]
+        return total, lcm, parts[0][3][1]
+
+    def residual(self, terms, tol=None):
+        """(the sum over terms (sign, *chain) of sign times the chain's product,
+        whether it vanishes): each entry Fraction(v, scale) or the shared zero."""
+        rows, scale, width = self._combine(terms)
+        zero = self.zero
+        return (Matrix._trusted([[Fraction(v, scale) if v else zero for v in r] for r in rows],
+                                EXACT, width), not any(map(any, rows)))
+
+    def product(self, *chain):
+        return self.residual([(1, *chain)])[0]
+
+    def equal(self, lhs, rhs, tol=None, sign=1):
+        """Whether lhs's product is sign times rhs's, with no Fraction built."""
+        return not any(map(any, self._combine([(1, *lhs), (-sign, *rhs)])[0]))
 
     def sqrt(self, x):
         """The rational square root of x, or None when it has none."""
@@ -184,6 +249,26 @@ class _ApproxField:
                 out_row.append(acc)
             out.append(out_row)
         return out
+
+    # The certificate kernel as the Matrix float operations whose bits the
+    # reports pin: chains multiply left to right, terms are added or subtracted
+    # left to right, and equal is Matrix.eq.
+    def operand(self, M):
+        return M
+
+    def residual(self, terms, tol=None):
+        R = None
+        for sign, *chain in terms:
+            P = reduce(mul, chain)
+            R = P if R is None else R + P if sign > 0 else R - P
+        return R, R.is_zero(tol)
+
+    def product(self, *chain):
+        return reduce(mul, chain)
+
+    def equal(self, lhs, rhs, tol=None, sign=1):
+        R = reduce(mul, rhs)
+        return reduce(mul, lhs).eq(R if sign > 0 else -R, tol)
 
     def sqrt(self, x):
         return math.sqrt(x) if x >= 0 else None
@@ -462,6 +547,13 @@ class BlockPartition:
     y: Matrix | None = None
     z: Matrix | None = None
     mu: object = None
+
+    @cached_property
+    def operands(self):
+        """A, B, C, D, then x, w, z, y in odd parity, as operands of the field's
+        kernel (exact mode clears each to integers once per split)."""
+        odd = (self.x, self.w, self.z, self.y) if self.parity == "odd" else ()
+        return tuple(map(_field(self.A.mode).operand, (self.A, self.B, self.C, self.D) + odd))
 
 
 def split_blocks(M, parity, s):

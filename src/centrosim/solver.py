@@ -25,7 +25,7 @@ from operator import add, mul, sub
 from .errors import DimensionError, PreconditionError
 from .linalg import _gauss_jordan_int, _kernel_vectors, gauss_facts, solve_linear
 from .matrix import (APPROX, EXACT, BlockPartition, Matrix, _exchange_pairs, _field,
-                     exchange_matrix, split_blocks)
+                     _int_product, _scaled_rows, exchange_matrix, split_blocks)
 
 
 @functools.cache
@@ -243,15 +243,6 @@ def _sylvester_rows(a, d, zero):
     return rows
 
 
-def _scaled_rows(*mats):
-    """(scale, then the integer rows of scale * M for each M in mats): scale is
-    the lcm of every denominator in mats."""
-    rows = [[M.row(i) for i in range(M.rows)] for M in mats]
-    scale = math.lcm(*[v.denominator for M in rows for row in M for v in row])
-    return (scale, *([[v.numerator * (scale // v.denominator) for v in row] for row in M]
-                     for M in rows))
-
-
 def _krylov_space(a, d):
     """Integer row-major vec(X) of a basis of {X : XA = DX}, through a cyclic
     unit vector of D; None when D has none.
@@ -354,14 +345,18 @@ def _unvec(v, m, s, mode=EXACT):
 
 
 def system_residuals(bp, X, tol=None):
-    """Residuals of every equation the split imposes on X; exact iff all zero."""
-    syl = X * bp.A - bp.D * X
-    quad = bp.C - X * bp.B * X
-    extras = ()
-    if bp.parity == "odd":
-        extras = (bp.w - X * bp.x, bp.y - bp.z * X)
-    ok = syl.is_zero(tol) and quad.is_zero(tol) and all(e.is_zero(tol) for e in extras)
-    return syl, quad, extras, ok
+    """Residuals XA - DX, C - XBX (and w - Xx, y - zX in odd parity) of X on
+    the split, and whether all vanish: X is multiplied by the blocks afresh,
+    by the field's kernel on the split's operands."""
+    F = _field(bp.A.mode)
+    A, B, C, D, *center = bp.operands
+    X = F.operand(X)
+    terms = [((1, X, A), (-1, D, X)), ((1, C), (-1, X, B, X))]
+    if center:
+        x, w, z, y = center
+        terms += [((1, w), (-1, X, x)), ((1, y), (-1, z, X))]
+    (syl, ok), (quad, quad_ok), *extras = [F.residual(t, tol) for t in terms]
+    return syl, quad, tuple(R for R, _ in extras), ok and quad_ok and all(e for _, e in extras)
 
 
 def _special_pairs(bp):
@@ -530,11 +525,6 @@ def _quadratic_parts(bp, X0, basis):
            for nb, nc in zip(nbs, n_cols)]
     quad = [[_int_product(nb, nc) for nc in n_cols] for nb in nbs]
     return K, (den, x0, ns), r0, lin, quad
-
-
-def _int_product(rows, cols):
-    """The row-major entries of the product of integer rows and integer columns."""
-    return [sum(map(mul, r, c)) for r in rows for c in cols]
 
 
 def _flat(rows):
@@ -827,16 +817,16 @@ def riccati_residual(M, s, W, orientation, tol=None):
     """Residual of C = XA - DX + XBX (lower) or B = YD - AY + YCY (upper)."""
     bp = split_blocks(M, "even", s)
     n = M.rows
-    if orientation == "lower":
-        if W.shape != (n - s, s):
-            raise DimensionError(f"lower witness must be {(n - s, s)}, got {W.shape}")
-        residual = bp.C - W * bp.A + bp.D * W - W * bp.B * W
-    elif orientation == "upper":
-        if W.shape != (s, n - s):
-            raise DimensionError(f"upper witness must be {(s, n - s)}, got {W.shape}")
-        residual = bp.B - W * bp.D + bp.A * W - W * bp.C * W
-    else:
+    if orientation not in ("lower", "upper"):
         raise DimensionError(f"orientation must be 'lower' or 'upper', got {orientation!r}")
+    # The upper equation is the lower one with A, B, C, D read as D, C, B, A.
+    shape, (A, B, C, D) = (((n - s, s), bp.operands) if orientation == "lower"
+                           else ((s, n - s), bp.operands[::-1]))
+    if W.shape != shape:
+        raise DimensionError(f"{orientation} witness must be {shape}, got {W.shape}")
+    F = _field(M.mode)
+    V = F.operand(W)
+    residual, _ = F.residual(((1, C), (-1, V, A), (1, D, V), (-1, V, B, V)), tol)
     return RiccatiWitness(orientation=orientation, W=W, residual=residual, blocks=bp)
 
 
@@ -850,16 +840,15 @@ def singular_certificate(M, s, W, system, tol=None):
         raise PreconditionError("the certificate requires a nonzero witness")
     bp = split_blocks(M, "even", s)
     n = M.rows
-    if system in (1, 2):
-        if W.shape != (n - s, s):
-            raise DimensionError(f"systems 1-2 use X of shape {(n - s, s)}, got {W.shape}")
-        if system == 1:
-            return bp.C.eq(W * bp.A, tol) and (bp.D * W).eq(W * bp.B * W, tol)
-        return bp.C.eq(-(bp.D * W), tol) and (W * bp.A).eq(-(W * bp.B * W), tol)
-    if system in (3, 4):
-        if W.shape != (s, n - s):
-            raise DimensionError(f"systems 3-4 use Y of shape {(s, n - s)}, got {W.shape}")
-        if system == 3:
-            return bp.B.eq(W * bp.D, tol) and (bp.A * W).eq(W * bp.C * W, tol)
-        return bp.B.eq(-(bp.A * W), tol) and (W * bp.D).eq(-(W * bp.C * W), tol)
-    raise DimensionError(f"system must be 1, 2, 3 or 4, got {system!r}")
+    if system not in (1, 2, 3, 4):
+        raise DimensionError(f"system must be 1, 2, 3 or 4, got {system!r}")
+    # Systems 3-4 are systems 1-2 with A, B, C, D read as D, C, B, A.
+    name, shape, (A, B, C, D) = (("1-2 use X", (n - s, s), bp.operands) if system < 3
+                                 else ("3-4 use Y", (s, n - s), bp.operands[::-1]))
+    if W.shape != shape:
+        raise DimensionError(f"systems {name} of shape {shape}, got {W.shape}")
+    F = _field(M.mode)
+    V = F.operand(W)
+    if system % 2:
+        return F.equal((C,), (V, A), tol) and F.equal((D, V), (V, B, V), tol)
+    return F.equal((C,), (D, V), tol, -1) and F.equal((V, A), (V, B, V), tol, -1)

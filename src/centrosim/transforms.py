@@ -6,6 +6,10 @@ multiplications other than the one that built the result, determinant and
 trace preservation are checked, and the structural claim of the certification
 label is tested with the centrosymmetry predicate rather than assumed from the
 construction.
+
+The product checks and Q^-1 M Q run in the field's kernel: exact mode in
+integer rows cleared over one scale per matrix, with a Fraction only for a
+reported entry; approximate mode in the Matrix float products it always used.
 """
 
 from __future__ import annotations
@@ -34,11 +38,11 @@ def _check_conjugation(M, Q, Q_inv, result, tol):
     A determinant or trace that overflows binary64 is a ValueError about the
     input, not an internal error.
     """
-    n = Q.rows
     F = _field(M.mode)
-    if not (Q * Q_inv).eq(Matrix.identity(n, Q.mode), tol):
+    Q = F.operand(Q)
+    if not F.equal((Q, Q_inv), (Matrix.identity(M.rows, M.mode),), tol):
         raise CentrosimError("internal: Q * Q_inv is not the identity")
-    if not (M * Q).eq(Q * result, tol):
+    if not F.equal((M, Q), (Q, result), tol):
         raise CentrosimError("internal: conjugation result mismatch")
     for name, of in (("determinant", det), ("trace", Matrix.trace)):
         before, after = of(M), of(result)
@@ -76,7 +80,7 @@ def _conjugate(M, X, X_inv):
     every = range(X.rows)
     Q = block_diag(ident, X.take(every, every[::-1]))
     Q_inv = block_diag(ident, X_inv.take(every[::-1], every))
-    return Q, Q_inv, Q_inv * M * Q
+    return Q, Q_inv, _field(M.mode).product(Q_inv, M, Q)
 
 
 def _certify(M, Q, Q_inv, result, k, certification, tol):
@@ -88,6 +92,12 @@ def _certify(M, Q, Q_inv, result, k, certification, tol):
     return TransformReport(Q=Q, Q_inv=Q_inv, result=result, certification=certification)
 
 
+def _center_split(M, parity, s):
+    """Raise DimensionError unless an even split is M's center split."""
+    if parity == "even" and M.rows != 2 * s:
+        raise DimensionError("even transform needs the center split s = n/2")
+
+
 def build_centro_transform(M, parity, s, X, tol=None, inverse=None):
     """Conjugate M by Q = diag(I, XJ) (even) or diag(I, 1, XJ) (odd).
 
@@ -96,13 +106,11 @@ def build_centro_transform(M, parity, s, X, tol=None, inverse=None):
     search has already verified; the result is verified to be
     centrosymmetric either way.
     """
-    n = M.rows
-    if parity == "even" and n != 2 * s:
-        raise DimensionError("even transform needs the center split s = n/2")
+    _center_split(M, parity, s)
     if inverse is None:
         _checked_split(M, parity, s, X, tol, "X does not solve the equation system")
         inverse = gauss_facts(X, tol).inverse
-    return _certify(M, *_conjugate(M, X, inverse), n, "fully_centrosymmetric", tol)
+    return _certify(M, *_conjugate(M, X, inverse), M.rows, "fully_centrosymmetric", tol)
 
 
 def embed_centro_principal(M, s, X, tol=None):
@@ -124,7 +132,7 @@ def embed_centro_principal(M, s, X, tol=None):
 
     Q1 = block_diag(nf.S, nf.T_inv)
     Q1_inv = block_diag(nf.S_inv, nf.T)
-    Mp = Q1_inv * M * Q1
+    Mp = _field(M.mode).product(Q1_inv, M, Q1)
     # The interleaving permutation keeps indices 0..r-1, then takes s..s+r-1 and
     # r..s-1 each reversed, then keeps s+r..n-1; its matrix L has L^-1 = L^T.
     # The leading 2r x 2r block of the result is [[A'11, B'11 J], [J C'11, J D'11 J]],
@@ -203,7 +211,9 @@ def _dilate_by_rows(M, s, X, null_basis, tol):
     Bhat = hstack(B, B2)
     Chat = vstack(C, Y * B * X + Y * B2 * Y)
     Dhat = block([[D, Matrix.zeros(n - s, e, M.mode)], [Y * A * Xhat_inv]])
-    if not (Xhat * A).eq(Dhat * Xhat, tol) or not Chat.eq(Xhat * Bhat * Xhat, tol):
+    F = _field(M.mode)
+    Xh = F.operand(Xhat)
+    if not F.equal((Xh, A), (Dhat, Xh), tol) or not F.equal((Chat,), (Xh, Bhat, Xh), tol):
         raise CentrosimError("internal: dilated equation system check failed")
     return block([[A, Bhat], [Chat, Dhat]]), Xhat, Xhat_inv
 

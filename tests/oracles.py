@@ -88,6 +88,46 @@ def fraction_quadratic_parts(bp, X0, basis):
             [[entries(Ni * bp.B * Nj) for Nj in basis] for Ni in basis])
 
 
+def product_system_residuals(bp, X, tol=None):
+    """Reference for centrosim's ``solver.system_residuals``: one Matrix product
+    and difference per residual, as (syl, quad, extras, ok)."""
+    syl = X * bp.A - bp.D * X
+    quad = bp.C - X * bp.B * X
+    extras = ()
+    if bp.parity == "odd":
+        extras = (bp.w - X * bp.x, bp.y - bp.z * X)
+    ok = syl.is_zero(tol) and quad.is_zero(tol) and all(e.is_zero(tol) for e in extras)
+    return syl, quad, extras, ok
+
+
+def product_check_conjugation(M, Q, Q_inv, result, tol=None):
+    """Reference for the product checks of ``transforms._check_conjugation``:
+    the message of the first that fails, or None."""
+    if not (Q * Q_inv).eq(Matrix.identity(Q.rows, Q.mode), tol):
+        return "internal: Q * Q_inv is not the identity"
+    if not (M * Q).eq(Q * result, tol):
+        return "internal: conjugation result mismatch"
+    return None
+
+
+def product_riccati_residual(bp, W, orientation):
+    """Reference for the residual of centrosim's ``solver.riccati_residual``."""
+    if orientation == "lower":
+        return bp.C - W * bp.A + bp.D * W - W * bp.B * W
+    return bp.B - W * bp.D + bp.A * W - W * bp.C * W
+
+
+def product_singular_certificate(bp, W, system, tol=None):
+    """Reference for the verdict of centrosim's ``solver.singular_certificate``."""
+    if system == 1:
+        return bp.C.eq(W * bp.A, tol) and (bp.D * W).eq(W * bp.B * W, tol)
+    if system == 2:
+        return bp.C.eq(-(bp.D * W), tol) and (W * bp.A).eq(-(W * bp.B * W), tol)
+    if system == 3:
+        return bp.B.eq(W * bp.D, tol) and (bp.A * W).eq(W * bp.C * W, tol)
+    return bp.B.eq(-(bp.A * W), tol) and (W * bp.D).eq(-(W * bp.C * W), tol)
+
+
 def prefix_major_integer_grid(values, k, r0, lin, quad):
     """Reference for centrosim's ``solver._integer_grid``: one prefix u at a time.
 

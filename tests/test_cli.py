@@ -724,6 +724,23 @@ def test_each_transform_check_runs_once_per_command(tmp_path, capsys, monkeypatc
     assert sorted(calls) == ["_check_conjugation", "is_centrosymmetric", "system_residuals"]
 
 
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6], [7, 8, 10]], TOEPLITZ4])
+@pytest.mark.parametrize("given_x", [False, True])
+def test_transform_rejects_an_even_split_off_center_before_any_search(
+        tmp_path, capsys, monkeypatch, rows, given_x):
+    import centrosim.solver as solver
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+    monkeypatch.setattr(solver, "find_intertwiner", no_search)
+    argv = ["transform", write(tmp_path, "m.json", rows), "--split", "1"]
+    if given_x:
+        argv += ["--x", write(tmp_path, "x.json", [[1]] * (len(rows) - 1))]
+    code, out, err = run(argv, capsys)
+    assert_one_line_error(code, out, err)
+    assert err == "error: even transform needs the center split s = n/2\n"
+
+
 USAGE_ERRORS = {
     "missing-matrix": ["solve"],
     "unknown-command": ["frobnicate"],

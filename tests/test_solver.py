@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -19,8 +20,10 @@ from centrosim.matrix import _field
 from golden_cases import PLANTED12
 from oracles import (chained_krylov_space, exhaustive_grid_hits, fraction_quadratic_parts, kron,
                      per_row_recheck, planted_transform_instance, prefix_coefficients,
-                     prefix_major_float_grid, prefix_major_integer_grid, rand_centrosymmetric,
-                     rand_int_matrix, vectorized_sylvester_space)
+                     prefix_major_float_grid, prefix_major_integer_grid,
+                     product_riccati_residual, product_singular_certificate,
+                     product_system_residuals, rand_centrosymmetric, rand_int_matrix,
+                     tall_instance, vectorized_sylvester_space, wide_instance)
 
 SMALL_GRID = tuple(Fraction(v) for v in
                    ("-2", "-1", "-1/2", "0", "1/2", "1", "2"))
@@ -1257,3 +1260,148 @@ def test_a_false_pass_of_the_screen_is_rejected_by_the_products(monkeypatch, mod
     assert calls[0] == J
     assert all(sol.X != J for sol in search)
     assert search == honest
+
+
+@st.composite
+def kernel_cases(draw, parity=None):
+    """(bp, X, Y, plant): a split in either mode, blocks with mixed denominators
+    and zero entries, X of its shape (n-s) x s and Y of shape s x (n-s), both
+    rectangular when s != n-s, and whether to plant a solution."""
+    mode = draw(st.sampled_from([EXACT, APPROX]))
+    parity = parity or draw(st.sampled_from(["even", "odd"]))
+    if mode == EXACT:
+        scalars = st.just(Fraction(0)) | st.fractions(-6, 6, max_denominator=12)
+    else:
+        scalars = (st.integers(-3, 3).map(float) | st.sampled_from([0.0, -0.0])
+                   | st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    s = draw(st.integers(1, 3))
+    m = s if parity == "odd" else draw(st.integers(1, 4))
+
+    def blk(rows, cols):
+        return Matrix([[draw(scalars) for _ in range(cols)] for _ in range(rows)],
+                      mode=mode, cols=cols)
+
+    blocks = [blk(s, s), blk(s, m), blk(m, s), blk(m, m)]
+    if parity == "odd":
+        blocks += [blk(s, 1), blk(m, 1), blk(1, s), blk(1, m), draw(scalars)]
+    return BlockPartition(parity, s, *blocks), blk(m, s), blk(s, m), draw(st.booleans())
+
+
+def _bits(value):
+    """Matrices, and tuples of them, with every entry by repr: a float's sign of
+    zero and last bit count."""
+    if isinstance(value, Matrix):
+        return value.mode, value.shape, [[repr(v) for v in row] for row in value.to_lists()]
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_system_residuals_match_the_product_oracle(case):
+    bp, X, _, plant = case
+    if plant:
+        # C = XBX, w = Xx and y = zX, and D = X A X^-1 when X is invertible.
+        planted = {"C": X * bp.B * X}
+        inv = gauss_facts(X).inverse if X.is_square else None
+        if inv is not None:
+            planted["D"] = X * bp.A * inv
+        if bp.parity == "odd":
+            planted.update(w=X * bp.x, y=bp.z * X)
+        bp = dataclasses.replace(bp, **planted)
+    got = solver.system_residuals(bp, X)
+    assert _bits(got) == _bits(product_system_residuals(bp, X))
+    event(f"{bp.A.mode} {bp.parity} ok={got[3]}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases(parity="even"), st.sampled_from(["lower", "upper"]))
+def test_riccati_residual_matches_the_product_oracle(case, orientation):
+    bp, X, Y, plant = case
+    W = X if orientation == "lower" else Y
+    if plant:
+        bp = (dataclasses.replace(bp, C=W * bp.A - bp.D * W + W * bp.B * W)
+              if orientation == "lower" else
+              dataclasses.replace(bp, B=W * bp.D - bp.A * W + W * bp.C * W))
+    M = assemble_blocks(bp)
+    witness = riccati_residual(M, bp.s, W, orientation)
+    want = product_riccati_residual(split_blocks(M, "even", bp.s), W, orientation)
+    assert _bits(witness.residual) == _bits(want)
+    assert witness.is_exact() == want.is_zero()
+    event(f"{M.mode} exact={witness.is_exact()}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases(parity="even"), st.integers(1, 4))
+def test_singular_certificate_matches_the_product_oracle(case, system):
+    bp, X, Y, plant = case
+    W = X if system < 3 else Y
+    assume(not W.is_zero())
+    if plant:
+        A, B, C, D = bp.A, bp.B, bp.C, bp.D
+        planted = {1: lambda: {"C": W * A, "D": W * B},
+                   2: lambda: {"A": -(B * W), "C": -(D * W)},
+                   3: lambda: {"A": W * C, "B": W * D},
+                   4: lambda: {"B": -(A * W), "D": -(C * W)}}[system]()
+        bp = dataclasses.replace(bp, **planted)
+    M = assemble_blocks(bp)
+    holds = singular_certificate(M, bp.s, W, system)
+    assert holds == product_singular_certificate(split_blocks(M, "even", bp.s), W, system)
+    event(f"{M.mode} system {system} holds={holds}")
+
+
+def _one_entry_changes(W, delta=Fraction(1, 7)):
+    """W with delta added at each entry in turn."""
+    for i in range(W.rows):
+        for j in range(W.cols):
+            rows = W.to_lists()
+            rows[i][j] += delta
+            yield Matrix(rows, cols=W.cols)
+
+
+def _solved_splits():
+    """(M, parity, s, X) with X solving the split, X square, wide and tall, with
+    denominators in M or X."""
+    toeplitz = linear_toeplitz(Fraction(11, 3), 6)
+    yield toeplitz, "even", 3, find_intertwiner(toeplitz, "even", 3)[0].X
+    for n in (4, 5, 7):
+        yield planted_transform_instance(random.Random(n), n)
+    for instance, s in ((wide_instance, 3), (tall_instance, 2)):
+        M, X = instance(random.Random(s), 5, s)
+        yield M, "even", s, X
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_every_one_entry_change_of_x_fails_the_split_check(case):
+    M, parity, s, X = list(_solved_splits())[case]
+    bp = split_blocks(M, parity, s)
+    assert solver.system_residuals(bp, X)[3]
+    assert not any(solver.system_residuals(bp, Xe)[3] for Xe in _one_entry_changes(X))
+
+
+def _rational_matrix(rng, rows, cols):
+    return Matrix([[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+                    for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_one_entry_change_of_a_witness_fails_its_check(seed):
+    rng = random.Random(seed)
+    s, m = rng.randint(1, 3), rng.randint(1, 3)
+    A, B, D = (_rational_matrix(rng, *shape) for shape in ((s, s), (s, m), (m, m)))
+    X, Y = _rational_matrix(rng, m, s), _rational_matrix(rng, s, m)
+    M = block([[A, B], [X * A - D * X + X * B * X, D]])
+    assert riccati_residual(M, s, X, "lower").is_exact()
+    assert not any(riccati_residual(M, s, Xe, "lower").is_exact() for Xe in _one_entry_changes(X))
+    C = _rational_matrix(rng, m, s)
+    M = block([[A, Y * D - A * Y + Y * C * Y], [C, D]])
+    assert riccati_residual(M, s, Y, "upper").is_exact()
+    assert not any(riccati_residual(M, s, Ye, "upper").is_exact() for Ye in _one_entry_changes(Y))
+    # The four singular systems, each planted as in the acceptance suite.
+    for system, W, M in ((1, X, block([[A, B], [X * A, X * B]])),
+                         (2, X, block([[-(B * X), B], [-(D * X), D]])),
+                         (3, Y, block([[Y * C, Y * D], [C, D]])),
+                         (4, Y, block([[A, -(A * Y)], [C, -(C * Y)]]))):
+        assert singular_certificate(M, s, W, system)
+        assert not any(singular_certificate(M, s, We, system) for We in _one_entry_changes(W))

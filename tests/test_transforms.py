@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from centrosim import (APPROX, EXACT, CentrosimError, Matrix, PreconditionError, RankError,
@@ -10,10 +10,10 @@ from centrosim import (APPROX, EXACT, CentrosimError, Matrix, PreconditionError,
                        dilate_to_centrosimilar, embed_centro_principal,
                        exchange_matrix, inverse,
                        is_centrosymmetric, linear_toeplitz, rank)
-from centrosim.transforms import _check_conjugation, _complete_rows
+from centrosim.transforms import _check_conjugation, _complete_rows, _conjugate
 from oracles import (dense_centro_transform, dense_dilate_tall, dense_embed,
                      embedding_instance, greedy_complete_rows, planted_transform_instance,
-                     rand_centrosymmetric,
+                     product_check_conjugation, rand_centrosymmetric,
                      rand_int_matrix, rand_invertible, tall_instance, wide_instance)
 
 
@@ -311,3 +311,60 @@ def test_row_completion_matches_the_greedy_oracle(X):
     else:
         event("completed")
         assert _complete_rows(X, None) == expected
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except (CentrosimError, ValueError) as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([EXACT, APPROX]), st.integers(2, 7), st.data())
+def test_conjugation_check_matches_the_product_oracle(mode, n, data):
+    if mode == EXACT:
+        scalars = st.just(Fraction(0)) | st.fractions(-6, 6, max_denominator=12)
+    else:
+        scalars = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3, allow_nan=False)
+
+    def draw_matrix(rows, cols):
+        return Matrix([[data.draw(scalars) for _ in range(cols)] for _ in range(rows)],
+                      mode=mode, cols=cols)
+    M, X = draw_matrix(n, n), draw_matrix(n // 2, n // 2)
+    X_inv = inverse(X)
+    assume(X_inv is not None)
+    mats = list(_conjugate(M, X, X_inv))
+    # Perhaps one entry of Q, Q_inv or result changed.
+    which = data.draw(st.sampled_from([None, 0, 1, 2]))
+    if which is not None:
+        rows = mats[which].to_lists()
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[i][j] += data.draw(scalars)
+        mats[which] = Matrix(rows, mode=mode, cols=n)
+    got = _outcome(_check_conjugation, M, *mats, None)
+    want = product_check_conjugation(M, *mats)
+    event(f"{mode} {want}")
+    if mode == EXACT or want is not None:
+        assert got == want
+    else:
+        # Past the products only the determinant and trace are checked.
+        assert got is None or "preserved" in got or "overflows" in got
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_every_one_entry_change_of_q_inv_or_result_fails_the_conjugation_check(n):
+    # X has integer entries and X^-1, and so Q^-1, has denominators.
+    M, parity, s, X = planted_transform_instance(random.Random(n), n)
+    report = build_centro_transform(M, parity, s, X)
+    _check_conjugation(M, report.Q, report.Q_inv, report.result, None)
+    for index, message in ((1, "identity"), (2, "conjugation result mismatch")):
+        mats = [report.Q, report.Q_inv, report.result]
+        for i in range(n):
+            for j in range(n):
+                rows = mats[index].to_lists()
+                rows[i][j] += Fraction(1, 7)
+                changed = mats[:index] + [Matrix(rows)] + mats[index + 1:]
+                with pytest.raises(CentrosimError, match=message):
+                    _check_conjugation(M, *changed, None)
