@@ -6,22 +6,19 @@ is tested on each call, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import CentrosimError, PreconditionError
 from .linalg import det
-from .matrix import Matrix, _field, block, is_centrosymmetric, split_blocks
+from .matrix import Matrix, _field, _Record, block, is_centrosymmetric, split_blocks
 from .solver import riccati_residual
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
-    factors: tuple
-    factor_dets: tuple
-    product: object
-    direct_det: object
-    match: bool
+class FactorizationReport(_Record):
+    def __init__(self, factors: tuple, factor_dets: tuple, product: object, direct_det: object,
+                 match: bool):
+        self.__dict__.update(factors=factors, factor_dets=factor_dets, product=product,
+                             direct_det=direct_det, match=match)
 
 
 def _report(factors, M, tol, what):

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, InsufficientSamplesError, PreconditionError
 from .linalg import det, gauss_facts
-from .matrix import APPROX, EXACT, Matrix, _field, split_blocks
+from .matrix import APPROX, EXACT, Matrix, _field, _Record, split_blocks
 from .solver import SearchOptions, _residual_norm, find_intertwiner, system_residuals
 
 
@@ -72,8 +71,7 @@ def verify_scaled_intertwiner(m, alpha):
     return (xt * bp.A == bp.D * xt) and (delta * bp.C == xt * bp.B * xt)
 
 
-@dataclass(frozen=True)
-class PalindromicSpec:
+class PalindromicSpec(_Record):
     """Diagonal value t, couplings c0..cn and corner sign for one family member.
 
     The coupling list must be mirror symmetric in the range the factorization
@@ -82,13 +80,8 @@ class PalindromicSpec:
     unconstrained).
     """
 
-    t: Fraction
-    c: tuple
-    sign: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", Fraction(self.t))
-        object.__setattr__(self, "c", tuple(Fraction(v) for v in self.c))
+    def __init__(self, t: Fraction, c: tuple, sign: int):
+        self.__dict__.update(t=Fraction(t), c=tuple(Fraction(v) for v in c), sign=sign)
         if self.sign not in (1, -1):
             raise PreconditionError("sign must be +1 or -1")
         if self.size < 3:

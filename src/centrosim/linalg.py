@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, prod
 
 from .errors import DimensionError
-from .matrix import EXACT, Matrix, _clear_denominators, _field
+from .matrix import EXACT, Matrix, _clear_denominators, _field, _Record
 
 __all__ = ["det", "gauss_facts", "GaussFacts", "inverse", "rank",
            "rank_normal_form", "RankNormalForm", "solve_linear", "char_poly_samples"]
@@ -207,11 +206,9 @@ def _nullspace_from_rref(a, pivots, n_cols, mode):
             for vec in _kernel_vectors(a, pivots, n_cols, F.one, F.zero)]
 
 
-@dataclass(frozen=True)
-class GaussFacts:
-    rank: int
-    nullspace: tuple
-    inverse: Matrix | None
+class GaussFacts(_Record):
+    def __init__(self, rank: int, nullspace: tuple, inverse: Matrix | None):
+        self.__dict__.update(rank=rank, nullspace=nullspace, inverse=inverse)
 
 
 def gauss_facts(M, tol=None):
@@ -271,13 +268,9 @@ def solve_linear(K, b, tol=None):
     return Matrix._trusted([(v,) for v in vec], K.mode, 1), basis
 
 
-@dataclass(frozen=True)
-class RankNormalForm:
-    T: Matrix
-    S: Matrix
-    r: int
-    T_inv: Matrix
-    S_inv: Matrix
+class RankNormalForm(_Record):
+    def __init__(self, T: Matrix, S: Matrix, r: int, T_inv: Matrix, S_inv: Matrix):
+        self.__dict__.update(T=T, S=S, r=r, T_inv=T_inv, S_inv=S_inv)
 
 
 def rank_normal_form(X, tol=None):

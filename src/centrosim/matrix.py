@@ -16,12 +16,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import add, mul, sub
 
-from .errors import DimensionError, ModeError
+from .errors import CentrosimError, DimensionError, ModeError, PreconditionError
 
 EXACT = "exact"
 APPROX = "approx"
@@ -92,6 +91,11 @@ class _ExactField:
 
     def threshold(self, tol, *scales):
         return 0
+
+    def uncertified(self, claim):
+        """The error for a certificate check that fails: exact arithmetic leaves
+        only a defect in the construction."""
+        return CentrosimError(f"internal: {claim}")
 
     def screen(self, pairs, tol=None):
         """Whether L - R vanishes for every pair (L, R) of equal-shape matrices,
@@ -224,6 +228,12 @@ class _ApproxField:
         stands for its largest entry magnitude."""
         return self.tol(tol) * max([1.0] + [float(s.max_abs()) if isinstance(s, Matrix)
                                             else abs(s) for s in scales])
+
+    def uncertified(self, claim):
+        """The error for a certificate check that fails: rounding, amplified by
+        an ill-conditioned intertwiner, exceeded the tolerance."""
+        return PreconditionError(f"{claim} within the tolerance: X may be too "
+                                 "ill-conditioned for approximate mode; use exact mode")
 
     def screen(self, pairs, tol=None):
         """Whether L - R is zero within tol for every pair (L, R), and the
@@ -526,8 +536,38 @@ def commutes_with_exchange(M, tol=None):
     return M.take(every, every[::-1]).eq(M.take(every[::-1], every), tol)
 
 
-@dataclass(frozen=True)
-class BlockPartition:
+class _Record:
+    """An immutable record whose fields are its ``__init__`` parameters, in
+    order; it compares, hashes and prints by them, like a frozen dataclass.
+    A plain class because importing ``dataclasses`` (through ``inspect``) and
+    building each class cost every CLI start several milliseconds."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class BlockPartition(_Record):
     """Block view of a square matrix at a split index.
 
     Even parity: M = [[A, B], [C, D]] with A of size s x s.
@@ -536,17 +576,10 @@ class BlockPartition:
     center entry mu.
     """
 
-    parity: str
-    s: int
-    A: Matrix
-    B: Matrix
-    C: Matrix
-    D: Matrix
-    x: Matrix | None = None
-    w: Matrix | None = None
-    y: Matrix | None = None
-    z: Matrix | None = None
-    mu: object = None
+    def __init__(self, parity: str, s: int, A: Matrix, B: Matrix, C: Matrix, D: Matrix,
+                 x: Matrix | None = None, w: Matrix | None = None, y: Matrix | None = None,
+                 z: Matrix | None = None, mu: object = None):
+        self.__dict__.update(parity=parity, s=s, A=A, B=B, C=C, D=D, x=x, w=w, y=y, z=z, mu=mu)
 
     @cached_property
     def operands(self):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
 from operator import add, mul, sub
@@ -25,7 +24,7 @@ from operator import add, mul, sub
 from .errors import DimensionError, PreconditionError
 from .linalg import _gauss_jordan_int, _kernel_vectors, gauss_facts, solve_linear
 from .matrix import (APPROX, EXACT, BlockPartition, Matrix, _exchange_pairs, _field,
-                     _int_product, _scaled_rows, exchange_matrix, split_blocks)
+                     _int_product, _Record, _scaled_rows, exchange_matrix, split_blocks)
 
 
 @functools.cache
@@ -40,15 +39,12 @@ def default_grid_values(numer_max=5, denom_max=3):
     return tuple(sorted(vals))
 
 
-@dataclass(frozen=True)
-class SearchOptions:
-    d_max: int = 3
-    grid_numer_max: int = 5
-    grid_denom_max: int = 3
-    max_solutions: int | None = None
-    tol: float | None = None
-
-    def __post_init__(self):
+class SearchOptions(_Record):
+    def __init__(self, d_max: int = 3, grid_numer_max: int = 5, grid_denom_max: int = 3,
+                 max_solutions: int | None = None, tol: float | None = None):
+        self.__dict__.update(d_max=d_max, grid_numer_max=grid_numer_max,
+                             grid_denom_max=grid_denom_max, max_solutions=max_solutions,
+                             tol=tol)
         for name, least in (("d_max", 0), ("grid_numer_max", 0), ("grid_denom_max", 1),
                             ("max_solutions", 1)):
             value = getattr(self, name)
@@ -60,28 +56,24 @@ class SearchOptions:
                          default_grid_values(self.grid_numer_max, self.grid_denom_max)))
 
 
-@dataclass(frozen=True)
-class IntertwinerSolution:
-    X: Matrix
-    sylvester_residual: Matrix
-    quadratic_residual: Matrix
-    rank: int
-    inverse: Matrix | None
+class IntertwinerSolution(_Record):
+    def __init__(self, X: Matrix, sylvester_residual: Matrix, quadratic_residual: Matrix,
+                 rank: int, inverse: Matrix | None):
+        self.__dict__.update(X=X, sylvester_residual=sylvester_residual,
+                             quadratic_residual=quadratic_residual, rank=rank, inverse=inverse)
 
     @property
     def invertible(self):
         return self.inverse is not None
 
 
-@dataclass(frozen=True)
-class IntertwinerSearch:
+class IntertwinerSearch(_Record):
     """Ordered solutions plus the linear-stage data and any diagnostic."""
 
-    solutions: tuple
-    basis: tuple
-    diagnostic: str | None
-    discriminant: object = None
-    best_residual: float | None = None
+    def __init__(self, solutions: tuple, basis: tuple, diagnostic: str | None,
+                 discriminant: object = None, best_residual: float | None = None):
+        self.__dict__.update(solutions=solutions, basis=basis, diagnostic=diagnostic,
+                             discriminant=discriminant, best_residual=best_residual)
 
     def __iter__(self):
         return iter(self.solutions)
@@ -802,12 +794,9 @@ def _dot(head, coeffs):
     return acc
 
 
-@dataclass(frozen=True)
-class RiccatiWitness:
-    orientation: str
-    W: Matrix
-    residual: Matrix
-    blocks: BlockPartition
+class RiccatiWitness(_Record):
+    def __init__(self, orientation: str, W: Matrix, residual: Matrix, blocks: BlockPartition):
+        self.__dict__.update(orientation=orientation, W=W, residual=residual, blocks=blocks)
 
     def is_exact(self, tol=None):
         return self.residual.is_zero(tol)

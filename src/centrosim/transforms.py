@@ -15,21 +15,17 @@ reported entry; approximate mode in the Matrix float products it always used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import CentrosimError, DimensionError, PreconditionError, RankError
 from .linalg import _gauss_jordan_int, det, gauss_facts, rank_normal_form
-from .matrix import (EXACT, Matrix, _clear_denominators, _field, block, block_diag, hstack,
-                     is_centrosymmetric, split_blocks, vstack)
+from .matrix import (EXACT, Matrix, _clear_denominators, _field, _Record, block, block_diag,
+                     hstack, is_centrosymmetric, split_blocks, vstack)
 from .solver import system_residuals
 
 
-@dataclass(frozen=True)
-class TransformReport:
-    Q: Matrix
-    Q_inv: Matrix
-    result: Matrix
-    certification: str
+class TransformReport(_Record):
+    def __init__(self, Q: Matrix, Q_inv: Matrix, result: Matrix, certification: str):
+        self.__dict__.update(Q=Q, Q_inv=Q_inv, result=result, certification=certification)
 
 
 def _check_conjugation(M, Q, Q_inv, result, tol):
@@ -41,9 +37,9 @@ def _check_conjugation(M, Q, Q_inv, result, tol):
     F = _field(M.mode)
     Q = F.operand(Q)
     if not F.equal((Q, Q_inv), (Matrix.identity(M.rows, M.mode),), tol):
-        raise CentrosimError("internal: Q * Q_inv is not the identity")
+        raise F.uncertified("Q * Q_inv is not the identity")
     if not F.equal((M, Q), (Q, result), tol):
-        raise CentrosimError("internal: conjugation result mismatch")
+        raise F.uncertified("conjugation result mismatch")
     for name, of in (("determinant", det), ("trace", Matrix.trace)):
         before, after = of(M), of(result)
         # abs(v) < inf is False for inf and NaN and never converts a Fraction to float.
@@ -51,7 +47,7 @@ def _check_conjugation(M, Q, Q_inv, result, tol):
             raise ValueError(f"the {name} overflows in approximate mode; use exact mode "
                              "with integer or 'p/q' entries")
         if not F.eq(after, before, tol):
-            raise CentrosimError(f"internal: {name} not preserved")
+            raise F.uncertified(f"{name} not preserved")
 
 
 def _checked_split(M, parity, s, X, tol, message="X does not solve XA = DX and C = XBX"):
@@ -85,10 +81,12 @@ def _conjugate(M, X, X_inv):
 
 def _certify(M, Q, Q_inv, result, k, certification, tol):
     """Check the conjugation and test the leading k x k block of result for
-    centrosymmetry, rather than assume either from the construction."""
+    centrosymmetry, rather than assume either from the construction.  A check
+    that fails is the field's error: internal in exact mode, X's conditioning
+    in approximate mode."""
     _check_conjugation(M, Q, Q_inv, result, tol)
     if not is_centrosymmetric(result.submatrix(0, k, 0, k), tol):
-        raise CentrosimError(f"internal: leading {k} x {k} block is not centrosymmetric")
+        raise _field(M.mode).uncertified(f"leading {k} x {k} block is not centrosymmetric")
     return TransformReport(Q=Q, Q_inv=Q_inv, result=result, certification=certification)
 
 

@@ -102,12 +102,18 @@ def product_system_residuals(bp, X, tol=None):
 
 def product_check_conjugation(M, Q, Q_inv, result, tol=None):
     """Reference for the product checks of ``transforms._check_conjugation``:
-    the message of the first that fails, or None."""
+    the message of the first that fails, or None.  A failure is internal in
+    exact mode and blamed on X's conditioning in approximate mode."""
     if not (Q * Q_inv).eq(Matrix.identity(Q.rows, Q.mode), tol):
-        return "internal: Q * Q_inv is not the identity"
-    if not (M * Q).eq(Q * result, tol):
-        return "internal: conjugation result mismatch"
-    return None
+        claim = "Q * Q_inv is not the identity"
+    elif not (M * Q).eq(Q * result, tol):
+        claim = "conjugation result mismatch"
+    else:
+        return None
+    if M.mode == EXACT:
+        return f"internal: {claim}"
+    return (f"{claim} within the tolerance: X may be too ill-conditioned for approximate "
+            "mode; use exact mode")
 
 
 def product_riccati_residual(bp, W, orientation):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import centrosim
 from centrosim import Matrix, block, is_centrosymmetric, matrix_from_json_obj, save_matrix
 from centrosim.cli import _scan_points, build_parser, main
+from oracles import dense_centro_transform, rand_centrosymmetric
 
 
 def write(tmp_path, name, rows):
@@ -344,6 +346,26 @@ def test_an_overflowing_pivot_is_a_data_error(tmp_path, capsys):
     assert "overflows" in err and "exact mode" in err and "internal" not in err
 
 
+@pytest.mark.parametrize("command", ["transform", "embed", "dilate"])
+def test_an_ill_conditioned_approximate_x_is_a_data_error(tmp_path, capsys, command):
+    # X solves the split of M = Q C Q^-1 (C centrosymmetric, Q = diag(I, XJ)), but
+    # in approximate mode its condition number, about 4e4, carries rounding past
+    # the tolerance of the certificate checks.
+    C = rand_centrosymmetric(random.Random(3), 4, -5, 5)
+    outcome = {}
+    for X in (Matrix([[1, 1], [1, Fraction(10001, 10000)]]), Matrix([[1, 1], [1, 1.0001]])):
+        Cm = Matrix(C.to_lists(), mode=X.mode)
+        Q, Q_inv, _ = dense_centro_transform(Cm, "even", 2, X)
+        m, x = tmp_path / f"m_{X.mode}.json", tmp_path / f"x_{X.mode}.json"
+        save_matrix(Q * Cm * Q_inv, m)
+        save_matrix(X, x)
+        outcome[X.mode] = run([command, str(m), "--x", str(x)], capsys)
+    assert outcome["exact"][0] == 0
+    assert_one_line_error(*outcome["approx"])
+    err = outcome["approx"][2]
+    assert "ill-conditioned" in err and "exact mode" in err and "internal" not in err
+
+
 def test_an_overflowed_approximate_solve_is_a_data_error(tmp_path, capsys):
     # A nonzero nilpotent matrix, so no X solves its split; the residuals of
     # X = 1 and X = -1 overflow to inf and must not count as zero.
@@ -576,6 +598,13 @@ def _fresh_main(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+# Library modules that no start of the CLI may add: dataclasses alone, through
+# inspect, ast, dis and tokenize, cost a start about 4 ms.
+_HEAVY_LOADED = """
+import sys
+print(*sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+"""
+
 _LOADED_MODULES = """
 import sys
 import centrosim.cli
@@ -583,7 +612,7 @@ centrosim.cli.load_matrix(sys.argv[1])
 if sys.argv[2:]:
     centrosim.cli.main(sys.argv[2:])
 print(*sorted(m for m in sys.modules if m.split(".")[0] == "centrosim"))
-"""
+""" + _HEAVY_LOADED
 
 
 @pytest.mark.parametrize("command, runs", [
@@ -592,17 +621,25 @@ print(*sorted(m for m in sys.modules if m.split(".")[0] == "centrosim"))
     ("solve", ("linalg", "solver")),
     ("transform", ("linalg", "solver", "transforms")),
     ("factor-centro", ("factorization", "linalg", "solver")),
+    ("gen toeplitz --size 4", ("generators", "linalg", "solver")),
+    ("alpha-scan --size 4 --start 3 --stop 4", ("generators", "linalg", "solver")),
 ])
 def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, runs):
     # A new process starts with none of centrosim loaded: importing the CLI and
     # reading a matrix load errors and matrix; a command then adds what it runs.
+    # A site .pth file may load a heavy module before any centrosim code runs,
+    # so the start is compared with a bare interpreter's.  A command with
+    # arguments of its own reads no matrix.
     path = write(tmp_path, "m.json", [[2, 1], [1, 2]])
-    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, path,
-                           *([command, path] if command else [])],
+    argv = [] if command is None else command.split() if " " in command else [command, path]
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, path, *argv],
                           env=_fresh_env(), capture_output=True, text=True, check=True)
-    loaded = proc.stdout.splitlines()[-1].split()
-    assert loaded == sorted(["centrosim", "centrosim.cli", "centrosim.errors",
-                             "centrosim.matrix", *("centrosim." + m for m in runs)])
+    *_, loaded, heavy = proc.stdout.splitlines()
+    assert loaded.split() == sorted(["centrosim", "centrosim.cli", "centrosim.errors",
+                                     "centrosim.matrix", *("centrosim." + m for m in runs)])
+    bare = subprocess.run([sys.executable, "-c", _HEAVY_LOADED], env=_fresh_env(),
+                          capture_output=True, text=True, check=True)
+    assert heavy == bare.stdout.rstrip("\n")
 
 
 def test_closed_pipe_exits_one_without_traceback():

@@ -141,11 +141,14 @@ def test_pipeline_certifies_whenever_delta_is_a_rational_square():
 def test_palindromic_spec_validation():
     PalindromicSpec(t=2, c=(1, 1, 1), sign=1)
     PalindromicSpec(t=0, c=(5, 2, 7, 2), sign=-1)  # even size: c1 = c3
-    with pytest.raises(PreconditionError):
+    violated = r"^palindromic constraint violated: c\[1\] != c\[{}\]$"
+    with pytest.raises(PreconditionError, match=violated.format(2)):
         PalindromicSpec(t=2, c=(1, 1, 2), sign=1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=violated.format(3)):
+        PalindromicSpec(t=0, c=(5, 2, 7, 3), sign=-1)
+    with pytest.raises(PreconditionError, match=r"^sign must be \+1 or -1$"):
         PalindromicSpec(t=2, c=(1, 1, 1), sign=2)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"^palindromic families need size >= 3$"):
         PalindromicSpec(t=2, c=(1, 1), sign=1)
 
 

@@ -39,11 +39,10 @@ PUBLIC = {
 }
 
 
-def test_package_imports_only_the_standard_library():
-    allowed = set(sys.stdlib_module_names) | {"centrosim"}
+def _absolute_imports():
+    """(file name, line, module) for each absolute import in the package."""
     paths = sorted(SRC.glob("*.py"))
     assert paths
-    outside = []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -52,9 +51,22 @@ def test_package_imports_only_the_standard_library():
                 names = [node.module]
             else:
                 continue
-            outside += [f"{path.name}: {name}" for name in names
-                        if name.split(".")[0] not in allowed]
+            yield from ((path.name, node.lineno, name) for name in names)
+
+
+def test_package_imports_only_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"centrosim"}
+    outside = [f"{file}: {name}" for file, _, name in _absolute_imports()
+               if name.split(".")[0] not in allowed]
     assert outside == []
+
+
+def test_no_module_imports_dataclasses():
+    # Importing dataclasses (through inspect) and building each frozen class cost
+    # every CLI start several milliseconds; the records are plain classes.
+    importers = [f"{file}:{line}" for file, line, name in _absolute_imports()
+                 if name.split(".")[0] == "dataclasses"]
+    assert importers == []
 
 
 def test_every_module_level_import_is_used():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -262,7 +261,8 @@ def test_max_solutions_caps_the_special_candidates():
     ("grid_numer_max", -1), ("grid_denom_max", 0),
 ])
 def test_search_options_reject_nonsense_values(field, value):
-    with pytest.raises(ValueError, match=field):
+    least = {"d_max": 0, "grid_numer_max": 0, "grid_denom_max": 1, "max_solutions": 1}[field]
+    with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
         SearchOptions(**{field: value})
 
 
@@ -1297,6 +1297,13 @@ def _bits(value):
     return value
 
 
+def _with_blocks(bp, **blocks):
+    """bp with the given blocks replaced, as a new partition."""
+    fields = dict(parity=bp.parity, s=bp.s, A=bp.A, B=bp.B, C=bp.C, D=bp.D,
+                  x=bp.x, w=bp.w, y=bp.y, z=bp.z, mu=bp.mu)
+    return BlockPartition(**{**fields, **blocks})
+
+
 @settings(max_examples=300, deadline=None)
 @given(kernel_cases())
 def test_system_residuals_match_the_product_oracle(case):
@@ -1309,7 +1316,7 @@ def test_system_residuals_match_the_product_oracle(case):
             planted["D"] = X * bp.A * inv
         if bp.parity == "odd":
             planted.update(w=X * bp.x, y=bp.z * X)
-        bp = dataclasses.replace(bp, **planted)
+        bp = _with_blocks(bp, **planted)
     got = solver.system_residuals(bp, X)
     assert _bits(got) == _bits(product_system_residuals(bp, X))
     event(f"{bp.A.mode} {bp.parity} ok={got[3]}")
@@ -1321,9 +1328,9 @@ def test_riccati_residual_matches_the_product_oracle(case, orientation):
     bp, X, Y, plant = case
     W = X if orientation == "lower" else Y
     if plant:
-        bp = (dataclasses.replace(bp, C=W * bp.A - bp.D * W + W * bp.B * W)
+        bp = (_with_blocks(bp, C=W * bp.A - bp.D * W + W * bp.B * W)
               if orientation == "lower" else
-              dataclasses.replace(bp, B=W * bp.D - bp.A * W + W * bp.C * W))
+              _with_blocks(bp, B=W * bp.D - bp.A * W + W * bp.C * W))
     M = assemble_blocks(bp)
     witness = riccati_residual(M, bp.s, W, orientation)
     want = product_riccati_residual(split_blocks(M, "even", bp.s), W, orientation)
@@ -1344,7 +1351,7 @@ def test_singular_certificate_matches_the_product_oracle(case, system):
                    2: lambda: {"A": -(B * W), "C": -(D * W)},
                    3: lambda: {"A": W * C, "B": W * D},
                    4: lambda: {"B": -(A * W), "D": -(C * W)}}[system]()
-        bp = dataclasses.replace(bp, **planted)
+        bp = _with_blocks(bp, **planted)
     M = assemble_blocks(bp)
     holds = singular_certificate(M, bp.s, W, system)
     assert holds == product_singular_certificate(split_blocks(M, "even", bp.s), W, system)
