@@ -150,6 +150,11 @@ PLANTED13 = _m(
     "0 2 0 1 2 2 -3 0 14 -3 10 0 -1;"
     "-3 1 2 -2 -1 1 3 1 -10 2 -7 -1 0")
 
+# The same A = [[1, 0], [1, 2]] and D = [[1, 1], [0, 2]] in both parities; the odd
+# center conditions leave the line X = [[t + 1, t], [t, t]], and t = 1 solves.
+ROW_FORM4 = _m("1 0 1 0; 1 2 0 1; 0 1 1 1; 1 0 0 2")
+ROW_FORM5 = _m("1 0 1 1 0; 1 2 -1 0 1; 1 0 3 1 -1; 5 3 1 1 1; 3 2 0 0 2")
+
 # name -> (argv, files): each {key} in argv names the file written from files[key].
 CASES = {
     "check_even": (["check", "{m}"], {"m": CENTRO4}),
@@ -175,6 +180,10 @@ CASES = {
     "solve_planted14": (["solve", "{m}"], {"m": PLANTED14}),
     "solve_planted16": (["solve", "{m}"], {"m": PLANTED16}),
     "solve_planted13_odd": (["solve", "{m}", "--odd"], {"m": PLANTED13}),
+    # D = [[1, 1], [0, 2]]: e_1^T is a left eigenvector of D, so X's last row
+    # does not fix X, and e_0^T is cyclic for D^T.
+    "solve_row_form": (["solve", "{m}"], {"m": ROW_FORM4}),
+    "solve_row_form_odd": (["solve", "{m}", "--odd"], {"m": ROW_FORM5}),
     "transform_search_even": (["transform", "{m}"], {"m": TOEPLITZ4}),
     "transform_search_odd": (["transform", "{m}", "--odd"], {"m": ODD3}),
     "transform_search_inconclusive": (["transform", "{m}", "--split", "1"],

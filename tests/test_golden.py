@@ -8,7 +8,8 @@ beyond the paper's sizes), the principal-block embedding, the
 wide and tall dilation, both determinant splits and both Riccati
 orientations.  The linear Toeplitz solves reach the exact grid in dimension 2
 and 3, the planted n = 12, 14, 16 and odd 13 solves the Krylov linear stage with
-Sylvester spaces of dimension 6, 7 and 8, and the approximate ``alpha-scan``
+Sylvester spaces of dimension 6, 7 and 8, the row-form solves a D whose last
+unit row is not cyclic for its transpose, and the approximate ``alpha-scan``
 cases the float grid.  The
 approximate ``solve`` cases pin the float residuals of the special
 candidates J, I and -J to their last bit, signs of zero included, and the
