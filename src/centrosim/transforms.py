@@ -92,6 +92,8 @@ def _certify(M, Q, Q_inv, result, k, certification, tol):
 
 def _center_split(M, parity, s):
     """Raise DimensionError unless an even split is M's center split."""
+    if parity == "even" and M.rows % 2:
+        raise DimensionError(f"n = {M.rows} is odd: pass --odd for the odd center split")
     if parity == "even" and M.rows != 2 * s:
         raise DimensionError("even transform needs the center split s = n/2")
 

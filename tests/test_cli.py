@@ -775,7 +775,8 @@ def test_transform_rejects_an_even_split_off_center_before_any_search(
         argv += ["--x", write(tmp_path, "x.json", [[1]] * (len(rows) - 1))]
     code, out, err = run(argv, capsys)
     assert_one_line_error(code, out, err)
-    assert err == "error: even transform needs the center split s = n/2\n"
+    assert err == ("error: n = 3 is odd: pass --odd for the odd center split\n" if len(rows) == 3
+                   else "error: even transform needs the center split s = n/2\n")
 
 
 USAGE_ERRORS = {
