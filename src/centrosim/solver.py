@@ -18,7 +18,7 @@ import functools
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from operator import add, mul, sub
 
 from .errors import DimensionError, PreconditionError
@@ -111,11 +111,25 @@ def _sylvester_space(A, D, center=None, tol=None):
     free column of row-major vec(X), ascending, the basis matrix that is 1
     there and 0 at the other free columns, and a particular solution that is 0
     at every free column (None when the system is inconsistent).  Exact mode
-    finds an integer basis of XA = DX by the Krylov reduction of D when a unit
-    vector is cyclic for D, by integer elimination on the vectorized rows
-    otherwise; either way _pair_rows adds the center and _reduce brings the
-    result to integer rows, which are re-checked by multiplication before they
-    become Fraction matrices.  Approximate mode eliminates.
+    works over the integers and takes one of three routes, and re-checks the
+    integer rows of every route by multiplication before they become Fraction
+    matrices:
+    - when the last unit row e_(m-1)^T is cyclic for D^T and there is no
+      center, _krylov_space gives the canonical basis itself.  X is fixed by
+      its last row x through R X = [x; xA; ...; xA^(m-1)], where R = [u; uD;
+      ...; uD^(m-1)] for u = e_(m-1)^T, and x ranges over the rows with
+      x f(A) = 0.  Every nonzero X thus has its last nonzero entry in its last
+      row, so every free column lies there: they are the free columns j of
+      f(A)^T, and basis matrix j is R^-1 [z; zA; ...] for the kernel vector z
+      of f(A)^T that is 1 at j and 0 at its other free columns.  Its integer
+      rows go over den = prev_R prev_K, the last pivots of the eliminations
+      of R and f(A)^T, and the particular solution is 0;
+    - when another unit row is cyclic for D^T, or there is a center,
+      _krylov_space's basis goes through _pair_rows, which adds the center,
+      and _reduce, which brings the result to canonical integer rows;
+    - when no unit row is cyclic, integer elimination on the vectorized rows
+      gives the basis, which takes the same two steps.
+    Approximate mode eliminates.
     """
     if A.mode == APPROX:
         return _eliminate(A, D, center, tol)
@@ -124,10 +138,14 @@ def _sylvester_space(A, D, center=None, tol=None):
     # X x = tau w and z X = tau y when x, w, z and y are.
     _, a, d = _scaled_rows(A, D)
     int_center = None if center is None else tuple(map(_flat, _scaled_rows(*center)[1:]))
-    vecs = _krylov_space(a, d)
-    if vecs is None:
-        vecs = _int_kernel(_sylvester_rows(a, d, 0), m * s)
-    rows, den = _reduce(_pair_rows(vecs, m * s, s, int_center), m * s + 1)
+    krylov = _krylov_space(a, d)
+    if krylov is not None and krylov[0] == m - 1 and int_center is None:
+        # Every free column lies in X's last row: the rows are canonical as they are.
+        _, vecs, den = krylov
+        rows = [v + [0] for v in vecs] + [[0] * (m * s) + [den]]
+    else:
+        vecs = _int_kernel(_sylvester_rows(a, d, 0), m * s) if krylov is None else krylov[1]
+        rows, den = _reduce(_pair_rows(vecs, m * s, s, int_center), m * s + 1)
     _recheck(a, d, int_center, rows, den)
     zero = Fraction(0)
     mats = [_unvec([Fraction(v, den) if v else zero for v in row[:-1]], m, s) for row in rows]
@@ -186,7 +204,7 @@ def _recheck(a, d, center, rows, den):
 
 
 def _max_abs(*vectors):
-    return max((abs(v) for vec in vectors for v in vec), default=0)
+    return max(map(abs, chain.from_iterable(vectors)), default=0)
 
 
 def _eliminate(A, D, center, tol):
@@ -236,57 +254,56 @@ def _sylvester_rows(a, d, zero):
 
 
 def _krylov_space(a, d):
-    """Integer row-major vec(X) of a basis of {X : XA = DX}, through a cyclic
-    unit vector of D; None when D has none.
+    """(i, vecs, den) for the last unit row e_i^T that is cyclic for D^T: vecs
+    are the integer row-major vec(den X) of a basis of {X : XA = DX}; None when
+    no unit row is cyclic for D^T.
 
-    If T = [v, Dv, ..., D^(m-1) v] is invertible and f(t) = t^m + sum c_p t^p is
-    the characteristic polynomial of D (so D^m v = -sum c_p D^p v), then X = T Y
-    solves XA = DX exactly when the rows of Y are y_p = z h_p(A), with
-    h_(m-1) = I and h_(p-1) = h_p A + c_p I, for a row z with z f(A) = 0: the
-    companion-form solution of Gantmacher, The Theory of Matrices, vol. 1,
-    ch. VIII.  a and d are the rows of A and D times one common scale, so all
-    of this runs over the integers.  The Horner pass that gives f(A) keeps
-    every h_p(A), and y_p is the combination sum_j z_j h_p(A)[j] of its rows
-    (one row per p when z is a unit vector, as when f(A) = 0): O(m s^3 + m^2 s^2
-    + m^3) operations, O(s^4) when m = s, plus an s x s nullspace, instead of
-    elimination on s*m unknowns.
+    For a row u, XA = DX gives uD^k X = (uX) A^k.  If R = [u; uD; ...; uD^(m-1)]
+    is invertible and f(t) = t^m + sum c_p t^p is the characteristic polynomial
+    of D (so uD^m = -c R), then X = R^-1 [x; xA; ...; xA^(m-1)] for x = uX, and
+    this X solves XA = DX exactly when x f(A) = 0: R D = F R and
+    [x; ...; xA^(m-1)] A = F [x; ...; xA^(m-1)] for the companion matrix F of
+    f.  This is the companion-form solution of Gantmacher, The Theory of
+    Matrices, vol. 1, ch. VIII, on rows.  a and d are the rows of A and D times
+    one common scale, so all of it runs over the integers: fraction-free
+    Gauss-Jordan on [R | I] leaves prev_R R^-1, which gives c, Horner's rule
+    gives f(A), and each kernel vector z of f(A)^T, prev_K at its free column,
+    gives one basis matrix, prev_R R^-1 [z; zA; ...] over den = prev_R prev_K.
+    For u = e_i^T, x is row i of X, and for i = m - 1 these are the canonical
+    basis matrices (see _sylvester_space).  O(m^3 + m s^3 + d (m s^2 + m^2 s))
+    operations for a basis of d matrices, instead of elimination on s*m
+    unknowns.
     """
     s, m = len(a), len(d)
-    for i in range(m):
+    d_cols = list(zip(*d))
+    for i in reversed(range(m)):
         krylov = [[int(k == i) for k in range(m)]]
         for _ in range(m):
-            krylov.append([sum(map(mul, row, krylov[-1])) for row in d])
-        # [T | -D^m v]: T is invertible iff e_i is cyclic, and then solves to c.
-        aug = [[vec[r] for vec in krylov[:m]] + [-krylov[m][r]] for r in range(m)]
-        pivots, prev = _gauss_jordan_int(aug, m)
+            krylov.append([sum(map(mul, krylov[-1], col)) for col in d_cols])
+        # [R | I]: R is invertible iff e_i^T is cyclic for D^T, and then leaves prev_R R^-1.
+        aug = [row + [int(k == r) for k in range(m)] for r, row in enumerate(krylov[:m])]
+        pivots, prev_r = _gauss_jordan_int(aug, m)
         if len(pivots) == m:
             break
     else:
         return None
-    c = [row[m] // prev for row in aug]
+    inv = [row[m:] for row in aug]
+    c = [-sum(map(mul, krylov[m], col)) // prev_r for col in zip(*inv)]
     a_cols = list(zip(*a))
-    # h_(m-1), ..., h_0 and last h_0 A + c_0 I = f(A).
-    hs = [[[int(j == k) for k in range(s)] for j in range(s)]]
+    f_of_a = [[int(j == k) for k in range(s)] for j in range(s)]
     for p in reversed(range(m)):
-        hs.append([[sum(map(mul, row, col)) + (c[p] if j == k else 0)
-                    for k, col in enumerate(a_cols)] for j, row in enumerate(hs[-1])])
-    f_of_a = hs.pop()
-    hs.reverse()
-    t_rows = list(zip(*krylov[:m]))
+        f_of_a = [[sum(map(mul, row, col)) + (c[p] if j == k else 0)
+                   for k, col in enumerate(a_cols)] for j, row in enumerate(f_of_a)]
+    # The rows z with z f(A) = 0: the nullspace of f(A)^T, prev_K at each free column.
+    f_rows = [list(col) for col in zip(*f_of_a)]
+    pivots, prev_k = _gauss_jordan_int(f_rows, s)
     vecs = []
-    # The rows z with z f(A) = 0: the nullspace of f(A) transposed.  Each has a
-    # nonzero entry, prev at its free column.
-    for z in _int_kernel([list(col) for col in zip(*f_of_a)], s):
-        (z0, j0), *rest = [(zj, j) for j, zj in enumerate(z) if zj]
-        ys = []
-        for h in hs:
-            y = [z0 * v for v in h[j0]]
-            for zj, j in rest:
-                y = [u + zj * v for u, v in zip(y, h[j])]
-            ys.append(y)
-        y_cols = list(zip(*ys))
-        vecs.append([sum(map(mul, t, yc)) for t in t_rows for yc in y_cols])
-    return vecs
+    for z in _kernel_vectors(f_rows, pivots, s, prev_k, 0):
+        zs = [z]
+        for _ in range(m - 1):
+            zs.append([sum(map(mul, zs[-1], col)) for col in a_cols])
+        vecs.append(_int_product(inv, list(zip(*zs))))
+    return i, vecs, prev_r * prev_k
 
 
 def _int_kernel(rows, n):

@@ -14,8 +14,7 @@ from operator import add, mul
 from centrosim import (APPROX, EXACT, Matrix, PreconditionError, RankError, block,
                        exchange_matrix, gauss_facts, hstack, inverse, rank_normal_form,
                        solve_linear, vstack)
-from centrosim.linalg import _gauss_jordan_int
-from centrosim.solver import _grid_roots, _int_kernel, _unvec
+from centrosim.solver import _grid_roots, _unvec
 
 
 def cofactor_det(M):
@@ -301,38 +300,37 @@ def vectorized_sylvester_space(A, D, center=None):
 
 
 def chained_krylov_space(a, d):
-    """Reference for centrosim's ``solver._krylov_space``: the same Krylov
-    reduction, but each y_p = z h_p(A) is formed as the chain
-    y_(p-1) = y_p A + c_p z from y_(m-1) = z, one vector-matrix product per step,
-    and f(A) is formed without keeping the Horner cofactors h_p(A)."""
+    """Reference for centrosim's ``solver._krylov_space`` over Fractions: (i, the
+    row-major entries of each basis matrix) for the last unit row u = e_i^T whose
+    Krylov rows R = [u; uD; ...; uD^(m-1)] have full rank, or None.
+
+    c solves R^T c = -(uD^m)^T by solve_linear, f(A) = A^m + sum c_p A^p is summed
+    from the powers of A, and each basis matrix is R^-1 [z; zA; ...; zA^(m-1)],
+    chained one vector-matrix product per row, for each vector z of the canonical
+    basis of the left kernel of f(A), with R^-1 from gauss_facts."""
     s, m = len(a), len(d)
-    for i in range(m):
-        krylov = [[int(k == i) for k in range(m)]]
+    A, D = Matrix(a, cols=s), Matrix(d, cols=m)
+    for i in reversed(range(m)):
+        krylov = [Matrix([[int(k == i) for k in range(m)]], cols=m)]
         for _ in range(m):
-            krylov.append([sum(map(mul, row, krylov[-1])) for row in d])
-        # [T | -D^m v]: T is invertible iff e_i is cyclic, and then solves to c.
-        aug = [[vec[r] for vec in krylov[:m]] + [-krylov[m][r]] for r in range(m)]
-        pivots, prev = _gauss_jordan_int(aug, m)
-        if len(pivots) == m:
+            krylov.append(krylov[-1] * D)
+        R_inv = gauss_facts(vstack(*krylov[:m])).inverse
+        if R_inv is not None:
             break
     else:
         return None
-    c = [row[m] // prev for row in aug]
-    a_cols = list(zip(*a))
-    f_of_a = [[int(j == k) for k in range(s)] for j in range(s)]
-    for p in reversed(range(m)):
-        f_of_a = [[sum(map(mul, row, col)) + (c[p] if j == k else 0)
-                   for k, col in enumerate(a_cols)] for j, row in enumerate(f_of_a)]
-    t_rows = list(zip(*krylov[:m]))
+    c, _ = solve_linear(vstack(*krylov[:m]).transpose(), -krylov[m].transpose())
+    f_of_a, power = Matrix.zeros(s, s), Matrix.identity(s)
+    for p in range(m):
+        f_of_a, power = f_of_a + c[p, 0] * power, power * A
     vecs = []
-    # The rows z with z f(A) = 0: the nullspace of f(A) transposed.
-    for z in _int_kernel([list(col) for col in zip(*f_of_a)], s):
-        ys = [z]
-        for p in range(m - 1, 0, -1):
-            ys.append([sum(map(mul, ys[-1], col)) + c[p] * zj for col, zj in zip(a_cols, z)])
-        y_cols = list(zip(*ys[::-1]))
-        vecs.append([sum(map(mul, t, yc)) for t in t_rows for yc in y_cols])
-    return vecs
+    for z in solve_linear((f_of_a + power).transpose(), Matrix.zeros(s, 1))[1]:
+        chain = [z.transpose()]
+        for _ in range(m - 1):
+            chain.append(chain[-1] * A)
+        X = R_inv * vstack(*chain)
+        vecs.append([X[r, q] for r in range(m) for q in range(s)])
+    return i, vecs
 
 
 def per_row_recheck(a, d, center, rows, den):

@@ -736,21 +736,31 @@ def _ints(A, D):
 
 
 def _space_and_path(A, D, center=None):
-    """_sylvester_space(A, D, center), and whether it got there by the Krylov
-    reduction (not the integer fallback)."""
-    found = []
-    krylov_space = solver._krylov_space
+    """_sylvester_space(A, D, center), and the route it took: "last_row" when
+    the Krylov row form gave the canonical rows itself, "_krylov_space" when its
+    basis went through _reduce, and "integer_fallback" when no unit row was
+    cyclic and the integer Sylvester rows were eliminated."""
+    found, reduced = [], []
+    krylov_space, reduce = solver._krylov_space, solver._reduce
 
     def recorded(*args):
         found.append(krylov_space(*args))
         return found[-1]
-    with patch.object(solver, "_krylov_space", recorded):
+
+    def recorded_reduce(*args):
+        reduced.append(args)
+        return reduce(*args)
+    with patch.object(solver, "_krylov_space", recorded), \
+            patch.object(solver, "_reduce", recorded_reduce):
         space = solver._sylvester_space(A, D, center)
-    return space, found[0] is not None
+    if found[0] is None:
+        return space, "integer_fallback"
+    return space, "_krylov_space" if reduced else "last_row"
 
 
 def _cyclic_units(D):
-    """The i for which e_i is a cyclic vector of D: its Krylov matrix has full rank."""
+    """The i for which e_i is a cyclic vector of D: its Krylov matrix has full rank
+    (so the e_i^T cyclic for D^T are _cyclic_units(D.transpose()))."""
     m = D.rows
     out = []
     for i in range(m):
@@ -794,7 +804,7 @@ def _jordan(lam, k):
 
 @st.composite
 def sylvester_cases(draw):
-    """(kind, A, D, center, cyclic): cyclic says whether a unit vector is cyclic for D
+    """(kind, A, D, center, cyclic): cyclic says whether a unit row is cyclic for D^T
     (None when the construction leaves it open)."""
     kind = draw(st.sampled_from(["random", "shared", "derogatory", "late-cyclic"]))
     s = draw(st.integers(1, 4))
@@ -828,13 +838,14 @@ def sylvester_cases(draw):
             draw, [eig] + draw(st.lists(st.integers(-3, 3), min_size=s - 1, max_size=s - 1))))
         cyclic = False
     else:
-        # e_0 is an eigenvector of D, so not cyclic; some later e_i is.
+        # e_(m-1)^T is a left eigenvector of D, so not cyclic for D^T; some
+        # earlier e_i^T is.
         m = draw(st.integers(2, 4))
         lam = draw(st.integers(-2, 2))
-        D = Matrix([[lam if i == j == 0 else 0 if j == 0 else draw(st.integers(-3, 3))
+        D = Matrix([[lam if i == j == m - 1 else 0 if i == m - 1 else draw(st.integers(-3, 3))
                      for j in range(m)] for i in range(m)], cols=m)
-        units = _cyclic_units(D)
-        assume(units and units[0] > 0)
+        units = _cyclic_units(D.transpose())
+        assume(units and units[-1] < m - 1)
         A = _draw_conjugate(draw, _draw_triangular(
             draw, [lam] + draw(st.lists(st.integers(-3, 3), min_size=s - 1, max_size=s - 1))))
         cyclic = True
@@ -865,13 +876,15 @@ def test_sylvester_space_matches_the_vectorized_oracle(case):
     particular, basis = expected
     if kind == "shared" and center is None:
         assert basis
-    space, krylov = _space_and_path(A, D, center)
-    event(f"{kind}; {'krylov' if krylov else 'fallback'}; "
+    space, route = _space_and_path(A, D, center)
+    event(f"{kind}; {route}; "
           f"{'no center' if center is None else 'inconsistent' if particular is None else 'consistent'}"
           f"{'' if particular is None or particular.is_zero() else ' nonzero'}"
           f"; dimension {'0' if not basis else '>0'}")
     if cyclic is not None:
-        assert krylov == cyclic
+        assert (route != "integer_fallback") == cyclic
+    assert (route == "last_row") == (center is None
+                                     and D.rows - 1 in _cyclic_units(D.transpose()))
     assert space == expected
     if center is None:
         assert intertwiner_space(A, D) == basis
@@ -882,10 +895,19 @@ def test_krylov_particular_is_zero_at_the_free_columns():
     # X is 1 x 3 and free but for X[0, 0] + X[0, 1] = 5: free columns 1 and 2.
     A, D = 2 * Matrix.identity(3), Matrix([[2]])
     center = (Matrix([[1], [1], [0]]), Matrix([[5]]), Matrix([[0]]), Matrix([[0, 0, 0]]))
-    space, krylov = _space_and_path(A, D, center)
-    assert krylov and space == vectorized_sylvester_space(A, D, center)
+    space, route = _space_and_path(A, D, center)
+    assert route == "_krylov_space" and space == vectorized_sylvester_space(A, D, center)
     assert space[0] == Matrix([[5, 0, 0]])
     assert space[1] == (Matrix([[-1, 1, 0]]), Matrix([[0, 0, 1]]))
+
+
+def _rational_krylov_space(a, d):
+    """solver._krylov_space(a, d) with each vec over den as Fractions."""
+    found = solver._krylov_space(a, d)
+    if found is None:
+        return None
+    i, vecs, den = found
+    return i, [[Fraction(v, den) for v in vec] for vec in vecs]
 
 
 @settings(max_examples=150, deadline=None)
@@ -893,7 +915,61 @@ def test_krylov_particular_is_zero_at_the_free_columns():
 def test_krylov_space_matches_the_chained_oracle(case):
     _, A, D, _, _ = case
     a, d = _ints(A, D)
-    assert solver._krylov_space(a, d) == chained_krylov_space(a, d)
+    assert _rational_krylov_space(a, d) == chained_krylov_space(a, d)
+
+
+def _companion(roots):
+    """The companion matrix, rows e_1^T, ..., e_(m-1)^T and -c, of prod (t - r)."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [u - r * v for u, v in zip([0] + coeffs, coeffs + [0])]
+    m = len(roots)
+    return Matrix([[int(k == i + 1) for k in range(m)] for i in range(m - 1)]
+                  + [[-v for v in coeffs[:-1]]], cols=m)
+
+
+@st.composite
+def last_row_cases(draw):
+    """(A, D, roots) with e_(m-1)^T cyclic for D^T: D = R^-1 F R for the companion matrix F
+    of prod (t - r) over drawn roots r, and a unimodular R whose first row is
+    e_(m-1)^T, so that R = [e_(m-1)^T; e_(m-1)^T D; ...] (R D = F R).  A is
+    conjugate to a triangular matrix whose eigenvalues are drawn from the roots
+    or not, so f(A) vanishes on some draws and not on others; A, D and the roots
+    share one rational scale."""
+    s, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    roots = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    eig = draw(st.lists(st.one_of(st.sampled_from(roots), st.integers(-2, 2)),
+                        min_size=s, max_size=s))
+    A = _draw_conjugate(draw, _draw_triangular(draw, eig))
+    # Row i of R is e_(b_i)^T plus a combination of the e_(b_j)^T before it, for
+    # b = m-1, 0, ..., m-2: unimodular, with first row e_(m-1)^T.
+    order = [m - 1, *range(m - 1)]
+    R = Matrix([[1 if k == order[i] else draw(st.integers(-2, 2)) if k in order[:i] else 0
+                 for k in range(m)] for i in range(m)], cols=m)
+    D = gauss_facts(R).inverse * _companion(roots) * R
+    scale = draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 2)]))
+    return scale * A, scale * D, [scale * r for r in roots]
+
+
+@settings(max_examples=200, deadline=None)
+@given(last_row_cases())
+# m = 1: f(A) = A - 3I != 0, whose transpose eliminates to the last pivot -2,
+# so den = prev_R prev_K = -2; and m = 2 != s = 3 with f(A) != 0.
+@example((Matrix([[1, 1], [0, 3]]), Matrix([[3]]), [3]))
+@example((Matrix([[1, 1, 0], [0, 2, 1], [0, 0, 5]]), _companion([1, 2]), [1, 2]))
+def test_the_last_row_gives_the_canonical_basis(case):
+    A, D, roots = case
+    s, m = A.rows, D.rows
+    assert m - 1 in _cyclic_units(D.transpose())
+    space, route = _space_and_path(A, D)
+    expected = vectorized_sylvester_space(A, D)
+    f_of_a = Matrix.identity(s)
+    for r in roots:
+        f_of_a = f_of_a * (A - r * Matrix.identity(s))
+    event(f"{'m = 1' if m == 1 else 'm = s' if m == s else 'm != s'}; "
+          f"f(A) {'= 0' if f_of_a.is_zero() else '!= 0'}; "
+          f"dimension {'0' if not expected[1] else '>0'}")
+    assert route == "last_row" and space == expected
 
 
 CYCLIC4 = Matrix([[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 1], [1, 1, 0, 2]])
@@ -901,22 +977,21 @@ CYCLIC4 = Matrix([[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 1], [1, 1, 0, 2]])
 
 @pytest.mark.parametrize("A, D, nonzeros", [
     # f(A) = (A - I)(A - 2I) = [[0, 1], [0, 2]]: its left kernel is spanned by
-    # z = (2, -1), so each y_p combines two rows of h_p(A).
+    # z = (2, -1), so each row z A^k of the chain combines two rows of A^k.
     (Matrix([[1, 1], [0, 3]]), Matrix([[1, 1], [0, 2]]), [2]),
     # A = D, so f(A) = 0 (Cayley-Hamilton) and every z is a unit vector.
     (CYCLIC4, CYCLIC4, [1, 1, 1, 1]),
 ])
-def test_krylov_space_combines_the_horner_cofactor_rows(A, D, nonzeros, monkeypatch):
+def test_krylov_space_chains_each_left_kernel_vector(A, D, nonzeros, monkeypatch):
     kernels = []
-    int_kernel = solver._int_kernel
+    kernel_vectors = solver._kernel_vectors
 
-    def recorded(rows, n):
-        kernels.append(int_kernel(rows, n))
+    def recorded(*args):
+        kernels.append(kernel_vectors(*args))
         return kernels[-1]
-    monkeypatch.setattr(solver, "_int_kernel", recorded)
+    monkeypatch.setattr(solver, "_kernel_vectors", recorded)
     a, d = _ints(A, D)
-    vecs = solver._krylov_space(a, d)
-    assert vecs == chained_krylov_space(a, d) and len(kernels) == 1
+    assert _rational_krylov_space(a, d) == chained_krylov_space(a, d) and len(kernels) == 1
     assert [sum(map(bool, z)) for z in kernels[0]] == nonzeros
     assert solver._sylvester_space(A, D) == vectorized_sylvester_space(A, D)
 
@@ -1041,45 +1116,57 @@ def test_scalar_d_takes_the_elimination_fallback(monkeypatch):
 
 def test_a_cyclic_unit_vector_never_eliminates(monkeypatch):
     calls = _counting(monkeypatch, "_sylvester_rows")
-    # e_0 is an eigenvector of D; e_1 is cyclic.
+    # e_1^T is a left eigenvector of D; e_0^T is cyclic for D^T.
     A, D = Matrix([[1, 0], [1, 3]]), Matrix([[1, 1], [0, 2]])
     assert solver._sylvester_space(A, D) == vectorized_sylvester_space(A, D)
     find_intertwiner(linear_toeplitz(Fraction(3), 4), "even", 2)
     assert calls == []
 
 
-def _corrupting(monkeypatch, part):
-    """Patch solver._reduce so that the first entry of its first basis row (or
-    of its particular row) gains 1 before the re-check sees it."""
+def _corrupting(monkeypatch, route, part):
+    """Patch the linear stage so that the last entry of X in its first basis row
+    (or in its particular row) gains 1 before the re-check sees it: the rows
+    _krylov_space gives on the last_row route, the rows of _reduce on the others."""
+    if route == "last_row":
+        krylov_space = solver._krylov_space
+
+        def corrupted_krylov(a, d):
+            i, vecs, den = krylov_space(a, d)
+            vecs[0][-1] += 1
+            return i, vecs, den
+        monkeypatch.setattr(solver, "_krylov_space", corrupted_krylov)
+        return
     reduce = solver._reduce
 
     def corrupted(vecs, n):
         rows, den = reduce(vecs, n)
         row = rows[-1] if part == "particular" else rows[0]
         assert bool(row[-1]) == (part == "particular")
-        row[0] += 1
+        row[-2] += 1
         return rows, den
     monkeypatch.setattr(solver, "_reduce", corrupted)
 
 
 @pytest.mark.parametrize("name, part, rows, odd", [
-    ("_krylov_space", "basis", [[3, 2, 1, 0], [4, 3, 2, 1], [5, 4, 3, 2], [6, 5, 4, 3]], False),
+    # D = [[1, 1], [0, 2]]: e_0^T is cyclic for D^T, e_1^T is not.
+    ("_krylov_space", "basis", [[1, 0, 1, 0], [1, 2, 0, 1], [0, 1, 1, 1], [1, 0, 0, 2]], False),
     ("integer_fallback", "basis", [[3, 1, 1, 0], [0, 2, 0, 1], [1, 0, 3, 0], [0, 1, 0, 3]], False),
     ("_krylov_space", "particular", [[2, 1, 1], [1, 5, 1], [1, 1, 2]], True),
     # D = 3I is derogatory; X = [[1, 1], [2, 2]] is the one solution.
     ("integer_fallback", "particular", [[3, 1, 1, 1, 0], [0, 2, 1, 0, 1], [1, 1, 0, 1, 0],
                                         [1, 1, 2, 3, 0], [1, 1, 4, 0, 3]], True),
+    ("last_row", "basis", [[3, 2, 1, 0], [4, 3, 2, 1], [5, 4, 3, 2], [6, 5, 4, 3]], False),
 ])
 def test_a_corrupted_linear_stage_raises_and_is_never_reported(monkeypatch, tmp_path, capsys,
                                                                name, part, rows, odd):
-    """name is the path the linear stage takes: the Krylov reduction or the
-    integer fallback."""
+    """name is the route the linear stage takes (see _space_and_path): the
+    Krylov row form alone, the row form and _reduce, or the integer fallback."""
     M = Matrix(rows)
     parity, s = ("odd", len(rows) // 2) if odd else ("even", 2)
     bp = split_blocks(M, parity, s)
     center = (bp.x, bp.w, bp.z, bp.y) if odd else None
-    assert _space_and_path(bp.A, bp.D, center)[1] == (name == "_krylov_space")
-    _corrupting(monkeypatch, part)
+    assert _space_and_path(bp.A, bp.D, center)[1] == name
+    _corrupting(monkeypatch, name, part)
     with pytest.raises(PreconditionError, match="re-check"):
         solver._sylvester_space(bp.A, bp.D, center)
     with pytest.raises(PreconditionError, match="re-check"):
