@@ -184,6 +184,12 @@ CASES = {
     # does not fix X, and e_0^T is cyclic for D^T.
     "solve_row_form": (["solve", "{m}"], {"m": ROW_FORM4}),
     "solve_row_form_odd": (["solve", "{m}", "--odd"], {"m": ROW_FORM5}),
+    # The center conditions contradict XA = DX: on the last-row route (D = [[1]]),
+    # and on the elimination fallback (D = 3I, so no unit row is cyclic for D^T).
+    "solve_infeasible_last_row": (["solve", "{m}", "--odd"], {"m": _m("1 0 2; 3 7 4; 5 1 1")}),
+    "solve_infeasible_fallback": (["solve", "{m}", "--odd"],
+                                  {"m": _m("3 1 1 0 0; 0 2 -1 0 0; 0 0 1 0 0; 0 0 1 3 0;"
+                                           "0 0 0 0 3")}),
     "transform_search_even": (["transform", "{m}"], {"m": TOEPLITZ4}),
     "transform_search_odd": (["transform", "{m}", "--odd"], {"m": ODD3}),
     "transform_search_inconclusive": (["transform", "{m}", "--split", "1"],
