@@ -111,25 +111,19 @@ def _sylvester_space(A, D, center=None, tol=None):
     free column of row-major vec(X), ascending, the basis matrix that is 1
     there and 0 at the other free columns, and a particular solution that is 0
     at every free column (None when the system is inconsistent).  Exact mode
-    works over the integers and takes one of three routes, and re-checks the
-    integer rows of every route by multiplication before they become Fraction
-    matrices:
-    - when the last unit row e_(m-1)^T is cyclic for D^T and there is no
-      center, _krylov_space gives the canonical basis itself.  X is fixed by
-      its last row x through R X = [x; xA; ...; xA^(m-1)], where R = [u; uD;
-      ...; uD^(m-1)] for u = e_(m-1)^T, and x ranges over the rows with
-      x f(A) = 0.  Every nonzero X thus has its last nonzero entry in its last
-      row, so every free column lies there: they are the free columns j of
-      f(A)^T, and basis matrix j is R^-1 [z; zA; ...] for the kernel vector z
-      of f(A)^T that is 1 at j and 0 at its other free columns.  Its integer
-      rows go over den = prev_R prev_K, the last pivots of the eliminations
-      of R and f(A)^T, and the particular solution is 0;
-    - when another unit row is cyclic for D^T, or there is a center,
-      _krylov_space's basis goes through _pair_rows, which adds the center,
-      and _reduce, which brings the result to canonical integer rows;
-    - when no unit row is cyclic, integer elimination on the vectorized rows
-      gives the basis, which takes the same two steps.
-    Approximate mode eliminates.
+    finds the canonical basis of the pairs (vec(X), tau) with XA = DX,
+    X x = tau w and z X = tau y as integer rows: the basis above, then the
+    particular solution at tau = 1 when tau is a free column.  Its three
+    routes re-check every row by multiplication before any Fraction is built:
+    - last row: when e_(m-1)^T is cyclic for D^T, X is fixed by its last row x
+      (_krylov_space), so every nonzero pair has its last nonzero entry in
+      (x, tau), the last s + 1 columns: the canonical kernel basis of the
+      system over (x, tau) gives the canonical rows itself;
+    - earlier row: when only an earlier e_i^T is cyclic, x is row i of X and
+      _reduce brings the rows to canonical form;
+    - integer fallback: the kernel of the vectorized rows (_linear_rows, tau
+      last) is canonical as it comes.
+    Approximate mode eliminates the vectorized rows over floats.
     """
     if A.mode == APPROX:
         return _eliminate(A, D, center, tol)
@@ -138,14 +132,15 @@ def _sylvester_space(A, D, center=None, tol=None):
     # X x = tau w and z X = tau y when x, w, z and y are.
     _, a, d = _scaled_rows(A, D)
     int_center = None if center is None else tuple(map(_flat, _scaled_rows(*center)[1:]))
-    krylov = _krylov_space(a, d)
-    if krylov is not None and krylov[0] == m - 1 and int_center is None:
-        # Every free column lies in X's last row: the rows are canonical as they are.
-        _, vecs, den = krylov
-        rows = [v + [0] for v in vecs] + [[0] * (m * s) + [den]]
+    krylov = _krylov_space(a, d, int_center)
+    if krylov is None:
+        # Over the rows [K | b], K vec(X) = tau b.
+        rows = [row[:-1] + [-row[-1]] for row in _linear_rows(a, d, int_center, 0)]
+        rows, den = _int_kernel(rows, m * s + 1)
     else:
-        vecs = _int_kernel(_sylvester_rows(a, d, 0), m * s) if krylov is None else krylov[1]
-        rows, den = _reduce(_pair_rows(vecs, m * s, s, int_center), m * s + 1)
+        i, rows, den = krylov
+        if i < m - 1:
+            rows, den = _reduce(rows, m * s + 1)
     _recheck(a, d, int_center, rows, den)
     zero = Fraction(0)
     mats = [_unvec([Fraction(v, den) if v else zero for v in row[:-1]], m, s) for row in rows]
@@ -209,54 +204,51 @@ def _max_abs(*vectors):
 
 def _eliminate(A, D, center, tol):
     """Approximate _sylvester_space by Gauss-Jordan on the s*m-unknown vectorized system."""
-    s = A.rows
-    m = D.rows
-    n_unknowns = m * s
-    zero = _field(A.mode).zero
-    rows = _sylvester_rows(A.to_lists(), D.to_lists(), zero)
-    rhs = [zero] * len(rows)
+    s, m = A.rows, D.rows
     if center is not None:
-        x, w, z, y = center
-        for p in range(m):
-            row = [zero] * n_unknowns
-            for j in range(s):
-                row[p * s + j] = x[j, 0]
-            rows.append(row)
-            rhs.append(w[p, 0])
-        for q in range(s):
-            row = [zero] * n_unknowns
-            for i in range(m):
-                row[i * s + q] = z[0, i]
-            rows.append(row)
-            rhs.append(y[0, q])
-    K = Matrix._trusted(rows, A.mode, n_unknowns)
-    b = Matrix._trusted([(v,) for v in rhs], A.mode, 1)
+        center = tuple(_flat(M.to_lists()) for M in center)
+    rows = _linear_rows(A.to_lists(), D.to_lists(), center, _field(A.mode).zero)
+    K = Matrix._trusted([row[:-1] for row in rows], A.mode, m * s)
+    b = Matrix._trusted([row[-1:] for row in rows], A.mode, 1)
     particular, basis = solve_linear(K, b, tol)
     if particular is not None:
         particular = _unvec(particular.col(0), m, s, A.mode)
     return particular, tuple(_unvec(v.col(0), m, s, A.mode) for v in basis)
 
 
-def _sylvester_rows(a, d, zero):
-    """Coefficient rows of (XA - DX) entry (p, q) over row-major vec(X), from
-    the rows a of A and d of D."""
+def _linear_rows(a, d, center, zero):
+    """Rows [coefficients over row-major vec(X), right-hand side] of XA - DX = 0,
+    entry (p, q) by entry, then of X x = w and z X = y under center = (x, w, z, y),
+    from the rows a of A and d of D."""
     s, m = len(a), len(d)
+    n = m * s
     rows = []
     for p in range(m):
         for q in range(s):
-            row = [zero] * (m * s)
+            row = [zero] * (n + 1)
             for j in range(s):
                 row[p * s + j] += a[j][q]
             for i in range(m):
                 row[i * s + q] -= d[p][i]
             rows.append(row)
+    if center is not None:
+        x, w, z, y = center
+        for p, v in enumerate(w):
+            row = [zero] * n + [v]
+            row[p * s:(p + 1) * s] = x
+            rows.append(row)
+        for q, v in enumerate(y):
+            row = [zero] * n + [v]
+            row[q:n:s] = z
+            rows.append(row)
     return rows
 
 
-def _krylov_space(a, d):
-    """(i, vecs, den) for the last unit row e_i^T that is cyclic for D^T: vecs
-    are the integer row-major vec(den X) of a basis of {X : XA = DX}; None when
-    no unit row is cyclic for D^T.
+def _krylov_space(a, d, center=None):
+    """(i, rows, den) for the last unit row e_i^T that is cyclic for D^T, or
+    None: rows are the integers (vec(den X), den tau) of a basis of the pairs
+    with XA = DX and, under the integer center (x_c, w, z, y), X x_c = tau w
+    and z X = tau y.
 
     For a row u, XA = DX gives uD^k X = (uX) A^k.  If R = [u; uD; ...; uD^(m-1)]
     is invertible and f(t) = t^m + sum c_p t^p is the characteristic polynomial
@@ -264,15 +256,17 @@ def _krylov_space(a, d):
     this X solves XA = DX exactly when x f(A) = 0: R D = F R and
     [x; ...; xA^(m-1)] A = F [x; ...; xA^(m-1)] for the companion matrix F of
     f.  This is the companion-form solution of Gantmacher, The Theory of
-    Matrices, vol. 1, ch. VIII, on rows.  a and d are the rows of A and D times
-    one common scale, so all of it runs over the integers: fraction-free
-    Gauss-Jordan on [R | I] leaves prev_R R^-1, which gives c, Horner's rule
-    gives f(A), and each kernel vector z of f(A)^T, prev_K at its free column,
-    gives one basis matrix, prev_R R^-1 [z; zA; ...] over den = prev_R prev_K.
-    For u = e_i^T, x is row i of X, and for i = m - 1 these are the canonical
-    basis matrices (see _sylvester_space).  O(m^3 + m s^3 + d (m s^2 + m^2 s))
-    operations for a basis of d matrices, instead of elimination on s*m
-    unknowns.
+    Matrices, vol. 1, ch. VIII, on rows.  The center is linear in x too:
+    X x_c = tau w is x A^k x_c = tau (R w)_k for k < m, and z X = tau y is
+    x G = tau y for G = sum_k (z R^-1)_k A^k.  a and d are the rows of A and D
+    times one common scale, so all of it runs over the integers: fraction-free
+    Gauss-Jordan on [R | I] leaves inv = prev_R R^-1, which gives c; Horner's
+    rule gives f(A), and prev_R G from z inv; each vector (z, t) of the
+    canonical kernel over (x, tau), prev_K at its free column, gives the row
+    (inv [z; zA; ...], prev_R t) over den = prev_R prev_K.  For u = e_i^T, x is
+    row i of X; for i = m - 1 the rows are canonical (see _sylvester_space).
+    O(m^3 + m s^3 + d (m s^2 + m^2 s)) operations for d rows, instead of
+    elimination on s*m unknowns.
     """
     s, m = len(a), len(d)
     d_cols = list(zip(*d))
@@ -290,46 +284,45 @@ def _krylov_space(a, d):
     inv = [row[m:] for row in aug]
     c = [-sum(map(mul, krylov[m], col)) // prev_r for col in zip(*inv)]
     a_cols = list(zip(*a))
-    f_of_a = [[int(j == k) for k in range(s)] for j in range(s)]
-    for p in reversed(range(m)):
-        f_of_a = [[sum(map(mul, row, col)) + (c[p] if j == k else 0)
-                   for k, col in enumerate(a_cols)] for j, row in enumerate(f_of_a)]
-    # The rows z with z f(A) = 0: the nullspace of f(A)^T, prev_K at each free column.
-    f_rows = [list(col) for col in zip(*f_of_a)]
-    pivots, prev_k = _gauss_jordan_int(f_rows, s)
-    vecs = []
-    for z in _kernel_vectors(f_rows, pivots, s, prev_k, 0):
-        zs = [z]
+    # The system over (x, tau): x f(A) = 0 column by column, then the center rows.
+    system = [list(col) + [0] for col in zip(*_horner(c + [1], a_cols))]
+    if center is not None:
+        x_c, w, z, y = center
+        powers = [x_c]
         for _ in range(m - 1):
-            zs.append([sum(map(mul, zs[-1], col)) for col in a_cols])
-        vecs.append(_int_product(inv, list(zip(*zs))))
-    return i, vecs, prev_r * prev_k
+            powers.append([sum(map(mul, row, powers[-1])) for row in a])
+        system += [v + [-sum(map(mul, r, w))] for v, r in zip(powers, krylov)]
+        g = _horner([sum(map(mul, z, col)) for col in zip(*inv)], a_cols)
+        system += [list(col) + [-prev_r * v] for col, v in zip(zip(*g), y)]
+    vecs, prev_k = _int_kernel(system, s + 1)
+    rows = []
+    for *z, t in vecs:
+        if any(z):
+            chain = [z]
+            for _ in range(m - 1):
+                chain.append([sum(map(mul, chain[-1], col)) for col in a_cols])
+            rows.append(_int_product(inv, list(zip(*chain))) + [prev_r * t])
+        else:
+            rows.append([0] * (m * s) + [prev_r * t])
+    return i, rows, prev_r * prev_k
+
+
+def _horner(coeffs, a_cols):
+    """sum_k coeffs[k] A^k by Horner's rule, as integer rows, from A's columns."""
+    lead, *rest = reversed(coeffs)
+    n = len(a_cols)
+    out = [[lead * (j == k) for k in range(n)] for j in range(n)]
+    for v in rest:
+        out = [[sum(map(mul, row, col)) + (v if j == k else 0) for k, col in enumerate(a_cols)]
+               for j, row in enumerate(out)]
+    return out
 
 
 def _int_kernel(rows, n):
-    """An integer basis of the nullspace of the first n columns of integer rows
-    (consumed): for each free column f, prev at f and -rows[k][f] at pivot k."""
+    """(vectors, prev): the nullspace of the first n columns of integer rows
+    (consumed), for each free column f prev at f and -rows[k][f] at pivot k."""
     pivots, prev = _gauss_jordan_int(rows, n)
-    return _kernel_vectors(rows, pivots, n, prev, 0)
-
-
-def _pair_rows(vecs, n, s, center):
-    """Integer rows (vec(X), tau) spanning the pairs with XA = DX and, under the
-    integer center (x, w, z, y), X x = tau w and z X = tau y, from the
-    row-major vec(X) of a basis of the Sylvester space.
-
-    Column tau takes a nonzero value exactly when the system is consistent.
-    """
-    if center is None:
-        return [v + [0] for v in vecs] + [[0] * n + [1]]
-    # Over X = sum t_k N_k the center conditions are m + s equations in (t, tau).
-    x, w, z, y = center
-    rows = [[sum(map(mul, v[p * s:(p + 1) * s], x)) for v in vecs] + [-wp]
-            for p, wp in enumerate(w)]
-    rows += [[sum(map(mul, v[q::s], z)) for v in vecs] + [-yq] for q, yq in enumerate(y)]
-    cols = list(zip(*vecs)) if vecs else [()] * n
-    return [[sum(map(mul, t, col)) for col in cols] + [t[-1]]
-            for t in _int_kernel(rows, len(vecs) + 1)]
+    return _kernel_vectors(rows, pivots, n, prev, 0), prev
 
 
 def _reduce(vecs, n):

@@ -91,11 +91,14 @@ def _certify(M, Q, Q_inv, result, k, certification, tol):
 
 
 def _center_split(M, parity, s):
-    """Raise DimensionError unless an even split is M's center split."""
-    if parity == "even" and M.rows % 2:
-        raise DimensionError(f"n = {M.rows} is odd: pass --odd for the odd center split")
+    """Raise DimensionError unless M is square and an even split is its center
+    split; --odd is suggested only for an odd n >= 3, which has an odd split."""
+    if not M.is_square:
+        raise DimensionError("block split requires a square matrix")
     if parity == "even" and M.rows != 2 * s:
-        raise DimensionError("even transform needs the center split s = n/2")
+        raise DimensionError(f"n = {M.rows} is odd: pass --odd for the odd center split"
+                             if M.rows % 2 and M.rows >= 3 else
+                             "even transform needs the center split s = n/2")
 
 
 def build_centro_transform(M, parity, s, X, tol=None, inverse=None):

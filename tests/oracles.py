@@ -299,15 +299,18 @@ def vectorized_sylvester_space(A, D, center=None):
     return (None if particular is None else unvec(particular)), tuple(map(unvec, basis))
 
 
-def chained_krylov_space(a, d):
+def chained_krylov_space(a, d, center=None):
     """Reference for centrosim's ``solver._krylov_space`` over Fractions: (i, the
-    row-major entries of each basis matrix) for the last unit row u = e_i^T whose
-    Krylov rows R = [u; uD; ...; uD^(m-1)] have full rank, or None.
+    row-major entries of each basis pair (X, tau), tau last) for the last unit
+    row u = e_i^T whose Krylov rows R = [u; uD; ...; uD^(m-1)] have full rank, or
+    None.
 
     c solves R^T c = -(uD^m)^T by solve_linear, f(A) = A^m + sum c_p A^p is summed
-    from the powers of A, and each basis matrix is R^-1 [z; zA; ...; zA^(m-1)],
-    chained one vector-matrix product per row, for each vector z of the canonical
-    basis of the left kernel of f(A), with R^-1 from gauss_facts."""
+    from the powers of A, and X(x) = R^-1 [x; xA; ...; xA^(m-1)], chained one
+    vector-matrix product per row, with R^-1 from gauss_facts.  The pairs are
+    the canonical kernel basis, by solve_linear, of x f(A) = 0 and, under the
+    integer center (x_c, w, z, y), of X(x) x_c = tau w and z X(x) = tau y, whose
+    coefficients are those of X(e_l) for each unit row e_l."""
     s, m = len(a), len(d)
     A, D = Matrix(a, cols=s), Matrix(d, cols=m)
     for i in reversed(range(m)):
@@ -323,13 +326,25 @@ def chained_krylov_space(a, d):
     f_of_a, power = Matrix.zeros(s, s), Matrix.identity(s)
     for p in range(m):
         f_of_a, power = f_of_a + c[p, 0] * power, power * A
-    vecs = []
-    for z in solve_linear((f_of_a + power).transpose(), Matrix.zeros(s, 1))[1]:
-        chain = [z.transpose()]
+
+    def X_of(x):
+        chain = [x]
         for _ in range(m - 1):
             chain.append(chain[-1] * A)
-        X = R_inv * vstack(*chain)
-        vecs.append([X[r, q] for r in range(m) for q in range(s)])
+        return R_inv * vstack(*chain)
+
+    K = hstack((f_of_a + power).transpose(), Matrix.zeros(s, 1))
+    if center is not None:
+        x_c, w, z, y = center
+        x_c, z = Matrix([[v] for v in x_c], cols=1), Matrix([z], cols=m)
+        units = [X_of(Matrix([[int(k == l) for k in range(s)]], cols=s)) for l in range(s)]
+        K = vstack(K, hstack(*[X * x_c for X in units], Matrix([[-v] for v in w], cols=1)),
+                   hstack(*[(z * X).transpose() for X in units],
+                          Matrix([[-v] for v in y], cols=1)))
+    vecs = []
+    for v in solve_linear(K, Matrix.zeros(K.rows, 1))[1]:
+        X = X_of(Matrix([[v[k, 0] for k in range(s)]], cols=s))
+        vecs.append([X[r, q] for r in range(m) for q in range(s)] + [v[s, 0]])
     return i, vecs
 
 

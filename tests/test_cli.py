@@ -779,6 +779,22 @@ def test_transform_rejects_an_even_split_off_center_before_any_search(
                    else "error: even transform needs the center split s = n/2\n")
 
 
+@pytest.mark.parametrize("rows, odd, error", [
+    # Three rows but not square: --odd fails the same way.
+    ([[1, 2], [3, 4], [5, 6]], False, "block split requires a square matrix"),
+    ([[1, 2], [3, 4], [5, 6]], True, "block split requires a square matrix"),
+    # n = 1 has no odd split (s >= 1) to suggest.
+    ([[7]], False, "even transform needs the center split s = n/2"),
+    ([[7]], True, "odd split needs n = 2s+1 with s >= 1, got s=0, n=1"),
+])
+def test_transform_suggests_odd_only_where_an_odd_split_exists(tmp_path, capsys, rows, odd,
+                                                               error):
+    argv = ["transform", write(tmp_path, "m.json", rows)] + (["--odd"] if odd else [])
+    code, out, err = run(argv, capsys)
+    assert_one_line_error(code, out, err)
+    assert err == f"error: {error}\n"
+
+
 USAGE_ERRORS = {
     "missing-matrix": ["solve"],
     "unknown-command": ["frobnicate"],

@@ -737,9 +737,10 @@ def _ints(A, D):
 
 def _space_and_path(A, D, center=None):
     """_sylvester_space(A, D, center), and the route it took: "last_row" when
-    the Krylov row form gave the canonical rows itself, "_krylov_space" when its
-    basis went through _reduce, and "integer_fallback" when no unit row was
-    cyclic and the integer Sylvester rows were eliminated."""
+    the Krylov row form on X's last row gave the canonical rows itself,
+    "earlier_row" when it ran on an earlier row and its rows went through
+    _reduce, and "integer_fallback" when no unit row was cyclic and the integer
+    vectorized rows were eliminated."""
     found, reduced = [], []
     krylov_space, reduce = solver._krylov_space, solver._reduce
 
@@ -755,7 +756,7 @@ def _space_and_path(A, D, center=None):
         space = solver._sylvester_space(A, D, center)
     if found[0] is None:
         return space, "integer_fallback"
-    return space, "_krylov_space" if reduced else "last_row"
+    return space, "earlier_row" if reduced else "last_row"
 
 
 def _cyclic_units(D):
@@ -849,23 +850,29 @@ def sylvester_cases(draw):
         A = _draw_conjugate(draw, _draw_triangular(
             draw, [lam] + draw(st.lists(st.integers(-3, 3), min_size=s - 1, max_size=s - 1))))
         cyclic = True
-    center = None
+    return kind, A, D, _draw_center(draw, A, D), cyclic
+
+
+def _draw_center(draw, A, D):
+    """None, or a center (x, w, z, y) for XA = DX: consistent or not, with x or z
+    zero on some draws."""
+    if not draw(st.booleans()):
+        return None
+    s, m = A.rows, D.rows
+    # A zero x or z drops those conditions, so solutions with free columns remain.
+    degenerate = draw(st.sampled_from(["x", "z", None, None]))
+    x = Matrix.zeros(s, 1) if degenerate == "x" else _draw_matrix(draw, s, 1)
+    z = Matrix.zeros(1, m) if degenerate == "z" else _draw_matrix(draw, 1, m)
     if draw(st.booleans()):
-        # A zero x or z drops those conditions, so solutions with free columns remain.
-        degenerate = draw(st.sampled_from(["x", "z", None, None]))
-        x = Matrix.zeros(s, 1) if degenerate == "x" else _draw_matrix(draw, s, 1)
-        z = Matrix.zeros(1, m) if degenerate == "z" else _draw_matrix(draw, 1, m)
-        if draw(st.booleans()):
-            # Consistent: w and y come from a planted solution X0 of XA = DX.
-            X0 = Matrix.zeros(m, s)
-            for N in vectorized_sylvester_space(A, D)[1]:
-                X0 = X0 + draw(st.integers(-2, 2)) * N
-            w, y = X0 * x, z * X0
-        else:
-            w = _draw_matrix(draw, m, 1)
-            y = _draw_matrix(draw, 1, s)
-        center = (x, w, z, y)
-    return kind, A, D, center, cyclic
+        # Consistent: w and y come from a planted solution X0 of XA = DX.
+        X0 = Matrix.zeros(m, s)
+        for N in vectorized_sylvester_space(A, D)[1]:
+            X0 = X0 + draw(st.integers(-2, 2)) * N
+        w, y = X0 * x, z * X0
+    else:
+        w = _draw_matrix(draw, m, 1)
+        y = _draw_matrix(draw, 1, s)
+    return x, w, z, y
 
 
 @settings(max_examples=250, deadline=None)
@@ -883,8 +890,7 @@ def test_sylvester_space_matches_the_vectorized_oracle(case):
           f"; dimension {'0' if not basis else '>0'}")
     if cyclic is not None:
         assert (route != "integer_fallback") == cyclic
-    assert (route == "last_row") == (center is None
-                                     and D.rows - 1 in _cyclic_units(D.transpose()))
+    assert (route == "last_row") == (D.rows - 1 in _cyclic_units(D.transpose()))
     assert space == expected
     if center is None:
         assert intertwiner_space(A, D) == basis
@@ -896,26 +902,28 @@ def test_krylov_particular_is_zero_at_the_free_columns():
     A, D = 2 * Matrix.identity(3), Matrix([[2]])
     center = (Matrix([[1], [1], [0]]), Matrix([[5]]), Matrix([[0]]), Matrix([[0, 0, 0]]))
     space, route = _space_and_path(A, D, center)
-    assert route == "_krylov_space" and space == vectorized_sylvester_space(A, D, center)
+    assert route == "last_row" and space == vectorized_sylvester_space(A, D, center)
     assert space[0] == Matrix([[5, 0, 0]])
     assert space[1] == (Matrix([[-1, 1, 0]]), Matrix([[0, 0, 1]]))
 
 
-def _rational_krylov_space(a, d):
-    """solver._krylov_space(a, d) with each vec over den as Fractions."""
-    found = solver._krylov_space(a, d)
+def _rational_krylov_space(a, d, center=None):
+    """solver._krylov_space(a, d, center) with each row over den as Fractions."""
+    found = solver._krylov_space(a, d, center)
     if found is None:
         return None
-    i, vecs, den = found
-    return i, [[Fraction(v, den) for v in vec] for vec in vecs]
+    i, rows, den = found
+    return i, [[Fraction(v, den) for v in row] for row in rows]
 
 
 @settings(max_examples=150, deadline=None)
 @given(sylvester_cases())
 def test_krylov_space_matches_the_chained_oracle(case):
-    _, A, D, _, _ = case
+    _, A, D, center, _ = case
     a, d = _ints(A, D)
-    assert _rational_krylov_space(a, d) == chained_krylov_space(a, d)
+    if center is not None:
+        center = tuple(map(solver._flat, solver._scaled_rows(*center)[1:]))
+    assert _rational_krylov_space(a, d, center) == chained_krylov_space(a, d, center)
 
 
 def _companion(roots):
@@ -930,12 +938,13 @@ def _companion(roots):
 
 @st.composite
 def last_row_cases(draw):
-    """(A, D, roots) with e_(m-1)^T cyclic for D^T: D = R^-1 F R for the companion matrix F
-    of prod (t - r) over drawn roots r, and a unimodular R whose first row is
-    e_(m-1)^T, so that R = [e_(m-1)^T; e_(m-1)^T D; ...] (R D = F R).  A is
-    conjugate to a triangular matrix whose eigenvalues are drawn from the roots
-    or not, so f(A) vanishes on some draws and not on others; A, D and the roots
-    share one rational scale."""
+    """(A, D, roots, center) with e_(m-1)^T cyclic for D^T: D = R^-1 F R for the
+    companion matrix F of prod (t - r) over drawn roots r, and a unimodular R
+    whose first row is e_(m-1)^T, so that R = [e_(m-1)^T; e_(m-1)^T D; ...]
+    (R D = F R).  A is conjugate to a triangular matrix whose eigenvalues are
+    drawn from the roots or not, so f(A) vanishes on some draws and not on
+    others; A, D and the roots share one rational scale.  center is None or a
+    center of _draw_center."""
     s, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     roots = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
     eig = draw(st.lists(st.one_of(st.sampled_from(roots), st.integers(-2, 2)),
@@ -948,27 +957,30 @@ def last_row_cases(draw):
                  for k in range(m)] for i in range(m)], cols=m)
     D = gauss_facts(R).inverse * _companion(roots) * R
     scale = draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 2)]))
-    return scale * A, scale * D, [scale * r for r in roots]
+    A, D = scale * A, scale * D
+    return A, D, [scale * r for r in roots], _draw_center(draw, A, D)
 
 
 @settings(max_examples=200, deadline=None)
 @given(last_row_cases())
 # m = 1: f(A) = A - 3I != 0, whose transpose eliminates to the last pivot -2,
 # so den = prev_R prev_K = -2; and m = 2 != s = 3 with f(A) != 0.
-@example((Matrix([[1, 1], [0, 3]]), Matrix([[3]]), [3]))
-@example((Matrix([[1, 1, 0], [0, 2, 1], [0, 0, 5]]), _companion([1, 2]), [1, 2]))
+@example((Matrix([[1, 1], [0, 3]]), Matrix([[3]]), [3], None))
+@example((Matrix([[1, 1, 0], [0, 2, 1], [0, 0, 5]]), _companion([1, 2]), [1, 2], None))
 def test_the_last_row_gives_the_canonical_basis(case):
-    A, D, roots = case
+    A, D, roots, center = case
     s, m = A.rows, D.rows
     assert m - 1 in _cyclic_units(D.transpose())
-    space, route = _space_and_path(A, D)
-    expected = vectorized_sylvester_space(A, D)
+    space, route = _space_and_path(A, D, center)
+    expected = vectorized_sylvester_space(A, D, center)
     f_of_a = Matrix.identity(s)
     for r in roots:
         f_of_a = f_of_a * (A - r * Matrix.identity(s))
+    particular, basis = expected
     event(f"{'m = 1' if m == 1 else 'm = s' if m == s else 'm != s'}; "
           f"f(A) {'= 0' if f_of_a.is_zero() else '!= 0'}; "
-          f"dimension {'0' if not expected[1] else '>0'}")
+          f"{'no center' if center is None else 'inconsistent' if particular is None else 'consistent'}"
+          f"; dimension {'0' if not basis else '>0'}")
     assert route == "last_row" and space == expected
 
 
@@ -992,7 +1004,10 @@ def test_krylov_space_chains_each_left_kernel_vector(A, D, nonzeros, monkeypatch
     monkeypatch.setattr(solver, "_kernel_vectors", recorded)
     a, d = _ints(A, D)
     assert _rational_krylov_space(a, d) == chained_krylov_space(a, d) and len(kernels) == 1
-    assert [sum(map(bool, z)) for z in kernels[0]] == nonzeros
+    # Each kernel vector is (z, tau); with no center, tau's own vector comes last.
+    *zs, tau = kernels[0]
+    assert [sum(map(bool, z)) for z in zs] == nonzeros and not any(z[-1] for z in zs)
+    assert not any(tau[:-1]) and tau[-1]
     assert solver._sylvester_space(A, D) == vectorized_sylvester_space(A, D)
 
 
@@ -1102,12 +1117,12 @@ def _counting(monkeypatch, name):
 
 
 def test_scalar_d_takes_the_elimination_fallback(monkeypatch):
-    # No unit vector is cyclic for D = 3I, so the integer Sylvester rows are
+    # No unit vector is cyclic for D = 3I, so the integer vectorized rows are
     # eliminated; no Fraction elimination runs.
     A = Matrix([[3, 1], [0, 2]])
     D = 3 * Matrix.identity(2)
     rows, eliminate, solve = (_counting(monkeypatch, name) for name in
-                              ("_sylvester_rows", "_eliminate", "solve_linear"))
+                              ("_linear_rows", "_eliminate", "solve_linear"))
     assert solver._krylov_space(*_ints(A, D)) is None
     space = solver._sylvester_space(A, D)
     assert len(rows) == 1 and eliminate == solve == [] and len(space[1]) == 2
@@ -1115,7 +1130,7 @@ def test_scalar_d_takes_the_elimination_fallback(monkeypatch):
 
 
 def test_a_cyclic_unit_vector_never_eliminates(monkeypatch):
-    calls = _counting(monkeypatch, "_sylvester_rows")
+    calls = _counting(monkeypatch, "_linear_rows")
     # e_1^T is a left eigenvector of D; e_0^T is cyclic for D^T.
     A, D = Matrix([[1, 0], [1, 3]]), Matrix([[1, 1], [0, 2]])
     assert solver._sylvester_space(A, D) == vectorized_sylvester_space(A, D)
@@ -1123,44 +1138,60 @@ def test_a_cyclic_unit_vector_never_eliminates(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("rows, eliminations", [
+    # Last row (m = 1): [R | I] and the (x, tau) system.
+    ([[2, 1, 1], [1, 5, 1], [1, 1, 2]], 2),
+    # Earlier row: [R | I] fails at e_1^T and passes at e_0^T, then the system and _reduce.
+    ([[1, 0, 1, 1, 0], [1, 2, -1, 0, 1], [1, 0, 3, 1, -1], [5, 3, 1, 1, 1], [3, 2, 0, 0, 2]], 4),
+    # Fallback (D = 3I): [R | I] fails at both unit rows, then the vectorized rows.
+    ([[3, 1, 1, 1, 0], [0, 2, 1, 0, 1], [1, 1, 0, 1, 0], [1, 1, 2, 3, 0], [1, 1, 4, 0, 3]], 3),
+])
+def test_the_center_adds_no_elimination(monkeypatch, rows, eliminations):
+    bp = split_blocks(Matrix(rows), "odd", len(rows) // 2)
+    calls = _counting(monkeypatch, "_gauss_jordan_int")
+    solver._sylvester_space(bp.A, bp.D)
+    assert len(calls) == eliminations
+    solver._sylvester_space(bp.A, bp.D, (bp.x, bp.w, bp.z, bp.y))
+    assert len(calls) == 2 * eliminations
+
+
 def _corrupting(monkeypatch, route, part):
     """Patch the linear stage so that the last entry of X in its first basis row
     (or in its particular row) gains 1 before the re-check sees it: the rows
-    _krylov_space gives on the last_row route, the rows of _reduce on the others."""
-    if route == "last_row":
-        krylov_space = solver._krylov_space
+    _krylov_space gives on the last_row route, those of _reduce on the
+    earlier_row route, and those of _int_kernel on the integer_fallback route."""
+    name, at = {"last_row": ("_krylov_space", 1), "earlier_row": ("_reduce", 0),
+                "integer_fallback": ("_int_kernel", 0)}[route]
+    stage = getattr(solver, name)
 
-        def corrupted_krylov(a, d):
-            i, vecs, den = krylov_space(a, d)
-            vecs[0][-1] += 1
-            return i, vecs, den
-        monkeypatch.setattr(solver, "_krylov_space", corrupted_krylov)
-        return
-    reduce = solver._reduce
-
-    def corrupted(vecs, n):
-        rows, den = reduce(vecs, n)
+    def corrupted(*args):
+        found = stage(*args)
+        rows = found[at]
         row = rows[-1] if part == "particular" else rows[0]
         assert bool(row[-1]) == (part == "particular")
         row[-2] += 1
-        return rows, den
-    monkeypatch.setattr(solver, "_reduce", corrupted)
+        return found
+    monkeypatch.setattr(solver, name, corrupted)
 
 
 @pytest.mark.parametrize("name, part, rows, odd", [
     # D = [[1, 1], [0, 2]]: e_0^T is cyclic for D^T, e_1^T is not.
-    ("_krylov_space", "basis", [[1, 0, 1, 0], [1, 2, 0, 1], [0, 1, 1, 1], [1, 0, 0, 2]], False),
+    ("earlier_row", "basis", [[1, 0, 1, 0], [1, 2, 0, 1], [0, 1, 1, 1], [1, 0, 0, 2]], False),
     ("integer_fallback", "basis", [[3, 1, 1, 0], [0, 2, 0, 1], [1, 0, 3, 0], [0, 1, 0, 3]], False),
-    ("_krylov_space", "particular", [[2, 1, 1], [1, 5, 1], [1, 1, 2]], True),
+    ("last_row", "particular", [[2, 1, 1], [1, 5, 1], [1, 1, 2]], True),
     # D = 3I is derogatory; X = [[1, 1], [2, 2]] is the one solution.
     ("integer_fallback", "particular", [[3, 1, 1, 1, 0], [0, 2, 1, 0, 1], [1, 1, 0, 1, 0],
                                         [1, 1, 2, 3, 0], [1, 1, 4, 0, 3]], True),
     ("last_row", "basis", [[3, 2, 1, 0], [4, 3, 2, 1], [5, 4, 3, 2], [6, 5, 4, 3]], False),
+    # The first case's D with a center: the line X = [[t + 1, t], [t, t]].
+    ("earlier_row", "particular", [[1, 0, 1, 1, 0], [1, 2, -1, 0, 1], [1, 0, 3, 1, -1],
+                                   [5, 3, 1, 1, 1], [3, 2, 0, 0, 2]], True),
 ])
 def test_a_corrupted_linear_stage_raises_and_is_never_reported(monkeypatch, tmp_path, capsys,
                                                                name, part, rows, odd):
     """name is the route the linear stage takes (see _space_and_path): the
-    Krylov row form alone, the row form and _reduce, or the integer fallback."""
+    Krylov row form on X's last row, the row form on an earlier row and
+    _reduce, or the integer fallback."""
     M = Matrix(rows)
     parity, s = ("odd", len(rows) // 2) if odd else ("even", 2)
     bp = split_blocks(M, parity, s)
