@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import add, mul, sub
@@ -45,10 +46,11 @@ def _clear_denominators(rows):
 def _scaled_rows(*mats):
     """(scale, then the integer rows of scale * M for each M in mats): scale is
     the lcm of every denominator in mats."""
-    rows = [[M.row(i) for i in range(M.rows)] for M in mats]
-    scale = math.lcm(*[v.denominator for M in rows for row in M for v in row])
-    return (scale, *([[v.numerator * (scale // v.denominator) for v in row] for row in M]
-                     for M in rows))
+    scale = math.lcm(*[v.denominator for M in mats for row in M._data for v in row])
+    if scale == 1:
+        return (1, *([[v.numerator for v in row] for row in M._data] for M in mats))
+    return (scale, *([[v.numerator * (scale // v.denominator) for v in row] for row in M._data]
+                     for M in mats))
 
 
 def _int_product(rows, cols):
@@ -102,21 +104,13 @@ class _ExactField:
         and None: L == R is tested, up to the first entry that differs."""
         return all(L._data == R._data for L, R in pairs), None
 
-    # "p", or "p/q" in lowest terms.
-    to_json = str
-
-    def matmul(self, a, b, p):
-        """Rows of the product of row tuples a and b (b has p columns).
-
-        Each row of a and each column of b is scaled by the lcm of its
-        denominators, so an entry is one integer dot product over one Fraction
-        (built from the integer alone when its scale is 1).
-        """
-        rows, row_scales = _clear_denominators(a)
-        cols, col_scales = _clear_denominators(zip(*b) if b else [()] * p)
-        return [[Fraction(sum(map(mul, r, c)), q) if (q := lr * lc) != 1
-                 else Fraction(sum(map(mul, r, c))) for c, lc in zip(cols, col_scales)]
-                for r, lr in zip(rows, row_scales)]
+    def to_json(self, v):
+        """"p", or "p/q" in lowest terms; past the digit limit, a ValueError that names it."""
+        try:
+            return str(v)
+        except ValueError:
+            raise ValueError(f"a report entry has more than {_digit_limit()} digits, the limit "
+                             "for int-string conversion (PYTHONINTMAXSTRDIGITS)") from None
 
     # The certificate kernel.  A chain is a tuple of matrices or operands; each
     # operand is cleared to integer rows over one scale, so a product is integer
@@ -131,19 +125,22 @@ class _ExactField:
         scale, rows = _scaled_rows(M)
         return rows, list(zip(*rows)) if rows else [()] * M.cols, scale
 
+    def _chain(self, chain):
+        """(integer rows, scale, column count) of scale times the chain's product:
+        integer products over the product of the operands' scales."""
+        (rows, cols, scale), *rest = map(self.operand, chain)
+        for r, c, q in rest:
+            if len(r) != len(cols):
+                raise DimensionError("chain factors do not conform")
+            rows, cols, scale = [[sum(map(mul, x, y)) for y in c] for x in rows], c, scale * q
+        return rows, scale, len(cols)
+
     def _combine(self, terms):
         """(integer rows, scale, column count) of the sum over terms (sign, *chain)
-        of sign times the chain's product: integer chains over their operands'
-        scales, summed over the lcm of those."""
-        parts = []
-        for sign, *chain in terms:
-            (rows, cols, scale), *rest = map(self.operand, chain)
-            for r, c, q in rest:
-                if len(r) != len(cols):
-                    raise DimensionError("chain factors do not conform")
-                rows, cols, scale = [[sum(map(mul, x, y)) for y in c] for x in rows], c, scale * q
-            parts.append((sign, rows, scale, (len(rows), len(cols))))
-        if len({shape for *_, shape in parts}) > 1:
+        of sign times the chain's product: the chains summed over the lcm of
+        their scales."""
+        parts = [(sign, *self._chain(chain)) for sign, *chain in terms]
+        if len({(len(rows), width) for _, rows, _, width in parts}) > 1:
             raise DimensionError("chain products differ in shape")
         lcm = math.lcm(*[q for _, _, q, _ in parts])
         total = None
@@ -151,18 +148,29 @@ class _ExactField:
             f = sign * (lcm // q)
             rows = rows if f == 1 else [[f * v for v in r] for r in rows]
             total = rows if total is None else [list(map(add, t, r)) for t, r in zip(total, rows)]
-        return total, lcm, parts[0][3][1]
+        return total, lcm, parts[0][3]
+
+    def _fractions(self, rows, scale, width):
+        """The matrix of integer rows over scale: each entry Fraction(v, scale),
+        Fraction(v) when scale is 1, or the shared zero."""
+        zero = self.zero
+        if scale == 1:
+            return Matrix._trusted([[Fraction(v) if v else zero for v in r] for r in rows],
+                                   EXACT, width)
+        return Matrix._trusted([[Fraction(v, scale) if v else zero for v in r] for r in rows],
+                               EXACT, width)
 
     def residual(self, terms, tol=None):
         """(the sum over terms (sign, *chain) of sign times the chain's product,
-        whether it vanishes): each entry Fraction(v, scale) or the shared zero."""
+        whether it vanishes)."""
         rows, scale, width = self._combine(terms)
-        zero = self.zero
-        return (Matrix._trusted([[Fraction(v, scale) if v else zero for v in r] for r in rows],
-                                EXACT, width), not any(map(any, rows)))
+        return self._fractions(rows, scale, width), not any(map(any, rows))
 
     def product(self, *chain):
-        return self.residual([(1, *chain)])[0]
+        return self._fractions(*self._chain(chain))
+
+    # Matrix.__mul__, on two matrices it has checked.
+    matmul = product
 
     def equal(self, lhs, rhs, tol=None, sign=1):
         """Whether lhs's product is sign times rhs's, with no Fraction built."""
@@ -244,12 +252,12 @@ class _ApproxField:
     def to_json(self, v):
         return v
 
-    def matmul(self, a, b, p):
-        """Rows of the product, each entry summed left to right (math.fsum or a
-        compensated sum() would change the low-order bits of reports)."""
-        cols = list(zip(*b)) if b else [()] * p
+    def matmul(self, A, B):
+        """A B, each entry summed left to right (math.fsum or a compensated
+        sum() would change the low-order bits of reports)."""
+        cols = list(zip(*B._data)) if B._data else [()] * B.cols
         out = []
-        for r in a:
+        for r in A._data:
             out_row = []
             for c in cols:
                 terms = map(mul, r, c)
@@ -258,7 +266,7 @@ class _ApproxField:
                     acc += t
                 out_row.append(acc)
             out.append(out_row)
-        return out
+        return Matrix._trusted(out, APPROX, B.cols)
 
     # The certificate kernel as the Matrix float operations whose bits the
     # reports pin: chains multiply left to right, terms are added or subtracted
@@ -425,8 +433,7 @@ class Matrix:
             self._check_mode(other)
             if self._cols != other._rows:
                 raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-            rows = _field(self.mode).matmul(self._data, other._data, other._cols)
-            return Matrix._trusted(rows, self.mode, other._cols)
+            return _field(self.mode).matmul(self, other)
         scalar = _field(self.mode).coerce(other)
         return Matrix._trusted([[scalar * v for v in r] for r in self._data],
                                self.mode, self._cols)
@@ -646,16 +653,24 @@ def matrix_to_json_obj(M):
     return {"rows": [[to_json(v) for v in r] for r in M._data]}
 
 
-# Python's default limit on the digits of an int read from or written to a
-# string: no report could print an entry whose decimal exponent is larger.
-_MAX_EXPONENT = 4300
+# Python's default digit limit, which bounds decimal exponents where none is set.
+_DEFAULT_DIGITS = 4300
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _digit_limit():
+    """Python's limit on the digits of an int read from or written to a string
+    (sys.get_int_max_str_digits()); 0 means none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def parse_rational(text):
     """Fraction(text), or int(text) for an integer string, with Fraction()'s
-    errors; a decimal exponent past _MAX_EXPONENT raises ValueError before
-    Fraction() would build 10**exponent."""
+    errors; ValueError for a value no report could print, one whose numerator
+    or denominator has more digits than _digit_limit().  A decimal exponent
+    larger in magnitude than that limit (or _DEFAULT_DIGITS) plus len(text)
+    raises before Fraction() would build 10**exponent: the mantissa has fewer
+    than len(text) digits, so any nonzero value would be past the limit."""
     # Without underscores (which Python 3.10's Fraction() rejects), int()
     # accepts exactly the integer strings Fraction() accepts.
     if "_" not in text:
@@ -663,16 +678,23 @@ def parse_rational(text):
             return int(text)
         except ValueError:
             pass
+    limit = _digit_limit()
+    bound = limit or _DEFAULT_DIGITS
     exponent = _EXPONENT.search(text)
     if exponent:
         try:
-            huge = abs(int(exponent[1])) > _MAX_EXPONENT
+            huge = abs(int(exponent[1])) > bound + len(text)
         except ValueError:  # more digits than int() reads
             huge = True
         if huge:
-            raise ValueError(f"{text!r} has a decimal exponent larger than {_MAX_EXPONENT} "
-                             "in magnitude")
-    return Fraction(text)
+            raise ValueError(f"{text!r} has a decimal exponent that needs more than {bound} "
+                             "digits")
+    value = Fraction(text)
+    # 2^(3 limit) < 10^limit: only a longer integer can have more than limit digits.
+    longest = max(abs(value.numerator), value.denominator)
+    if limit and longest.bit_length() > 3 * limit and longest >= 10 ** limit:
+        raise ValueError(f"{text!r} needs more than {limit} digits")
+    return value
 
 
 def _entry_from_json(v):

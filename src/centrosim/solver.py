@@ -206,7 +206,7 @@ def _eliminate(A, D, center, tol):
     """Approximate _sylvester_space by Gauss-Jordan on the s*m-unknown vectorized system."""
     s, m = A.rows, D.rows
     if center is not None:
-        center = tuple(_flat(M.to_lists()) for M in center)
+        center = tuple(map(_entries, center))
     rows = _linear_rows(A.to_lists(), D.to_lists(), center, _field(A.mode).zero)
     K = Matrix._trusted([row[:-1] for row in rows], A.mode, m * s)
     b = Matrix._trusted([row[-1:] for row in rows], A.mode, 1)
@@ -260,9 +260,10 @@ def _krylov_space(a, d, center=None):
     X x_c = tau w is x A^k x_c = tau (R w)_k for k < m, and z X = tau y is
     x G = tau y for G = sum_k (z R^-1)_k A^k.  a and d are the rows of A and D
     times one common scale, so all of it runs over the integers: fraction-free
-    Gauss-Jordan on [R | I] leaves inv = prev_R R^-1, which gives c; Horner's
-    rule gives f(A), and prev_R G from z inv; each vector (z, t) of the
-    canonical kernel over (x, tau), prev_K at its free column, gives the row
+    Gauss-Jordan on [R | I] leaves inv = prev_R R^-1, which gives c; one table
+    of the powers A^0, ..., A^m (m - 1 products) gives f(A), the center rows
+    A^k x_c, prev_R G from z inv, and for each vector (z, t) of the canonical
+    kernel over (x, tau), prev_K at its free column, the row
     (inv [z; zA; ...], prev_R t) over den = prev_R prev_K.  For u = e_i^T, x is
     row i of X; for i = m - 1 the rows are canonical (see _sylvester_space).
     O(m^3 + m s^3 + d (m s^2 + m^2 s)) operations for d rows, instead of
@@ -283,39 +284,32 @@ def _krylov_space(a, d, center=None):
         return None
     inv = [row[m:] for row in aug]
     c = [-sum(map(mul, krylov[m], col)) // prev_r for col in zip(*inv)]
+    # The table A^0, A^1, ..., A^m as integer rows.
     a_cols = list(zip(*a))
+    powers = [[[int(j == k) for k in range(s)] for j in range(s)], a]
+    for _ in range(m - 1):
+        powers.append([[sum(map(mul, row, col)) for col in a_cols] for row in powers[-1]])
     # The system over (x, tau): x f(A) = 0 column by column, then the center rows.
-    system = [list(col) + [0] for col in zip(*_horner(c + [1], a_cols))]
+    system = [list(col) + [0] for col in zip(*_combination(c + [1], powers))]
     if center is not None:
         x_c, w, z, y = center
-        powers = [x_c]
-        for _ in range(m - 1):
-            powers.append([sum(map(mul, row, powers[-1])) for row in a])
-        system += [v + [-sum(map(mul, r, w))] for v, r in zip(powers, krylov)]
-        g = _horner([sum(map(mul, z, col)) for col in zip(*inv)], a_cols)
+        system += [[sum(map(mul, row, x_c)) for row in power] + [-sum(map(mul, r, w))]
+                   for power, r in zip(powers, krylov[:m])]
+        g = _combination([sum(map(mul, z, col)) for col in zip(*inv)], powers)
         system += [list(col) + [-prev_r * v] for col, v in zip(zip(*g), y)]
     vecs, prev_k = _int_kernel(system, s + 1)
+    power_cols = [list(zip(*power)) for power in powers[:m]]
     rows = []
     for *z, t in vecs:
-        if any(z):
-            chain = [z]
-            for _ in range(m - 1):
-                chain.append([sum(map(mul, chain[-1], col)) for col in a_cols])
-            rows.append(_int_product(inv, list(zip(*chain))) + [prev_r * t])
-        else:
-            rows.append([0] * (m * s) + [prev_r * t])
+        # The columns of [z; zA; ...; zA^(m-1)].
+        chain = zip(*[[sum(map(mul, z, col)) for col in cols] for cols in power_cols])
+        rows.append(_int_product(inv, list(chain)) + [prev_r * t])
     return i, rows, prev_r * prev_k
 
 
-def _horner(coeffs, a_cols):
-    """sum_k coeffs[k] A^k by Horner's rule, as integer rows, from A's columns."""
-    lead, *rest = reversed(coeffs)
-    n = len(a_cols)
-    out = [[lead * (j == k) for k in range(n)] for j in range(n)]
-    for v in rest:
-        out = [[sum(map(mul, row, col)) + (v if j == k else 0) for k, col in enumerate(a_cols)]
-               for j, row in enumerate(out)]
-    return out
+def _combination(coeffs, powers):
+    """sum_k coeffs[k] powers[k] over the first len(coeffs) matrices, as integer rows."""
+    return [[sum(map(mul, coeffs, entries)) for entries in zip(*rows)] for rows in zip(*powers)]
 
 
 def _int_kernel(rows, n):
@@ -502,19 +496,14 @@ def _quadratic_parts(bp, X0, basis):
     C - XBX = R0 - sum t_i Rlin[i] - sum t_i t_j Rquad[i][j].
 
     Exact mode works over the integers, with rows = (den, x0, ns) the integer rows
-    of den X0 and den N_i.  Approximate mode forms the products on row lists with
-    the float kernel of Matrix products, whose bits the reports pin, with K = 1
-    and rows None.
+    of den X0 and den N_i.  Approximate mode forms them as Matrix products, whose
+    bits the reports pin, with K = 1 and rows None.
     """
     if bp.B.mode == APPROX:
-        def times(rows, M):
-            return _field(APPROX).matmul(rows, M.to_lists(), M.cols)
-
-        xb, *nbs = [times(M.to_lists(), bp.B) for M in (X0, *basis)]
-        return (1, None, list(map(sub, _flat(bp.C.to_lists()), _flat(times(xb, X0)))),
-                [list(map(add, _flat(times(nb, X0)), _flat(times(xb, N))))
-                 for nb, N in zip(nbs, basis)],
-                [[_flat(times(nb, N)) for N in basis] for nb in nbs])
+        xb, *nbs = [M * bp.B for M in (X0, *basis)]
+        return (1, None, list(map(sub, _entries(bp.C), _entries(xb * X0))),
+                [list(map(add, _entries(nb * X0), _entries(xb * N))) for nb, N in zip(nbs, basis)],
+                [[_entries(nb * N) for N in basis] for nb in nbs])
     den, x0, *ns = _scaled_rows(X0, *basis)
     lbc, b, c = _scaled_rows(bp.B, bp.C)
     K = lbc * den * den
@@ -531,6 +520,11 @@ def _quadratic_parts(bp, X0, basis):
 
 def _flat(rows):
     return [v for row in rows for v in row]
+
+
+def _entries(M):
+    """The row-major entries of M."""
+    return _flat(map(M.row, range(M.rows)))
 
 
 def _solve_on_line(bp, X0, N, F, tol):

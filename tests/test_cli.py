@@ -322,6 +322,27 @@ def test_malformed_matrix_is_one_line_error(tmp_path, capsys, text):
     assert_one_line_error(*run(["factor-centro", str(bad)], capsys))
 
 
+# Python's limit on the digits of an int read from or written to a string; 0 means none.
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python sets no int-string digit limit")
+def test_a_value_past_the_digit_limit_is_one_error_line(tmp_path, capsys):
+    # Read: an entry of LIMIT + 1 digits written with an exponent.
+    entry = tmp_path / "e.json"
+    entry.write_text(json.dumps({"rows": [[f"1e{LIMIT}", "1"], ["1", "2"]]}))
+    code, out, err = run(["check", str(entry)], capsys)
+    assert_one_line_error(code, out, err)
+    assert f"'1e{LIMIT}' needs more than {LIMIT} digits" in err
+    # Reported: entries of k + 1 <= LIMIT digits whose determinant 10^(2k) - 1 has
+    # LIMIT + 100 digits.
+    k = LIMIT // 2 + 50
+    code, out, err = run(["factor-centro", write(tmp_path, "m.json", [[10 ** k, 1], [1, 10 ** k]])],
+                         capsys)
+    assert_one_line_error(code, out, err)
+    assert f"a report entry has more than {LIMIT} digits" in err
+
+
 @pytest.mark.parametrize("command, given_x", [("transform", False), ("transform", True),
                                               ("embed", True), ("dilate", True)])
 def test_an_overflowing_determinant_is_a_data_error(tmp_path, capsys, command, given_x):

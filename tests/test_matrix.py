@@ -14,7 +14,7 @@ from centrosim import (APPROX, EXACT, CentrosimError, DimensionError, Matrix, Mo
                        is_centrosymmetric, matrix_from_json_obj,
                        matrix_to_json_obj, rank_normal_form, save_matrix, solve_linear,
                        split_blocks, vstack)
-from centrosim.matrix import parse_rational
+from centrosim.matrix import _DEFAULT_DIGITS, parse_rational
 from oracles import (fraction_matmul, permutation_matrix, rand_centrosymmetric,
                      rand_int_matrix)
 
@@ -322,18 +322,26 @@ def test_json_string_entries_read_as_fraction_reads_them(v, mode):
     assert got == _fraction_reader(v, mode)
 
 
-@pytest.mark.parametrize("text", ["7", " -7 ", "3/4", "1.5e3", "-2.5E-2", "1e4300", "1e-4300"])
+# Values with exactly LIMIT digits, and values past it by the exponent alone or
+# (the last) with the mantissa's digits.
+AT_THE_LIMIT = [f"1e{LIMIT - 1}", f"1e-{LIMIT - 1}"] if LIMIT else []
+PAST_THE_LIMIT = ([f"1e{LIMIT + 1}", f"1e-{LIMIT + 1}", f"1e{LIMIT}", f"1e-{LIMIT}",
+                   f"123e{LIMIT - 2}"] if LIMIT else [])
+
+
+@pytest.mark.parametrize("text", ["7", " -7 ", "3/4", "1.5e3", "-2.5E-2"] + AT_THE_LIMIT)
 def test_parse_rational_reads_what_fraction_reads(text):
     assert parse_rational(text) == Fraction(text)
 
 
-@pytest.mark.parametrize("text", ["1e4301", "1e-4301", "0e99999999", "1.5E+99999999 ",
-                                  "1e" + "\u0669" * 8, "1e" + "9" * 5000])
+@pytest.mark.parametrize("text", PAST_THE_LIMIT + ["0e99999999", "1.5E+99999999 ",
+                                                   "1e" + "\u0669" * 8, "1e" + "9" * 5000])
 def test_parse_rational_rejects_an_exponent_past_the_digit_limit(text):
-    with pytest.raises(ValueError, match="decimal exponent larger than 4300"):
+    message = f"needs more than {LIMIT or _DEFAULT_DIGITS} digits"
+    with pytest.raises(ValueError, match=message):
         parse_rational(text)
     for mode in (EXACT, APPROX):
-        with pytest.raises(ValueError, match="decimal exponent larger than 4300"):
+        with pytest.raises(ValueError, match=message):
             Matrix([[text]], mode=mode)
 
 

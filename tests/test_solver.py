@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from centrosim import (APPROX, EXACT, BlockPartition, Matrix, PreconditionError,
+from centrosim import (APPROX, EXACT, BlockPartition, Matrix, ModeError, PreconditionError,
                        SearchOptions, assemble_blocks, block, block_diag, default_grid_values,
                        exchange_matrix, find_intertwiner, gauss_facts, hstack,
                        intertwiner_space, linear_toeplitz, riccati_residual,
@@ -538,6 +538,32 @@ def test_float_grid_finds_a_near_double_root():
     assert hits == [(u, ts) for u, ts in
                     prefix_major_float_grid(PRODUCTION_GRID, 1, r0, lin, quad, 1e-15) if ts]
     assert hits and all(ts == [0.5] for _, ts in hits)
+
+
+# One value t per rounding term of _first_entry's windows that no other term
+# covers: c - b*t - t*t*a passes the threshold in binary64, and without that
+# term the window misses t.
+@pytest.mark.parametrize("t, a, c, b, thresh", [
+    # b*t underflows to 0, though b t = 2^-1075.  h's TINY alone makes the
+    # window h/|b| = 2^52 wide.
+    pytest.param(0.5, 0.0, 0.0, 2.0 ** -1074, 0.0, id="h-tiny"),
+    # t*t underflows to 0, though a t^2 = 2^-700.  h's EPS term alone, through
+    # |a| max(T^2, TINY), covers the underflow: outer = 2^-533.
+    pytest.param(2.0 ** -600, 2.0 ** 500, 0.0, 0.0, 0.0, id="h-eps"),
+    # 4ac = 2^-1098 underflows to 0, so the discriminant reads a double root
+    # at 0 (the roots are +-2^50).  slack's TINY alone makes the window reach
+    # t: outer = 2^88.
+    pytest.param(2.0 ** 50, 2.0 ** -600, 2.0 ** -500, 0.0, 0.0, id="slack-tiny"),
+    # A double root where b*b is finite but 4ac overflows to -inf, so the
+    # discriminant is -inf.  slack's EPS term alone overflows with it, so the
+    # entry is not skipped (-inf + inf is NaN) and every t is tested.
+    pytest.param(3.3699933333938292e+66, 1.9892929456391466e+87, -2.2592111669665755e+220,
+                 -1.3407807929942593e+154, 3.511519557079183e+205, id="slack-eps"),
+])
+def test_each_uncovered_first_entry_margin_keeps_its_value(t, a, c, b, thresh):
+    tta = [t * t * a]
+    assert abs(c - b * t - tta[0]) <= thresh
+    assert list(solver._first_entry([t], tta, a, [c], [b], thresh)) == [(0, [0])]
 
 
 # Per entry, the (a, b, c) of c - b*t - a*t^2 at a planted prefix, for a drawn
@@ -1438,6 +1464,49 @@ def test_system_residuals_match_the_product_oracle(case):
     got = solver.system_residuals(bp, X)
     assert _bits(got) == _bits(product_system_residuals(bp, X))
     event(f"{bp.A.mode} {bp.parity} ok={got[3]}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(2, 5), st.sampled_from([EXACT, APPROX]), st.integers(0, 3),
+       st.sampled_from([None, 1]), st.booleans())
+def test_a_search_that_finds_nothing_says_why(data, n, mode, d_max, max_solutions, stop):
+    parity = data.draw(st.sampled_from(["even", "odd"] if n % 2 else ["even"]))
+    s = n // 2 if parity == "odd" else data.draw(st.integers(1, n - 1))
+    rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    if n - s == s + (parity == "odd") and data.draw(st.booleans()):
+        # D = A, so that X = I and the rest of A's commutant solve XA = DX.
+        for i in range(s):
+            rows[n - s + i][n - s:] = rows[i][:s]
+    M = Matrix(rows if mode == EXACT else [[float(v) for v in r] for r in rows], mode=mode)
+    search = find_intertwiner(M, parity, s, SearchOptions(d_max=d_max, max_solutions=max_solutions),
+                              stop_at_invertible=stop)
+    event("found" if search.solutions else search.diagnostic.split(":")[0])
+    assert search.solutions or search.diagnostic is not None
+
+
+@pytest.mark.parametrize("parity, s", [("even", 2), ("odd", 2)])
+def test_an_exact_operand_among_approximate_ones_raises_mode_error(parity, s):
+    # The approximate kernel multiplies through Matrix.__mul__, whose mode
+    # check must see every factor, wherever it sits in a chain.
+    n = 2 * s + (parity == "odd")
+    bp = split_blocks(Matrix([[float((3 * i + 5 * j) % 7) for j in range(n)]
+                              for i in range(n)]), parity, s)
+    X = Matrix.identity(s)
+    F = _field(APPROX)
+    with pytest.raises(ModeError):
+        solver.system_residuals(bp, X)
+    for chain in ((X, bp.A), (bp.A, X), (bp.A, bp.B, X)):
+        with pytest.raises(ModeError):
+            F.product(*chain)
+    with pytest.raises(ModeError):
+        F.equal((bp.C,), (bp.A, X))
+    with pytest.raises(ModeError):
+        F.equal((X, bp.A), (bp.D, bp.A))
+    with pytest.raises(ModeError):
+        X * bp.A
+    with pytest.raises(ModeError):
+        bp.A * X
 
 
 @settings(max_examples=200, deadline=None)
