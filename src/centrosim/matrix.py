@@ -126,8 +126,8 @@ class _ExactField:
         return rows, list(zip(*rows)) if rows else [()] * M.cols, scale
 
     def _chain(self, chain):
-        """(integer rows, scale, column count) of scale times the chain's product:
-        integer products over the product of the operands' scales."""
+        """(integer rows, scale, column count) of the chain's product: the integer
+        product of its operands, over the product of their scales."""
         (rows, cols, scale), *rest = map(self.operand, chain)
         for r, c, q in rest:
             if len(r) != len(cols):
@@ -152,12 +152,9 @@ class _ExactField:
 
     def _fractions(self, rows, scale, width):
         """The matrix of integer rows over scale: each entry Fraction(v, scale),
-        Fraction(v) when scale is 1, or the shared zero."""
-        zero = self.zero
-        if scale == 1:
-            return Matrix._trusted([[Fraction(v) if v else zero for v in r] for r in rows],
-                                   EXACT, width)
-        return Matrix._trusted([[Fraction(v, scale) if v else zero for v in r] for r in rows],
+        Fraction(v) (no gcd) when scale is 1, or the shared zero."""
+        zero, q = self.zero, None if scale == 1 else scale
+        return Matrix._trusted([[Fraction(v, q) if v else zero for v in r] for r in rows],
                                EXACT, width)
 
     def residual(self, terms, tol=None):

@@ -298,12 +298,13 @@ def _krylov_space(a, d, center=None):
         g = _combination([sum(map(mul, z, col)) for col in zip(*inv)], powers)
         system += [list(col) + [-prev_r * v] for col, v in zip(zip(*g), y)]
     vecs, prev_k = _int_kernel(system, s + 1)
-    power_cols = [list(zip(*power)) for power in powers[:m]]
+    # The columns of A, ..., A^(m-1) side by side: z times them, after z itself,
+    # is [z; zA; ...; zA^(m-1)] row after row.
+    chain_cols = [col for power in powers[1:m] for col in zip(*power)]
     rows = []
     for *z, t in vecs:
-        # The columns of [z; zA; ...; zA^(m-1)].
-        chain = zip(*[[sum(map(mul, z, col)) for col in cols] for cols in power_cols])
-        rows.append(_int_product(inv, list(chain)) + [prev_r * t])
+        chain = z + [sum(map(mul, z, col)) for col in chain_cols]
+        rows.append(_int_product(inv, [chain[k::s] for k in range(s)]) + [prev_r * t])
     return i, rows, prev_r * prev_k
 
 

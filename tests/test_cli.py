@@ -335,7 +335,7 @@ def test_a_value_past_the_digit_limit_is_one_error_line(tmp_path, capsys):
     assert_one_line_error(code, out, err)
     assert f"'1e{LIMIT}' needs more than {LIMIT} digits" in err
     # Reported: entries of k + 1 <= LIMIT digits whose determinant 10^(2k) - 1 has
-    # LIMIT + 100 digits.
+    # 2k > LIMIT digits.
     k = LIMIT // 2 + 50
     code, out, err = run(["factor-centro", write(tmp_path, "m.json", [[10 ** k, 1], [1, 10 ** k]])],
                          capsys)

@@ -1481,8 +1481,8 @@ def test_a_search_that_finds_nothing_says_why(data, n, mode, d_max, max_solution
     M = Matrix(rows if mode == EXACT else [[float(v) for v in r] for r in rows], mode=mode)
     search = find_intertwiner(M, parity, s, SearchOptions(d_max=d_max, max_solutions=max_solutions),
                               stop_at_invertible=stop)
-    event("found" if search.solutions else search.diagnostic.split(":")[0])
     assert search.solutions or search.diagnostic is not None
+    event("found" if search.solutions else search.diagnostic.split(":")[0])
 
 
 @pytest.mark.parametrize("parity, s", [("even", 2), ("odd", 2)])
