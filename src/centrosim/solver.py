@@ -24,7 +24,8 @@ from operator import add, mul, sub
 from .errors import DimensionError, PreconditionError
 from .linalg import _gauss_jordan_int, _kernel_vectors, gauss_facts, solve_linear
 from .matrix import (APPROX, EXACT, BlockPartition, Matrix, _exchange_pairs, _field,
-                     _int_product, _Record, _scaled_rows, exchange_matrix, split_blocks)
+                     _int_product, _Record, _scaled_rows, exchange_matrix, hstack, split_blocks,
+                     vstack)
 
 
 @functools.cache
@@ -206,7 +207,7 @@ def _eliminate(A, D, center, tol):
     """Approximate _sylvester_space by Gauss-Jordan on the s*m-unknown vectorized system."""
     s, m = A.rows, D.rows
     if center is not None:
-        center = tuple(map(_entries, center))
+        center = tuple(_flat(M.to_lists()) for M in center)
     rows = _linear_rows(A.to_lists(), D.to_lists(), center, _field(A.mode).zero)
     K = Matrix._trusted([row[:-1] for row in rows], A.mode, m * s)
     b = Matrix._trusted([row[-1:] for row in rows], A.mode, 1)
@@ -501,10 +502,18 @@ def _quadratic_parts(bp, X0, basis):
     bits the reports pin, with K = 1 and rows None.
     """
     if bp.B.mode == APPROX:
-        xb, *nbs = [M * bp.B for M in (X0, *basis)]
-        return (1, None, list(map(sub, _entries(bp.C), _entries(xb * X0))),
-                [list(map(add, _entries(nb * X0), _entries(xb * N))) for nb, N in zip(nbs, basis)],
-                [[_entries(nb * N) for N in basis] for nb in nbs])
+        # Every P_i B P_j over P = (X0, N_1, ...) from two products: the rows of
+        # each P_i B against the columns of each P_j.
+        m, s = X0.shape
+        mats = (X0, *basis)
+        rows = (vstack(*mats) * bp.B * hstack(*mats)).to_lists()
+
+        def part(i, j):
+            return [v for r in rows[i * m:(i + 1) * m] for v in r[j * s:(j + 1) * s]]
+        k = range(1, len(mats))
+        return (1, None, list(map(sub, _flat(bp.C.to_lists()), part(0, 0))),
+                [list(map(add, part(i, 0), part(0, i))) for i in k],
+                [[part(i, j) for j in k] for i in k])
     den, x0, *ns = _scaled_rows(X0, *basis)
     lbc, b, c = _scaled_rows(bp.B, bp.C)
     K = lbc * den * den
@@ -521,11 +530,6 @@ def _quadratic_parts(bp, X0, basis):
 
 def _flat(rows):
     return [v for row in rows for v in row]
-
-
-def _entries(M):
-    """The row-major entries of M."""
-    return _flat(map(M.row, range(M.rows)))
 
 
 def _solve_on_line(bp, X0, N, F, tol):
