@@ -502,14 +502,15 @@ def _quadratic_parts(bp, X0, basis):
     bits the reports pin, with K = 1 and rows None.
     """
     if bp.B.mode == APPROX:
-        # Every P_i B P_j over P = (X0, N_1, ...) from two products: the rows of
-        # each P_i B against the columns of each P_j.
+        # Every P_i B P_j over P = (X0, N_1, ...) from two products, the rows of
+        # each P_i B against the columns of each P_j: each entry is the same
+        # left-to-right sum as in P_i B P_j alone.
         m, s = X0.shape
         mats = (X0, *basis)
-        rows = (vstack(*mats) * bp.B * hstack(*mats)).to_lists()
+        table = (vstack(*mats) * bp.B * hstack(*mats)).to_lists()
 
         def part(i, j):
-            return [v for r in rows[i * m:(i + 1) * m] for v in r[j * s:(j + 1) * s]]
+            return [v for r in table[i * m:(i + 1) * m] for v in r[j * s:(j + 1) * s]]
         k = range(1, len(mats))
         return (1, None, list(map(sub, _flat(bp.C.to_lists()), part(0, 0))),
                 [list(map(add, part(i, 0), part(0, i))) for i in k],

@@ -648,6 +648,29 @@ def test_integer_quadratic_parts_are_the_fraction_parts_scaled(m, s, d, data):
     assert [Matrix(rows) * Fraction(1, den) for rows in (x0, *ns)] == [X0, *basis]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_approximate_quadratic_parts_are_the_pairwise_products(m, s, d, data):
+    # The same bits as one Matrix product per pair P_i B P_j, which reports pin.
+    def floats(rows, cols):
+        return Matrix([[data.draw(st.floats(-1e3, 1e3, allow_subnormal=False))
+                        for _ in range(cols)] for _ in range(rows)], mode=APPROX, cols=cols)
+
+    X0, *basis = [floats(m, s) for _ in range(d + 1)]
+    B, C = floats(s, m), floats(m, s)
+    bp = BlockPartition("even", s, Matrix.identity(s, APPROX), B, C, Matrix.identity(m, APPROX))
+    K, rows, r0, lin, quad = solver._quadratic_parts(bp, X0, tuple(basis))
+
+    def bits(M):
+        return [v.hex() for row in M.to_lists() for v in row]
+    assert (K, rows) == (1, None)
+    assert list(map(float.hex, r0)) == bits(C - X0 * B * X0)
+    assert [list(map(float.hex, v)) for v in lin] == [bits(N * B * X0 + X0 * B * N)
+                                                      for N in basis]
+    assert [[list(map(float.hex, v)) for v in row] for row in quad] == [
+        [bits(Ni * B * Nj) for Nj in basis] for Ni in basis]
+
+
 def test_a_four_dimensional_float_grid_search_stays_small():
     # X = diag(t0, ..., t3) spans the Sylvester space of A = D = diag(1, 2, 3, 4), and
     # C = X X at t = (+-1, +-2, +-3, +-1/2): 16 grid hits among 25^4 points.
