@@ -19,21 +19,17 @@ from fractions import Fraction
 
 # Only errors and matrix load with the CLI; each command imports the rest when it runs.
 from .errors import CentrosimError, PreconditionError
-from .matrix import (APPROX, EXACT, _field, is_centrosymmetric, load_matrix,
-                     matrix_to_json_obj, parse_rational, save_matrix)
+from .matrix import (APPROX, EXACT, _field, is_centrosymmetric, load_matrix, parse_rational,
+                     report_text, save_matrix)
 
 SCHEMA = "centrosim/1"
 
 
-def _mat(M):
-    return matrix_to_json_obj(M)
-
-
 def _solution_obj(sol):
     return {
-        "X": _mat(sol.X),
-        "sylvester_residual": _mat(sol.sylvester_residual),
-        "quadratic_residual": _mat(sol.quadratic_residual),
+        "X": sol.X,
+        "sylvester_residual": sol.sylvester_residual,
+        "quadratic_residual": sol.quadratic_residual,
         "rank": sol.rank,
         "invertible": sol.invertible,
     }
@@ -41,9 +37,9 @@ def _solution_obj(sol):
 
 def _transform_obj(report):
     return {
-        "Q": _mat(report.Q),
-        "Q_inv": _mat(report.Q_inv),
-        "result": _mat(report.result),
+        "Q": report.Q,
+        "Q_inv": report.Q_inv,
+        "result": report.result,
         "certification": report.certification,
     }
 
@@ -78,7 +74,7 @@ def _on_matrix(cmd):
                 setattr(args, name, load_matrix(getattr(args, name), mode=M.mode))
         if "split" in vars(args):
             args.parity, args.split = _parity_split(args, M.rows)
-        return cmd(args, M, {"mode": M.mode, "matrix": _mat(M)})
+        return cmd(args, M, {"mode": M.mode, "matrix": M})
     return run
 
 
@@ -98,7 +94,7 @@ def _cmd_solve(args, M, report):
     search = find_intertwiner(M, args.parity, args.split, _search_options(args))
     report.update(parity=args.parity, split=args.split,
                   solutions=[_solution_obj(sol) for sol in search.solutions],
-                  sylvester_basis=[_mat(N) for N in search.basis],
+                  sylvester_basis=search.basis,
                   diagnostic=search.diagnostic)
     if search.discriminant is not None:
         report["discriminant"] = _field(M.mode).to_json(search.discriminant)
@@ -131,7 +127,7 @@ def _cmd_transform(args, M, report):
             return 2, report, "method inconclusive: no invertible intertwiner found"
         X, X_inv = invertibles[0].X, invertibles[0].inverse
     tr = build_centro_transform(M, parity, s, X, args.tol, X_inv)
-    report["X"] = _mat(X)
+    report["X"] = X
     report["transform"] = _transform_obj(tr)
     return 0, report, f"certified: {tr.certification}"
 
@@ -140,7 +136,7 @@ def _cmd_transform(args, M, report):
 def _cmd_embed(args, M, report):
     from .transforms import embed_centro_principal
     tr = embed_centro_principal(M, args.split, args.x, args.tol)
-    report.update(split=args.split, X=_mat(args.x), transform=_transform_obj(tr))
+    report.update(split=args.split, X=args.x, transform=_transform_obj(tr))
     return 0, report, f"certified: {tr.certification}"
 
 
@@ -148,7 +144,7 @@ def _cmd_embed(args, M, report):
 def _cmd_dilate(args, M, report):
     from .transforms import dilate_to_centrosimilar
     Mhat, Xhat, tr = dilate_to_centrosimilar(M, args.split, args.x, args.tol)
-    report.update(split=args.split, X=_mat(args.x), Mhat=_mat(Mhat), Xhat=_mat(Xhat),
+    report.update(split=args.split, X=args.x, Mhat=Mhat, Xhat=Xhat,
                   transform=_transform_obj(tr))
     return 0, report, f"certified: {tr.certification} (dilated size {Mhat.rows})"
 
@@ -156,7 +152,7 @@ def _cmd_dilate(args, M, report):
 def _factor_obj(rep, mode):
     to_json = _field(mode).to_json
     return {
-        "factors": [_mat(f) for f in rep.factors],
+        "factors": rep.factors,
         "factor_dets": [to_json(d) for d in rep.factor_dets],
         "product": to_json(rep.product),
         "direct_det": to_json(rep.direct_det),
@@ -183,12 +179,12 @@ def _cmd_factor_riccati(args, M, report):
     from .factorization import _triangularize_and_factor
     from .solver import riccati_residual
     witness = riccati_residual(M, args.split, args.w, args.orientation, args.tol)
-    report.update(split=args.split, orientation=args.orientation, W=_mat(args.w),
-                  residual=_mat(witness.residual))
+    report.update(split=args.split, orientation=args.orientation, W=args.w,
+                  residual=witness.residual)
     if not witness.is_exact(args.tol):
         return 2, report, "nonzero Riccati residual; factorization not applicable"
     tri, rep = _triangularize_and_factor(M, witness, args.tol)
-    report["triangularized"] = _mat(tri)
+    report["triangularized"] = tri
     report["factorization"] = _factor_obj(rep, M.mode)
     return 0, report, \
         f"det = {report['factorization']['direct_det']}, factors match: {rep.match}"
@@ -199,7 +195,7 @@ def _cmd_certify_singular(args, M, report):
     from .linalg import det
     from .solver import singular_certificate
     holds = singular_certificate(M, args.split, args.w, args.system, args.tol)
-    report.update(split=args.split, system=args.system, W=_mat(args.w), certificate_holds=holds)
+    report.update(split=args.split, system=args.system, W=args.w, certificate_holds=holds)
     if holds:
         report["det"] = _field(M.mode).to_json(det(M))
         return 0, report, f"system {args.system} holds; det(M) = {report['det']}"
@@ -228,10 +224,10 @@ def _cmd_gen(args):
         alpha = _rational(args.alpha, "--alpha")
         M = linear_toeplitz(alpha, args.size)
         report = {"family": "toeplitz", "alpha": str(alpha),
-                  "size": args.size, "matrix": _mat(M)}
+                  "size": args.size, "matrix": M}
         if args.size in (4, 6):
             xt, delta = toeplitz_scaled_intertwiner(args.size, alpha)
-            report["scaled_intertwiner"] = {"Xtilde": _mat(xt),
+            report["scaled_intertwiner"] = {"Xtilde": xt,
                                             "delta": _field(EXACT).to_json(delta)}
     else:
         sign = 1 if args.sign == "+" else -1
@@ -239,7 +235,7 @@ def _cmd_gen(args):
                                sign=sign)
         M = periodic_jacobi_pm(spec) if args.family == "jacobi-a" else bordered_jacobi_pm(spec)
         report = {"family": args.family, "t": str(spec.t),
-                  "c": [str(v) for v in spec.c], "sign": args.sign, "matrix": _mat(M)}
+                  "c": [str(v) for v in spec.c], "sign": args.sign, "matrix": M}
     if args.output:
         save_matrix(M, args.output)
         return 0, report, f"wrote {M.rows}x{M.cols} matrix to {args.output}"
@@ -433,10 +429,9 @@ def main(argv=None):
               "exit_code": code}
     report.update(payload)
     try:
-        text = json.dumps(report, indent=1, default=str, allow_nan=False)
-    except ValueError:
-        print("error: the report holds a non-finite number (floating-point overflow); "
-              "use exact mode", file=sys.stderr)
+        text = report_text(report)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.output and not args.writes_output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -19,6 +19,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property, reduce
+from json.encoder import encode_basestring_ascii as _quote
 from operator import add, mul, sub
 
 from .errors import CentrosimError, DimensionError, ModeError, PreconditionError
@@ -109,8 +110,14 @@ class _ExactField:
         try:
             return str(v)
         except ValueError:
-            raise ValueError(f"a report entry has more than {_digit_limit()} digits, the limit "
-                             "for int-string conversion (PYTHONINTMAXSTRDIGITS)") from None
+            raise _past_digit_limit() from None
+
+    def json_row(self, row, sep):
+        """The JSON texts of a nonempty row's entries, each to_json's string, joined by sep."""
+        try:
+            return '"' + ('"' + sep + '"').join(map(str, row)) + '"'
+        except ValueError:
+            raise _past_digit_limit() from None
 
     # The certificate kernel.  A chain is a tuple of matrices or operands; each
     # operand is cleared to integer rows over one scale, so a product is integer
@@ -120,20 +127,31 @@ class _ExactField:
         lcm of its denominators; an operand is returned as it is."""
         if type(M) is tuple:
             return M
+        scale, rows = self._cleared(M)
+        return rows, list(zip(*rows)) if rows else [()] * M.cols, scale
+
+    def _cleared(self, M):
+        """(scale, integer rows of scale * M) for an exact M."""
         if M.mode != EXACT:
             raise ModeError(f"cannot mix exact and {M.mode} matrices")
-        scale, rows = _scaled_rows(M)
-        return rows, list(zip(*rows)) if rows else [()] * M.cols, scale
+        return _scaled_rows(M)
 
     def _chain(self, chain):
         """(integer rows, scale, column count) of the chain's product: the integer
-        product of its operands, over the product of their scales."""
-        (rows, cols, scale), *rest = map(self.operand, chain)
-        for r, c, q in rest:
-            if len(r) != len(cols):
+        product of its operands, over the product of their scales.  Only the
+        factors after the first are read by columns, so a first factor that is
+        a matrix is not transposed."""
+        first, *rest = chain
+        if type(first) is tuple:
+            rows, cols, scale = first
+            width = len(cols)
+        else:
+            (scale, rows), width = self._cleared(first), first.cols
+        for r, c, q in map(self.operand, rest):
+            if len(r) != width:
                 raise DimensionError("chain factors do not conform")
-            rows, cols, scale = [[sum(map(mul, x, y)) for y in c] for x in rows], c, scale * q
-        return rows, scale, len(cols)
+            rows, width, scale = [[sum(map(mul, x, y)) for y in c] for x in rows], len(c), scale * q
+        return rows, scale, width
 
     def _combine(self, terms):
         """(integer rows, scale, column count) of the sum over terms (sign, *chain)
@@ -248,6 +266,13 @@ class _ApproxField:
 
     def to_json(self, v):
         return v
+
+    def json_row(self, row, sep):
+        """The JSON texts of a nonempty row's entries joined by sep; ValueError for
+        NaN or an infinity."""
+        if not all(map(math.isfinite, row)):
+            raise _non_finite()
+        return sep.join(map(float.__repr__, row))
 
     def matmul(self, A, B):
         """A B, each entry summed left to right (math.fsum or a compensated
@@ -650,9 +675,65 @@ def matrix_to_json_obj(M):
     return {"rows": [[to_json(v) for v in r] for r in M._data]}
 
 
+def report_text(obj):
+    """json.dumps(obj, indent=1, default=str, allow_nan=False) for an obj whose
+    dict keys are strings, with each Matrix M in it written as
+    matrix_to_json_obj(M): the same bytes, written a row at a time from M's
+    entries.  ValueError for NaN or an infinity, and for an exact entry past
+    the int-string digit limit, each with its own message."""
+    return _json_text(obj, "\n")
+
+
+def _json_text(v, nl):
+    """v's JSON text at the indent nl, the newline and indent of its own line;
+    the types are tested in json.encoder's order."""
+    if isinstance(v, str):
+        return _quote(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise _non_finite()
+        return float.__repr__(v)
+    inner = nl + " "
+    if isinstance(v, Matrix):
+        row_nl = inner + " "
+        json_row, sep = _field(v.mode).json_row, "," + row_nl + " "
+        rows = ("," + row_nl).join(["[" + row_nl + " " + json_row(r, sep) + row_nl + "]" if r
+                                    else "[]" for r in v._data])
+        return ("{" + inner + '"rows": ' + ("[" + row_nl + rows + inner + "]" if rows else "[]")
+                + nl + "}")
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in v]) + nl + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        return ("{" + inner + ("," + inner).join([_quote(k) + ": " + _json_text(x, inner)
+                                                  for k, x in v.items()]) + nl + "}")
+    return _quote(str(v))
+
+
 # Python's default digit limit, which bounds decimal exponents where none is set.
 _DEFAULT_DIGITS = 4300
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _past_digit_limit():
+    return ValueError(f"a report entry has more than {_digit_limit()} digits, the limit for "
+                      "int-string conversion (PYTHONINTMAXSTRDIGITS)")
+
+
+def _non_finite():
+    return ValueError("the report holds a non-finite number (floating-point overflow); "
+                      "use exact mode")
 
 
 def _digit_limit():
@@ -742,6 +823,6 @@ def load_matrix(path, mode=None):
 
 
 def save_matrix(M, path):
+    text = report_text(M)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json_obj(M), fh, indent=1, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")

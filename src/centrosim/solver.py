@@ -182,9 +182,7 @@ def _recheck(a, d, center, rows, den):
         x, w, z, y = center
         bound = max(bound, s * _max_abs(x) + _max_abs(w), m * _max_abs(z) + _max_abs(y))
     bits = (2 * _max_abs(*rows) * bound).bit_length()
-    packed = rows[-1]
-    for row in reversed(rows[:-1]):
-        packed = [(p << bits) + v for p, v in zip(packed, row)]
+    packed = _pack(rows, bits)
     x_rows = [packed[i * s:(i + 1) * s] for i in range(m)]
     x_cols = list(zip(*x_rows))
     tau = packed[-1]
@@ -265,10 +263,11 @@ def _krylov_space(a, d, center=None):
     of the powers A^0, ..., A^m (m - 1 products) gives f(A), the center rows
     A^k x_c, prev_R G from z inv, and for each vector (z, t) of the canonical
     kernel over (x, tau), prev_K at its free column, the row
-    (inv [z; zA; ...], prev_R t) over den = prev_R prev_K.  For u = e_i^T, x is
-    row i of X; for i = m - 1 the rows are canonical (see _sylvester_space).
-    O(m^3 + m s^3 + d (m s^2 + m^2 s)) operations for d rows, instead of
-    elimination on s*m unknowns.
+    (inv [z; zA; ...], prev_R t) over den = prev_R prev_K, all rows from one
+    packed chain (_chain_rows).  For u = e_i^T, x is row i of X; for
+    i = m - 1 the rows are canonical (see _sylvester_space).
+    O(m^3 + m s^3) operations, then m s^2 + m^2 s on integers d digits wide and
+    d m s digit reads for d rows, instead of elimination on s*m unknowns.
     """
     s, m = len(a), len(d)
     d_cols = list(zip(*d))
@@ -299,14 +298,50 @@ def _krylov_space(a, d, center=None):
         g = _combination([sum(map(mul, z, col)) for col in zip(*inv)], powers)
         system += [list(col) + [-prev_r * v] for col, v in zip(zip(*g), y)]
     vecs, prev_k = _int_kernel(system, s + 1)
-    # The columns of A, ..., A^(m-1) side by side: z times them, after z itself,
-    # is [z; zA; ...; zA^(m-1)] row after row.
-    chain_cols = [col for power in powers[1:m] for col in zip(*power)]
-    rows = []
-    for *z, t in vecs:
-        chain = z + [sum(map(mul, z, col)) for col in chain_cols]
-        rows.append(_int_product(inv, [chain[k::s] for k in range(s)]) + [prev_r * t])
-    return i, rows, prev_r * prev_k
+    return i, _chain_rows(inv, powers[:m], vecs, prev_r), prev_r * prev_k
+
+
+def _chain_rows(inv, powers, vecs, prev_r):
+    """For each vector (z, t) of vecs, the integer row (inv [z; zA; ...; zA^(m-1)],
+    prev_r t), row-major, from powers = [I, A, ..., A^(m-1)] and the m x m inv:
+    one chain for every vector.
+
+    The map z -> inv [z; zA; ...] is linear, so the packed vector
+    P = sum_k 2^(bits k) z_k (Kronecker substitution, as in _recheck) maps to
+    sum_k 2^(bits k) e_k, e_k the row of vector k.  Entry (r, q) of a row is
+    sum_j inv[r][j] sum_l z_l (A^j)[l][q], m terms of s products each, so
+    every entry of every row has magnitude at most
+        bound = m max|inv| s max|z| max_(j<m) max|A^j|,
+    with z over every vector.  bits is the least with 2^bits > 2 bound, so
+    every entry lies in [-half, half) for half = 2^(bits-1).  Adding half to
+    each digit, the offset sum_k half 2^(bits k), leaves digits in [0, 2^bits):
+    they are the base-2^bits digits of P's entry plus the offset, so digit k
+    of an entry v of P's row is ((v + offset) >> bits k) & (2^bits - 1), minus
+    half.
+    """
+    if not vecs:
+        return []
+    s, zs = len(powers[0]), [v[:-1] for v in vecs]
+    bound = len(inv) * s * _max_abs(*inv) * _max_abs(*zs) * _max_abs(*chain.from_iterable(powers))
+    bits = bound.bit_length() + 1
+    packed = _pack(zs, bits)
+    # The columns of A, ..., A^(m-1) side by side: P times them, after P itself,
+    # is [P; PA; ...; PA^(m-1)] row after row.
+    chained = packed + [sum(map(mul, packed, col)) for power in powers[1:]
+                        for col in zip(*power)]
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    offset = _pack([[half]] * len(vecs), bits)[0]
+    entries = [v + offset for v in _int_product(inv, [chained[k::s] for k in range(s)])]
+    return [[((v >> shift) & mask) - half for v in entries] + [prev_r * t]
+            for shift, (*_, t) in zip(range(0, bits * len(vecs), bits), vecs)]
+
+
+def _pack(rows, bits):
+    """The vector sum_k 2^(bits k) rows[k] of equal-length integer rows."""
+    packed = rows[-1]
+    for row in reversed(rows[:-1]):
+        packed = [(p << bits) + v for p, v in zip(packed, row)]
+    return packed
 
 
 def _combination(coeffs, powers):

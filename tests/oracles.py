@@ -5,6 +5,7 @@ products, brute-force construction) so it cannot share a bug with the
 elimination-based implementation under test.
 """
 
+import json
 import math
 from fractions import Fraction
 from functools import reduce
@@ -12,8 +13,8 @@ from itertools import product
 from operator import add, mul
 
 from centrosim import (APPROX, EXACT, Matrix, PreconditionError, RankError, block,
-                       exchange_matrix, gauss_facts, hstack, inverse, rank_normal_form,
-                       solve_linear, vstack)
+                       exchange_matrix, gauss_facts, hstack, inverse, matrix_to_json_obj,
+                       rank_normal_form, solve_linear, vstack)
 from centrosim.solver import _grid_roots, _unvec
 
 
@@ -348,6 +349,20 @@ def chained_krylov_space(a, d, center=None):
     return i, vecs
 
 
+def per_vector_chain_rows(inv, powers, vecs, prev_r):
+    """Reference for centrosim's ``solver._chain_rows``: for each vector (z, t) on
+    its own, the chain [z A^0; z A; ...; z A^(m-1)] from powers = [A^0, ..., A^(m-1)],
+    inv times it, row-major, then prev_r t."""
+    s = len(powers[0])
+    chain_cols = [col for power in powers for col in zip(*power)]
+    rows = []
+    for *z, t in vecs:
+        chain = [sum(map(mul, z, col)) for col in chain_cols]
+        rows.append([sum(map(mul, r, col)) for r in inv for col in
+                     [chain[k::s] for k in range(s)]] + [prev_r * t])
+    return rows
+
+
 def per_row_recheck(a, d, center, rows, den):
     """Reference for centrosim's ``solver._recheck``: multiplies out each row on
     its own and raises PreconditionError for the first that fails XA = DX (or,
@@ -368,6 +383,20 @@ def per_row_recheck(a, d, center, rows, den):
             raise PreconditionError("particular solution fails the linear-stage re-check" if tau
                                     else "nullspace vector fails XA = DX re-check",
                                     payload=_unvec([Fraction(v, den) for v in row], m, s))
+
+
+def stdlib_report_text(obj):
+    """Reference for centrosim's ``matrix.report_text``: json.dumps with the CLI's
+    arguments, on obj with each Matrix M replaced by matrix_to_json_obj(M)."""
+    def image(v):
+        if isinstance(v, Matrix):
+            return matrix_to_json_obj(v)
+        if isinstance(v, dict):
+            return {k: image(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [image(x) for x in v]
+        return v
+    return json.dumps(image(obj), indent=1, default=str, allow_nan=False)
 
 
 def rand_int_matrix(rng, rows, cols, lo=-9, hi=9):

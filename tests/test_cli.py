@@ -343,6 +343,30 @@ def test_a_value_past_the_digit_limit_is_one_error_line(tmp_path, capsys):
     assert f"a report entry has more than {LIMIT} digits" in err
 
 
+def test_report_entries_past_the_digit_limit_and_non_finite_ones_are_told_apart(tmp_path,
+                                                                               capsys):
+    # X = -1 misses the split and its residual norm overflows binary64.
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": [[1e308, 1e308], [-1e308, -1e308]]}')
+    code, out, err = run(["solve", str(path), "--split", "1", "--mode", "approx"], capsys)
+    assert_one_line_error(code, out, err)
+    assert err == ("error: the report holds a non-finite number (floating-point overflow); "
+                   "use exact mode\n")
+    if not LIMIT:
+        return
+    # The lower witness X = I with B = I: the triangularized block A + I holds
+    # 10^LIMIT, LIMIT + 1 digits, while every entry read and every determinant
+    # (-1 and 1) has at most LIMIT.
+    big = 10 ** LIMIT
+    m = write(tmp_path, "r.json", [[str(big - 1), 1, 1, 0], [1, -1, 0, 1],
+                                   [str(big - 2), 1, 2, 0], [1, -2, 0, 2]])
+    w = write(tmp_path, "w.json", [[1, 0], [0, 1]])
+    code, out, err = run(["factor-riccati", m, "--w", w, "--orientation", "lower"], capsys)
+    assert_one_line_error(code, out, err)
+    assert err == (f"error: a report entry has more than {LIMIT} digits, the limit for "
+                   "int-string conversion (PYTHONINTMAXSTRDIGITS)\n")
+
+
 @pytest.mark.parametrize("command, given_x", [("transform", False), ("transform", True),
                                               ("embed", True), ("dilate", True)])
 def test_an_overflowing_determinant_is_a_data_error(tmp_path, capsys, command, given_x):

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from centrosim import (APPROX, EXACT, CentrosimError, DimensionError, Matrix, ModeError,
@@ -14,9 +14,9 @@ from centrosim import (APPROX, EXACT, CentrosimError, DimensionError, Matrix, Mo
                        is_centrosymmetric, matrix_from_json_obj,
                        matrix_to_json_obj, rank_normal_form, save_matrix, solve_linear,
                        split_blocks, vstack)
-from centrosim.matrix import _DEFAULT_DIGITS, parse_rational
+from centrosim.matrix import _DEFAULT_DIGITS, parse_rational, report_text
 from oracles import (fraction_matmul, permutation_matrix, rand_centrosymmetric,
-                     rand_int_matrix)
+                     rand_int_matrix, stdlib_report_text)
 
 
 def test_exchange_matrix_size_one():
@@ -273,6 +273,51 @@ def test_json_round_trip_property(n_rows, n_cols, data):
                mode=EXACT if exact else APPROX, cols=n_cols)
     text = json.dumps(matrix_to_json_obj(M))
     assert matrix_from_json_obj(json.loads(text)) == M
+
+
+BIG_INTS = st.integers(-10 ** 100, 10 ** 100)
+REPORT_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([-0.0, 1e-05, 1e+16, 5e-324]))
+
+
+@st.composite
+def report_matrices(draw):
+    """An exact matrix of big fractions or an approximate one, 0 to 3 rows by 0 to 3 columns."""
+    exact = draw(st.booleans())
+    n_rows, n_cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    scalars = st.builds(Fraction, BIG_INTS, st.integers(1, 10 ** 30)) if exact else REPORT_FLOATS
+    rows = draw(st.lists(st.lists(scalars, min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+    return Matrix(rows, mode=EXACT if exact else APPROX, cols=n_cols)
+
+
+REPORT_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), BIG_INTS, REPORT_FLOATS, st.text(), st.fractions(),
+              report_matrices()),
+    lambda kids: (st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_VALUES)
+@example({"\u00e9\x00\n": ["\x1f\u2028\U0001f600\\\"", (-0.0, 1e-05, 1e+16, 5e-324)],
+          "m": [Matrix.zeros(0, 0), Matrix.zeros(0, 2), Matrix.zeros(2, 0),
+                Matrix.zeros(0, 2, APPROX), Matrix.zeros(2, 0, APPROX)],
+          "": {"n": None, "b": (True, False), "i": -10 ** 100, "q": Fraction(-1, 3)}})
+def test_report_text_is_the_stdlib_json_text(obj):
+    assert report_text(obj) == stdlib_report_text(obj)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["value", "matrix"])
+def test_report_text_refuses_a_non_finite_number(value, where):
+    obj = {"r": [{"v": (1.0, value)} if where == "value"
+                 else Matrix([[1.0], [value]], mode=APPROX)]}
+    with pytest.raises(ValueError):
+        stdlib_report_text(obj)
+    with pytest.raises(ValueError, match="non-finite number"):
+        report_text(obj)
 
 
 # Every character str.isspace() accepts (the last is U+3000), decimal digits

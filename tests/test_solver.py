@@ -18,8 +18,8 @@ from centrosim.cli import main
 from centrosim.matrix import _field
 from golden_cases import PLANTED12
 from oracles import (chained_krylov_space, exhaustive_grid_hits, fraction_quadratic_parts, kron,
-                     per_row_recheck, planted_transform_instance, prefix_coefficients,
-                     prefix_major_float_grid, prefix_major_integer_grid,
+                     per_row_recheck, per_vector_chain_rows, planted_transform_instance,
+                     prefix_coefficients, prefix_major_float_grid, prefix_major_integer_grid,
                      product_riccati_residual, product_singular_certificate,
                      product_system_residuals, rand_centrosymmetric, rand_int_matrix,
                      tall_instance, vectorized_sylvester_space, wide_instance)
@@ -1134,6 +1134,47 @@ def test_packed_recheck_matches_the_per_row_oracle(case):
     expected = _outcome(per_row_recheck, a, d, center, rows, den)
     event("raises" if expected else "passes")
     assert _outcome(solver._recheck, a, d, center, rows, den) == expected
+
+
+# Small, or up to 2^200 of either sign.
+CHAIN_ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
+
+
+@st.composite
+def chain_row_cases(draw):
+    """(inv, powers, vecs, prev_r) for _chain_rows: an m x m inv, the identity
+    and m - 1 more "powers" of size s x s, and d <= s + 1 vectors (z, t).
+    Either every entry is drawn, or inv, z and the powers after the identity
+    are each constant up to the sign of each z: at s = 1 with A = 1, and at
+    m = 1, every entry of every row is then plus or minus the bound that sizes
+    the digits."""
+    s, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    d = draw(st.integers(1, s + 1))
+    prev_r, ts = draw(CHAIN_ENTRIES), draw(st.lists(CHAIN_ENTRIES, min_size=d, max_size=d))
+    identity = [[int(j == k) for k in range(s)] for j in range(s)]
+    if draw(st.booleans()):
+        def ints(rows, cols):
+            return [[draw(CHAIN_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+        inv, powers, zs = ints(m, m), [ints(s, s) for _ in range(m - 1)], ints(d, s)
+        event("drawn entries")
+    else:
+        c_inv, c_a, c_z = (draw(st.one_of(CORRUPTIONS, st.just(0))) for _ in range(3))
+        inv, powers = [[c_inv] * m] * m, [[[c_a] * s] * s] * (m - 1)
+        zs = [[draw(SIGNS) * c_z] * s for _ in range(d)]
+        event("constant entries")
+    return inv, [identity] + powers, [z + [t] for z, t in zip(zs, ts)], prev_r
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_row_cases())
+# The bound is 1 and reached; z = 0, so the bound is 0; and a digit of -1 under a
+# digit of +1, which a borrow would merge; and the bound 2 reached at m = 2.
+@example(([[1]], [[[1]]], [[1, 0]], 1))
+@example(([[1]], [[[1]]], [[0, 5]], -2))
+@example(([[1]], [[[1]]], [[-1, 0], [1, 3]], 1))
+@example(([[1, 1], [-1, -1]], [[[1]], [[1]]], [[1, 0]], 1))
+def test_packed_chain_rows_match_the_per_vector_loop(case):
+    assert solver._chain_rows(*case) == per_vector_chain_rows(*case)
 
 
 def test_linear_stage_matches_the_oracle_in_both_parities(monkeypatch):
