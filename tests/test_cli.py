@@ -345,7 +345,8 @@ def test_a_value_past_the_digit_limit_is_one_error_line(tmp_path, capsys):
 
 def test_report_entries_past_the_digit_limit_and_non_finite_ones_are_told_apart(tmp_path,
                                                                                capsys):
-    # X = -1 misses the split and its residual norm overflows binary64.
+    # No X solves this nilpotent matrix's split, and the candidates' residual
+    # norm overflows binary64.
     path = tmp_path / "m.json"
     path.write_text('{"rows": [[1e308, 1e308], [-1e308, -1e308]]}')
     code, out, err = run(["solve", str(path), "--split", "1", "--mode", "approx"], capsys)
