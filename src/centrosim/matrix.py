@@ -19,6 +19,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add, mul, sub
 
@@ -47,11 +48,20 @@ def _clear_denominators(rows):
 def _scaled_rows(*mats):
     """(scale, then the integer rows of scale * M for each M in mats): scale is
     the lcm of every denominator in mats."""
-    scale = math.lcm(*[v.denominator for M in mats for row in M._data for v in row])
-    if scale == 1:
-        return (1, *([[v.numerator for v in row] for row in M._data] for M in mats))
-    return (scale, *([[v.numerator * (scale // v.denominator) for v in row] for row in M._data]
-                     for M in mats))
+    parts = [M._integer_rows() for M in mats]
+    scale = math.lcm(*[q for q, _ in parts])
+    out = [scale]
+    for q, rows in parts:
+        f = scale // q
+        out.append(rows if f == 1 else [[f * v for v in row] for row in rows])
+    return tuple(out)
+
+
+def _fraction_rows(rows, den):
+    """Each integer v of rows as Fraction(v, den), Fraction(v) (no gcd) when den
+    is 1, or the shared zero."""
+    zero, q = _ExactField.zero, None if den == 1 else den
+    return [[Fraction(v, q) if v else zero for v in r] for r in rows]
 
 
 def _int_product(rows, cols):
@@ -134,7 +144,7 @@ class _ExactField:
         """(scale, integer rows of scale * M) for an exact M."""
         if M.mode != EXACT:
             raise ModeError(f"cannot mix exact and {M.mode} matrices")
-        return _scaled_rows(M)
+        return M._integer_rows()
 
     def _chain(self, chain):
         """(integer rows, scale, column count) of the chain's product: the integer
@@ -169,11 +179,8 @@ class _ExactField:
         return total, lcm, parts[0][3]
 
     def _fractions(self, rows, scale, width):
-        """The matrix of integer rows over scale: each entry Fraction(v, scale),
-        Fraction(v) (no gcd) when scale is 1, or the shared zero."""
-        zero, q = self.zero, None if scale == 1 else scale
-        return Matrix._trusted([[Fraction(v, q) if v else zero for v in r] for r in rows],
-                               EXACT, width)
+        """The matrix of integer rows over scale, its entries built at once."""
+        return Matrix._trusted(_fraction_rows(rows, scale), EXACT, width)
 
     def residual(self, terms, tol=None):
         """(the sum over terms (sign, *chain) of sign times the chain's product,
@@ -498,6 +505,74 @@ class Matrix:
     def max_abs(self):
         return max((abs(v) for r in self._data for v in r), default=_field(self.mode).zero)
 
+    def _integer_rows(self):
+        """(scale, the integer rows of scale * self) for an exact matrix: scale is
+        the lcm of its entries' denominators."""
+        data = self._data
+        scale = math.lcm(*[v.denominator for row in data for v in row])
+        if scale == 1:
+            return 1, [[v.numerator for v in row] for row in data]
+        return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in data]
+
+    def _json_rows(self, sep):
+        """For each row, the JSON texts of its entries joined by sep ("" for an
+        empty row)."""
+        json_row = _field(self.mode).json_row
+        return [json_row(r, sep) if r else "" for r in self._data]
+
+
+class _IntMatrix(Matrix):
+    """An exact Matrix held as integer rows over one denominator den > 0:
+    entry (i, j) is Fraction(ints[i][j], den).
+
+    It is an ordinary Matrix whose Fractions are built on the first read of
+    _data, by __getattr__, which plain matrices never reach because their _data
+    slot is set.  _scaled_rows (through _integer_rows) and report_text (through
+    _json_rows) read the integer rows and build no Fraction.
+    """
+
+    __slots__ = ("_ints", "_den")
+
+    def __init__(self, rows, den, cols):
+        """rows: integer rows, each of length cols, over the nonzero integer den."""
+        if den < 0:
+            rows, den = [[-v for v in r] for r in rows], -den
+        ints = tuple(map(tuple, rows))
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_rows", len(ints))
+        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "mode", EXACT)
+
+    def __getattr__(self, name):
+        if name != "_data":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        data = tuple(map(tuple, _fraction_rows(self._ints, self._den)))
+        object.__setattr__(self, "_data", data)
+        return data
+
+    def _integer_rows(self):
+        """(den, ints), first divided by their gcd, so that den is the lcm of
+        the entries' denominators."""
+        den, ints = self._den, self._ints
+        g = math.gcd(den, *chain.from_iterable(ints))
+        if g != 1:
+            den, ints = den // g, tuple(tuple([v // g for v in r]) for r in ints)
+            object.__setattr__(self, "_ints", ints)
+            object.__setattr__(self, "_den", den)
+        return den, ints
+
+    def _json_rows(self, sep):
+        """The texts of Matrix._json_rows, each entry written from its integer as
+        "p" or "p/q" in lowest terms (str(Fraction)'s bytes), one gcd per entry."""
+        den, quoted = self._den, '"' + sep + '"'
+        try:
+            return ['"' + quoted.join([str(v // g) if (g := math.gcd(v, den)) == den
+                                       else f"{v // g}/{den // g}" for v in r]) + '"'
+                    if r else "" for r in self._ints]
+        except ValueError:
+            raise _past_digit_limit() from None
+
 
 def hstack(*mats):
     mats = [m for m in mats if m.cols > 0 or m.rows > 0]
@@ -704,9 +779,8 @@ def _json_text(v, nl):
     inner = nl + " "
     if isinstance(v, Matrix):
         row_nl = inner + " "
-        json_row, sep = _field(v.mode).json_row, "," + row_nl + " "
-        rows = ("," + row_nl).join(["[" + row_nl + " " + json_row(r, sep) + row_nl + "]" if r
-                                    else "[]" for r in v._data])
+        rows = ("," + row_nl).join(["[" + row_nl + " " + text + row_nl + "]" if text else "[]"
+                                    for text in v._json_rows("," + row_nl + " ")])
         return ("{" + inner + '"rows": ' + ("[" + row_nl + rows + inner + "]" if rows else "[]")
                 + nl + "}")
     if isinstance(v, (list, tuple)):
@@ -724,6 +798,8 @@ def _json_text(v, nl):
 # Python's default digit limit, which bounds decimal exponents where none is set.
 _DEFAULT_DIGITS = 4300
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# A run of digits as int() reads it: single underscores may separate digits.
+_DIGIT_GROUP = re.compile(r"\d+(?:_\d+)*")
 
 
 def _past_digit_limit():
@@ -748,7 +824,9 @@ def parse_rational(text):
     or denominator has more digits than _digit_limit().  A decimal exponent
     larger in magnitude than that limit (or _DEFAULT_DIGITS) plus len(text)
     raises before Fraction() would build 10**exponent: the mantissa has fewer
-    than len(text) digits, so any nonzero value would be past the limit."""
+    than len(text) digits, so any nonzero value would be past the limit.  A
+    digit group past the limit, which int() refuses to read, is named with its
+    digit count and PYTHONINTMAXSTRDIGITS."""
     # Without underscores (which Python 3.10's Fraction() rejects), int()
     # accepts exactly the integer strings Fraction() accepts.
     if "_" not in text:
@@ -767,12 +845,34 @@ def parse_rational(text):
         if huge:
             raise ValueError(f"{text!r} has a decimal exponent that needs more than {bound} "
                              "digits")
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except ValueError:
+        digits = _long_digit_group(text, limit)
+        if digits is None:
+            raise
+        raise ValueError(f"a value has {digits} digits, more than {limit}, the limit for "
+                         "int-string conversion (PYTHONINTMAXSTRDIGITS)") from None
     # 2^(3 limit) < 10^limit: only a longer integer can have more than limit digits.
     longest = max(abs(value.numerator), value.denominator)
     if limit and longest.bit_length() > 3 * limit and longest >= 10 ** limit:
         raise ValueError(f"{text!r} needs more than {limit} digits")
     return value
+
+
+def _long_digit_group(text, limit):
+    """The digit count of text's first digit group with more than limit digits,
+    when text is a Fraction() literal (which int() then refuses to read), else
+    None.  Reading every group as 1 keeps the literal's form."""
+    counts = [len(g) - g.count("_") for g in _DIGIT_GROUP.findall(text)]
+    digits = next((c for c in counts if c > limit), None) if limit else None
+    if digits is None:
+        return None
+    try:
+        Fraction(_DIGIT_GROUP.sub("1", text))
+    except ValueError:
+        return None
+    return digits
 
 
 def _entry_from_json(v):

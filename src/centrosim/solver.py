@@ -24,8 +24,8 @@ from operator import add, mul, sub
 from .errors import DimensionError, PreconditionError
 from .linalg import _gauss_jordan_int, _kernel_vectors, gauss_facts, solve_linear
 from .matrix import (APPROX, EXACT, BlockPartition, Matrix, _exchange_pairs, _field,
-                     _int_product, _Record, _scaled_rows, exchange_matrix, hstack, split_blocks,
-                     vstack)
+                     _int_product, _IntMatrix, _Record, _scaled_rows, exchange_matrix, hstack,
+                     split_blocks, vstack)
 
 
 @functools.cache
@@ -69,7 +69,13 @@ class IntertwinerSolution(_Record):
 
 
 class IntertwinerSearch(_Record):
-    """Ordered solutions plus the linear-stage data and any diagnostic."""
+    """Ordered solutions plus the linear-stage data and any diagnostic.
+
+    In exact mode the basis matrices (and a particular solution reported as a
+    solution) are ordinary Matrix values held as integer rows over one
+    denominator: each builds its Fractions only when an entry is read, and a
+    report writes them from the integers.
+    """
 
     def __init__(self, solutions: tuple, basis: tuple, diagnostic: str | None,
                  discriminant: object = None, best_residual: float | None = None):
@@ -91,7 +97,9 @@ class IntertwinerSearch(_Record):
 
 
 def intertwiner_space(A, D, tol=None):
-    """Basis of {X : XA = DX}: the canonical kernel basis of the vectorized system."""
+    """Basis of {X : XA = DX}: the canonical kernel basis of the vectorized system.
+    In exact mode each is an ordinary Matrix held as integer rows over one
+    denominator, which builds its Fractions only when an entry is read."""
     if not A.is_square or not D.is_square:
         raise DimensionError("intertwiner space needs square A and D")
     basis = _sylvester_space(A, D, tol=tol)[1]
@@ -114,8 +122,11 @@ def _sylvester_space(A, D, center=None, tol=None):
     at every free column (None when the system is inconsistent).  Exact mode
     finds the canonical basis of the pairs (vec(X), tau) with XA = DX,
     X x = tau w and z X = tau y as integer rows: the basis above, then the
-    particular solution at tau = 1 when tau is a free column.  Its three
-    routes re-check every row by multiplication before any Fraction is built:
+    particular solution at tau = 1 when tau is a free column.  Both come back
+    as ordinary Matrix values held as those integer rows over one denominator
+    den > 0 (matrix._IntMatrix), so no Fraction is built unless an entry is
+    read.  Its three routes re-check every row by multiplication before any
+    matrix is built:
     - last row: when e_(m-1)^T is cyclic for D^T, X is fixed by its last row x
       (_krylov_space), so every nonzero pair has its last nonzero entry in
       (x, tau), the last s + 1 columns: the canonical kernel basis of the
@@ -143,8 +154,7 @@ def _sylvester_space(A, D, center=None, tol=None):
         if i < m - 1:
             rows, den = _reduce(rows, m * s + 1)
     _recheck(a, d, int_center, rows, den)
-    zero = Fraction(0)
-    mats = [_unvec([Fraction(v, den) if v else zero for v in row[:-1]], m, s) for row in rows]
+    mats = [_unvec(row, m, s, den) for row in rows]
     particular = mats.pop() if rows and rows[-1][-1] else None
     return particular, tuple(mats)
 
@@ -194,7 +204,7 @@ def _recheck(a, d, center, rows, den):
         row = rows[min(((v & -v).bit_length() - 1) // bits for v in residuals if v)]
         raise PreconditionError("particular solution fails the linear-stage re-check" if row[-1]
                                 else "nullspace vector fails XA = DX re-check",
-                                payload=_unvec([Fraction(v, den) for v in row], m, s))
+                                payload=_unvec(row, m, s, den))
 
 
 def _max_abs(*vectors):
@@ -211,8 +221,8 @@ def _eliminate(A, D, center, tol):
     b = Matrix._trusted([row[-1:] for row in rows], A.mode, 1)
     particular, basis = solve_linear(K, b, tol)
     if particular is not None:
-        particular = _unvec(particular.col(0), m, s, A.mode)
-    return particular, tuple(_unvec(v.col(0), m, s, A.mode) for v in basis)
+        particular = _unvec(particular.col(0), m, s)
+    return particular, tuple(_unvec(v.col(0), m, s) for v in basis)
 
 
 def _linear_rows(a, d, center, zero):
@@ -372,9 +382,11 @@ def _reduce(vecs, n):
     return [rows[k][::-1] for k in reversed(range(len(pivots)))], den
 
 
-def _unvec(v, m, s, mode=EXACT):
-    """The m x s matrix whose row-major entries are v[:m*s]."""
-    return Matrix._trusted([v[i * s:(i + 1) * s] for i in range(m)], mode, s)
+def _unvec(v, m, s, den=None):
+    """The m x s matrix whose row-major entries are v[:m*s]: floats, or
+    integers over den."""
+    rows = [v[i * s:(i + 1) * s] for i in range(m)]
+    return Matrix._trusted(rows, APPROX, s) if den is None else _IntMatrix(rows, den, s)
 
 
 def system_residuals(bp, X, tol=None):
@@ -502,13 +514,13 @@ def find_intertwiner(M, parity, s, options=None, *, stop_at_invertible=False):
     elif d > opts.d_max:
         diagnostic = f"search exhausted: solution space dimension {d} exceeds d_max={opts.d_max}"
     elif d == 1:
-        ts, discriminant, diagnostic = _solve_on_line(bp, particular, basis[0], F, tol)
+        ts, discriminant, diagnostic, point = _solve_on_line(bp, particular, basis[0], F, tol)
         if discriminant is not None:
             diagnostic = "irrational discriminant: no solution over the working field"
         for t in ts:
             if full():
                 break
-            consider(particular + t * basis[0])
+            consider(point(t))
         # Every solution lies on the line and is a root of its first nonzero
         # equation, so an empty result here proves there is none.
         if not solutions and diagnostic is None:
@@ -569,15 +581,21 @@ def _flat(rows):
 
 
 def _solve_on_line(bp, X0, N, F, tol):
-    """Parameters t in the field F with C = (X0 + tN) B (X0 + tN) on the affine line."""
-    K, _, r0, (r1,), ((r2,),) = _quadratic_parts(bp, X0, (N,))
+    """(ts, discriminant, diagnostic, point): the parameters t in the field F with
+    C = (X0 + tN) B (X0 + tN) on the affine line, and point(t) = X0 + tN, which
+    exact mode builds from the integer rows of X0 and N (_integer_hit)."""
+    K, rows, r0, (r1,), ((r2,),) = _quadratic_parts(bp, X0, (N,))
+
+    def point(t):
+        return X0 + t * N if rows is None else _integer_hit(t.denominator, *rows, (t.numerator,))
     for a, b, c in zip(r2, r1, [-v for v in r0]):
         if not F.all_zero((a, b, c), tol):
             # Over K: the roots and the discriminant do not depend on the scale.
             roots, disc = _quadratic_roots(*(F.coerce(v) / K for v in (a, b, c)), F, tol)
-            return roots, disc, None
+            return roots, disc, None, point
     # The quadratic constraint holds identically along the line.
-    return [-F.one, F.zero, F.one], None, "one-parameter solution line; returning representatives"
+    return ([-F.one, F.zero, F.one], None, "one-parameter solution line; returning representatives",
+            point)
 
 
 def _grid_search(bp, X0, basis, values, mode, tol, consider, full):

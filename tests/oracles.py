@@ -15,7 +15,7 @@ from operator import add, mul
 from centrosim import (APPROX, EXACT, Matrix, PreconditionError, RankError, block,
                        exchange_matrix, gauss_facts, hstack, inverse, matrix_to_json_obj,
                        rank_normal_form, solve_linear, vstack)
-from centrosim.solver import _grid_roots, _unvec
+from centrosim.solver import _grid_roots
 
 
 def cofactor_det(M):
@@ -382,7 +382,25 @@ def per_row_recheck(a, d, center, rows, den):
         if not ok:
             raise PreconditionError("particular solution fails the linear-stage re-check" if tau
                                     else "nullspace vector fails XA = DX re-check",
-                                    payload=_unvec([Fraction(v, den) for v in row], m, s))
+                                    payload=Matrix([[Fraction(v, den) for v in r] for r in x_rows],
+                                                   cols=s))
+
+
+def fraction_scaled_rows(*mats):
+    """Reference for centrosim's ``matrix._scaled_rows``, from the Fraction entries:
+    the lcm of every denominator in mats, then each matrix times it as integer rows."""
+    scale = math.lcm(*[v.denominator for M in mats for r in M.to_lists() for v in r])
+    return (scale, *([[int(v * scale) for v in r] for r in M.to_lists()] for M in mats))
+
+
+def holds_fractions(M):
+    """Whether M holds its entries as Fractions: a matrix held as integer rows
+    builds them only when an entry is read."""
+    try:
+        Matrix._data.__get__(M)
+    except AttributeError:
+        return False
+    return True
 
 
 def stdlib_report_text(obj):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import centrosim
 from centrosim import Matrix, block, is_centrosymmetric, matrix_from_json_obj, save_matrix
 from centrosim.cli import _scan_points, build_parser, main
-from oracles import dense_centro_transform, rand_centrosymmetric
+from oracles import dense_centro_transform, holds_fractions, rand_centrosymmetric
 
 
 def write(tmp_path, name, rows):
@@ -341,6 +341,43 @@ def test_a_value_past_the_digit_limit_is_one_error_line(tmp_path, capsys):
                          capsys)
     assert_one_line_error(code, out, err)
     assert f"a report entry has more than {LIMIT} digits" in err
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python sets no int-string digit limit")
+@pytest.mark.parametrize("entry", ["9" * (LIMIT + 1), "1/" + "0" * LIMIT + "7",
+                                   "-" + "1_000" * (LIMIT // 3) + ".5"])
+def test_a_digit_string_past_the_digit_limit_is_the_readers_error(tmp_path, capsys, entry):
+    digits = sum(map(str.isdigit, entry.split(".")[0].split("/")[-1]))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": [[entry, "1"], ["1", entry]]}))
+    code, out, err = run(["factor-centro", str(path)], capsys)
+    assert_one_line_error(code, out, err)
+    assert err == (f"error: a value has {digits} digits, more than {LIMIT}, the limit for "
+                   "int-string conversion (PYTHONINTMAXSTRDIGITS)\n")
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python sets no int-string digit limit")
+def test_a_basis_entry_past_the_digit_limit_is_the_writers_error_line(tmp_path, capsys,
+                                                                     monkeypatch):
+    # XA = DX for A = T N T^-1, D = N (the 3 x 3 shift) and T = diag(K^2, K, 1): the
+    # basis matrix at X's last diagonal entry is diag(1/K^2, 1/K, 1), whose 1/K^2
+    # has LIMIT + 3 digits while every entry read has at most LIMIT/2 + 2.
+    k = 10 ** (LIMIT // 2 + 1)
+    m = write(tmp_path, "m.json", [[0, k, 0, 0, 0, 0], [0, 0, k, 0, 0, 0], [0] * 6,
+                                   [1, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 1], [0, 0, 1, 0, 0, 0]])
+    searches = []
+    find_intertwiner = centrosim.solver.find_intertwiner
+    monkeypatch.setattr(centrosim.solver, "find_intertwiner",
+                        lambda *args, **kw: searches.append(find_intertwiner(*args, **kw))
+                        or searches[-1])
+    code, out, err = run(["solve", m, "--d-max", "0"], capsys)
+    assert_one_line_error(code, out, err)
+    assert err == (f"error: a report entry has more than {LIMIT} digits, the limit for "
+                   "int-string conversion (PYTHONINTMAXSTRDIGITS)\n")
+    # The writer met the entry in the basis's integer rows, before any Fraction.
+    (search,) = searches
+    assert len(search.basis) == 3 and not any(map(holds_fractions, search.basis))
+    assert search.basis[2][0, 0] == Fraction(1, k * k)
 
 
 def test_report_entries_past_the_digit_limit_and_non_finite_ones_are_told_apart(tmp_path,

@@ -24,7 +24,9 @@ import json
 
 import pytest
 
+from centrosim import SearchOptions, solver
 from golden_cases import APPROX_CASES, CASES, GOLDEN, SCAN_CASES, run_case
+from oracles import holds_fractions
 
 
 def check_case(name, mode, directory, capsys):
@@ -47,3 +49,17 @@ def test_approx_solve_report_matches_golden_file(name, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(SCAN_CASES))
 def test_alpha_scan_report_matches_golden_file(name, tmp_path, capsys):
     check_case(name, "approx", tmp_path, capsys)
+
+
+def test_the_planted16_report_is_written_from_the_basis_integer_rows(tmp_path, capsys,
+                                                                    monkeypatch):
+    # d = 8 > d_max: the basis is only reported, so none of its Fractions is built.
+    searches = []
+    find_intertwiner = solver.find_intertwiner
+    monkeypatch.setattr(solver, "find_intertwiner",
+                        lambda *args, **kw: searches.append(find_intertwiner(*args, **kw))
+                        or searches[-1])
+    check_case("solve_planted16", "exact", tmp_path, capsys)
+    (search,) = searches
+    assert len(search.basis) == 8 > SearchOptions().d_max and not search.solutions
+    assert not any(map(holds_fractions, search.basis))

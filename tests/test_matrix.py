@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -14,9 +15,10 @@ from centrosim import (APPROX, EXACT, CentrosimError, DimensionError, Matrix, Mo
                        is_centrosymmetric, matrix_from_json_obj,
                        matrix_to_json_obj, rank_normal_form, save_matrix, solve_linear,
                        split_blocks, vstack)
-from centrosim.matrix import _DEFAULT_DIGITS, parse_rational, report_text
-from oracles import (fraction_matmul, permutation_matrix, rand_centrosymmetric,
-                     rand_int_matrix, stdlib_report_text)
+from centrosim.matrix import (_DEFAULT_DIGITS, _IntMatrix, _scaled_rows, parse_rational,
+                              report_text)
+from oracles import (fraction_matmul, fraction_scaled_rows, holds_fractions, permutation_matrix,
+                     rand_centrosymmetric, rand_int_matrix, stdlib_report_text)
 
 
 def test_exchange_matrix_size_one():
@@ -342,7 +344,9 @@ ENTRY_STRINGS = st.builds(
 
 
 def _fraction_reader(v, mode):
-    """The matrix [[v]] with v read by Fraction(str), or the reader's error message."""
+    """The matrix [[v]] with v read by Fraction(str), or the reader's error message:
+    Fraction's own, except that a digit group past the int-string limit names
+    its digit count and PYTHONINTMAXSTRDIGITS."""
     try:
         return Matrix([[Fraction(v)]], mode=mode)
     except ZeroDivisionError:
@@ -350,6 +354,12 @@ def _fraction_reader(v, mode):
     except OverflowError:
         return "matrix entry too large for approximate mode"
     except ValueError as exc:
+        # Python 3.10 writes "the limit (640)", later versions "the limit (640 digits)".
+        past = re.search(r"limit \((\d+)(?: digits)?\) for integer string conversion: "
+                         r"value has (\d+) digits", str(exc))
+        if past:
+            return (f"a value has {past[2]} digits, more than {past[1]}, the limit for "
+                    "int-string conversion (PYTHONINTMAXSTRDIGITS)")
         return str(exc)
 
 
@@ -426,6 +436,60 @@ def test_exact_product_matches_fraction_oracle(m, k, p, data):
     product = A * B
     assert product.shape == (m, p)
     assert product == fraction_matmul(A, B)
+
+
+# Integers of either sign up to 2^200, with zero and small values drawn often.
+BIG_INTS = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
+DENOMINATORS = st.one_of(st.sampled_from([1, -1]), st.integers(-12, 12),
+                         st.integers(-2 ** 200, 2 ** 200)).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_a_matrix_of_integer_rows_is_the_matrix_of_its_fractions(m, n, k, data):
+    def ints(rows, cols):
+        return data.draw(st.lists(st.lists(BIG_INTS, min_size=cols, max_size=cols),
+                                  min_size=rows, max_size=rows))
+
+    def plain(rows, cols):
+        return Matrix(data.draw(st.lists(st.lists(FRACTIONS, min_size=cols, max_size=cols),
+                                         min_size=rows, max_size=rows)), EXACT, cols)
+
+    rows, den = ints(m, n), data.draw(DENOMINATORS)
+    other_rows, other_den = ints(m, n), data.draw(DENOMINATORS)
+    oracle = Matrix([[Fraction(v, den) for v in r] for r in rows], EXACT, n)
+    other = Matrix([[Fraction(v, other_den) for v in r] for r in other_rows], EXACT, n)
+    P, left, right = plain(m, n), plain(k, m), plain(n, k)
+    # The integer readers first: the report, the scaled rows and products build no Fraction.
+    M = _IntMatrix(rows, den, n)
+    assert report_text({"m": M}) == report_text({"m": oracle})
+    assert M * right == oracle * right and left * M == left * oracle
+    scale, *scaled = _scaled_rows(M, P, _IntMatrix(other_rows, other_den, n))
+    assert (scale, *[[list(r) for r in R] for R in scaled]) == fraction_scaled_rows(
+        oracle, P, other)
+    assert not holds_fractions(M)
+    assert M.shape == oracle.shape and M.mode == EXACT
+    assert all(type(M[i, j]) is Fraction and M[i, j] == oracle[i, j]
+               for i in range(m) for j in range(n))
+    assert holds_fractions(M) == bool(m and n)
+    M = _IntMatrix(rows, den, n)
+    assert M == oracle and oracle == M and hash(M) == hash(oracle)
+    assert _IntMatrix(rows, den, n) + P == oracle + P and P + M == P + oracle
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python sets no int-string digit limit")
+def test_integer_rows_past_the_digit_limit_raise_the_writers_error():
+    big = 10 ** LIMIT
+    for rows, den in (([[big, 1]], 3), ([[1, 2]], -big), ([[0], [-big]], 1)):
+        M = _IntMatrix(rows, den, len(rows[0]))
+        with pytest.raises(ValueError) as got:
+            report_text({"m": M})
+        with pytest.raises(ValueError) as oracle:
+            report_text({"m": Matrix([[Fraction(v, den) for v in r] for r in rows])})
+        assert str(got.value) == str(oracle.value) == (
+            f"a report entry has more than {LIMIT} digits, the limit for int-string "
+            "conversion (PYTHONINTMAXSTRDIGITS)")
+        assert not holds_fractions(M)
 
 
 def _entries(*mats):
