@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite, prod
+from math import isfinite
 
 from .errors import DimensionError
 from .matrix import EXACT, Matrix, _clear_denominators, _field, _Record
@@ -42,8 +42,8 @@ def _det_exact(M):
     n = M.rows
     if n == 0:
         return Fraction(1)
-    a, scales = _clear_denominators(M.row(i) for i in range(n))
-    return Fraction(_bareiss_int(a), prod(scales))
+    scale, a = M._integer_rows()
+    return Fraction(_bareiss_int(list(map(list, a))), scale ** n)
 
 
 def _det_approx(M):

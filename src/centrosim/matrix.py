@@ -1,9 +1,12 @@
 """Dense matrices over exact rationals or tolerance-compared floats.
 
-Exact mode stores every entry as a ``fractions.Fraction`` (always in lowest
-terms with positive denominator).  Approximate mode stores binary64 floats and
-compares entries with a relative tolerance.  The two modes never mix inside
-one operation; doing so raises :class:`~centrosim.errors.ModeError`.
+Exact mode holds every entry as a ``fractions.Fraction`` (always in lowest
+terms with positive denominator), or as integer rows over one denominator
+(``_IntMatrix``: every exact matrix read from JSON, and the solver's
+linear-stage basis), whose Fractions are built only when an entry is read.
+Approximate mode stores binary64 floats and compares entries with a relative
+tolerance.  The two modes never mix inside one operation; doing so raises
+:class:`~centrosim.errors.ModeError`.
 
 Everything a mode decides about its scalars (zero and one, coercion, equality
 and zero tests, residual screens, the tolerance, thresholds, JSON form, square
@@ -45,6 +48,15 @@ def _clear_denominators(rows):
     return int_rows, scales
 
 
+def _over_lcm(rows):
+    """(scale, the integer rows of scale * rows) for rows of ints and Fractions:
+    scale is the lcm of the entries' denominators."""
+    scale = math.lcm(*[v.denominator for row in rows for v in row])
+    if scale == 1:
+        return 1, [[v.numerator for v in row] for row in rows]
+    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+
+
 def _scaled_rows(*mats):
     """(scale, then the integer rows of scale * M for each M in mats): scale is
     the lcm of every denominator in mats."""
@@ -62,6 +74,16 @@ def _fraction_rows(rows, den):
     is 1, or the shared zero."""
     zero, q = _ExactField.zero, None if den == 1 else den
     return [[Fraction(v, q) if v else zero for v in r] for r in rows]
+
+
+def _sub(rows, r0, r1, c0, c1):
+    """Rows r0..r1-1 of rows, each cut to columns c0..c1-1."""
+    return [r[c0:c1] for r in rows[r0:r1]]
+
+
+def _pick(rows, at_rows, at_cols):
+    """The rows [rows[i][j] for j in at_cols], for i in at_rows."""
+    return [[rows[i][j] for j in at_cols] for i in at_rows]
 
 
 def _int_product(rows, cols):
@@ -112,8 +134,10 @@ class _ExactField:
 
     def screen(self, pairs, tol=None):
         """Whether L - R vanishes for every pair (L, R) of equal-shape matrices,
-        and None: L == R is tested, up to the first entry that differs."""
-        return all(L._data == R._data for L, R in pairs), None
+        and None: L == R is tested up to the first pair that differs, on the
+        integer rows when both hold them over one denominator."""
+        return all(L._ints == R._ints if type(L) is type(R) is _IntMatrix and L._den == R._den
+                   else L._data == R._data for L, R in pairs), None
 
     def to_json(self, v):
         """"p", or "p/q" in lowest terms; past the digit limit, a ValueError that names it."""
@@ -422,7 +446,7 @@ class Matrix:
     def __repr__(self):
         if self._rows == 0 or self._cols == 0:
             return f"Matrix(<empty {self._rows}x{self._cols}>, mode={self.mode!r})"
-        body = "; ".join(" ".join(str(v) for v in r) for r in self._data)
+        body = "; ".join(" ".join(map(_entry_text, r)) for r in self._data)
         return f"Matrix([{body}], mode={self.mode!r})"
 
     def __eq__(self, other):
@@ -480,7 +504,7 @@ class Matrix:
 
     def submatrix(self, r0, r1, c0, c1):
         """Rows r0..r1-1 and columns c0..c1-1 as a new matrix."""
-        return Matrix._trusted([r[c0:c1] for r in self._data[r0:r1]], self.mode, c1 - c0)
+        return Matrix._trusted(_sub(self._data, r0, r1, c0, c1), self.mode, c1 - c0)
 
     def take(self, rows, cols):
         """The matrix with entry (i, j) = self[rows[i], cols[j]].
@@ -489,8 +513,7 @@ class Matrix:
         matrices with P[i, p[i]] = Q[j, q[j]] = 1, so a product by J or any
         permutation is an index map; ``range(n)[::-1]`` is J's.
         """
-        data = self._data
-        return Matrix._trusted([[data[i][j] for j in cols] for i in rows], self.mode, len(cols))
+        return Matrix._trusted(_pick(self._data, rows, cols), self.mode, len(cols))
 
     def is_zero(self, tol=None):
         return _field(self.mode).all_zero((v for r in self._data for v in r), tol)
@@ -508,11 +531,7 @@ class Matrix:
     def _integer_rows(self):
         """(scale, the integer rows of scale * self) for an exact matrix: scale is
         the lcm of its entries' denominators."""
-        data = self._data
-        scale = math.lcm(*[v.denominator for row in data for v in row])
-        if scale == 1:
-            return 1, [[v.numerator for v in row] for row in data]
-        return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in data]
+        return _over_lcm(self._data)
 
     def _json_rows(self, sep):
         """For each row, the JSON texts of its entries joined by sep ("" for an
@@ -526,15 +545,21 @@ class _IntMatrix(Matrix):
     entry (i, j) is Fraction(ints[i][j], den).
 
     It is an ordinary Matrix whose Fractions are built on the first read of
-    _data, by __getattr__, which plain matrices never reach because their _data
-    slot is set.  _scaled_rows (through _integer_rows) and report_text (through
-    _json_rows) read the integer rows and build no Fraction.
+    _data, a cached_property: later reads find them in the instance dict, and
+    every other attribute is looked up as on a plain Matrix (a __getattr__
+    hook would slow them all).  _scaled_rows (through _integer_rows),
+    report_text (through _json_rows), negation and the exact screen read the
+    integer rows and build no Fraction; submatrix and take slice them, and a
+    view so taken reads its Fractions from its source's, so each entry's is
+    built once.
     """
 
-    __slots__ = ("_ints", "_den")
+    __slots__ = ("_ints", "_den", "_source", "__dict__")
 
-    def __init__(self, rows, den, cols):
-        """rows: integer rows, each of length cols, over the nonzero integer den."""
+    def __init__(self, rows, den, cols, source=None):
+        """rows: integer rows, each of length cols, over the nonzero integer den;
+        source: None, or (M, part, args) when rows are part(M's integer rows,
+        *args), so that the Fractions are part(M's Fractions, *args)."""
         if den < 0:
             rows, den = [[-v for v in r] for r in rows], -den
         ints = tuple(map(tuple, rows))
@@ -543,13 +568,14 @@ class _IntMatrix(Matrix):
         object.__setattr__(self, "_rows", len(ints))
         object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "mode", EXACT)
+        object.__setattr__(self, "_source", source)
 
-    def __getattr__(self, name):
-        if name != "_data":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        data = tuple(map(tuple, _fraction_rows(self._ints, self._den)))
-        object.__setattr__(self, "_data", data)
-        return data
+    @cached_property
+    def _data(self):
+        if self._source is None:
+            return tuple(map(tuple, _fraction_rows(self._ints, self._den)))
+        M, part, args = self._source
+        return tuple(map(tuple, part(M._data, *args)))
 
     def _integer_rows(self):
         """(den, ints), first divided by their gcd, so that den is the lcm of
@@ -562,11 +588,26 @@ class _IntMatrix(Matrix):
             object.__setattr__(self, "_den", den)
         return den, ints
 
+    def __neg__(self):
+        return _IntMatrix(self._ints, -self._den, self._cols)
+
+    def submatrix(self, r0, r1, c0, c1):
+        return self._part(_sub, c1 - c0, r0, r1, c0, c1)
+
+    def take(self, rows, cols):
+        return self._part(_pick, len(cols), rows, cols)
+
+    def _part(self, part, cols, *args):
+        """The matrix of part(rows, *args), of cols columns, over self's den."""
+        return _IntMatrix(part(self._ints, *args), self._den, cols, (self, part, args))
+
     def _json_rows(self, sep):
         """The texts of Matrix._json_rows, each entry written from its integer as
         "p" or "p/q" in lowest terms (str(Fraction)'s bytes), one gcd per entry."""
         den, quoted = self._den, '"' + sep + '"'
         try:
+            if den == 1:
+                return ['"' + quoted.join(map(str, r)) + '"' if r else "" for r in self._ints]
             return ['"' + quoted.join([str(v // g) if (g := math.gcd(v, den)) == den
                                        else f"{v // g}/{den // g}" for v in r]) + '"'
                     if r else "" for r in self._ints]
@@ -627,7 +668,7 @@ def is_centrosymmetric(M, tol=None):
     """Entrywise test m[i,j] == m[n-1-i, n-1-j]."""
     if not M.is_square:
         raise DimensionError("centrosymmetry is defined for square matrices")
-    rows = M._data
+    rows = M._ints if type(M) is _IntMatrix else M._data  # integers over one den
     return _field(M.mode).rows_eq(rows, tuple(r[::-1] for r in reversed(rows)), tol)
 
 
@@ -807,6 +848,25 @@ def _past_digit_limit():
                       "int-string conversion (PYTHONINTMAXSTRDIGITS)")
 
 
+def _past_read_limit(digits, limit):
+    return ValueError(f"a value has {digits} digits, more than {limit}, the limit for "
+                      "int-string conversion (PYTHONINTMAXSTRDIGITS)")
+
+
+def _entry_text(v):
+    """str(v), each integer of an exact v past the digit limit written as its
+    digit count, e.g. "<4401-digit integer>"."""
+    try:
+        return str(v)
+    except ValueError:
+        if v.denominator != 1:
+            return f"{_entry_text(v.numerator)}/{_entry_text(v.denominator)}"
+        digits = int(v.numerator.bit_length() * 0.30103)  # at most |v|'s digit count
+        while abs(v) >= 10 ** digits:
+            digits += 1
+        return "-" * (v < 0) + f"<{digits}-digit integer>"
+
+
 def _non_finite():
     return ValueError("the report holds a non-finite number (floating-point overflow); "
                       "use exact mode")
@@ -851,8 +911,7 @@ def parse_rational(text):
         digits = _long_digit_group(text, limit)
         if digits is None:
             raise
-        raise ValueError(f"a value has {digits} digits, more than {limit}, the limit for "
-                         "int-string conversion (PYTHONINTMAXSTRDIGITS)") from None
+        raise _past_read_limit(digits, limit) from None
     # 2^(3 limit) < 10^limit: only a longer integer can have more than limit digits.
     longest = max(abs(value.numerator), value.denominator)
     if limit and longest.bit_length() > 3 * limit and longest >= 10 ** limit:
@@ -889,8 +948,17 @@ def _entry_from_json(v):
     return v
 
 
+def _json_int(text):
+    """int(text) for a JSON integer; past the digit limit, the reader's error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise _past_read_limit(len(text.lstrip("-")), _digit_limit()) from None
+
+
 def matrix_from_json_obj(obj, mode=None):
-    """Parse {"rows": [...]}: strings/ints mean exact, floats mean approx.
+    """Parse {"rows": [...]}: strings/ints mean exact (integer rows over the lcm
+    of the denominators, _IntMatrix), floats mean approx.
 
     Anything else raises ValueError: a missing or non-list 'rows', a row that
     is not a list, an entry that is not a string or a number, an unparsable
@@ -907,6 +975,9 @@ def matrix_from_json_obj(obj, mode=None):
     if mode is None:
         mode = APPROX if float in kinds else EXACT
     values = [[_entry_from_json(v) for v in r] for r in rows]
+    if mode == EXACT and float not in kinds and len(set(map(len, values))) < 2:
+        den, ints = _over_lcm(values)
+        return _IntMatrix(ints, den, len(values[0]) if values else 0)
     try:
         return Matrix(values, mode=mode)
     except OverflowError:
@@ -916,7 +987,7 @@ def matrix_from_json_obj(obj, mode=None):
 def load_matrix(path, mode=None):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise ValueError("matrix JSON is nested too deeply") from None
     return matrix_from_json_obj(obj, mode=mode)

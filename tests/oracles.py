@@ -15,6 +15,7 @@ from operator import add, mul
 from centrosim import (APPROX, EXACT, Matrix, PreconditionError, RankError, block,
                        exchange_matrix, gauss_facts, hstack, inverse, matrix_to_json_obj,
                        rank_normal_form, solve_linear, vstack)
+from centrosim.matrix import _IntMatrix
 from centrosim.solver import _grid_roots
 
 
@@ -395,12 +396,8 @@ def fraction_scaled_rows(*mats):
 
 def holds_fractions(M):
     """Whether M holds its entries as Fractions: a matrix held as integer rows
-    builds them only when an entry is read."""
-    try:
-        Matrix._data.__get__(M)
-    except AttributeError:
-        return False
-    return True
+    builds them only when an entry is read, and keeps them in its __dict__."""
+    return not isinstance(M, _IntMatrix) or "_data" in vars(M)
 
 
 def stdlib_report_text(obj):

@@ -357,6 +357,19 @@ def test_a_digit_string_past_the_digit_limit_is_the_readers_error(tmp_path, caps
 
 
 @pytest.mark.skipif(not LIMIT, reason="this Python sets no int-string digit limit")
+@pytest.mark.parametrize("entry", ["9" * (LIMIT + 1), "-1" + "0" * (LIMIT + 40)],
+                         ids=["positive", "negative"])
+def test_a_json_number_past_the_digit_limit_is_the_readers_error(tmp_path, capsys, entry):
+    # json.dumps cannot write such an integer, so the file is written as text.
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": [[%s, 1], [1, 2]]}' % entry)
+    code, out, err = run(["check", str(path)], capsys)
+    assert_one_line_error(code, out, err)
+    assert err == (f"error: a value has {len(entry.lstrip('-'))} digits, more than {LIMIT}, "
+                   "the limit for int-string conversion (PYTHONINTMAXSTRDIGITS)\n")
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python sets no int-string digit limit")
 def test_a_basis_entry_past_the_digit_limit_is_the_writers_error_line(tmp_path, capsys,
                                                                      monkeypatch):
     # XA = DX for A = T N T^-1, D = N (the 3 x 3 shift) and T = diag(K^2, K, 1): the

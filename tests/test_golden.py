@@ -53,13 +53,18 @@ def test_alpha_scan_report_matches_golden_file(name, tmp_path, capsys):
 
 def test_the_planted16_report_is_written_from_the_basis_integer_rows(tmp_path, capsys,
                                                                     monkeypatch):
-    # d = 8 > d_max: the basis is only reported, so none of its Fractions is built.
-    searches = []
-    find_intertwiner = solver.find_intertwiner
+    # d = 8 > d_max: the basis is only reported, so none of its Fractions is built;
+    # nor is one of the matrix read from the file, or of its blocks, which the
+    # screens of J, I and -J and the linear stage read as integer rows.
+    searches, splits = [], []
+    find_intertwiner, split_blocks = solver.find_intertwiner, solver.split_blocks
     monkeypatch.setattr(solver, "find_intertwiner",
-                        lambda *args, **kw: searches.append(find_intertwiner(*args, **kw))
-                        or searches[-1])
+                        lambda M, *args, **kw: searches.append((M, find_intertwiner(
+                            M, *args, **kw))) or searches[-1][1])
+    monkeypatch.setattr(solver, "split_blocks",
+                        lambda *args: splits.append(split_blocks(*args)) or splits[-1])
     check_case("solve_planted16", "exact", tmp_path, capsys)
-    (search,) = searches
+    ((M, search),), (bp,) = searches, splits
     assert len(search.basis) == 8 > SearchOptions().d_max and not search.solutions
     assert not any(map(holds_fractions, search.basis))
+    assert M.shape == (16, 16) and not any(map(holds_fractions, (M, bp.A, bp.B, bp.C, bp.D)))

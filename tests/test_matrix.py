@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from centrosim import (APPROX, EXACT, CentrosimError, DimensionError, Matrix, ModeError,
                        assemble_blocks, block, block_diag, blocks_centrosymmetric,
-                       commutes_with_exchange, exchange_matrix, gauss_facts, hstack,
+                       commutes_with_exchange, det, exchange_matrix, gauss_facts, hstack,
                        is_centrosymmetric, matrix_from_json_obj,
                        matrix_to_json_obj, rank_normal_form, save_matrix, solve_linear,
                        split_blocks, vstack)
-from centrosim.matrix import (_DEFAULT_DIGITS, _IntMatrix, _scaled_rows, parse_rational,
-                              report_text)
+from centrosim.matrix import (_DEFAULT_DIGITS, _entry_from_json, _field, _IntMatrix,
+                              _scaled_rows, parse_rational, report_text)
 from oracles import (fraction_matmul, fraction_scaled_rows, holds_fractions, permutation_matrix,
                      rand_centrosymmetric, rand_int_matrix, stdlib_report_text)
 
@@ -490,6 +490,115 @@ def test_integer_rows_past_the_digit_limit_raise_the_writers_error():
             f"a report entry has more than {LIMIT} digits, the limit for int-string "
             "conversion (PYTHONINTMAXSTRDIGITS)")
         assert not holds_fractions(M)
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python sets no int-string digit limit")
+def test_repr_writes_an_integer_past_the_digit_limit_as_its_digit_count():
+    big, top = 10 ** LIMIT, 10 ** (LIMIT + 1) - 1
+    M = Matrix([[big, -top], [Fraction(1, big), Fraction(-7, top)], [Fraction(big, 3), 1]])
+    assert repr(M) == (f"Matrix([<{LIMIT + 1}-digit integer> -<{LIMIT + 1}-digit integer>; "
+                       f"1/<{LIMIT + 1}-digit integer> -7/<{LIMIT + 1}-digit integer>; "
+                       f"<{LIMIT + 1}-digit integer>/3 1], mode='exact')")
+    assert repr(Matrix([[big - 1]])) == f"Matrix([{big - 1}], mode='exact')"
+    assert repr(_IntMatrix([[big, 2]], 1, 2)) == (
+        f"Matrix([<{LIMIT + 1}-digit integer> 2], mode='exact')")
+    assert f"<{LIMIT + 1}-digit integer>" in repr(split_blocks(M.take(range(2), range(2)),
+                                                             "even", 1))
+
+
+def _read(rows, mode):
+    """matrix_from_json_obj's matrix, or the type and message of its error."""
+    try:
+        return matrix_from_json_obj({"rows": rows}, mode)
+    except (ValueError, CentrosimError) as exc:
+        return type(exc), str(exc)
+
+
+def _read_by_matrix(rows, mode):
+    """The reader's checks in its order, then Matrix(...) on the parsed entries,
+    as _read gives them."""
+    try:
+        kinds = {type(v) for r in rows for v in r}
+        if str in kinds and float in kinds:
+            raise ValueError("matrix JSON mixes string and float entries")
+        values = [[_entry_from_json(v) for v in r] for r in rows]
+        return Matrix(values, mode or (APPROX if float in kinds else EXACT))
+    except (ValueError, CentrosimError) as exc:
+        return type(exc), str(exc)
+
+
+# The kinds of JSON entry: integer, "p/q" (the denominator 0 at times) and decimal
+# strings with signs and spaces, JSON integers, and floats and values of no kind.
+ENTRY_KINDS = (BIG_INTS.map(str),
+               st.builds("{}{}".format, st.sampled_from(["+", " -", "-", " "]), BIG_INTS),
+               st.builds("{}/{}".format, BIG_INTS, st.integers(-12, 12) | BIG_INTS),
+               st.builds("{}.{}e{}".format, st.integers(-99, 99), st.integers(0, 10 ** 6),
+                         st.integers(-3, 3)),
+               BIG_INTS,
+               st.sampled_from([0.5, -2.0, True, None]))
+
+
+def _index_list(n):
+    return st.lists(st.integers(0, n - 1), max_size=4) if n else st.just([])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_an_exact_json_matrix_reads_as_the_matrix_of_its_entries(data):
+    kinds = data.draw(st.lists(st.sampled_from(ENTRY_KINDS[:-1]), min_size=1, max_size=3)
+                      | st.lists(st.sampled_from(ENTRY_KINDS), min_size=1, max_size=3))
+    m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    lengths = data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)
+                        | st.just([n] * m))
+    rows = [data.draw(st.lists(st.one_of(kinds), min_size=k, max_size=k)) for k in lengths]
+    mode = data.draw(st.sampled_from([None, None, EXACT, APPROX]))
+    M, oracle = _read(rows, mode), _read_by_matrix(rows, mode)
+    event("error" if type(oracle) is tuple else oracle.mode)
+    if type(oracle) is tuple:
+        assert M == oracle
+        return
+    assert report_text({"m": M}) == report_text({"m": oracle})
+    if oracle.mode == EXACT:
+        m, n = oracle.shape
+        scale, ints = M._integer_rows()
+        assert (scale, [list(r) for r in ints]) == oracle._integer_rows()
+        p, q = data.draw(_index_list(m)), data.draw(_index_list(n))
+        r0, r1 = sorted(data.draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
+        c0, c1 = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+        views = [(M.take(p, q), oracle.take(p, q)),
+                 (M.submatrix(r0, r1, c0, c1), oracle.submatrix(r0, r1, c0, c1))]
+        assert all(report_text({"m": V}) == report_text({"m": R}) for V, R in views)
+        k = data.draw(st.integers(0, 3))
+        left, right = (Matrix(data.draw(st.lists(st.lists(FRACTIONS, min_size=c, max_size=c),
+                                                 min_size=r, max_size=r)), EXACT, c)
+                       for r, c in ((k, m), (n, k)))
+        assert left * M == left * oracle and M * right == oracle * right
+        if m == n:
+            assert is_centrosymmetric(M) == is_centrosymmetric(oracle) and det(M) == det(oracle)
+        # A second matrix read from M's entries over k: often the same integer
+        # rows over another denominator.
+        k = data.draw(st.sampled_from([1, -1, 2, 3, 6]))
+        other = _read([[str(v / k) for v in r] for r in oracle.to_lists()], EXACT)
+        other_oracle = _read_by_matrix([[str(v / k) for v in r] for r in oracle.to_lists()],
+                                       EXACT)
+        pairs = [(M, other), (M, -other), (M.take(p, q), other.take(p, q)),
+                 (views[1][0], views[1][0]), (M, other_oracle)]
+        oracle_pairs = [(oracle, other_oracle), (oracle, -other_oracle),
+                        (oracle.take(p, q), other_oracle.take(p, q)),
+                        (views[1][1], views[1][1]), (oracle, other_oracle)]
+        assert not any(map(holds_fractions, [M, other] + [V for V, _ in views]))
+        screen = _field(EXACT).screen
+        assert ([screen([pair])[0] for pair in pairs]
+                == [screen([pair])[0] for pair in oracle_pairs])
+        assert all(V == R for V, R in views)
+    assert M == oracle and oracle == M and hash(M) == hash(oracle)
+    if oracle.mode == EXACT:
+        # M's Fractions are built now: its views, taken before or after, read them.
+        at = [([*p], [*q]), (range(r0, r1), range(c0, c1))] * 2
+        for V, (rows, cols) in zip([views[0][0], views[1][0], M.take(p, q),
+                                    M.submatrix(r0, r1, c0, c1)], at):
+            assert V == oracle.take(rows, cols)
+            assert all(V[a, b] is M[i, j] for a, i in enumerate(rows) for b, j in enumerate(cols))
 
 
 def _entries(*mats):
