@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import isfinite
 
 from .errors import DimensionError
-from .matrix import EXACT, Matrix, _clear_denominators, _field, _Record
+from .matrix import EXACT, Matrix, _field, _over_lcm, _Record, _scaled_rows, hstack
 
 __all__ = ["det", "gauss_facts", "GaussFacts", "inverse", "rank",
            "rank_normal_form", "RankNormalForm", "solve_linear", "char_poly_samples"]
@@ -78,8 +78,9 @@ def det(M):
     return _det_exact(M) if M.mode == EXACT else _det_approx(M)
 
 
-def _rref(a, n_cols, mode, threshold):
-    """Reduced row echelon form in place over the first n_cols columns.
+def _rref(a, n_cols, mode, threshold, den=1):
+    """Reduced row echelon form in place of the rows a over den (1 unless a
+    holds den times a matrix's rows), over the first n_cols columns.
 
     Columns beyond n_cols (an augmented part) ride along with the row
     operations.  Returns the pivot column list.  Exact mode pivots on the
@@ -87,33 +88,34 @@ def _rref(a, n_cols, mode, threshold):
     above the threshold.
     """
     if mode == EXACT:
-        return _rref_exact(a, n_cols)
+        return _rref_exact(a, n_cols, den)
     return _rref_approx(a, n_cols, threshold)
 
 
-def _rref_exact(a, n_cols):
-    """Gauss-Jordan on the cleared-denominator rows by _gauss_jordan_int; dividing
-    by the last pivot (and, for the rows past the rank, by their own scale)
-    gives the Fraction RREF."""
-    rows, scales = _clear_denominators(a)
-    pivots, prev = _gauss_jordan_int(rows, n_cols, scales)
-    r = len(pivots)
+def _rref_exact(a, n_cols, den=1):
+    """Gauss-Jordan by _gauss_jordan_int on the rows a (ints, or exact scalars
+    written over the lcm of their denominators) over den, in place: pivot row
+    k ends as the last pivot times RREF row k, and each row past the rank as
+    the last pivot times den times that row of the Fraction elimination, so
+    dividing by them gives the Fraction RREF."""
+    scale, rows = _over_lcm(a)
+    pivots, prev = _gauss_jordan_int(rows, n_cols)
+    r, past = len(pivots), prev * scale * den
     zero = Fraction(0)
     for i, row in enumerate(rows):
-        d = prev if i < r else prev * scales[i]
+        d = prev if i < r else past
         a[i] = [Fraction(x, d) if x else zero for x in row]
     return pivots
 
 
-def _gauss_jordan_int(rows, n_cols, scales=None):
+def _gauss_jordan_int(rows, n_cols):
     """Fraction-free Gauss-Jordan (Bareiss 1968) on integer rows, in place.
 
     After each pivot step every row is the current pivot value times the same
     row of Fraction Gauss-Jordan with the same pivots, so all pivots share one
     value and every entry is a minor of the integer matrix: each floor
     division below is exact.  Returns the pivot columns and the last pivot
-    value prev (1 if none): pivot row k ends as prev times RREF row k.  Row
-    swaps are applied to scales too, when given.
+    value prev (1 if none): pivot row k ends as prev times RREF row k.
     """
     m = len(rows)
     pivots = []
@@ -127,8 +129,6 @@ def _gauss_jordan_int(rows, n_cols, scales=None):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            if scales is not None:
-                scales[r], scales[piv] = scales[piv], scales[r]
         row_r = rows[r]
         pk = row_r[c]
         for i in range(m):
@@ -202,7 +202,7 @@ def _kernel_vectors(a, pivots, n_cols, one, zero):
 def _nullspace_from_rref(a, pivots, n_cols, mode):
     """The kernel vectors of an RREF as column matrices."""
     F = _field(mode)
-    return [Matrix._trusted([(v,) for v in vec], mode, 1)
+    return [Matrix._of([(v,) for v in vec], mode, 1)
             for vec in _kernel_vectors(a, pivots, n_cols, F.one, F.zero)]
 
 
@@ -214,29 +214,26 @@ class GaussFacts(_Record):
 def gauss_facts(M, tol=None):
     """Rank, right-nullspace basis (free columns ascending) and inverse if any.
 
-    Exact mode eliminates the cleared-denominator rows of [M | I] (of M when not
-    square), whose pivot row k ends as prev times RREF row k, and builds a
-    Fraction only for an entry of the inverse, or of a kernel vector if none.
+    Exact mode eliminates the integer rows of [den M | I] (of den M when not
+    square), M's stored rows over den, whose pivot row k ends as prev times
+    RREF row k: the inverse is den times the augmented part over prev, and
+    each kernel vector is integers over prev.
     """
     F = _field(M.mode)
     n, c = M.rows, M.cols
     unit = range(n) if M.is_square else ()
-    a = [[*M.row(i), *(F.one if i == j else F.zero for j in unit)] for i in range(n)]
+    den, rows = M._integer_rows()
+    a = [[*r, *(F.one if i == j else F.zero for j in unit)] for i, r in enumerate(rows)]
     if M.mode == EXACT:
-        a, _ = _clear_denominators(a)
         pivots, one = _gauss_jordan_int(a, c)
-
-        def entry(v):
-            return Fraction(v, one) if v else F.zero
+        over = one
     else:
-        pivots, one = _rref_approx(a, c, F.threshold(tol, M)), F.one
-
-        def entry(v):
-            return v
+        pivots, one, over = _rref_approx(a, c, F.threshold(tol, M)), F.one, 1
     if M.is_square and len(pivots) == n:
-        return GaussFacts(n, (), Matrix._trusted([map(entry, r[n:]) for r in a], M.mode, n))
+        return GaussFacts(n, (), Matrix._trusted([[den * v for v in r[n:]] for r in a], M.mode,
+                                                 n, over))
     kernel = _kernel_vectors(a, pivots, c, one, F.zero)
-    return GaussFacts(len(pivots), tuple(Matrix._trusted([(entry(v),) for v in vec], M.mode, 1)
+    return GaussFacts(len(pivots), tuple(Matrix._trusted([(v,) for v in vec], M.mode, 1, over)
                                          for vec in kernel), None)
 
 
@@ -255,8 +252,9 @@ def solve_linear(K, b, tol=None):
     F = _field(K.mode)
     threshold = F.threshold(tol, K)
     m, n = K.rows, K.cols
-    a = [list(K.row(i)) + [b[i, 0]] for i in range(m)]
-    pivots = _rref(a, n, K.mode, threshold)
+    den, k_rows, b_rows = _scaled_rows(K, b)
+    a = [[*r, *v] for r, v in zip(k_rows, b_rows)]
+    pivots = _rref(a, n, K.mode, threshold, den)
     basis = _nullspace_from_rref(a, pivots, n, K.mode)
     rhs_tol = max(threshold, F.threshold(tol, b))
     for i in range(len(pivots), m):
@@ -265,7 +263,7 @@ def solve_linear(K, b, tol=None):
     vec = [F.zero] * n
     for k, p in enumerate(pivots):
         vec[p] = a[k][n]
-    return Matrix._trusted([(v,) for v in vec], K.mode, 1), basis
+    return Matrix._of([(v,) for v in vec], K.mode, 1), basis
 
 
 class RankNormalForm(_Record):
@@ -284,19 +282,26 @@ def rank_normal_form(X, tol=None):
     """
     m, n, mode = X.rows, X.cols, X.mode
     F = _field(mode)
-    ident, unit = Matrix.identity(m, mode), Matrix.identity(n, mode)
-    a = [list(X.row(i)) + list(ident.row(i)) for i in range(m)]
-    pivots = _rref(a, n, mode, F.threshold(tol, X))
+    # den [X | I] from X's stored rows over den.
+    den, rows = X._integer_rows()
+    a = [[*row, *(den * F.one if i == j else F.zero for j in range(m))]
+         for i, row in enumerate(rows)]
+    pivots = _rref(a, n, mode, F.threshold(tol, X), den)
     r, T = len(pivots), [row[n:] for row in a]
     rest = [max(range(m), key=lambda c: (not any(t[c] for t in T[:r]), abs(row[c])))
             for row in T[r:]]
     kernel = _kernel_vectors(a, pivots, n, F.one, F.zero)
-    S = [[unit[i, p] for p in pivots] + [v[i] for v in kernel] for i in range(n)]
-    S_inv = [[unit[c, p] if c in pivots else a[k][c] for c in range(n)]
-             for k, p in enumerate(pivots)] + [unit.row(f) for f in range(n) if f not in pivots]
-    T_inv = [[X[i, p] for p in pivots] + [ident[i, c] for c in rest] for i in range(m)]
-    return RankNormalForm(Matrix._trusted(T, mode, m), Matrix._trusted(S, mode, n), r,
-                          Matrix._trusted(T_inv, mode, m), Matrix._trusted(S_inv, mode, n))
+
+    def unit(i, j):
+        return F.one if i == j else F.zero
+    S = [[unit(i, p) for p in pivots] + [v[i] for v in kernel] for i in range(n)]
+    S_inv = ([[unit(c, p) if c in pivots else a[k][c] for c in range(n)]
+              for k, p in enumerate(pivots)]
+             + [[unit(c, f) for c in range(n)] for f in range(n) if f not in pivots])
+    every = range(m)
+    T_inv = hstack(X.take(every, pivots), Matrix.identity(m, mode).take(every, rest))
+    return RankNormalForm(Matrix._of(T, mode, m), Matrix._of(S, mode, n), r, T_inv,
+                          Matrix._of(S_inv, mode, n))
 
 
 def char_poly_samples(M, points):

@@ -1,17 +1,16 @@
 """Dense matrices over exact rationals or tolerance-compared floats.
 
-Exact mode holds every entry as a ``fractions.Fraction`` (always in lowest
-terms with positive denominator), or as integer rows over one denominator
-(``_IntMatrix``: every exact matrix read from JSON, and the solver's
-linear-stage basis), whose Fractions are built only when an entry is read.
-Approximate mode stores binary64 floats and compares entries with a relative
-tolerance.  The two modes never mix inside one operation; doing so raises
-:class:`~centrosim.errors.ModeError`.
+Exact mode stores every matrix as integer rows over one denominator in lowest
+terms (den > 0, and gcd(den, every entry) == 1), so equal matrices store the
+same (den, rows); an entry becomes a ``fractions.Fraction`` only when a caller
+reads it, and none is kept.  Approximate mode stores binary64 floats over
+den = 1 and compares entries with a relative tolerance.  The two modes never
+mix inside one operation; doing so raises :class:`~centrosim.errors.ModeError`.
 
-Everything a mode decides about its scalars (zero and one, coercion, equality
-and zero tests, residual screens, the tolerance, thresholds, JSON form, square
-roots) lives in one field object per mode, ``_field(mode)``; the other modules
-ask it rather than test the mode.
+Everything a mode decides about its scalars (zero and one, coercion, storage
+and entry reads, equality and zero tests, residual screens, the tolerance,
+thresholds, JSON form, square roots) lives in one field object per mode,
+``_field(mode)``; the other modules ask it rather than test the mode.
 """
 
 from __future__ import annotations
@@ -35,45 +34,40 @@ APPROX = "approx"
 DEFAULT_TOL = 1e-9
 
 
-def _clear_denominators(rows):
-    """Each Fraction row times the lcm of its denominators: (int rows, row scales)."""
-    int_rows = []
-    scales = []
-    for row in rows:
-        dens = [v.denominator for v in row]
-        li = math.lcm(*dens)
-        int_rows.append([v.numerator * (li // q) for v, q in zip(row, dens)] if li != 1
-                        else [v.numerator for v in row])
-        scales.append(li)
-    return int_rows, scales
-
-
 def _over_lcm(rows):
     """(scale, the integer rows of scale * rows) for rows of ints and Fractions:
-    scale is the lcm of the entries' denominators."""
+    scale is the lcm of the entries' denominators, so the rows are in lowest
+    terms over it.  Rows of ints alone are returned as they are."""
+    if all(type(v) is int for row in rows for v in row):
+        return 1, rows
     scale = math.lcm(*[v.denominator for row in rows for v in row])
     if scale == 1:
         return 1, [[v.numerator for v in row] for row in rows]
     return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
 
 
+def _lowest(rows, den):
+    """(den, rows) for a tuple of integer row tuples over the nonzero den, both
+    divided by gcd(den, every entry) with den's sign, so that den > 0."""
+    g = math.gcd(den, *chain.from_iterable(rows))
+    if den < 0:
+        g = -g
+    if g == 1:
+        return den, rows
+    return den // g, tuple([tuple([v // g for v in r]) for r in rows])
+
+
 def _scaled_rows(*mats):
-    """(scale, then the integer rows of scale * M for each M in mats): scale is
-    the lcm of every denominator in mats."""
-    parts = [M._integer_rows() for M in mats]
-    scale = math.lcm(*[q for q, _ in parts])
-    out = [scale]
-    for q, rows in parts:
-        f = scale // q
-        out.append(rows if f == 1 else [[f * v for v in row] for row in rows])
-    return tuple(out)
+    """(scale, then the stored rows of scale * M for each M in mats): scale is
+    the lcm of their denominators, 1 in approximate mode."""
+    scale = math.lcm(*[M._den for M in mats])
+    return (scale, *[M._data if M._den == scale else _times(scale // M._den, M._data)
+                     for M in mats])
 
 
-def _fraction_rows(rows, den):
-    """Each integer v of rows as Fraction(v, den), Fraction(v) (no gcd) when den
-    is 1, or the shared zero."""
-    zero, q = _ExactField.zero, None if den == 1 else den
-    return [[Fraction(v, q) if v else zero for v in r] for r in rows]
+def _times(f, rows):
+    """f times each entry of rows."""
+    return [[f * v for v in row] for row in rows]
 
 
 def _sub(rows, r0, r1, c0, c1):
@@ -92,11 +86,12 @@ def _int_product(rows, cols):
 
 
 class _ExactField:
-    """Fractions compared exactly: a tolerance is accepted and ignored, every
-    threshold is 0."""
+    """Rationals compared exactly: a tolerance is accepted and ignored, every
+    threshold is 0.  A matrix stores integers over one denominator, so the
+    zero and one it stores are the integers 0 and 1."""
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, value):
         if type(value) is Fraction:
@@ -110,6 +105,28 @@ class _ExactField:
         if isinstance(value, float):
             raise ModeError("float entry in exact mode; use approx mode or a 'p/q' string")
         raise ModeError(f"cannot use {type(value).__name__} as an exact scalar")
+
+    def ratio(self, value):
+        """The scalar value as (numerator, denominator)."""
+        value = self.coerce(value)
+        return value.numerator, value.denominator
+
+    def pack(self, rows):
+        """store's (den, integer rows) of rows of scalars, each coerced (an int
+        kept as it is)."""
+        coerce = self.coerce
+        return self.store([[v if type(v) is int else coerce(v) for v in r] for r in rows])
+
+    def store(self, rows):
+        """(den, integer rows) of rows of ints and Fractions: the rows over den,
+        the lcm of their denominators."""
+        return _over_lcm(rows)
+
+    def values(self, rows, den):
+        """Integer rows over den as rows of Fractions: the one place where an
+        entry's Fraction is built, Fraction(v) (no gcd) when den is 1."""
+        zero, q = Fraction(0), None if den == 1 else den
+        return [tuple([Fraction(v, q) if v else zero for v in r]) for r in rows]
 
     def eq(self, a, b, tol=None):
         return a == b
@@ -134,10 +151,9 @@ class _ExactField:
 
     def screen(self, pairs, tol=None):
         """Whether L - R vanishes for every pair (L, R) of equal-shape matrices,
-        and None: L == R is tested up to the first pair that differs, on the
-        integer rows when both hold them over one denominator."""
-        return all(L._ints == R._ints if type(L) is type(R) is _IntMatrix and L._den == R._den
-                   else L._data == R._data for L, R in pairs), None
+        and None: L == R is tested on the stored integers and denominators, up
+        to the first pair that differs."""
+        return all(L._den == R._den and L._data == R._data for L, R in pairs), None
 
     def to_json(self, v):
         """"p", or "p/q" in lowest terms; past the digit limit, a ValueError that names it."""
@@ -146,41 +162,48 @@ class _ExactField:
         except ValueError:
             raise _past_digit_limit() from None
 
-    def json_row(self, row, sep):
-        """The JSON texts of a nonempty row's entries, each to_json's string, joined by sep."""
+    def json_rows(self, rows, den, sep):
+        """For each row of integers over den, the JSON texts of its entries, each
+        to_json's string of the Fraction (one gcd per entry), joined by sep
+        ("" for an empty row)."""
+        quoted = '"' + sep + '"'
         try:
-            return '"' + ('"' + sep + '"').join(map(str, row)) + '"'
+            if den == 1:
+                return ['"' + quoted.join(map(str, r)) + '"' if r else "" for r in rows]
+            return ['"' + quoted.join([str(v // g) if (g := math.gcd(v, den)) == den
+                                       else f"{v // g}/{den // g}" for v in r]) + '"'
+                    if r else "" for r in rows]
         except ValueError:
             raise _past_digit_limit() from None
 
-    # The certificate kernel.  A chain is a tuple of matrices or operands; each
-    # operand is cleared to integer rows over one scale, so a product is integer
-    # dot products and a Fraction is built only for an entry that is reported.
+    # The certificate kernel.  A chain is a tuple of matrices or operands, each
+    # read as its integer rows over its denominator, so a product is integer
+    # dot products over the product of the denominators.
     def operand(self, M):
-        """M as (integer rows, integer columns, scale) of scale * M, scale the
-        lcm of its denominators; an operand is returned as it is."""
+        """M as (integer rows, integer columns, den), M being the integer matrix
+        over den; an operand is returned as it is."""
         if type(M) is tuple:
             return M
-        scale, rows = self._cleared(M)
-        return rows, list(zip(*rows)) if rows else [()] * M.cols, scale
+        rows = self._rows(M)
+        return rows, list(zip(*rows)) if rows else [()] * M.cols, M._den
 
-    def _cleared(self, M):
-        """(scale, integer rows of scale * M) for an exact M."""
-        if M.mode != EXACT:
+    def _rows(self, M):
+        """M's stored integer rows; ModeError for a matrix of another mode."""
+        if _field(M.mode) is not self:
             raise ModeError(f"cannot mix exact and {M.mode} matrices")
-        return M._integer_rows()
+        return M._data
 
     def _chain(self, chain):
         """(integer rows, scale, column count) of the chain's product: the integer
-        product of its operands, over the product of their scales.  Only the
-        factors after the first are read by columns, so a first factor that is
-        a matrix is not transposed."""
+        product of its operands, over the product of their denominators.  Only
+        the factors after the first are read by columns, so a first factor that
+        is a matrix is not transposed."""
         first, *rest = chain
         if type(first) is tuple:
             rows, cols, scale = first
             width = len(cols)
         else:
-            (scale, rows), width = self._cleared(first), first.cols
+            rows, scale, width = self._rows(first), first._den, first.cols
         for r, c, q in map(self.operand, rest):
             if len(r) != width:
                 raise DimensionError("chain factors do not conform")
@@ -198,22 +221,19 @@ class _ExactField:
         total = None
         for sign, rows, q, _ in parts:
             f = sign * (lcm // q)
-            rows = rows if f == 1 else [[f * v for v in r] for r in rows]
+            rows = rows if f == 1 else _times(f, rows)
             total = rows if total is None else [list(map(add, t, r)) for t, r in zip(total, rows)]
         return total, lcm, parts[0][3]
-
-    def _fractions(self, rows, scale, width):
-        """The matrix of integer rows over scale, its entries built at once."""
-        return Matrix._trusted(_fraction_rows(rows, scale), EXACT, width)
 
     def residual(self, terms, tol=None):
         """(the sum over terms (sign, *chain) of sign times the chain's product,
         whether it vanishes)."""
         rows, scale, width = self._combine(terms)
-        return self._fractions(rows, scale, width), not any(map(any, rows))
+        return Matrix._trusted(rows, EXACT, width, scale), not any(map(any, rows))
 
     def product(self, *chain):
-        return self._fractions(*self._chain(chain))
+        rows, scale, width = self._chain(chain)
+        return Matrix._trusted(rows, EXACT, width, scale)
 
     # Matrix.__mul__, on two matrices it has checked.
     matmul = product
@@ -240,7 +260,8 @@ def _close(a, b, t):
 
 
 class _ApproxField:
-    """Binary64 floats compared with a relative tolerance (DEFAULT_TOL if None)."""
+    """Binary64 floats compared with a relative tolerance (DEFAULT_TOL if None),
+    stored as they are over den = 1."""
 
     zero = 0.0
     one = 1.0
@@ -251,6 +272,19 @@ class _ApproxField:
         if isinstance(value, (int, float, Fraction)):
             return float(value)
         raise ModeError(f"cannot use {type(value).__name__} as an approximate scalar")
+
+    def ratio(self, value):
+        return self.coerce(value), 1
+
+    def pack(self, rows):
+        coerce = self.coerce
+        return self.store([tuple(map(coerce, r)) for r in rows])
+
+    def store(self, rows):
+        return 1, rows
+
+    def values(self, rows, den):
+        return rows
 
     def tol(self, tol=None):
         """The tolerance in force: DEFAULT_TOL for None; NaN, infinite or negative raise."""
@@ -298,12 +332,12 @@ class _ApproxField:
     def to_json(self, v):
         return v
 
-    def json_row(self, row, sep):
-        """The JSON texts of a nonempty row's entries joined by sep; ValueError for
-        NaN or an infinity."""
-        if not all(map(math.isfinite, row)):
+    def json_rows(self, rows, den, sep):
+        """For each row, the JSON texts of its entries joined by sep; ValueError
+        for NaN or an infinity."""
+        if not all(map(math.isfinite, chain.from_iterable(rows))):
             raise _non_finite()
-        return sep.join(map(float.__repr__, row))
+        return [sep.join(map(float.__repr__, r)) for r in rows]
 
     def matmul(self, A, B):
         """A B, each entry summed left to right (math.fsum or a compensated
@@ -365,9 +399,14 @@ def _infer_mode(rows):
 
 
 class Matrix:
-    """Immutable dense matrix with a fixed scalar mode."""
+    """Immutable dense matrix with a fixed scalar mode.
 
-    __slots__ = ("_data", "_rows", "_cols", "mode")
+    _data holds the stored rows, integers over the denominator _den in lowest
+    terms (exact mode) or floats over _den = 1 (approximate mode); entries are
+    read through the field, which builds an exact entry's Fraction then.
+    """
+
+    __slots__ = ("_data", "_den", "_rows", "_cols", "mode")
 
     def __init__(self, rows, mode=None, cols=None):
         rows = [list(r) for r in rows]
@@ -382,23 +421,35 @@ class Matrix:
                 raise DimensionError("explicit column count disagrees with row data")
             if any(len(r) != n_cols for r in rows):
                 raise DimensionError("rows have unequal lengths")
-        coerce = _field(mode).coerce
-        object.__setattr__(self, "_data", tuple(tuple(map(coerce, r)) for r in rows))
+        den, rows = _field(mode).pack(rows)
+        object.__setattr__(self, "_data", tuple(map(tuple, rows)))
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_rows", n_rows)
         object.__setattr__(self, "_cols", n_cols)
         object.__setattr__(self, "mode", mode)
 
     @classmethod
-    def _trusted(cls, rows, mode, cols):
-        """A matrix on rows whose entries are already elements of mode's field,
-        all of length cols: no coercion and no checks."""
+    def _trusted(cls, rows, mode, cols, den=1):
+        """A matrix on stored rows, all of length cols: floats over den = 1, or
+        integers over the nonzero den, put in lowest terms here.  No coercion
+        and no checks."""
         self = object.__new__(cls)
         data = tuple(map(tuple, rows))
+        if den != 1:
+            den, data = _lowest(data, den)
         object.__setattr__(self, "_data", data)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_rows", len(data))
         object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "mode", mode)
         return self
+
+    @classmethod
+    def _of(cls, rows, mode, cols):
+        """The matrix of rows of mode's scalars, all of length cols: no coercion
+        and no checks."""
+        den, rows = _field(mode).store(rows)
+        return cls._trusted(rows, mode, cols, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -430,47 +481,57 @@ class Matrix:
     def is_square(self):
         return self._rows == self._cols
 
+    def _values(self, rows):
+        """Stored rows over self's denominator as rows of field scalars."""
+        return _field(self.mode).values(rows, self._den)
+
+    def _entry(self, v):
+        return _field(self.mode).values(((v,),), self._den)[0][0]
+
     def __getitem__(self, ij):
         i, j = ij
-        return self._data[i][j]
+        return self._entry(self._data[i][j])
 
     def row(self, i):
-        return self._data[i]
+        return self._values((self._data[i],))[0]
 
     def col(self, j):
-        return tuple(self._data[i][j] for i in range(self._rows))
+        return self._values((tuple(r[j] for r in self._data),))[0]
 
     def to_lists(self):
-        return [list(r) for r in self._data]
+        return [list(r) for r in self._values(self._data)]
 
     def __repr__(self):
         if self._rows == 0 or self._cols == 0:
             return f"Matrix(<empty {self._rows}x{self._cols}>, mode={self.mode!r})"
-        body = "; ".join(" ".join(map(_entry_text, r)) for r in self._data)
+        body = "; ".join(" ".join(map(_entry_text, r)) for r in self._values(self._data))
         return f"Matrix([{body}], mode={self.mode!r})"
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.mode == other.mode and self.shape == other.shape
-                and self._data == other._data)
+                and self._den == other._den and self._data == other._data)
 
     def __hash__(self):
-        return hash((self.mode, self._rows, self._cols, self._data))
+        return hash((self.mode, self._rows, self._cols, self._den, self._data))
 
     def _check_mode(self, other):
         if self.mode != other.mode:
             raise ModeError(f"cannot mix {self.mode} and {other.mode} matrices")
 
     def _entrywise(self, other, op, message):
-        """op on each entry pair; message, given both shapes, names a mismatch."""
+        """op on each entry pair over the lcm of the denominators; message,
+        given both shapes, names a mismatch."""
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_mode(other)
         if self.shape != other.shape:
             raise DimensionError(message.format(self.shape, other.shape))
-        return Matrix._trusted((map(op, r1, r2) for r1, r2 in zip(self._data, other._data)),
-                               self.mode, self._cols)
+        den, rows1, rows2 = ((self._den, self._data, other._data) if self._den == other._den
+                             else _scaled_rows(self, other))
+        return Matrix._trusted((map(op, r1, r2) for r1, r2 in zip(rows1, rows2)),
+                               self.mode, self._cols, den)
 
     def __add__(self, other):
         return self._entrywise(other, add, "cannot add {} and {}")
@@ -479,7 +540,8 @@ class Matrix:
         return self._entrywise(other, sub, "cannot subtract {1} from {0}")
 
     def __neg__(self):
-        return Matrix._trusted([[-v for v in r] for r in self._data], self.mode, self._cols)
+        return Matrix._trusted([[-v for v in r] for r in self._data], self.mode, self._cols,
+                               self._den)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -487,24 +549,25 @@ class Matrix:
             if self._cols != other._rows:
                 raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
             return _field(self.mode).matmul(self, other)
-        scalar = _field(self.mode).coerce(other)
-        return Matrix._trusted([[scalar * v for v in r] for r in self._data],
-                               self.mode, self._cols)
+        p, q = _field(self.mode).ratio(other)
+        return Matrix._trusted([[p * v for v in r] for r in self._data],
+                               self.mode, self._cols, self._den * q)
 
     __rmul__ = __mul__
 
     def transpose(self):
         cols = zip(*self._data) if self._data else [()] * self._cols
-        return Matrix._trusted(cols, self.mode, self._rows)
+        return Matrix._trusted(cols, self.mode, self._rows, self._den)
 
     def trace(self):
         if not self.is_square:
             raise DimensionError("trace requires a square matrix")
-        return sum((self._data[i][i] for i in range(self._rows)), _field(self.mode).zero)
+        return self._entry(sum((self._data[i][i] for i in range(self._rows)),
+                               _field(self.mode).zero))
 
     def submatrix(self, r0, r1, c0, c1):
         """Rows r0..r1-1 and columns c0..c1-1 as a new matrix."""
-        return Matrix._trusted(_sub(self._data, r0, r1, c0, c1), self.mode, c1 - c0)
+        return Matrix._trusted(_sub(self._data, r0, r1, c0, c1), self.mode, c1 - c0, self._den)
 
     def take(self, rows, cols):
         """The matrix with entry (i, j) = self[rows[i], cols[j]].
@@ -513,7 +576,7 @@ class Matrix:
         matrices with P[i, p[i]] = Q[j, q[j]] = 1, so a product by J or any
         permutation is an index map; ``range(n)[::-1]`` is J's.
         """
-        return Matrix._trusted(_pick(self._data, rows, cols), self.mode, len(cols))
+        return Matrix._trusted(_pick(self._data, rows, cols), self.mode, len(cols), self._den)
 
     def is_zero(self, tol=None):
         return _field(self.mode).all_zero((v for r in self._data for v in r), tol)
@@ -523,96 +586,22 @@ class Matrix:
         self._check_mode(other)
         if self.shape != other.shape:
             return False
-        return _field(self.mode).rows_eq(self._data, other._data, tol)
+        return self._den == other._den and _field(self.mode).rows_eq(self._data, other._data,
+                                                                     tol)
 
     def max_abs(self):
-        return max((abs(v) for r in self._data for v in r), default=_field(self.mode).zero)
+        return self._entry(max((abs(v) for r in self._data for v in r),
+                               default=_field(self.mode).zero))
 
     def _integer_rows(self):
-        """(scale, the integer rows of scale * self) for an exact matrix: scale is
-        the lcm of its entries' denominators."""
-        return _over_lcm(self._data)
+        """(den, the stored rows): integers over den in lowest terms (exact mode),
+        or floats over 1."""
+        return self._den, self._data
 
     def _json_rows(self, sep):
         """For each row, the JSON texts of its entries joined by sep ("" for an
         empty row)."""
-        json_row = _field(self.mode).json_row
-        return [json_row(r, sep) if r else "" for r in self._data]
-
-
-class _IntMatrix(Matrix):
-    """An exact Matrix held as integer rows over one denominator den > 0:
-    entry (i, j) is Fraction(ints[i][j], den).
-
-    It is an ordinary Matrix whose Fractions are built on the first read of
-    _data, a cached_property: later reads find them in the instance dict, and
-    every other attribute is looked up as on a plain Matrix (a __getattr__
-    hook would slow them all).  _scaled_rows (through _integer_rows),
-    report_text (through _json_rows), negation and the exact screen read the
-    integer rows and build no Fraction; submatrix and take slice them, and a
-    view so taken reads its Fractions from its source's, so each entry's is
-    built once.
-    """
-
-    __slots__ = ("_ints", "_den", "_source", "__dict__")
-
-    def __init__(self, rows, den, cols, source=None):
-        """rows: integer rows, each of length cols, over the nonzero integer den;
-        source: None, or (M, part, args) when rows are part(M's integer rows,
-        *args), so that the Fractions are part(M's Fractions, *args)."""
-        if den < 0:
-            rows, den = [[-v for v in r] for r in rows], -den
-        ints = tuple(map(tuple, rows))
-        object.__setattr__(self, "_ints", ints)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_rows", len(ints))
-        object.__setattr__(self, "_cols", cols)
-        object.__setattr__(self, "mode", EXACT)
-        object.__setattr__(self, "_source", source)
-
-    @cached_property
-    def _data(self):
-        if self._source is None:
-            return tuple(map(tuple, _fraction_rows(self._ints, self._den)))
-        M, part, args = self._source
-        return tuple(map(tuple, part(M._data, *args)))
-
-    def _integer_rows(self):
-        """(den, ints), first divided by their gcd, so that den is the lcm of
-        the entries' denominators."""
-        den, ints = self._den, self._ints
-        g = math.gcd(den, *chain.from_iterable(ints))
-        if g != 1:
-            den, ints = den // g, tuple(tuple([v // g for v in r]) for r in ints)
-            object.__setattr__(self, "_ints", ints)
-            object.__setattr__(self, "_den", den)
-        return den, ints
-
-    def __neg__(self):
-        return _IntMatrix(self._ints, -self._den, self._cols)
-
-    def submatrix(self, r0, r1, c0, c1):
-        return self._part(_sub, c1 - c0, r0, r1, c0, c1)
-
-    def take(self, rows, cols):
-        return self._part(_pick, len(cols), rows, cols)
-
-    def _part(self, part, cols, *args):
-        """The matrix of part(rows, *args), of cols columns, over self's den."""
-        return _IntMatrix(part(self._ints, *args), self._den, cols, (self, part, args))
-
-    def _json_rows(self, sep):
-        """The texts of Matrix._json_rows, each entry written from its integer as
-        "p" or "p/q" in lowest terms (str(Fraction)'s bytes), one gcd per entry."""
-        den, quoted = self._den, '"' + sep + '"'
-        try:
-            if den == 1:
-                return ['"' + quoted.join(map(str, r)) + '"' if r else "" for r in self._ints]
-            return ['"' + quoted.join([str(v // g) if (g := math.gcd(v, den)) == den
-                                       else f"{v // g}/{den // g}" for v in r]) + '"'
-                    if r else "" for r in self._ints]
-        except ValueError:
-            raise _past_digit_limit() from None
+        return _field(self.mode).json_rows(self._data, self._den, sep)
 
 
 def hstack(*mats):
@@ -626,8 +615,10 @@ def hstack(*mats):
             raise DimensionError("hstack requires equal row counts")
         if m.mode != mode:
             raise ModeError("hstack requires a single mode")
-    return Matrix._trusted([sum((m.row(i) for m in mats), ()) for i in range(n)],
-                           mode, sum(m.cols for m in mats))
+    # Each part over the lcm of the denominators; the rows stay in lowest terms.
+    den, *parts = _scaled_rows(*mats)
+    return Matrix._trusted([tuple(chain.from_iterable(r)) for r in zip(*parts)], mode,
+                           sum(m.cols for m in mats), den)
 
 
 def vstack(*mats):
@@ -641,7 +632,8 @@ def vstack(*mats):
             raise DimensionError("vstack requires equal column counts")
         if m.mode != mode:
             raise ModeError("vstack requires a single mode")
-    return Matrix._trusted([r for m in mats for r in m._data], mode, c)
+    den, *parts = _scaled_rows(*mats)
+    return Matrix._trusted([r for rows in parts for r in rows], mode, c, den)
 
 
 def block(rows_of_blocks):
@@ -665,10 +657,11 @@ def exchange_matrix(n, mode=EXACT):
 
 
 def is_centrosymmetric(M, tol=None):
-    """Entrywise test m[i,j] == m[n-1-i, n-1-j]."""
+    """Entrywise test m[i,j] == m[n-1-i, n-1-j], on the stored rows (one
+    denominator on both sides)."""
     if not M.is_square:
         raise DimensionError("centrosymmetry is defined for square matrices")
-    rows = M._ints if type(M) is _IntMatrix else M._data  # integers over one den
+    rows = M._data
     return _field(M.mode).rows_eq(rows, tuple(r[::-1] for r in reversed(rows)), tol)
 
 
@@ -788,7 +781,7 @@ def blocks_centrosymmetric(bp, tol=None):
 
 def matrix_to_json_obj(M):
     to_json = _field(M.mode).to_json
-    return {"rows": [[to_json(v) for v in r] for r in M._data]}
+    return {"rows": [[to_json(v) for v in r] for r in M._values(M._data)]}
 
 
 def report_text(obj):
@@ -957,8 +950,7 @@ def _json_int(text):
 
 
 def matrix_from_json_obj(obj, mode=None):
-    """Parse {"rows": [...]}: strings/ints mean exact (integer rows over the lcm
-    of the denominators, _IntMatrix), floats mean approx.
+    """Parse {"rows": [...]}: strings/ints mean exact, floats mean approx.
 
     Anything else raises ValueError: a missing or non-list 'rows', a row that
     is not a list, an entry that is not a string or a number, an unparsable
@@ -975,9 +967,6 @@ def matrix_from_json_obj(obj, mode=None):
     if mode is None:
         mode = APPROX if float in kinds else EXACT
     values = [[_entry_from_json(v) for v in r] for r in rows]
-    if mode == EXACT and float not in kinds and len(set(map(len, values))) < 2:
-        den, ints = _over_lcm(values)
-        return _IntMatrix(ints, den, len(values[0]) if values else 0)
     try:
         return Matrix(values, mode=mode)
     except OverflowError:

@@ -24,8 +24,8 @@ from operator import add, mul, sub
 from .errors import DimensionError, PreconditionError
 from .linalg import _gauss_jordan_int, _kernel_vectors, gauss_facts, solve_linear
 from .matrix import (APPROX, EXACT, BlockPartition, Matrix, _exchange_pairs, _field,
-                     _int_product, _IntMatrix, _Record, _scaled_rows, exchange_matrix, hstack,
-                     split_blocks, vstack)
+                     _int_product, _Record, _scaled_rows, exchange_matrix, hstack, split_blocks,
+                     vstack)
 
 
 @functools.cache
@@ -72,9 +72,8 @@ class IntertwinerSearch(_Record):
     """Ordered solutions plus the linear-stage data and any diagnostic.
 
     In exact mode the basis matrices (and a particular solution reported as a
-    solution) are ordinary Matrix values held as integer rows over one
-    denominator: each builds its Fractions only when an entry is read, and a
-    report writes them from the integers.
+    solution) are stored, like every exact Matrix, as integer rows over one
+    denominator, and a report writes them from the integers.
     """
 
     def __init__(self, solutions: tuple, basis: tuple, diagnostic: str | None,
@@ -97,9 +96,8 @@ class IntertwinerSearch(_Record):
 
 
 def intertwiner_space(A, D, tol=None):
-    """Basis of {X : XA = DX}: the canonical kernel basis of the vectorized system.
-    In exact mode each is an ordinary Matrix held as integer rows over one
-    denominator, which builds its Fractions only when an entry is read."""
+    """Basis of {X : XA = DX}: the canonical kernel basis of the vectorized system,
+    each built in exact mode from the re-checked integer rows with no Fraction."""
     if not A.is_square or not D.is_square:
         raise DimensionError("intertwiner space needs square A and D")
     basis = _sylvester_space(A, D, tol=tol)[1]
@@ -122,11 +120,10 @@ def _sylvester_space(A, D, center=None, tol=None):
     at every free column (None when the system is inconsistent).  Exact mode
     finds the canonical basis of the pairs (vec(X), tau) with XA = DX,
     X x = tau w and z X = tau y as integer rows: the basis above, then the
-    particular solution at tau = 1 when tau is a free column.  Both come back
-    as ordinary Matrix values held as those integer rows over one denominator
-    den > 0 (matrix._IntMatrix), so no Fraction is built unless an entry is
-    read.  Its three routes re-check every row by multiplication before any
-    matrix is built:
+    particular solution at tau = 1 when tau is a free column.  Each matrix is
+    built from those integer rows over their common denominator, so no
+    Fraction is built.  Its three routes re-check every row by multiplication
+    before any matrix is built:
     - last row: when e_(m-1)^T is cyclic for D^T, X is fixed by its last row x
       (_krylov_space), so every nonzero pair has its last nonzero entry in
       (x, tau), the last s + 1 columns: the canonical kernel basis of the
@@ -154,7 +151,7 @@ def _sylvester_space(A, D, center=None, tol=None):
         if i < m - 1:
             rows, den = _reduce(rows, m * s + 1)
     _recheck(a, d, int_center, rows, den)
-    mats = [_unvec(row, m, s, den) for row in rows]
+    mats = [_unvec(row, m, s, EXACT, den) for row in rows]
     particular = mats.pop() if rows and rows[-1][-1] else None
     return particular, tuple(mats)
 
@@ -204,7 +201,7 @@ def _recheck(a, d, center, rows, den):
         row = rows[min(((v & -v).bit_length() - 1) // bits for v in residuals if v)]
         raise PreconditionError("particular solution fails the linear-stage re-check" if row[-1]
                                 else "nullspace vector fails XA = DX re-check",
-                                payload=_unvec(row, m, s, den))
+                                payload=_unvec(row, m, s, EXACT, den))
 
 
 def _max_abs(*vectors):
@@ -221,8 +218,8 @@ def _eliminate(A, D, center, tol):
     b = Matrix._trusted([row[-1:] for row in rows], A.mode, 1)
     particular, basis = solve_linear(K, b, tol)
     if particular is not None:
-        particular = _unvec(particular.col(0), m, s)
-    return particular, tuple(_unvec(v.col(0), m, s) for v in basis)
+        particular = _unvec(particular.col(0), m, s, APPROX)
+    return particular, tuple(_unvec(v.col(0), m, s, APPROX) for v in basis)
 
 
 def _linear_rows(a, d, center, zero):
@@ -382,11 +379,9 @@ def _reduce(vecs, n):
     return [rows[k][::-1] for k in reversed(range(len(pivots)))], den
 
 
-def _unvec(v, m, s, den=None):
-    """The m x s matrix whose row-major entries are v[:m*s]: floats, or
-    integers over den."""
-    rows = [v[i * s:(i + 1) * s] for i in range(m)]
-    return Matrix._trusted(rows, APPROX, s) if den is None else _IntMatrix(rows, den, s)
+def _unvec(v, m, s, mode, den=1):
+    """The m x s matrix of mode whose row-major stored entries are v[:m*s] over den."""
+    return Matrix._trusted([v[i * s:(i + 1) * s] for i in range(m)], mode, s, den)
 
 
 def system_residuals(bp, X, tol=None):
@@ -638,11 +633,9 @@ def _grid_search(bp, X0, basis, values, mode, tol, consider, full):
 
 def _integer_hit(scale, den, x0, ns, T):
     """X0 + sum u_i N_i at T = scale u, from the integer rows den X0 and den N_i:
-    (scale x0 + sum T_i n_i) / (scale den), one Fraction per entry."""
-    q = scale * den
-    return Matrix._trusted([[Fraction(scale * v + sum(map(mul, T, col)), q)
-                             for v, col in zip(row, zip(*cols))]
-                            for row, *cols in zip(x0, *ns)], EXACT, len(x0[0]))
+    the integers scale x0 + sum T_i n_i over scale den."""
+    return Matrix._trusted([[scale * v + sum(map(mul, T, col)) for v, col in zip(row, zip(*cols))]
+                            for row, *cols in zip(x0, *ns)], EXACT, len(x0[0]), scale * den)
 
 
 def _integer_grid(scale, ts, k, r0, lin, quad):

@@ -7,9 +7,9 @@ trace preservation are checked, and the structural claim of the certification
 label is tested with the centrosymmetry predicate rather than assumed from the
 construction.
 
-The product checks and Q^-1 M Q run in the field's kernel: exact mode in
-integer rows cleared over one scale per matrix, with a Fraction only for a
-reported entry; approximate mode in the Matrix float products it always used.
+The product checks and Q^-1 M Q run in the field's kernel: exact mode on each
+matrix's stored integer rows over its denominator, with no Fraction built;
+approximate mode in the Matrix float products it always used.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import math
 
 from .errors import CentrosimError, DimensionError, PreconditionError, RankError
 from .linalg import _gauss_jordan_int, det, gauss_facts, rank_normal_form
-from .matrix import (EXACT, Matrix, _clear_denominators, _field, _Record, block, block_diag,
-                     hstack, is_centrosymmetric, split_blocks, vstack)
+from .matrix import (EXACT, Matrix, _field, _Record, block, block_diag, hstack,
+                     is_centrosymmetric, split_blocks, vstack)
 from .solver import system_residuals
 
 
@@ -51,7 +51,7 @@ def _check_conjugation(M, Q, Q_inv, result, tol):
 
 
 def _checked_split(M, parity, s, X, tol, message="X does not solve XA = DX and C = XBX"):
-    """Check X's shape and every equation of M's block split."""
+    """Check X's shape and every equation of M's block split; return the split."""
     bp = split_blocks(M, parity, s)
     shape = (bp.D.rows, bp.A.rows)
     if X.shape != shape:
@@ -60,6 +60,7 @@ def _checked_split(M, parity, s, X, tol, message="X does not solve XA = DX and C
     if not ok:
         raise PreconditionError(message, payload={"sylvester": syl, "quadratic": quad,
                                                   "center": extras})
+    return bp
 
 
 def _conjugate(M, X, X_inv):
@@ -157,8 +158,7 @@ def _complete_rows(X, tol):
     if X.mode != EXACT:
         return _complete_rows_orthonormal(X, tol)
     s = X.cols
-    rows, _ = _clear_denominators(X.row(i)[::-1] for i in range(X.rows))
-    pivots, _ = _gauss_jordan_int(rows, s)
+    pivots, _ = _gauss_jordan_int([row[::-1] for row in X._integer_rows()[1]], s)
     if len(pivots) != X.rows:
         raise RankError("row completion failed; X is rank deficient")
     ends = {s - 1 - p for p in pivots}
@@ -196,13 +196,13 @@ def _complete_rows_orthonormal(X, tol):
     return Matrix(added, mode=X.mode, cols=s) if added else Matrix.zeros(0, s, X.mode)
 
 
-def _dilate_by_rows(M, s, X, null_basis, tol):
-    """(Mhat, Xhat, Xhat^-1) for a full-rank wide X, s > n - s: Xhat = [X; Y] with Y
-    from _complete_rows, Mhat = [[A, [B, B2]], [[C; YBX + YB2Y], [[D, 0], [Y A Xhat^-1]]]]
-    and B2 the columns null_basis of X's right nullspace."""
-    n, e = M.rows, 2 * s - M.rows
-    bp = split_blocks(M, "even", s)
-    A, B, C, D = bp.A, bp.B, bp.C, bp.D
+def _dilate_by_rows(A, B, C, D, X, null_basis, tol):
+    """(Mhat, Xhat, Xhat^-1) for the split blocks A (s x s), B, C, D ((n-s) x (n-s))
+    and a full-rank wide X, s > n - s: Xhat = [X; Y] with Y from _complete_rows,
+    Mhat = [[A, [B, B2]], [[C; YBX + YB2Y], [[D, 0], [Y A Xhat^-1]]]] and B2 the
+    columns null_basis of X's right nullspace."""
+    s, m = A.rows, D.rows
+    e = s - m
     Y = _complete_rows(X, tol)
     Xhat = vstack(X, Y)
     Xhat_inv = gauss_facts(Xhat, tol).inverse
@@ -213,8 +213,8 @@ def _dilate_by_rows(M, s, X, null_basis, tol):
         raise RankError("right-nullspace of X has unexpected dimension")
     Bhat = hstack(B, B2)
     Chat = vstack(C, Y * B * X + Y * B2 * Y)
-    Dhat = block([[D, Matrix.zeros(n - s, e, M.mode)], [Y * A * Xhat_inv]])
-    F = _field(M.mode)
+    Dhat = block([[D, Matrix.zeros(m, e, A.mode)], [Y * A * Xhat_inv]])
+    F = _field(A.mode)
     Xh = F.operand(Xhat)
     if not F.equal((Xh, A), (Dhat, Xh), tol) or not F.equal((Chat,), (Xh, Bhat, Xh), tol):
         raise CentrosimError("internal: dilated equation system check failed")
@@ -234,7 +234,7 @@ def dilate_to_centrosimilar(M, s, X, tol=None):
     A^T X^T and X^T B^T X^T = (XBX)^T = C^T.
     """
     n, k = M.rows, max(s, M.rows - s)
-    _checked_split(M, "even", s, X, tol)
+    bp = _checked_split(M, "even", s, X, tol)
     tall = 2 * s < n
     facts = gauss_facts(X.transpose() if tall else X, tol)
     if facts.rank != min(s, n - s):
@@ -244,12 +244,11 @@ def dilate_to_centrosimilar(M, s, X, tol=None):
         return M, X, _certify(M, *_conjugate(M, X, facts.inverse), n,
                               "fully_centrosymmetric", tol)
     if not tall:
-        Mhat, Xhat, Xhat_inv = _dilate_by_rows(M, s, X, facts.nullspace, tol)
+        Mhat, Xhat, Xhat_inv = _dilate_by_rows(bp.A, bp.B, bp.C, bp.D, X, facts.nullspace, tol)
     else:
         e = n - 2 * s
-        swap = [*range(s, n), *range(s)]
-        Mt, Xt, Xt_inv = _dilate_by_rows(M.transpose().take(swap, swap), k, X.transpose(),
-                                         facts.nullspace, tol)
+        Mt, Xt, Xt_inv = _dilate_by_rows(bp.D.transpose(), bp.B.transpose(), bp.C.transpose(),
+                                         bp.A.transpose(), X.transpose(), facts.nullspace, tol)
         # Transpose back, swap the blocks back and put the e new indices first,
         # so that Xhat = [Y, X].
         back = [*range(k + s, 2 * k), *range(k, k + s), *range(k)]

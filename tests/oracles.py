@@ -15,7 +15,7 @@ from operator import add, mul
 from centrosim import (APPROX, EXACT, Matrix, PreconditionError, RankError, block,
                        exchange_matrix, gauss_facts, hstack, inverse, matrix_to_json_obj,
                        rank_normal_form, solve_linear, vstack)
-from centrosim.matrix import _IntMatrix
+from centrosim.matrix import _ExactField
 from centrosim.solver import _grid_roots
 
 
@@ -394,10 +394,19 @@ def fraction_scaled_rows(*mats):
     return (scale, *([[int(v * scale) for v in r] for r in M.to_lists()] for M in mats))
 
 
-def holds_fractions(M):
-    """Whether M holds its entries as Fractions: a matrix held as integer rows
-    builds them only when an entry is read, and keeps them in its __dict__."""
-    return not isinstance(M, _IntMatrix) or "_data" in vars(M)
+def counted_entry_reads(monkeypatch):
+    """A list that gains, from now on, the number of exact entries each read
+    returns: _ExactField.values is the one place that builds an exact entry's
+    Fraction, so a sum of 0 means no entry was read as a Fraction."""
+    reads = []
+    values = _ExactField.values
+
+    def counted(self, rows, den):
+        out = values(self, rows, den)
+        reads.append(sum(map(len, out)))
+        return out
+    monkeypatch.setattr(_ExactField, "values", counted)
+    return reads
 
 
 def stdlib_report_text(obj):

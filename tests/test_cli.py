@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import centrosim
 from centrosim import Matrix, block, is_centrosymmetric, matrix_from_json_obj, save_matrix
 from centrosim.cli import _scan_points, build_parser, main
-from oracles import dense_centro_transform, holds_fractions, rand_centrosymmetric
+from oracles import counted_entry_reads, dense_centro_transform, rand_centrosymmetric
 
 
 def write(tmp_path, name, rows):
@@ -383,13 +383,14 @@ def test_a_basis_entry_past_the_digit_limit_is_the_writers_error_line(tmp_path, 
     monkeypatch.setattr(centrosim.solver, "find_intertwiner",
                         lambda *args, **kw: searches.append(find_intertwiner(*args, **kw))
                         or searches[-1])
+    reads = counted_entry_reads(monkeypatch)
     code, out, err = run(["solve", m, "--d-max", "0"], capsys)
     assert_one_line_error(code, out, err)
     assert err == (f"error: a report entry has more than {LIMIT} digits, the limit for "
                    "int-string conversion (PYTHONINTMAXSTRDIGITS)\n")
-    # The writer met the entry in the basis's integer rows, before any Fraction.
+    # The writer met the entry in the basis's integer rows: no entry was read.
     (search,) = searches
-    assert len(search.basis) == 3 and not any(map(holds_fractions, search.basis))
+    assert len(search.basis) == 3 and sum(reads) == 0
     assert search.basis[2][0, 0] == Fraction(1, k * k)
 
 
@@ -824,6 +825,17 @@ def test_each_check_runs_once_per_command(tmp_path, capsys, monkeypatch):
     assert code == 0 and sorted(calls) == ["solver.gauss_facts", "solver.system_residuals",
                                            "split_blocks"]
     assert load_report(out)["transform"]["certification"] == "fully_centrosymmetric"
+    # dilate splits M once: the split whose equations it checks gives the wide
+    # construction its blocks, and the tall one their transposes.
+    counted(transforms, "split_blocks")
+    for case in ("dilate-wide", "dilate-tall"):
+        rows, split, x = TRANSFORM_CASES[case]
+        calls.clear()
+        code, _, _ = run(["dilate", write(tmp_path, "d.json", rows), "--split", str(split),
+                          "--x", write(tmp_path, "x.json", x)], capsys)
+        assert code == 0 and sorted(calls) == ["split_blocks", "transforms.gauss_facts",
+                                               "transforms.gauss_facts",
+                                               "transforms.system_residuals"], case
 
 
 TOEPLITZ4 = [[3, 2, 1, 0], [4, 3, 2, 1], [5, 4, 3, 2], [6, 5, 4, 3]]

@@ -26,7 +26,7 @@ import pytest
 
 from centrosim import SearchOptions, solver
 from golden_cases import APPROX_CASES, CASES, GOLDEN, SCAN_CASES, run_case
-from oracles import holds_fractions
+from oracles import counted_entry_reads
 
 
 def check_case(name, mode, directory, capsys):
@@ -53,9 +53,11 @@ def test_alpha_scan_report_matches_golden_file(name, tmp_path, capsys):
 
 def test_the_planted16_report_is_written_from_the_basis_integer_rows(tmp_path, capsys,
                                                                     monkeypatch):
-    # d = 8 > d_max: the basis is only reported, so none of its Fractions is built;
-    # nor is one of the matrix read from the file, or of its blocks, which the
-    # screens of J, I and -J and the linear stage read as integer rows.
+    # d = 8 > d_max: the basis is only reported, from its integer rows; the
+    # matrix read from the file, its blocks, the screens of J, I and -J and the
+    # linear stage read integer rows too, so no entry is read as a Fraction
+    # from the input file to the report.
+    reads = counted_entry_reads(monkeypatch)
     searches, splits = [], []
     find_intertwiner, split_blocks = solver.find_intertwiner, solver.split_blocks
     monkeypatch.setattr(solver, "find_intertwiner",
@@ -66,5 +68,7 @@ def test_the_planted16_report_is_written_from_the_basis_integer_rows(tmp_path, c
     check_case("solve_planted16", "exact", tmp_path, capsys)
     ((M, search),), (bp,) = searches, splits
     assert len(search.basis) == 8 > SearchOptions().d_max and not search.solutions
-    assert not any(map(holds_fractions, search.basis))
-    assert M.shape == (16, 16) and not any(map(holds_fractions, (M, bp.A, bp.B, bp.C, bp.D)))
+    assert M.shape == (16, 16) and bp.A.shape == (8, 8)
+    assert sum(reads) == 0
+    # The count sees a read: one row of a basis matrix is 8 entries.
+    assert len(search.basis[0].row(0)) == sum(reads) == 8

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from centrosim import (APPROX, EXACT, CentrosimError, DimensionError, Matrix, ModeError,
                        assemble_blocks, block, block_diag, blocks_centrosymmetric,
-                       commutes_with_exchange, det, exchange_matrix, gauss_facts, hstack,
+                       commutes_with_exchange, exchange_matrix, gauss_facts, hstack,
                        is_centrosymmetric, matrix_from_json_obj,
                        matrix_to_json_obj, rank_normal_form, save_matrix, solve_linear,
                        split_blocks, vstack)
-from centrosim.matrix import (_DEFAULT_DIGITS, _entry_from_json, _field, _IntMatrix,
-                              _scaled_rows, parse_rational, report_text)
-from oracles import (fraction_matmul, fraction_scaled_rows, holds_fractions, permutation_matrix,
+from centrosim import solver
+from centrosim.matrix import (_DEFAULT_DIGITS, _entry_from_json, _field, _scaled_rows,
+                              parse_rational, report_text)
+from oracles import (fraction_matmul, fraction_rref, fraction_scaled_rows, permutation_matrix,
                      rand_centrosymmetric, rand_int_matrix, stdlib_report_text)
 
 
@@ -440,56 +441,145 @@ def test_exact_product_matches_fraction_oracle(m, k, p, data):
 
 # Integers of either sign up to 2^200, with zero and small values drawn often.
 BIG_INTS = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
-DENOMINATORS = st.one_of(st.sampled_from([1, -1]), st.integers(-12, 12),
-                         st.integers(-2 ** 200, 2 ** 200)).filter(bool)
+
+
+# Small rationals make equal denominators, shared factors and cancellations
+# common; FRACTIONS brings large numerators and denominators.
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+ENTRIES = st.one_of(SMALL_FRACTIONS, SMALL_FRACTIONS, FRACTIONS)
+
+
+def _lists_mul(x, y, cols):
+    """The Fraction-list product of x and y, y having cols columns."""
+    return [[sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in zip(*y)] if y
+            else [Fraction(0)] * cols for r in x]
+
+
+def _stores_lowest_terms(M):
+    """Whether M stores integer rows of its shape over den > 0 with
+    gcd(den, every entry) == 1."""
+    den, rows = M._integer_rows()
+    return (type(den) is int and den > 0 and len(rows) == M.rows
+            and all(len(r) == M.cols and all(type(v) is int for v in r) for r in rows)
+            and math.gcd(den, *(v for r in rows for v in r)) == 1)
+
+
+def _oracle_facts(a, n):
+    """(inverse rows or None, kernel vectors) of the square or wide Fraction
+    rows a with n columns, by fraction_rref of [a | I] (of a when not square)."""
+    m = len(a)
+    ref = [list(r) + ([Fraction(int(i == j)) for j in range(m)] if m == n else [])
+           for i, r in enumerate(a)]
+    pivots = fraction_rref(ref, n)
+    if m == n and len(pivots) == n:
+        return [r[n:] for r in ref], []
+    kernel = []
+    for f in (f for f in range(n) if f not in pivots):
+        vec = [Fraction(int(j == f)) for j in range(n)]
+        for k, p in enumerate(pivots):
+            vec[p] = -ref[k][f]
+        kernel.append([[v] for v in vec])
+    return None, kernel
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
-def test_a_matrix_of_integer_rows_is_the_matrix_of_its_fractions(m, n, k, data):
-    def ints(rows, cols):
-        return data.draw(st.lists(st.lists(BIG_INTS, min_size=cols, max_size=cols),
+def test_every_exact_producer_stores_its_fractions_as_integer_rows_in_lowest_terms(m, n, k,
+                                                                                   data):
+    def draw(rows, cols):
+        return data.draw(st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols),
                                   min_size=rows, max_size=rows))
 
-    def plain(rows, cols):
-        return Matrix(data.draw(st.lists(st.lists(FRACTIONS, min_size=cols, max_size=cols),
-                                         min_size=rows, max_size=rows)), EXACT, cols)
-
-    rows, den = ints(m, n), data.draw(DENOMINATORS)
-    other_rows, other_den = ints(m, n), data.draw(DENOMINATORS)
-    oracle = Matrix([[Fraction(v, den) for v in r] for r in rows], EXACT, n)
-    other = Matrix([[Fraction(v, other_den) for v in r] for r in other_rows], EXACT, n)
-    P, left, right = plain(m, n), plain(k, m), plain(n, k)
-    # The integer readers first: the report, the scaled rows and products build no Fraction.
-    M = _IntMatrix(rows, den, n)
-    assert report_text({"m": M}) == report_text({"m": oracle})
-    assert M * right == oracle * right and left * M == left * oracle
-    scale, *scaled = _scaled_rows(M, P, _IntMatrix(other_rows, other_den, n))
-    assert (scale, *[[list(r) for r in R] for R in scaled]) == fraction_scaled_rows(
-        oracle, P, other)
-    assert not holds_fractions(M)
-    assert M.shape == oracle.shape and M.mode == EXACT
-    assert all(type(M[i, j]) is Fraction and M[i, j] == oracle[i, j]
-               for i in range(m) for j in range(n))
-    assert holds_fractions(M) == bool(m and n)
-    M = _IntMatrix(rows, den, n)
-    assert M == oracle and oracle == M and hash(M) == hash(oracle)
-    assert _IntMatrix(rows, den, n) + P == oracle + P and P + M == P + oracle
+    a, b, c = draw(m, n), draw(m, n), draw(n, k)
+    A, B, C = Matrix(a, EXACT, n), Matrix(b, EXACT, n), Matrix(c, EXACT, k)
+    scalar = data.draw(ENTRIES | st.integers(-3, 3))
+    p, q = data.draw(_index_list(m)), data.draw(_index_list(n))
+    r0, r1 = sorted(data.draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
+    c0, c1 = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    F = _field(EXACT)
+    residual, _ = F.residual(((1, A, C), (-1, B, C), (1, Matrix.identity(m), A, C)))
+    # (result, its Fraction rows by the oracle): every exact producer.
+    results = [
+        (A, a),
+        (matrix_from_json_obj({"rows": [[str(v) for v in r] for r in a]}), a),
+        (Matrix([[v.numerator if v.denominator == 1 else str(v) for v in r] for r in a],
+                EXACT, n), a),
+        (A * C, _lists_mul(a, c, k)),
+        (F.product(A, C, Matrix.identity(k)), _lists_mul(a, c, k)),
+        (residual, [[2 * x - y for x, y in zip(rx, ry)]
+                    for rx, ry in zip(_lists_mul(a, c, k), _lists_mul(b, c, k))]),
+        (A + B, [[x + y for x, y in zip(rx, ry)] for rx, ry in zip(a, b)]),
+        (A + A, [[x + x for x in r] for r in a]),
+        (A - B, [[x - y for x, y in zip(rx, ry)] for rx, ry in zip(a, b)]),
+        (-A, [[-x for x in r] for r in a]),
+        (A * scalar, [[x * scalar for x in r] for r in a]),
+        (scalar * A, [[scalar * x for x in r] for r in a]),
+        (A.transpose(), [[a[i][j] for i in range(m)] for j in range(n)]),
+        (A.submatrix(r0, r1, c0, c1), [r[c0:c1] for r in a[r0:r1]]),
+        (A.take(p, q), [[a[i][j] for j in q] for i in p]),
+        (hstack(A, B, A * C), [ra + rb + rc for ra, rb, rc in zip(a, b, _lists_mul(a, c, k))]),
+        (vstack(A, B), a + b),
+        (block([[A, B], [B, A]]), [ra + rb for ra, rb in zip(a, b)]
+         + [rb + ra for ra, rb in zip(a, b)]),
+        (Matrix.zeros(m, n), [[Fraction(0)] * n for _ in range(m)]),
+        (Matrix.identity(n), [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]),
+    ]
+    if n:
+        results.append((exchange_matrix(n), [[Fraction(int(i + j == n - 1)) for j in range(n)]
+                                             for i in range(n)]))
+    if m <= n:
+        facts, (inverse, kernel) = gauss_facts(A), _oracle_facts(a, n)
+        results += [] if inverse is None else [(facts.inverse, inverse)]
+        results += list(zip(facts.nullspace, kernel))
+        assert len(facts.nullspace) == len(kernel) and (facts.inverse is None) == (inverse is None)
+    # solver._unvec and solver._integer_hit build from integer rows over den.
+    ints = [[v.numerator for v in r] for r in a + b]
+    den = data.draw(st.integers(-12, 12).filter(bool))
+    flat = [v for r in ints for v in r]
+    results.append((solver._unvec(flat, 2 * m, n, EXACT, den),
+                    [[Fraction(v, den) for v in r] for r in ints]))
+    if m and n:
+        x0, (n1,) = ints[:m], [ints[m:]]
+        scale, t = data.draw(st.integers(1, 6)), data.draw(st.integers(-9, 9))
+        results.append((solver._integer_hit(scale, den, x0, [n1], (t,)),
+                        [[Fraction(scale * u + t * v, scale * den) for u, v in zip(ru, rv)]
+                         for ru, rv in zip(x0, n1)]))
+    for M, rows in results:
+        assert M.mode == EXACT and _stores_lowest_terms(M), M
+        assert M.to_lists() == rows and M.rows == len(rows)
+        assert all(type(v) is Fraction for r in M.to_lists() for v in r)
+    # Equal matrices built by different routes store the same rows, so they
+    # are == and hash alike: the constructor, the reader (whose matrix of no
+    # rows has no columns), a kernel product and a sum.
+    routes = [A, results[2][0], A * Matrix.identity(n), F.product(Matrix.identity(m), A),
+              Matrix.zeros(m, n) + A, (A + B) - B, -(-A)] + [results[1][0]] * bool(m)
+    assert all(R == A and hash(R) == hash(A) for R in routes)
+    # The exact screen reads the stored rows with their denominators: A times
+    # its denominator stores the same rows over 1.
+    scale, rows = A._integer_rows()
+    pairs = [(A, B), (A, A * scale), (A * scale, Matrix(rows, EXACT, n)), (A, results[1][0])]
+    assert all(F.screen([(L, R)])[0] == (L.to_lists() == R.to_lists()) for L, R in pairs)
+    # _scaled_rows reads the stored rows over the lcm of the denominators.
+    scale, *scaled = _scaled_rows(A, B, C)
+    assert (scale, *[[list(r) for r in R] for R in scaled]) == fraction_scaled_rows(A, B, C)
 
 
 @pytest.mark.skipif(not LIMIT, reason="this Python sets no int-string digit limit")
 def test_integer_rows_past_the_digit_limit_raise_the_writers_error():
-    big = 10 ** LIMIT
-    for rows, den in (([[big, 1]], 3), ([[1, 2]], -big), ([[0], [-big]], 1)):
-        M = _IntMatrix(rows, den, len(rows[0]))
+    big, half = 10 ** LIMIT, 10 ** (LIMIT // 2 + 1)
+    # Past the limit from the constructor, and out of + and of a kernel
+    # product whose inputs are all within it.
+    made = [Matrix([[Fraction(big, 3), Fraction(1, 3)]]), Matrix([[Fraction(1, -big), 2]]),
+            Matrix([[0], [-big]]), Matrix([[big // 2 + 1, 1]]) + Matrix([[big // 2, 1]]),
+            Matrix([[half], [1]]) * Matrix([[half, 3]])]
+    for M in made:
         with pytest.raises(ValueError) as got:
             report_text({"m": M})
         with pytest.raises(ValueError) as oracle:
-            report_text({"m": Matrix([[Fraction(v, den) for v in r] for r in rows])})
+            report_text({"m": Matrix([[Fraction(v) for v in r] for r in M.to_lists()])})
         assert str(got.value) == str(oracle.value) == (
             f"a report entry has more than {LIMIT} digits, the limit for int-string "
             "conversion (PYTHONINTMAXSTRDIGITS)")
-        assert not holds_fractions(M)
 
 
 @pytest.mark.skipif(not LIMIT, reason="this Python sets no int-string digit limit")
@@ -500,8 +590,10 @@ def test_repr_writes_an_integer_past_the_digit_limit_as_its_digit_count():
                        f"1/<{LIMIT + 1}-digit integer> -7/<{LIMIT + 1}-digit integer>; "
                        f"<{LIMIT + 1}-digit integer>/3 1], mode='exact')")
     assert repr(Matrix([[big - 1]])) == f"Matrix([{big - 1}], mode='exact')"
-    assert repr(_IntMatrix([[big, 2]], 1, 2)) == (
+    assert repr(Matrix([[big // 2 + 1, 1]]) + Matrix([[big // 2, 1]])) == (
         f"Matrix([<{LIMIT + 1}-digit integer> 2], mode='exact')")
+    assert repr(Matrix([[big // 2]]) * Matrix([[2, -4]])) == (
+        f"Matrix([<{LIMIT + 1}-digit integer> -<{LIMIT + 1}-digit integer>], mode='exact')")
     assert f"<{LIMIT + 1}-digit integer>" in repr(split_blocks(M.take(range(2), range(2)),
                                                              "even", 1))
 
@@ -558,47 +650,11 @@ def test_an_exact_json_matrix_reads_as_the_matrix_of_its_entries(data):
         assert M == oracle
         return
     assert report_text({"m": M}) == report_text({"m": oracle})
-    if oracle.mode == EXACT:
-        m, n = oracle.shape
-        scale, ints = M._integer_rows()
-        assert (scale, [list(r) for r in ints]) == oracle._integer_rows()
-        p, q = data.draw(_index_list(m)), data.draw(_index_list(n))
-        r0, r1 = sorted(data.draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
-        c0, c1 = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
-        views = [(M.take(p, q), oracle.take(p, q)),
-                 (M.submatrix(r0, r1, c0, c1), oracle.submatrix(r0, r1, c0, c1))]
-        assert all(report_text({"m": V}) == report_text({"m": R}) for V, R in views)
-        k = data.draw(st.integers(0, 3))
-        left, right = (Matrix(data.draw(st.lists(st.lists(FRACTIONS, min_size=c, max_size=c),
-                                                 min_size=r, max_size=r)), EXACT, c)
-                       for r, c in ((k, m), (n, k)))
-        assert left * M == left * oracle and M * right == oracle * right
-        if m == n:
-            assert is_centrosymmetric(M) == is_centrosymmetric(oracle) and det(M) == det(oracle)
-        # A second matrix read from M's entries over k: often the same integer
-        # rows over another denominator.
-        k = data.draw(st.sampled_from([1, -1, 2, 3, 6]))
-        other = _read([[str(v / k) for v in r] for r in oracle.to_lists()], EXACT)
-        other_oracle = _read_by_matrix([[str(v / k) for v in r] for r in oracle.to_lists()],
-                                       EXACT)
-        pairs = [(M, other), (M, -other), (M.take(p, q), other.take(p, q)),
-                 (views[1][0], views[1][0]), (M, other_oracle)]
-        oracle_pairs = [(oracle, other_oracle), (oracle, -other_oracle),
-                        (oracle.take(p, q), other_oracle.take(p, q)),
-                        (views[1][1], views[1][1]), (oracle, other_oracle)]
-        assert not any(map(holds_fractions, [M, other] + [V for V, _ in views]))
-        screen = _field(EXACT).screen
-        assert ([screen([pair])[0] for pair in pairs]
-                == [screen([pair])[0] for pair in oracle_pairs])
-        assert all(V == R for V, R in views)
     assert M == oracle and oracle == M and hash(M) == hash(oracle)
     if oracle.mode == EXACT:
-        # M's Fractions are built now: its views, taken before or after, read them.
-        at = [([*p], [*q]), (range(r0, r1), range(c0, c1))] * 2
-        for V, (rows, cols) in zip([views[0][0], views[1][0], M.take(p, q),
-                                    M.submatrix(r0, r1, c0, c1)], at):
-            assert V == oracle.take(rows, cols)
-            assert all(V[a, b] is M[i, j] for a, i in enumerate(rows) for b, j in enumerate(cols))
+        # The entries' Fractions, stored over the lcm of their denominators.
+        assert M.to_lists() == [[Fraction(_entry_from_json(v)) for v in r] for r in rows]
+        assert _stores_lowest_terms(M)
 
 
 def _entries(*mats):
