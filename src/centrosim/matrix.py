@@ -92,6 +92,8 @@ class _ExactField:
 
     zero = 0
     one = 1
+    # The JSON entry kinds whose parsed values (ints and Fractions) it stores as they are.
+    json_kinds = frozenset((int, str))
 
     def coerce(self, value):
         if type(value) is Fraction:
@@ -265,6 +267,7 @@ class _ApproxField:
 
     zero = 0.0
     one = 1.0
+    json_kinds = frozenset((float,))
 
     def coerce(self, value):
         if isinstance(value, str):
@@ -390,6 +393,19 @@ def _field(mode):
         raise ModeError(f"unknown scalar mode {mode!r}") from None
 
 
+def _column_count(rows, cols=None):
+    """The common length of rows (cols, or 0, when there are none); a
+    DimensionError when the lengths differ or disagree with cols."""
+    if not rows:
+        return 0 if cols is None else cols
+    n_cols = len(rows[0])
+    if cols is not None and cols != n_cols:
+        raise DimensionError("explicit column count disagrees with row data")
+    if any(len(r) != n_cols for r in rows):
+        raise DimensionError("rows have unequal lengths")
+    return n_cols
+
+
 def _infer_mode(rows):
     for row in rows:
         for value in row:
@@ -412,19 +428,11 @@ class Matrix:
         rows = [list(r) for r in rows]
         if mode is None:
             mode = _infer_mode(rows)
-        n_rows = len(rows)
-        if n_rows == 0:
-            n_cols = 0 if cols is None else cols
-        else:
-            n_cols = len(rows[0])
-            if cols is not None and cols != n_cols:
-                raise DimensionError("explicit column count disagrees with row data")
-            if any(len(r) != n_cols for r in rows):
-                raise DimensionError("rows have unequal lengths")
+        n_cols = _column_count(rows, cols)
         den, rows = _field(mode).pack(rows)
         object.__setattr__(self, "_data", tuple(map(tuple, rows)))
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_rows", n_rows)
+        object.__setattr__(self, "_rows", len(rows))
         object.__setattr__(self, "_cols", n_cols)
         object.__setattr__(self, "mode", mode)
 
@@ -966,11 +974,19 @@ def matrix_from_json_obj(obj, mode=None):
         raise ValueError("matrix JSON mixes string and float entries")
     if mode is None:
         mode = APPROX if float in kinds else EXACT
-    values = [[_entry_from_json(v) for v in r] for r in rows]
+    # JSON integers are stored as they are; only the other entries are parsed.
+    values = rows if kinds <= {int} else [[_entry_from_json(v) for v in r] for r in rows]
+    cols = _column_count(values)
+    F = _field(mode)
+    # Otherwise the field coerces each entry: a float is exact mode's
+    # ModeError, and an approximate entry becomes a float.
+    if kinds <= F.json_kinds:
+        return Matrix._of(values, mode, cols)
     try:
-        return Matrix(values, mode=mode)
+        den, values = F.pack(values)
     except OverflowError:
         raise ValueError("matrix entry too large for approximate mode") from None
+    return Matrix._trusted(values, mode, cols, den)
 
 
 def load_matrix(path, mode=None):

@@ -266,15 +266,34 @@ def _krylov_space(a, d, center=None):
     X x_c = tau w is x A^k x_c = tau (R w)_k for k < m, and z X = tau y is
     x G = tau y for G = sum_k (z R^-1)_k A^k.  a and d are the rows of A and D
     times one common scale, so all of it runs over the integers: fraction-free
-    Gauss-Jordan on [R | I] leaves inv = prev_R R^-1, which gives c; one table
-    of the powers A^0, ..., A^m (m - 1 products) gives f(A), the center rows
-    A^k x_c, prev_R G from z inv, and for each vector (z, t) of the canonical
-    kernel over (x, tau), prev_K at its free column, the row
-    (inv [z; zA; ...], prev_R t) over den = prev_R prev_K, all rows from one
-    packed chain (_chain_rows).  For u = e_i^T, x is row i of X; for
-    i = m - 1 the rows are canonical (see _sylvester_space).
-    O(m^3 + m s^3) operations, then m s^2 + m^2 s on integers d digits wide and
-    d m s digit reads for d rows, instead of elimination on s*m unknowns.
+    Gauss-Jordan on [R | I] leaves inv = prev_R R^-1, which gives c.
+
+    No power of A is formed.  One chain of packed rows (Kronecker
+    substitution, as in _recheck) P_k = sum_j 2^(bits j) (row j of A^k), for
+    k = 0, ..., m, takes m vector-matrix products (_chain), and every read of
+    the powers is a linear map of it, read back as signed digits (_reader):
+    column q of f(A) is the digits of sum_k c_k P_k[q] (and f(A) = 0 exactly
+    when that packed row is), the center row A^k x_c the digits of P_k x_c,
+    column q of prev_R G the digits of sum_k (z inv)_k P_k[q], and the rows
+    for the unit vectors below those of inv [P_0; ...; P_(m-1)].  The width
+    bounds them all (_width): with N_k = ||A||_inf^k,
+    |(A^k)[j][q]| <= ||A^k||_inf <= N_k and |(A^k x_c)_j| <= N_k max|x_c|, so
+    each digit has magnitude at most
+        bound = max(sum_k |c_k| N_k, max_r sum_k |inv[r][k]| N_k,
+                    sum_k |(z inv)_k| N_k, max_(k<m) N_k max|x_c|),
+    and 2^(bits-1) > bound.
+
+    For each vector (z, t) of the canonical kernel over (x, tau), prev_K at its
+    free column, the basis row is (inv [z; zA; ...; zA^(m-1)], prev_R t) over
+    den = prev_R prev_K.  When the system is all zero (f(A) = 0 and no
+    center), the kernel is the unit rows, tau's last, with prev_K = 1: their
+    chain is P_0, ..., P_(m-1) itself, so neither the elimination nor a
+    second chain runs.  Otherwise the kernel vectors are chained through A
+    once more (_kernel_rows).  For u = e_i^T, x is row i of X; for i = m - 1
+    the rows are canonical (see _sylvester_space).
+    O(m^3) operations on R, then m s^2 products on integers s digits wide for
+    the chain, and m s^2 + m^2 s on integers d digits wide and d m s digit
+    reads for d kernel vectors, instead of elimination on s*m unknowns.
     """
     s, m = len(a), len(d)
     d_cols = list(zip(*d))
@@ -290,57 +309,92 @@ def _krylov_space(a, d, center=None):
     else:
         return None
     inv = [row[m:] for row in aug]
-    c = [-sum(map(mul, krylov[m], col)) // prev_r for col in zip(*inv)]
-    # The table A^0, A^1, ..., A^m as integer rows.
-    a_cols = list(zip(*a))
-    powers = [[[int(j == k) for k in range(s)] for j in range(s)], a]
-    for _ in range(m - 1):
-        powers.append([[sum(map(mul, row, col)) for col in a_cols] for row in powers[-1]])
-    # The system over (x, tau): x f(A) = 0 column by column, then the center rows.
-    system = [list(col) + [0] for col in zip(*_combination(c + [1], powers))]
-    if center is not None:
+    c = [-sum(map(mul, krylov[m], col)) // prev_r for col in zip(*inv)] + [1]
+    if center is None:
+        bits = _width(a, [c, *inv])
+    else:
         x_c, w, z, y = center
-        system += [[sum(map(mul, row, x_c)) for row in power] + [-sum(map(mul, r, w))]
-                   for power, r in zip(powers, krylov[:m])]
-        g = _combination([sum(map(mul, z, col)) for col in zip(*inv)], powers)
-        system += [list(col) + [-prev_r * v] for col, v in zip(zip(*g), y)]
+        g = [sum(map(mul, z, col)) for col in zip(*inv)]
+        bits = max(_width(a, [c, *inv, g]),
+                   _width(a, [[0] * k + [1] for k in range(m)], _max_abs(x_c)))
+    powers = _chain([1 << (bits * j) for j in range(s)], a, m + 1)
+    read = _reader(bits, s)
+    # The system over (x, tau): x f(A) = 0 column by column, then the center rows.
+    f_of_a = [sum(map(mul, c, col)) for col in zip(*powers)]
+    system = [read(v) + [0] for v in f_of_a] if any(f_of_a) else []
+    if center is not None:
+        system += [read(sum(map(mul, p, x_c))) + [-sum(map(mul, r, w))]
+                   for p, r in zip(powers, krylov[:m])]
+        system += [read(sum(map(mul, g, col))) + [-prev_r * v]
+                   for col, v in zip(zip(*powers), y)]
+    if not system:
+        return i, _chain_basis(inv, powers[:m], bits, [0] * s + [prev_r]), prev_r
     vecs, prev_k = _int_kernel(system, s + 1)
-    return i, _chain_rows(inv, powers[:m], vecs, prev_r), prev_r * prev_k
+    return i, _kernel_rows(inv, a, vecs, prev_r), prev_r * prev_k
 
 
-def _chain_rows(inv, powers, vecs, prev_r):
+def _width(a, coeffs, scale=1):
+    """The least bits with 2^(bits-1) > scale max_v sum_k |v_k| ||A||_inf^k over
+    the rows v of coeffs: every entry of scale sum_k v_k A^k then lies in
+    [-2^(bits-1), 2^(bits-1)), since ||A||_inf^k bounds every |entry| of A^k."""
+    norm = max((sum(map(abs, row)) for row in a), default=0)
+    norms = [norm ** k for k in range(max(map(len, coeffs)))]
+    return (scale * max(sum(map(mul, map(abs, v), norms)) for v in coeffs)).bit_length() + 1
+
+
+def _chain(packed, a, length):
+    """[P, PA, ..., PA^(length-1)] for an integer row P and the rows a of A:
+    length - 1 vector-matrix products."""
+    a_cols = list(zip(*a))
+    chain = [packed]
+    for _ in range(length - 1):
+        chain.append([sum(map(mul, chain[-1], col)) for col in a_cols])
+    return chain
+
+
+def _kernel_rows(inv, a, vecs, prev_r):
     """For each vector (z, t) of vecs, the integer row (inv [z; zA; ...; zA^(m-1)],
-    prev_r t), row-major, from powers = [I, A, ..., A^(m-1)] and the m x m inv:
-    one chain for every vector.
+    prev_r t), row-major, for the m x m inv: one chain for every vector.
 
-    The map z -> inv [z; zA; ...] is linear, so the packed vector
-    P = sum_k 2^(bits k) z_k (Kronecker substitution, as in _recheck) maps to
-    sum_k 2^(bits k) e_k, e_k the row of vector k.  Entry (r, q) of a row is
-    sum_j inv[r][j] sum_l z_l (A^j)[l][q], m terms of s products each, so
-    every entry of every row has magnitude at most
-        bound = m max|inv| s max|z| max_(j<m) max|A^j|,
-    with z over every vector.  bits is the least with 2^bits > 2 bound, so
-    every entry lies in [-half, half) for half = 2^(bits-1).  Adding half to
-    each digit, the offset sum_k half 2^(bits k), leaves digits in [0, 2^bits):
-    they are the base-2^bits digits of P's entry plus the offset, so digit k
-    of an entry v of P's row is ((v + offset) >> bits k) & (2^bits - 1), minus
-    half.
+    The z are packed into P = sum_k 2^(bits k) z_k, and [P; PA; ...] times inv
+    has digit k the row of vector k.  Its entry (r, q) is
+    sum_j inv[r][j] (z_k A^j)_q with |(z_k A^j)_q| <= ||z_k||_1 ||A||_inf^j, so
+    _width over the rows of inv, scaled by the largest ||z_k||_1, bounds it.
     """
     if not vecs:
         return []
-    s, zs = len(powers[0]), [v[:-1] for v in vecs]
-    bound = len(inv) * s * _max_abs(*inv) * _max_abs(*zs) * _max_abs(*chain.from_iterable(powers))
-    bits = bound.bit_length() + 1
-    packed = _pack(zs, bits)
-    # The columns of A, ..., A^(m-1) side by side: P times them, after P itself,
-    # is [P; PA; ...; PA^(m-1)] row after row.
-    chained = packed + [sum(map(mul, packed, col)) for power in powers[1:]
-                        for col in zip(*power)]
+    zs = [v[:-1] for v in vecs]
+    bits = _width(a, inv, max(sum(map(abs, z)) for z in zs))
+    chain = _chain(_pack(zs, bits), a, len(inv))
+    return _chain_basis(inv, chain, bits, [prev_r * v[-1] for v in vecs])
+
+
+def _chain_basis(inv, chain, bits, ts):
+    """For each digit k of the packed rows chain = [Q_0; ...; Q_(m-1)], the
+    integer row (digit k of inv chain, row-major, then ts[k]), every digit of
+    inv chain in [-2^(bits-1), 2^(bits-1)): one product with inv for every row."""
+    read = _reader(bits, len(ts))
+    digits = [read(v) for v in _int_product(inv, list(zip(*chain)))]
+    # With no digits (s = 0) each row is its t alone.
+    return [list(row) + [t] for row, t in zip(zip(*digits) if digits else repeat(()), ts)]
+
+
+def _reader(bits, count):
+    """The function that reads back the count signed digits e_k of
+    v = sum_k 2^(bits k) e_k, each e_k in [-half, half) for half = 2^(bits-1).
+
+    Adding half to each digit, the offset sum_k half 2^(bits k), leaves digits
+    in [0, 2^bits): they are the base-2^bits digits of v plus the offset, so
+    e_k is ((v + offset) >> bits k) & (2^bits - 1), minus half.
+    """
     half, mask = 1 << (bits - 1), (1 << bits) - 1
-    offset = _pack([[half]] * len(vecs), bits)[0]
-    entries = [v + offset for v in _int_product(inv, [chained[k::s] for k in range(s)])]
-    return [[((v >> shift) & mask) - half for v in entries] + [prev_r * t]
-            for shift, (*_, t) in zip(range(0, bits * len(vecs), bits), vecs)]
+    offset = half * (((1 << (bits * count)) - 1) // mask)
+    shifts = range(0, bits * count, bits)
+
+    def read(v):
+        v += offset
+        return [((v >> shift) & mask) - half for shift in shifts]
+    return read
 
 
 def _pack(rows, bits):
@@ -349,11 +403,6 @@ def _pack(rows, bits):
     for row in reversed(rows[:-1]):
         packed = [(p << bits) + v for p, v in zip(packed, row)]
     return packed
-
-
-def _combination(coeffs, powers):
-    """sum_k coeffs[k] powers[k] over the first len(coeffs) matrices, as integer rows."""
-    return [[sum(map(mul, coeffs, entries)) for entries in zip(*rows)] for rows in zip(*powers)]
 
 
 def _int_kernel(rows, n):

@@ -350,12 +350,41 @@ def chained_krylov_space(a, d, center=None):
     return i, vecs
 
 
-def per_vector_chain_rows(inv, powers, vecs, prev_r):
-    """Reference for centrosim's ``solver._chain_rows``: for each vector (z, t) on
-    its own, the chain [z A^0; z A; ...; z A^(m-1)] from powers = [A^0, ..., A^(m-1)],
-    inv times it, row-major, then prev_r t."""
-    s = len(powers[0])
-    chain_cols = [col for power in powers for col in zip(*power)]
+def dense_powers(a, m):
+    """The table [A^0, A^1, ..., A^m] of the integer rows a of A, by m dense
+    matrix products."""
+    s = len(a)
+    table = [[[int(j == k) for k in range(s)] for j in range(s)]]
+    for _ in range(m):
+        table.append([[sum(map(mul, row, col)) for col in zip(*a)] for row in table[-1]])
+    return table
+
+
+def power_combination(coeffs, table):
+    """sum_k coeffs[k] table[k] as integer rows, over the first len(coeffs) powers."""
+    s = len(table[0])
+    return [[sum(v * power[j][q] for v, power in zip(coeffs, table)) for q in range(s)]
+            for j in range(s)]
+
+
+def characteristic_coefficients(d):
+    """[c_0, ..., c_(m-1), 1] with det(tI - D) = t^m + sum_p c_p t^p for the
+    integer rows d of D, by the Faddeev-LeVerrier recurrence over Fractions."""
+    m = len(d)
+    D = Matrix(d, cols=m)
+    coeffs, M = [Fraction(1)], Matrix.zeros(m, m)
+    for k in range(1, m + 1):
+        M = D * M + coeffs[-1] * Matrix.identity(m)
+        coeffs.append(-(D * M).trace() / k)
+    return [int(v) for v in reversed(coeffs)]
+
+
+def per_vector_chain_rows(inv, a, vecs, prev_r):
+    """Reference for centrosim's ``solver._kernel_rows``: for each vector (z, t)
+    on its own, the chain [z A^0; z A; ...; z A^(m-1)] from the dense table of
+    the powers of A, inv (m columns) times it, row-major, then prev_r t."""
+    s = len(a)
+    chain_cols = [col for power in dense_powers(a, len(inv[0]) - 1) for col in zip(*power)]
     rows = []
     for *z, t in vecs:
         chain = [sum(map(mul, z, col)) for col in chain_cols]

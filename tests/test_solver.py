@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from operator import mul
 from unittest.mock import patch
 
 import pytest
@@ -17,8 +18,9 @@ from centrosim import (APPROX, EXACT, BlockPartition, Matrix, ModeError, Precond
 from centrosim.cli import main
 from centrosim.matrix import _field
 from golden_cases import PLANTED12
-from oracles import (chained_krylov_space, exhaustive_grid_hits, fraction_quadratic_parts, kron,
-                     per_row_recheck, per_vector_chain_rows, planted_transform_instance,
+from oracles import (chained_krylov_space, characteristic_coefficients, dense_powers,
+                     exhaustive_grid_hits, fraction_quadratic_parts, kron, per_row_recheck,
+                     per_vector_chain_rows, planted_transform_instance, power_combination,
                      prefix_coefficients, prefix_major_float_grid, prefix_major_integer_grid,
                      product_riccati_residual, product_singular_certificate,
                      product_system_residuals, rand_centrosymmetric, rand_int_matrix,
@@ -1044,20 +1046,102 @@ CYCLIC4 = Matrix([[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 1], [1, 1, 0, 2]])
     (CYCLIC4, CYCLIC4, [1, 1, 1, 1]),
 ])
 def test_krylov_space_chains_each_left_kernel_vector(A, D, nonzeros, monkeypatch):
-    kernels = []
-    kernel_vectors = solver._kernel_vectors
+    """Every basis row is inv times the chain [z; zA; ...] of one vector (z, tau)
+    of the kernel over (x, tau), tau's own vector last with z = 0: one packed
+    chain holds every z as digits of its first row, and inv multiplies it once
+    (one _chain_basis call).  nonzeros counts the nonzero entries of each z."""
+    bases = _counting(monkeypatch, "_chain_basis")
+    a, d = _ints(A, D)
+    assert _rational_krylov_space(a, d) == chained_krylov_space(a, d) and len(bases) == 1
+    _, chain, bits, ts = bases[0]
+    *zs, tau = zip(*map(solver._reader(bits, len(ts)), chain[0]))
+    assert [sum(map(bool, z)) for z in zs] == nonzeros and not any(tau)
+    assert not any(ts[:-1]) and ts[-1]
+    assert solver._sylvester_space(A, D) == vectorized_sylvester_space(A, D)
+
+
+@pytest.mark.parametrize("A, D, chains", [
+    # f(A) != 0: the powers' chain gives f(A), then the kernel vectors' chain.
+    (Matrix([[1, 1], [0, 3]]), Matrix([[1, 1], [0, 2]]), 2),
+    # CYCLIC4's own f annihilates it and there is no center, so the (x, tau)
+    # system is all zero: its kernel is the unit rows, whose chain is the first.
+    (CYCLIC4, CYCLIC4, 1),
+])
+def test_f_of_a_zero_forms_no_second_chain(monkeypatch, A, D, chains):
+    formed, eliminated = _counting(monkeypatch, "_chain"), _counting(monkeypatch, "_int_kernel")
+    a, d = _ints(A, D)
+    assert _rational_krylov_space(a, d) == chained_krylov_space(a, d)
+    assert len(formed) == chains and len(eliminated) == chains - 1
+    # The first chain runs the identity's rows through A^0, ..., A^m.
+    packed, _, length = formed[0]
+    assert length == D.rows + 1 and packed == [packed[1] ** j for j in range(A.rows)]
+
+
+SMALL_POWERS = st.builds(lambda t, sign: sign << t, st.integers(0, 3), st.sampled_from([1, -1]))
+
+
+@st.composite
+def branch_cases(draw):
+    """(a, d, center) as integer rows: D is the companion matrix of prod (t - r)
+    over drawn roots r (e_0^T is cyclic for it), conjugated by a unimodular
+    matrix on some draws.  A is zero, a constant matrix c J or a scalar c I
+    for a power of two c of either sign, or conjugate to a diagonal matrix
+    of roots (so f(A) = 0) or to a triangular one of drawn eigenvalues.  The
+    zero, constant and scalar A have their eigenvalues among the roots on
+    some draws, f(A) = 0 again.  center is None or integer vectors."""
+    s, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["zero", "constant", "scalar", "annihilated", "drawn"]))
+    roots = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    c = draw(SMALL_POWERS)
+    if kind in ("zero", "constant", "scalar"):
+        A = {"zero": Matrix.zeros(s, s), "constant": Matrix([[c] * s] * s, cols=s),
+             "scalar": c * Matrix.identity(s)}[kind]
+        eig = {"zero": [0], "constant": [0, s * c] if s > 1 else [c], "scalar": [c]}[kind]
+        if len(eig) <= m and draw(st.booleans()):
+            roots[:len(eig)] = eig
+    elif kind == "annihilated":
+        eig = draw(st.lists(st.sampled_from(roots), min_size=s, max_size=s))
+        A = _draw_conjugate(draw, Matrix([[eig[i] if i == j else 0 for j in range(s)]
+                                          for i in range(s)], cols=s))
+    else:
+        eig = draw(st.lists(st.integers(-3, 3), min_size=s, max_size=s))
+        A = _draw_conjugate(draw, _draw_triangular(draw, eig))
+    D = _companion(roots)
+    if draw(st.booleans()):
+        D = _draw_conjugate(draw, D)
+    center = None
+    if draw(st.booleans()):
+        center = tuple(draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+                       for k in (s, m, m, s))
+    return (*_ints(A, D), center)
+
+
+@settings(max_examples=200, deadline=None)
+@given(branch_cases())
+@example(([[1, 1], [0, 3]], [[1, 1], [0, 2]], None))
+@example((*_ints(CYCLIC4, CYCLIC4), None))
+@example(([[0]], [[0]], None))
+@example(([[0]], [[1]], None))
+# s = 0: X is m x 0, and only tau's row remains.
+@example(([], [[1, 2], [3, 4]], None))
+def test_krylov_space_matches_the_chained_oracle_on_both_branches(case):
+    """Without a center and with f(A) = 0 the basis comes from the unit rows
+    with no elimination; otherwise from the kernel of the (x, tau) system."""
+    a, d, center = case
+    eliminated = []
+    int_kernel = solver._int_kernel
 
     def recorded(*args):
-        kernels.append(kernel_vectors(*args))
-        return kernels[-1]
-    monkeypatch.setattr(solver, "_kernel_vectors", recorded)
-    a, d = _ints(A, D)
-    assert _rational_krylov_space(a, d) == chained_krylov_space(a, d) and len(kernels) == 1
-    # Each kernel vector is (z, tau); with no center, tau's own vector comes last.
-    *zs, tau = kernels[0]
-    assert [sum(map(bool, z)) for z in zs] == nonzeros and not any(z[-1] for z in zs)
-    assert not any(tau[:-1]) and tau[-1]
-    assert solver._sylvester_space(A, D) == vectorized_sylvester_space(A, D)
+        eliminated.append(args)
+        return int_kernel(*args)
+    with patch.object(solver, "_int_kernel", recorded):
+        found = _rational_krylov_space(a, d, center)
+    assert found == chained_krylov_space(a, d, center)
+    if found is not None:
+        f_of_a = power_combination(characteristic_coefficients(d), dense_powers(a, len(d)))
+        unit_rows = center is None and not any(map(any, f_of_a))
+        event("unit rows" if unit_rows else "kernel chain")
+        assert (eliminated == []) == unit_rows
 
 
 def _recheck_args(A, D, center=None):
@@ -1142,39 +1226,113 @@ CHAIN_ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
 
 @st.composite
 def chain_row_cases(draw):
-    """(inv, powers, vecs, prev_r) for _chain_rows: an m x m inv, the identity
-    and m - 1 more "powers" of size s x s, and d <= s + 1 vectors (z, t).
-    Either every entry is drawn, or inv, z and the powers after the identity
-    are each constant up to the sign of each z: at s = 1 with A = 1, and at
-    m = 1, every entry of every row is then plus or minus the bound that sizes
-    the digits."""
+    """(inv, a, vecs, prev_r) for _kernel_rows: an m x m inv, the rows of an
+    s x s A, and d <= s + 1 vectors (z, t).  Either every entry is drawn, or
+    inv, A and z are each constant up to the sign of each z: at s = 1 with
+    A = 1, and at m = 1, every entry of every row is then plus or minus the
+    bound that sizes the digits."""
     s, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     d = draw(st.integers(1, s + 1))
     prev_r, ts = draw(CHAIN_ENTRIES), draw(st.lists(CHAIN_ENTRIES, min_size=d, max_size=d))
-    identity = [[int(j == k) for k in range(s)] for j in range(s)]
     if draw(st.booleans()):
         def ints(rows, cols):
             return [[draw(CHAIN_ENTRIES) for _ in range(cols)] for _ in range(rows)]
-        inv, powers, zs = ints(m, m), [ints(s, s) for _ in range(m - 1)], ints(d, s)
+        inv, a, zs = ints(m, m), ints(s, s), ints(d, s)
         event("drawn entries")
     else:
         c_inv, c_a, c_z = (draw(st.one_of(CORRUPTIONS, st.just(0))) for _ in range(3))
-        inv, powers = [[c_inv] * m] * m, [[[c_a] * s] * s] * (m - 1)
+        inv, a = [[c_inv] * m] * m, [[c_a] * s] * s
         zs = [[draw(SIGNS) * c_z] * s for _ in range(d)]
         event("constant entries")
-    return inv, [identity] + powers, [z + [t] for z, t in zip(zs, ts)], prev_r
+    return inv, a, [z + [t] for z, t in zip(zs, ts)], prev_r
 
 
 @settings(max_examples=300, deadline=None)
 @given(chain_row_cases())
 # The bound is 1 and reached; z = 0, so the bound is 0; and a digit of -1 under a
 # digit of +1, which a borrow would merge; and the bound 2 reached at m = 2.
-@example(([[1]], [[[1]]], [[1, 0]], 1))
-@example(([[1]], [[[1]]], [[0, 5]], -2))
-@example(([[1]], [[[1]]], [[-1, 0], [1, 3]], 1))
-@example(([[1, 1], [-1, -1]], [[[1]], [[1]]], [[1, 0]], 1))
+@example(([[1]], [[1]], [[1, 0]], 1))
+@example(([[1]], [[1]], [[0, 5]], -2))
+@example(([[1]], [[1]], [[-1, 0], [1, 3]], 1))
+@example(([[1, 1], [-1, -1]], [[1]], [[1, 0]], 1))
 def test_packed_chain_rows_match_the_per_vector_loop(case):
-    assert solver._chain_rows(*case) == per_vector_chain_rows(*case)
+    """The kernel vectors' one packed chain through A gives each vector's row
+    of its own chain through the dense table of the powers of A."""
+    assert solver._kernel_rows(*case) == per_vector_chain_rows(*case)
+
+
+@st.composite
+def power_chain_cases(draw):
+    """(a, m, coeffs, x_c): the rows of an s x s A, m, rows of m + 1
+    coefficients and an integer vector of length s.  A is drawn, zero, or a
+    constant matrix c J or scalar c I for a power of two c of either sign;
+    the coefficients are drawn, or constant up to the sign of each row."""
+    s, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["drawn", "zero", "constant", "scalar"]))
+    c = draw(POWERS)
+    a = {"drawn": lambda: [[draw(CHAIN_ENTRIES) for _ in range(s)] for _ in range(s)],
+         "zero": lambda: [[0] * s for _ in range(s)],
+         "constant": lambda: [[c] * s for _ in range(s)],
+         "scalar": lambda: [[c * (j == k) for k in range(s)] for j in range(s)]}[kind]()
+    rows = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        coeffs = [[draw(CHAIN_ENTRIES) for _ in range(m + 1)] for _ in range(rows)]
+    else:
+        value = draw(st.one_of(POWERS, st.just(0)))
+        coeffs = [[draw(SIGNS) * value] * (m + 1) for _ in range(rows)]
+    event(f"{kind} A")
+    return a, m, coeffs, [draw(CHAIN_ENTRIES) for _ in range(s)]
+
+
+def _power_reads(a, m, coeffs, x_c):
+    """What _krylov_space reads from the packed powers P_0, ..., P_m of A at
+    the width it gives them: sum_k v_k A^k for each row v of coeffs, column by
+    column, the vectors A^k x_c for k < m, and the unit rows' basis rows for
+    inv = the first m entries of each row of coeffs (tau's row last, t = 1)."""
+    s = len(a)
+    bits = max(solver._width(a, coeffs),
+               solver._width(a, [[0] * k + [1] for k in range(m)], max(map(abs, x_c))))
+    powers = solver._chain([1 << (bits * j) for j in range(s)], a, m + 1)
+    read = solver._reader(bits, s)
+    return ([[read(sum(map(mul, v, col))) for col in zip(*powers)] for v in coeffs],
+            [read(sum(map(mul, p, x_c))) for p in powers[:m]],
+            solver._chain_basis([v[:m] for v in coeffs], powers[:m], bits, [0] * s + [1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_chain_cases())
+# 1 + 2 + 4 + 8 = 2^4 - 1 and -1 - 2 - 4 - 8: digits of 5 bits at their edge.
+@example(([[2]], 3, [[1, 1, 1, 1]], [1]))
+@example(([[-2]], 3, [[-1, 1, -1, 1]], [-1]))
+@example(([[2, 0], [0, 2]], 3, [[1, 1, 1, 1], [-1, -1, -1, -1]], [1, -1]))
+# A = 0: only A^0 = I is nonzero; s = 1 and m = 1.
+@example(([[0, 0], [0, 0]], 2, [[5, 7, 9]], [3, -3]))
+@example(([[-7]], 1, [[3, -4]], [-2]))
+def test_packed_powers_read_back_the_dense_table(case):
+    a, m, coeffs, x_c = case
+    s, table = len(a), dense_powers(a, m)
+    unit_vecs = [[int(j == k) for k in range(s + 1)] for j in range(s + 1)]
+    assert _power_reads(a, m, coeffs, x_c) == (
+        [[list(col) for col in zip(*power_combination(v, table))] for v in coeffs],
+        [[sum(map(mul, row, x_c)) for row in power] for power in table[:m]],
+        per_vector_chain_rows([v[:m] for v in coeffs], a, unit_vecs, 1))
+
+
+@pytest.mark.parametrize("a, coeffs, edge", [
+    ([[2]], [1, 1, 1, 1], 15),
+    ([[-2]], [-1, 1, -1, 1], -15),
+    ([[2, 0], [0, 2]], [1, 1, 1], 7),
+    ([[-2, 0, 0], [0, -2, 0], [0, 0, -2]], [-1, 1, -1, 1, -1], -31),
+])
+def test_a_digit_at_the_edge_of_its_width_reads_back(a, coeffs, edge):
+    """sum_k coeffs[k] A^k of a scalar power of two reaches the bound ||A||^k
+    gives it, and that bound is 2^(bits-1) - 1: a width one bit narrower would
+    misread it."""
+    bits = solver._width(a, [coeffs])
+    assert abs(edge) == 2 ** (bits - 1) - 1
+    m = len(coeffs) - 1
+    (f_of_a,), _, _ = _power_reads(a, m, [coeffs], [0] * len(a))
+    assert f_of_a == [[edge * (j == q) for j in range(len(a))] for q in range(len(a))]
 
 
 def test_linear_stage_matches_the_oracle_in_both_parities(monkeypatch):
@@ -1237,12 +1395,20 @@ def test_a_cyclic_unit_vector_never_eliminates(monkeypatch):
     ([[3, 1, 1, 1, 0], [0, 2, 1, 0, 1], [1, 1, 0, 1, 0], [1, 1, 2, 3, 0], [1, 1, 4, 0, 3]], 3),
 ])
 def test_the_center_adds_no_elimination(monkeypatch, rows, eliminations):
+    """With the center, each route runs the eliminations listed: the center's
+    conditions are more rows of the one system.  Without it, the same, less
+    the system's own when f(A) = 0 leaves it all zero on a Krylov route, as
+    on both Krylov cases here (A and D share their eigenvalues)."""
     bp = split_blocks(Matrix(rows), "odd", len(rows) // 2)
+    a, d = _ints(bp.A, bp.D)
+    f_of_a = power_combination(characteristic_coefficients(d), dense_powers(a, len(d)))
+    zero_system = solver._krylov_space(a, d) is not None and not any(map(any, f_of_a))
     calls = _counting(monkeypatch, "_gauss_jordan_int")
-    solver._sylvester_space(bp.A, bp.D)
-    assert len(calls) == eliminations
     solver._sylvester_space(bp.A, bp.D, (bp.x, bp.w, bp.z, bp.y))
-    assert len(calls) == 2 * eliminations
+    assert len(calls) == eliminations
+    solver._sylvester_space(bp.A, bp.D)
+    assert len(calls) == 2 * eliminations - zero_system
+    assert zero_system == (eliminations != 3)
 
 
 def _corrupting(monkeypatch, route, part):
